@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -152,6 +153,11 @@ def output_distribution(W: Channel, p: Distribution) -> Distribution:
     return Distribution(p.probs @ W.rows)
 
 
+def _kron_chain(factors) -> np.ndarray:
+    """Kronecker product of per-letter factors, the first least significant."""
+    return functools.reduce(lambda acc, f: np.kron(f, acc), factors)
+
+
 def product(W: Channel, n: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> Channel:
     """n-fold memoryless product of W, materialized densely.
 
@@ -163,10 +169,7 @@ def product(W: Channel, n: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> C
         raise ValueError("n must be a positive integer")
     states = (W.input_size ** n) * (W.output_size ** n)
     budget.check(states, f"{n}-fold product channel")
-    rows = W.rows
-    for _ in range(n - 1):
-        rows = np.kron(W.rows, rows)
-    return Channel(rows)
+    return Channel(_kron_chain([W.rows] * n))
 
 
 def product_dist(p: Distribution, n: int,
@@ -175,10 +178,7 @@ def product_dist(p: Distribution, n: int,
     if n < 1:
         raise ValueError("n must be a positive integer")
     budget.check(p.size ** n, f"{n}-fold product distribution")
-    probs = p.probs
-    for _ in range(n - 1):
-        probs = np.kron(p.probs, probs)
-    return Distribution(probs)
+    return Distribution(_kron_chain([p.probs] * n))
 
 
 def variational_distance(p: Distribution, q: Distribution) -> float:
@@ -188,17 +188,19 @@ def variational_distance(p: Distribution, q: Distribution) -> float:
     return float(np.abs(p.probs - q.probs).sum())
 
 
+def _kl(a: np.ndarray, b: np.ndarray) -> float:
+    """D(a||b) of two probability vectors; +inf when a has mass outside supp(b)."""
+    mask = a > 0
+    if np.any(b[mask] == 0):
+        return math.inf
+    return max(float(np.sum(a[mask] * (np.log(a[mask]) - np.log(b[mask])))), 0.0)
+
+
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """Divergence D(p||q) in nats; +inf when p has mass outside supp(q)."""
     if p.size != q.size:
         raise ValueError("dimension mismatch")
-    mask = p.probs > 0
-    pm = p.probs[mask]
-    qm = q.probs[mask]
-    if np.any(qm == 0):
-        return math.inf
-    val = float(np.sum(pm * (np.log(pm) - np.log(qm))))
-    return max(val, 0.0)
+    return _kl(p.probs, q.probs)
 
 
 def mutual_information(p: Distribution, W: Channel) -> float:

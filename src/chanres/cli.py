@@ -21,18 +21,20 @@ import sys
 
 from .channel import (
     BudgetError,
+    Channel,
     EnumerationBudget,
     dispersion_J,
     load_channel,
     load_distribution,
+    mutual_information,
     product,
     product_dist,
 )
 from .exponents import (
     ConvergenceError,
+    _taylor_terms,
     capacity,
     exponent_sweep,
-    taylor_compare,
 )
 from .identification import (
     AdParams,
@@ -71,6 +73,15 @@ def _budget(args) -> EnumerationBudget:
     if getattr(args, "max_joint_states", None) is None:
         return EnumerationBudget()
     return EnumerationBudget(args.max_joint_states)
+
+
+def _blocks(args, budget, *laws):
+    """n, then each channel and distribution as its n-fold product."""
+    n = 1 if args.blocklength is None else int(args.blocklength)
+    if n > 1:
+        laws = [product(x, n, budget) if isinstance(x, Channel)
+                else product_dist(x, n, budget) for x in laws]
+    return (n, *laws)
 
 
 def _need(args, *names) -> None:
@@ -139,16 +150,14 @@ def run_exponents(args) -> int:
     ]
     reports = exponent_sweep(W, rates, p)
     taylor = {}
+    J = 0.0 if p is None else dispersion_J(p, W)
     # noiseless channels leave only rounding dust in the variance; the
     # quadratic columns are meaningless there and are omitted
-    if p is not None and dispersion_J(p, W) > 1e-12:
+    if J > 1e-12:
+        i_val = mutual_information(p, W)
         for R in rates:
-            cmp_ = taylor_compare(R, W, p)
-            taylor[R] = {
-                "vd_psi": cmp_.approx_psi,
-                "kl_phi": cmp_.approx_psi,
-                "vd_phi_half": cmp_.approx_phi_half,
-            }
+            _, a_psi, a_half = _taylor_terms(R, i_val, J)
+            taylor[R] = {"vd_psi": a_psi, "kl_phi": a_psi, "vd_phi_half": a_half}
     with _open_out(args.output) as out:
         header = "R,family,bound_nats,optimizer"
         if taylor:
@@ -199,15 +208,9 @@ def run_simulate_resolvability(args) -> int:
 def run_simulate_wiretap(args) -> int:
     _need(args, "channel-b", "channel-e", "dist", "messages",
           "randomization", "threshold", "decoder-threshold", "seed")
-    budget = _budget(args)
-    W_B = load_channel(args.channel_b)
-    W_E = load_channel(args.channel_e)
-    p = load_distribution(args.dist)
-    n = 1 if args.blocklength is None else int(args.blocklength)
-    if n > 1:
-        W_B = product(W_B, n, budget)
-        W_E = product(W_E, n, budget)
-        p = product_dist(p, n, budget)
+    n, W_B, W_E, p = _blocks(args, _budget(args), load_channel(args.channel_b),
+                             load_channel(args.channel_e),
+                             load_distribution(args.dist))
     M = int(args.messages)
     L = int(args.randomization)
     retries = 100 if args.max_retries is None else int(args.max_retries)
@@ -270,13 +273,8 @@ def run_simulate_wiretap(args) -> int:
 def run_idcode_build(args) -> int:
     _need(args, "channel", "dist", "alpha", "alpha-prime", "beta",
           "beta-prime", "tau", "kappa", "codewords", "threshold", "seed")
-    budget = _budget(args)
-    W = load_channel(args.channel)
-    p = load_distribution(args.dist)
-    n = 1 if args.blocklength is None else int(args.blocklength)
-    if n > 1:
-        W = product(W, n, budget)
-        p = product_dist(p, n, budget)
+    _, W, p = _blocks(args, _budget(args), load_channel(args.channel),
+                      load_distribution(args.dist))
     params = SelectionParams(
         alpha=float(args.alpha), alpha_prime=float(args.alpha_prime),
         beta=float(args.beta), beta_prime=float(args.beta_prime),
@@ -324,13 +322,8 @@ def run_idcode_build(args) -> int:
 
 def run_idcode_eval(args) -> int:
     _need(args, "channel", "dist", "code")
-    W = load_channel(args.channel)
-    p = load_distribution(args.dist)
-    n = 1 if args.blocklength is None else int(args.blocklength)
-    if n > 1:
-        budget = _budget(args)
-        W = product(W, n, budget)
-        p = product_dist(p, n, budget)
+    _, W, p = _blocks(args, _budget(args), load_channel(args.channel),
+                      load_distribution(args.dist))
     code = load_id_code(args.code)
     metrics = eval_id_code(code, W, p)
     with _open_out(args.output) as out:
@@ -358,15 +351,9 @@ def run_capacity(args) -> int:
 def run_wiretap_bounds(args) -> int:
     _need(args, "channel-b", "channel-e", "dist", "messages",
           "randomization", "threshold", "decoder-threshold")
-    budget = _budget(args)
-    W_B = load_channel(args.channel_b)
-    W_E = load_channel(args.channel_e)
-    p = load_distribution(args.dist)
-    n = 1 if args.blocklength is None else int(args.blocklength)
-    if n > 1:
-        W_B = product(W_B, n, budget)
-        W_E = product(W_E, n, budget)
-        p = product_dist(p, n, budget)
+    _, W_B, W_E, p = _blocks(args, _budget(args), load_channel(args.channel_b),
+                             load_channel(args.channel_e),
+                             load_distribution(args.dist))
     bounds = wiretap_bounds(W_B, W_E, p, int(args.messages),
                             int(args.randomization), float(args.threshold),
                             float(args.decoder_threshold))

@@ -16,6 +16,7 @@ solves it (with a dense simplex grid as fallback on small alphabets).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,6 @@ from .channel import (
     dispersion_J,
     mutual_information,
     output_distribution,
-    uniform,
 )
 
 GIVEN_FAMILIES = (
@@ -43,6 +43,11 @@ WORST_FAMILIES = ("vd_psi_worst", "kl_phi_worst", "vd_phi_half_worst")
 
 GRID_STEP = 1e-3
 
+# the parameter grids every exponent optimization scans; they do not
+# depend on the rate, so a sweep evaluates psi and phi on them once
+S_GRID = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
+T_GRID = np.linspace(-0.5, 0.0, int(round(0.5 / GRID_STEP)) + 1)
+
 _KKT_TOL = 1e-9
 _KKT_ACCEPT = 1e-8
 
@@ -56,32 +61,64 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def psi(s: float, W: Channel, p: Distribution) -> float:
-    """log E_p sum_y W_x(y)^(1+s) W_p(y)^(-s); psi(0) == 0 exactly."""
-    if s <= -1:
-        raise ValueError("s must exceed -1")
+def _params(x, name: str, W: Channel, p: Distribution) -> np.ndarray:
+    """The parameter(s) x as an (n, 1, 1) array, after the domain checks."""
+    e = np.asarray(x, dtype=float).reshape(-1, 1, 1)
+    if any(v <= -1 for v in e.ravel().tolist()):
+        raise ValueError(f"{name} must exceed -1")
     if p.size != W.input_size:
         raise ValueError("distribution does not match channel input")
-    if s == 0:
-        return 0.0
+    return e
+
+
+def _power(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x ** e for e of shape (n, 1, ...); slice i equals x_i ** float(e_i).
+
+    x is one array for every exponent, or a stack of n arrays.  numpy
+    takes a scalar exponent of -1, 0, 1/2, 1 or 2 as reciprocal, ones,
+    sqrt, copy or square, which can differ in the last bit from its
+    array-exponent power; those slices are redone with the scalar
+    exponent, so an array of parameters gives exactly the scalar values.
+    """
+    out = x ** e
+    for i, v in enumerate(e.ravel().tolist()):
+        if v in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            out[i] = (x[i] if x.ndim == out.ndim else x) ** v
+    return out
+
+
+def _shaped(vals: np.ndarray, x):
+    """vals in the shape of the parameter(s) x, exactly 0 where x is 0."""
+    if np.ndim(x) == 0:
+        return 0.0 if x == 0 else float(vals[0])
+    vals[np.ravel(x) == 0] = 0.0
+    return vals.reshape(np.shape(x))
+
+
+def psi(s, W: Channel, p: Distribution):
+    """log E_p sum_y W_x(y)^(1+s) W_p(y)^(-s); psi(0) == 0 exactly.
+
+    s may be an array of any shape: the result then has that shape and
+    each entry equals the scalar call.  An array call allocates
+    s.size * |X| * |Y| floats at a time.
+    """
+    e = _params(s, "s", W, p)
     wp = output_distribution(W, p).probs
     live = wp > 0
     sup = p.support()
     rows = W.rows[np.ix_(sup, live)]
-    inner = np.sum(rows ** (1.0 + s) * wp[live] ** (-s), axis=1)
-    return float(np.log(p.probs[sup] @ inner))
+    inner = np.sum(_power(rows, 1.0 + e) * _power(wp[live], -e), axis=2)
+    return _shaped(np.log(np.matmul(p.probs[sup], inner[:, :, None])[:, 0]), s)
 
 
-def phi(t: float, W: Channel, p: Distribution) -> float:
-    """log sum_y (E_p W_x(y)^(1/(1+t)))^(1+t); phi(0) == 0 exactly."""
-    if t <= -1:
-        raise ValueError("t must exceed -1")
-    if p.size != W.input_size:
-        raise ValueError("distribution does not match channel input")
-    if t == 0:
-        return 0.0
-    g = p.probs @ (W.rows ** (1.0 / (1.0 + t)))
-    return float(np.log(np.sum(g ** (1.0 + t))))
+def phi(t, W: Channel, p: Distribution):
+    """log sum_y (E_p W_x(y)^(1/(1+t)))^(1+t); phi(0) == 0 exactly.
+
+    t may be an array, as the argument s of `psi`.
+    """
+    e = _params(t, "t", W, p)
+    g = np.matmul(p.probs, _power(W.rows, 1.0 / (1.0 + e)))
+    return _shaped(np.log(np.sum(_power(g, 1.0 + e[:, 0]), axis=1)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -124,39 +161,26 @@ def _multiplicative_max(A: np.ndarray, c: float, start: np.ndarray,
     return F, p, resid
 
 
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def _simplex_grid_argmax(A: np.ndarray, c: float, step: float) -> np.ndarray:
-    K = A.shape[0]
     m = int(round(1.0 / step))
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    best_val = -math.inf
-    best = None
-    batch = []
-
-    def flush():
-        nonlocal best_val, best
-        if not batch:
-            return
+    comps = _compositions(m, A.shape[0])
+    best_val, best = -math.inf, None
+    while batch := list(itertools.islice(comps, 20000)):
         P = np.array(batch, dtype=float) / m
         vals = np.sum((P @ A) ** c, axis=1)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
-            best_val = float(vals[i])
-            best = P[i]
-        batch.clear()
-
-    for comp in compositions(m, K):
-        batch.append(comp)
-        if len(batch) >= 20000:
-            flush()
-    flush()
+            best_val, best = float(vals[i]), P[i]
     return best
 
 
@@ -278,14 +302,16 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
     return x, f(x)
 
 
-def _grid_golden_max(f, lo: float, hi: float, step: float = GRID_STEP):
-    """Dense grid scan refined by golden-section around the best cell."""
-    npts = int(round((hi - lo) / step)) + 1
-    xs = np.linspace(lo, hi, npts)
-    vals = [f(float(x)) for x in xs]
+def _grid_golden_max(f, xs: np.ndarray, vals=None):
+    """Dense grid scan refined by golden-section around the best cell.
+
+    vals[i] must equal f(xs[i]); by default f takes the grid as one array.
+    """
+    if vals is None:
+        vals = f(xs)
     i = int(np.argmax(vals))
     a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, npts - 1)])
+    b = float(xs[min(i + 1, len(xs) - 1)])
     xg, vg = _golden_max(f, a, b)
     if vg >= vals[i]:
         return float(xg), float(vg)
@@ -302,18 +328,40 @@ class ExponentReport:
     family: str
 
 
-def _family_reports(R: float, psi_fn, phi_fn, suffix: str) -> list[ExponentReport]:
+def _family_reports(R: float, psi_fn, psi_grid, phi_fn, phi_grid,
+                    suffix: str) -> list[ExponentReport]:
+    """The three reports of one family at rate R; psi_grid and phi_grid
+    hold psi_fn on S_GRID and phi_fn on T_GRID."""
+    def vd(s, psi_s):
+        return (s * R - psi_s) / (1.0 + s)
+
+    def kl(t, phi_t):
+        return -phi_t - t * R
+
     s_star, vd_val = _grid_golden_max(
-        lambda s: (s * R - psi_fn(s)) / (1.0 + s), 0.0, 1.0
-    )
+        lambda s: vd(s, psi_fn(s)), S_GRID, vd(S_GRID, psi_grid))
     t_star, kl_val = _grid_golden_max(
-        lambda t: -phi_fn(t) - t * R, -0.5, 0.0
-    )
+        lambda t: kl(t, phi_fn(t)), T_GRID, kl(T_GRID, phi_grid))
+    # max(0.0, -0.0) is 0.0, where max(-0.0, 0.0) would keep -0.0
+    vd_val, kl_val = max(0.0, vd_val), max(0.0, kl_val)
     return [
-        ExponentReport(R, max(vd_val, 0.0), s_star, "vd_psi" + suffix),
-        ExponentReport(R, max(kl_val, 0.0), t_star, "kl_phi" + suffix),
-        ExponentReport(R, max(kl_val, 0.0) / 2.0, t_star, "vd_phi_half" + suffix),
+        ExponentReport(R, vd_val, s_star, "vd_psi" + suffix),
+        ExponentReport(R, kl_val, t_star, "kl_phi" + suffix),
+        ExponentReport(R, kl_val / 2.0, t_star, "vd_phi_half" + suffix),
     ]
+
+
+def _given_family(W: Channel, p: Distribution) -> tuple:
+    return (lambda s: psi(s, W, p), psi(S_GRID, W, p),
+            lambda t: phi(t, W, p), phi(T_GRID, W, p), "")
+
+
+def _worst_family(W: Channel) -> tuple:
+    psi_curve = _WorstCurve(_psi_worst_solve, W)
+    phi_curve = _WorstCurve(_phi_worst_solve, W)
+    return (psi_curve, np.array([psi_curve(s) for s in S_GRID.tolist()]),
+            phi_curve, np.array([phi_curve(t) for t in T_GRID.tolist()]),
+            "_worst")
 
 
 def exponent_sweep(W: Channel, rates, p: Distribution | None = None
@@ -324,18 +372,14 @@ def exponent_sweep(W: Channel, rates, p: Distribution | None = None
     direct psi and phi bounds for that p plus the worst-case variants.
     With p=None only the three worst-case families apply.
     """
-    psi_curve = _WorstCurve(_psi_worst_solve, W)
-    phi_curve = _WorstCurve(_phi_worst_solve, W)
-    reports: list[ExponentReport] = []
-    for R in rates:
-        R = float(R)
-        if R < 0:
-            raise ValueError("rates must be nonnegative")
-        if p is not None:
-            reports.extend(_family_reports(
-                R, lambda s: psi(s, W, p), lambda t: phi(t, W, p), ""))
-        reports.extend(_family_reports(R, psi_curve, phi_curve, "_worst"))
-    return reports
+    rates = [float(R) for R in rates]
+    if any(R < 0 for R in rates):
+        raise ValueError("rates must be nonnegative")
+    if not rates:
+        return []
+    families = ([] if p is None else [_given_family(W, p)]) + [_worst_family(W)]
+    return [rep for R in rates for fam in families
+            for rep in _family_reports(R, *fam)]
 
 
 def resolvability_exponents(R: float, W: Channel,
@@ -371,14 +415,12 @@ def wiretap_exponents(R: float, R_prime: float, W_B: Channel, W_E: Channel,
     if W_B.input_size != W_E.input_size:
         raise ValueError("channels must share an input alphabet")
     s_err, e_err = _grid_golden_max(
-        lambda s: -phi(s, W_B, p) - s * (R + R_prime), 0.0, 1.0)
+        lambda s: -phi(s, W_B, p) - s * (R + R_prime), S_GRID)
     t_kl, e_kl = _grid_golden_max(
-        lambda t: -phi(t, W_E, p) - t * R_prime, -0.5, 0.0)
+        lambda t: -phi(t, W_E, p) - t * R_prime, T_GRID)
     s_vd, e_vd = _grid_golden_max(
-        lambda s: (s * R_prime - psi(s, W_E, p)) / (1.0 + s), 0.0, 1.0)
-    e_err = max(e_err, 0.0)
-    e_kl = max(e_kl, 0.0)
-    e_vd = max(e_vd, 0.0)
+        lambda s: (s * R_prime - psi(s, W_E, p)) / (1.0 + s), S_GRID)
+    e_err, e_kl, e_vd = max(0.0, e_err), max(0.0, e_kl), max(0.0, e_vd)
     edge = 2.0 * GRID_STEP
     return WiretapExponentReport(
         R=float(R), R_prime=float(R_prime),
@@ -469,24 +511,9 @@ def secrecy_capacity_lb(W_B: Channel, W_E: Channel) -> tuple[float, Distribution
     for _ in range(12):
         starts.append(rng.dirichlet(np.ones(K)))
     if K <= 4:
-        m = 50
-        best_g = None
-        best_gv = -math.inf
-
-        def comps(total, parts):
-            if parts == 1:
-                yield (total,)
-                return
-            for first in range(total + 1):
-                for rest in comps(total - first, parts - 1):
-                    yield (first,) + rest
-
-        for comp in comps(m, K):
-            pv = np.array(comp, dtype=float) / m
-            v = secrecy_rate(W_B, W_E, Distribution(pv))
-            if v > best_gv:
-                best_gv = v
-                best_g = pv
+        # the first composition with the largest rate, as a start
+        best_g = max((np.array(comp, dtype=float) / 50
+                      for comp in _compositions(50, K)), key=exact)
         starts.append(0.98 * best_g + 0.02 * np.full(K, 1.0 / K))
 
     best_p = None
@@ -519,6 +546,14 @@ class TaylorComparison:
     exact_phi_half_bound: float
 
 
+def _taylor_terms(R: float, i_val: float, J: float) -> tuple[float, float, float]:
+    """(Delta, approx_psi, approx_phi_half): the quadratic expansions of
+    the vd_psi and vd_phi_half exponents about i_val = I(p;W), J > 0."""
+    delta = float(R) - i_val
+    approx_phi_half = delta * delta / (8.0 * J)
+    return delta, 2.0 * approx_phi_half, approx_phi_half
+
+
 def taylor_compare(R: float, W: Channel, p: Distribution) -> TaylorComparison:
     """Compare exact exponents at rate R with their quadratic expansions.
 
@@ -529,16 +564,8 @@ def taylor_compare(R: float, W: Channel, p: Distribution) -> TaylorComparison:
     if J <= 0.0:
         raise ValueError("zero information-density variance: "
                          "quadratic approximation undefined")
-    i_val = mutual_information(p, W)
-    delta = float(R) - i_val
-    approx_phi_half = delta * delta / (8.0 * J)
-    approx_psi = 2.0 * approx_phi_half
-    reports = resolvability_exponents(R, W, p)
-    by_family = {r.family: r for r in reports}
-    return TaylorComparison(
-        Delta=delta,
-        approx_psi=approx_psi,
-        approx_phi_half=approx_phi_half,
-        exact_psi_bound=by_family["vd_psi"].bound_value,
-        exact_phi_half_bound=by_family["vd_phi_half"].bound_value,
-    )
+    if R < 0:
+        raise ValueError("rates must be nonnegative")
+    vd_psi, _, vd_phi_half = _family_reports(float(R), *_given_family(W, p))
+    return TaylorComparison(*_taylor_terms(R, mutual_information(p, W), J),
+                            vd_psi.bound_value, vd_phi_half.bound_value)

@@ -23,6 +23,8 @@ from .channel import (
     Channel,
     Distribution,
     EnumerationBudget,
+    _kl,
+    _kron_chain,
     output_distribution,
     product,
 )
@@ -74,12 +76,7 @@ def sample_code(p: Distribution, M: int, seed: int) -> ResolvabilityCode:
 
 
 def _gaps(mix: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
-    eps = float(np.abs(mix - wp).sum())
-    mask = mix > 0
-    if np.any(wp[mask] == 0):
-        return eps, math.inf
-    div = float(np.sum(mix[mask] * (np.log(mix[mask]) - np.log(wp[mask]))))
-    return eps, max(div, 0.0)
+    return float(np.abs(mix - wp).sum()), _kl(mix, wp)
 
 
 def eval_code(code: ResolvabilityCode, W: Channel, p: Distribution
@@ -90,13 +87,6 @@ def eval_code(code: ResolvabilityCode, W: Channel, p: Distribution
     wp = output_distribution(W, p).probs
     mix = W.rows[list(code.codewords)].mean(axis=0)
     return _gaps(mix, wp)
-
-
-def _kron_row(rows: np.ndarray, word) -> np.ndarray:
-    out = rows[word[0]]
-    for c in word[1:]:
-        out = np.kron(rows[c], out)
-    return out
 
 
 def expectation_bounds(p: Distribution, W: Channel, M: int, C: float,
@@ -150,10 +140,7 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
     _, bound_vd, bound_eta, bound_phi = expectation_bounds(
         p, W, M, C, n, budget)
 
-    wp1 = output_distribution(W, p).probs
-    wpn = wp1
-    for _ in range(n - 1):
-        wpn = np.kron(wp1, wpn)
+    wpn = _kron_chain([output_distribution(W, p).probs] * n)
 
     dense = (K ** n) * (L ** n) <= budget.max_joint_states
     rows_n = product(W, n, budget).rows if dense else None
@@ -167,7 +154,7 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
         else:
             mix = np.zeros(L ** n)
             for word in words:
-                mix += _kron_row(W.rows, word)
+                mix += _kron_chain(W.rows[word])
             mix /= M
         return _gaps(mix, wpn)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, Distribution, output_distribution
-from .exponents import phi
+from .channel import Channel, Distribution, _kl, output_distribution
+from .exponents import S_GRID, _grid_golden_max, phi
 from .resolvability import PHI_T_GRID
 from .rng import sample_indices, stream
 from .spectrum import eta, tail_pair
@@ -109,13 +109,6 @@ class LeakageReport:
     pairwise_bound: float
 
 
-def _kl_vec(a: np.ndarray, b: np.ndarray) -> float:
-    mask = a > 0
-    if np.any(b[mask] == 0):
-        return math.inf
-    return max(float(np.sum(a[mask] * (np.log(a[mask]) - np.log(b[mask])))), 0.0)
-
-
 def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
                  p: Distribution) -> LeakageReport:
     """Exact (eps_B, I_E, d_E) plus two internal consistency checks.
@@ -141,7 +134,7 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
         correct += float(q_b[m][code.decoder == m].sum())
     eps_b = 1.0 - correct / M
 
-    i_e = float(np.mean([_kl_vec(q_e[m], phi_row) for m in range(M)]))
+    i_e = float(np.mean([_kl(q_e[m], phi_row) for m in range(M)]))
 
     if M > 1:
         total = 0.0
@@ -154,8 +147,8 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
         d_e = 0.0
 
     wp_e = output_distribution(W_E, p).probs
-    to_wp = [_kl_vec(q_e[m], wp_e) for m in range(M)]
-    phi_to_wp = _kl_vec(phi_row, wp_e)
+    to_wp = [_kl(q_e[m], wp_e) for m in range(M)]
+    phi_to_wp = _kl(phi_row, wp_e)
     if all(map(math.isfinite, to_wp)) and math.isfinite(phi_to_wp):
         lhs = i_e + phi_to_wp
         rhs = float(np.mean(to_wp))
@@ -202,8 +195,6 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     the threshold error bound is then reported as inf and the stored
     C_prime as nan.
     """
-    from .exponents import _grid_golden_max
-
     if M < 1 or L < 1:
         raise ValueError("M and L must be positive")
     if C <= 0:
@@ -211,8 +202,14 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     if C_prime is not None and C_prime <= 0:
         raise ValueError("C_prime must be positive")
     log_ml = math.log(M) + math.log(L)
+
+    def gallager(s):
+        return -(s * log_ml + phi(s, W_B, p))
+
+    # one phi call per grid point: on a product channel an array call
+    # would hold a copy of the whole matrix for each of them
     s_star, neg = _grid_golden_max(
-        lambda s: -(s * log_ml + phi(s, W_B, p)), 0.0, 1.0)
+        gallager, S_GRID, [gallager(s) for s in S_GRID.tolist()])
     error_gallager = 3.0 * math.exp(-neg)
 
     if C_prime is None:

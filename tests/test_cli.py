@@ -9,6 +9,7 @@ import pytest
 
 from chanres import (
     Channel,
+    Distribution,
     bsc,
     constant_channel,
     exponent_sweep,
@@ -17,9 +18,10 @@ from chanres import (
     product_dist,
     save_channel,
     save_distribution,
+    taylor_compare,
     uniform,
 )
-from chanres.cli import main
+from chanres.cli import _fmt, main
 
 
 def write_bsc(tmp_path, w=0.1, name="chan.json"):
@@ -188,6 +190,36 @@ def test_exponents_noiseless_channel_drops_taylor(tmp_path):
                "--rate-steps", "1", "--output", str(out)])
     assert rc == 0
     assert out.read_text().splitlines()[0] == "R,family,bound_nats,optimizer"
+
+
+def test_exponents_taylor_cells_and_no_negative_zero(tmp_path):
+    W = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
+    p = Distribution(np.array([0.5, 0.3, 0.2]))
+    chan = write_channel(tmp_path, W, "asym.json")
+    dist = tmp_path / "p3.json"
+    save_distribution(p, dist)
+    out = tmp_path / "exp.csv"
+    lo, hi, steps = 0.05, 0.45, 5
+    rc = main(["exponents", "--channel", chan, "--dist", str(dist),
+               "--rate-start", str(lo), "--rate-end", str(hi),
+               "--rate-steps", str(steps), "--output", str(out)])
+    assert rc == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    # rates below I(p;W) give zero exponents, which once printed as -0
+    assert "0" in [row["bound_nats"] for row in rows]
+    assert all("-0" not in row.values() for row in rows)
+    rates = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    for i, R in enumerate(rates):
+        cmp_ = taylor_compare(R, W, p)
+        cells = {row["family"]: row["taylor_approx"]
+                 for row in rows[6 * i:6 * i + 6]}
+        assert cells == {
+            "vd_psi": _fmt(cmp_.approx_psi),
+            "kl_phi": _fmt(cmp_.approx_psi),
+            "vd_phi_half": _fmt(cmp_.approx_phi_half),
+            "vd_psi_worst": "", "kl_phi_worst": "", "vd_phi_half_worst": "",
+        }
 
 
 def test_simulate_resolvability(tmp_path):

@@ -30,6 +30,24 @@ from chanres import (
     uniform,
     wiretap_exponents,
 )
+from chanres import exponents
+from chanres.exponents import (
+    GRID_STEP,
+    S_GRID,
+    T_GRID,
+    ExponentReport,
+    _golden_max,
+    _phi_worst_solve,
+    _power,
+    _psi_worst_solve,
+    _WorstCurve,
+)
+
+# the 3-ary asymmetric channel and input law of the benchmark
+ASYM = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
+ASYM_P = Distribution(np.array([0.5, 0.3, 0.2]))
+# no input reaches output 2, so W_p has a zero entry
+DEAD_OUTPUT = Channel(np.array([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0]]))
 
 
 def binary_entropy(w: float) -> float:
@@ -112,6 +130,86 @@ def test_psi_phi_match_oracle_random():
                             rel_tol=1e-11, abs_tol=1e-12)
         assert math.isclose(phi(t, W, p), phi_oracle(t, W, p),
                             rel_tol=1e-11, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("W, p", [(bsc(0.1), uniform(2)), (ASYM, ASYM_P),
+                                  (DEAD_OUTPUT, uniform(2))])
+def test_array_psi_phi_equal_scalar_calls(W, p):
+    # the scan grids, plus parameters that make numpy's scalar power take
+    # its square, sqrt and reciprocal shortcuts in either function
+    s = np.concatenate([S_GRID, [-0.5, -0.25, 1.5, 3.0]])
+    t = np.concatenate([T_GRID, [-0.75, 0.5, 1.0]])
+    psi_arr, phi_arr = psi(s, W, p), phi(t, W, p)
+    assert psi_arr.shape == s.shape and phi_arr.shape == t.shape
+    assert [float(v) for v in psi_arr] == [psi(v, W, p) for v in s.tolist()]
+    assert [float(v) for v in phi_arr] == [phi(v, W, p) for v in t.tolist()]
+    block = s[:6].reshape(2, 3)
+    assert np.array_equal(psi(block, W, p), psi_arr[:6].reshape(2, 3))
+
+
+def test_stacked_power_equals_scalar_power():
+    x = np.random.default_rng(26).uniform(0.01, 1.0, size=(40, 50))
+    e = np.array([-1.0, -0.5, 0.0, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0])
+    stacked = _power(x, e.reshape(-1, 1, 1))
+    for i, v in enumerate(e.tolist()):
+        assert np.array_equal(stacked[i], x ** v)
+
+
+def test_array_origin_and_domain():
+    W, p = ASYM, ASYM_P
+    vals = psi(np.array([0.3, 0.0, -0.0, 0.7]), W, p)
+    assert vals[1] == 0.0 and vals[2] == 0.0 and not np.signbit(vals[1:3]).any()
+    vals = phi(np.array([[-0.3, 0.0], [0.0, 0.5]]), W, p)
+    assert vals[0, 1] == 0.0 and vals[1, 0] == 0.0
+    with pytest.raises(ValueError):
+        psi(np.array([0.5, -1.0, 0.2]), W, p)
+    with pytest.raises(ValueError):
+        phi(np.array([[-0.2], [-1.5]]), W, p)
+
+
+def _reference_grid_golden_max(f, lo, hi):
+    npts = int(round((hi - lo) / GRID_STEP)) + 1
+    xs = np.linspace(lo, hi, npts)
+    vals = [f(float(x)) for x in xs]
+    i = int(np.argmax(vals))
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, npts - 1)])
+    xg, vg = _golden_max(f, a, b)
+    if vg >= vals[i]:
+        return float(xg), float(vg)
+    return float(xs[i]), float(vals[i])
+
+
+def _reference_sweep(W, rates, p):
+    """The sweep with one scalar call per grid point and rate."""
+    psi_curve = _WorstCurve(_psi_worst_solve, W)
+    phi_curve = _WorstCurve(_phi_worst_solve, W)
+    reports = []
+    for R in rates:
+        families = [] if p is None else [
+            (lambda s: psi(s, W, p), lambda t: phi(t, W, p), "")]
+        families.append((psi_curve, phi_curve, "_worst"))
+        for psi_fn, phi_fn, suffix in families:
+            s_star, vd_val = _reference_grid_golden_max(
+                lambda s: (s * R - psi_fn(s)) / (1.0 + s), 0.0, 1.0)
+            t_star, kl_val = _reference_grid_golden_max(
+                lambda t: -phi_fn(t) - t * R, -0.5, 0.0)
+            reports += [
+                ExponentReport(R, max(vd_val, 0.0), s_star, "vd_psi" + suffix),
+                ExponentReport(R, max(kl_val, 0.0), t_star, "kl_phi" + suffix),
+                ExponentReport(R, max(kl_val, 0.0) / 2.0, t_star,
+                               "vd_phi_half" + suffix),
+            ]
+    return reports
+
+
+@pytest.mark.parametrize("W, p, rates", [
+    (bsc(0.1), uniform(2), [0.3, 0.8, 1.2]),
+    (ASYM, ASYM_P, [0.05, 0.25, 0.45]),
+    (ASYM, None, [0.1, 0.4]),
+])
+def test_exponent_sweep_matches_scalar_reference(W, p, rates):
+    assert exponent_sweep(W, rates, p) == _reference_sweep(W, rates, p)
 
 
 def test_convexity_and_tangent_lower_bounds():
@@ -368,3 +466,17 @@ def test_taylor_compare():
     assert cmp_.exact_phi_half_bound > 0.0
     with pytest.raises(ValueError):
         taylor_compare(1.0, identity_channel(2), uniform(2))
+
+
+def test_taylor_compare_solves_no_worst_case(monkeypatch):
+    R = 0.4
+    by_family = {r.family: r for r in resolvability_exponents(R, ASYM, ASYM_P)}
+
+    def refuse(*args):
+        raise AssertionError("worst-case solve")
+
+    monkeypatch.setattr(exponents, "_psi_worst_solve", refuse)
+    monkeypatch.setattr(exponents, "_phi_worst_solve", refuse)
+    cmp_ = taylor_compare(R, ASYM, ASYM_P)
+    assert cmp_.exact_psi_bound == by_family["vd_psi"].bound_value
+    assert cmp_.exact_phi_half_bound == by_family["vd_phi_half"].bound_value
