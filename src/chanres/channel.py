@@ -10,8 +10,8 @@ Conventions used throughout the package:
 * all logarithms are natural, so divergences, rates and exponents are
   in nats;
 * ``0 * log(0) == 0`` and ``0 * log(0/0) == 0``;
-* probability vectors are validated on construction (nonnegative
-  entries, total within 1e-12 of one) and then renormalized exactly
+* probability vectors are validated on construction (finite,
+  nonnegative entries, total within 1e-12 of one) and then renormalized exactly
   once, so downstream code can rely on exact unit totals.
 """
 
@@ -65,6 +65,8 @@ class Distribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("distribution must be a non-empty vector")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("non-finite probability entry")
         if np.any(probs < 0):
             raise ValueError("negative probability entry")
         total = float(probs.sum())
@@ -92,6 +94,8 @@ class Channel:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.size == 0:
             raise ValueError("channel must be a non-empty matrix")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("non-finite channel entry")
         if np.any(rows < 0):
             raise ValueError("negative channel entry")
         totals = rows.sum(axis=1)
@@ -156,6 +160,22 @@ def output_distribution(W: Channel, p: Distribution) -> Distribution:
 def _kron_chain(factors) -> np.ndarray:
     """Kronecker product of per-letter factors, the first least significant."""
     return functools.reduce(lambda acc, f: np.kron(f, acc), factors)
+
+
+def _word_rows(W: Channel, words) -> np.ndarray:
+    """Rows of W^n for input words of shape (..., n), the first letter least significant.
+
+    Equal with ``==`` to ``product(W, n).rows[index]``: the same
+    products in the same order, and each row divided by its own sum as
+    `Channel` renormalizes the materialized product.
+    """
+    words = np.asarray(words)
+    rows = W.rows[words[..., 0]]
+    for k in range(1, words.shape[-1]):
+        f = W.rows[words[..., k]]
+        rows = (f[..., :, None] * rows[..., None, :]).reshape(
+            *rows.shape[:-1], -1)
+    return rows / rows.sum(axis=-1, keepdims=True)
 
 
 def product(W: Channel, n: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> Channel:

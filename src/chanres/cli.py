@@ -93,18 +93,27 @@ def _need(args, *names) -> None:
 
 
 def _apply_config(args) -> None:
+    """Fill unset options from --config, converted as the command line would."""
     if getattr(args, "config", None) is None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
+    # the options of this subcommand; --help keeps no value
+    types = {a.dest: a.type for a in args.parser._actions
+             if a.default is not argparse.SUPPRESS}
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in types:
             raise ValueError(f"config file {args.config}: unknown option {key!r}")
         if getattr(args, dest) is None:
-            setattr(args, dest, value)
+            convert = types[dest] or str
+            try:
+                setattr(args, dest, convert(str(value)))
+            except ValueError as exc:
+                raise ValueError(
+                    f"config file {args.config}: option {key!r}: {exc}") from None
 
 
 def run_bounds(args) -> int:
@@ -372,6 +381,7 @@ def run_wiretap_bounds(args) -> int:
 
 
 def _add_common(sp) -> None:
+    sp.set_defaults(parser=sp)
     sp.add_argument("--config", default=None,
                     help="JSON file supplying any unset options")
     sp.add_argument("--output", default=None,

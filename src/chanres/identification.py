@@ -185,8 +185,8 @@ class SelectionParams:
         _check_growth(self.tau, self.kappa)
         if self.M < 1:
             raise ValueError("M must be positive")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not 0 < self.C < math.inf:
+            raise ValueError("C must be positive and finite")
 
     @property
     def gamma(self) -> float:
@@ -321,8 +321,8 @@ class IdCode:
                 raise ValueError(
                     f"subset {i} references positions outside the codeword list"
                 )
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not 0 < self.C < math.inf:
+            raise ValueError("C must be positive and finite")
 
     @property
     def messages(self) -> int:

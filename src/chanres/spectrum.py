@@ -38,8 +38,8 @@ class TailPair:
     threshold_C: float
 
     def __post_init__(self):
-        if self.threshold_C <= 0:
-            raise ValueError("threshold_C must be positive")
+        if not 0 < self.threshold_C < math.inf:
+            raise ValueError("threshold_C must be positive and finite")
         if not -_EDGE_TOL <= self.delta <= 1.0 + _EDGE_TOL:
             raise ValueError(f"delta {self.delta!r} outside [0, 1]")
         if not -_EDGE_TOL <= self.delta_prime <= self.threshold_C + _EDGE_TOL:
@@ -54,8 +54,8 @@ class TailPair:
 
 def tail_pair(p: Distribution, W: Channel, C: float) -> TailPair:
     """Exact (delta, delta_prime) for a single-letter channel."""
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError("C must be positive and finite")
     wp = output_distribution(W, p).probs
     live = wp > 0
     rows = W.rows[:, live]
@@ -103,8 +103,8 @@ def spectrum_cdf(p: Distribution, W: Channel, a: float, n: int = 1,
 def product_tail_pair(p: Distribution, W: Channel, C: float, n: int,
                       budget: EnumerationBudget = DEFAULT_BUDGET) -> TailPair:
     """Exact (delta, delta_prime) on the n-fold product at threshold C."""
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError("C must be positive and finite")
     dens, jlp = _density_atoms(p, W, n, budget)
     thr = math.log(C)
     over = dens > thr

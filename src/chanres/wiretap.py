@@ -90,8 +90,9 @@ def sample_wiretap_code(p: Distribution, M: int, L: int, W_B: Channel,
     u = stream(seed, index).random((M, L))
     cw = sample_indices(p.probs, u).astype(int)
     if decoder_kind == "threshold":
-        if C_prime is None or C_prime <= 0:
-            raise ValueError("threshold decoding needs a positive C_prime")
+        if C_prime is None or not 0 < C_prime < math.inf:
+            raise ValueError(
+                "threshold decoding needs a positive, finite C_prime")
         dec = _threshold_decoder(cw, W_B, p, C_prime)
     else:
         dec = _ml_decoder(cw, W_B)
@@ -137,11 +138,14 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     i_e = float(np.mean([_kl(q_e[m], phi_row) for m in range(M)]))
 
     if M > 1:
+        # one float add per (i, j) pair in row order: a numpy sum over
+        # the pairs would regroup the additions and move printed digits
         total = 0.0
         for i in range(M):
-            for j in range(M):
-                if i != j:
-                    total += float(np.abs(q_e[i] - q_e[j]).sum())
+            dist = np.abs(q_e[i] - q_e).sum(axis=1).tolist()
+            del dist[i]
+            for d in dist:
+                total += d
         d_e = total / (M * (M - 1))
     else:
         d_e = 0.0
@@ -197,10 +201,10 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     """
     if M < 1 or L < 1:
         raise ValueError("M and L must be positive")
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if C_prime is not None and C_prime <= 0:
-        raise ValueError("C_prime must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError("C must be positive and finite")
+    if C_prime is not None and not 0 < C_prime < math.inf:
+        raise ValueError("C_prime must be positive and finite")
     log_ml = math.log(M) + math.log(L)
 
     def gallager(s):
@@ -270,11 +274,11 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
     Each of the three failure events has expectation-level probability
     below 1/3 at the tripled thresholds, so a joint success has
     positive probability per draw and retrying terminates quickly in
-    practice.  Attempt k samples on the (seed, k) stream, so results
-    are a pure function of (seed, k): with several workers, attempts
-    are evaluated in batches but consumed in index order, and the
-    outcome is identical to the single-worker run.  Exhaustion returns
-    the best attempt with per-metric flags instead of raising.
+    practice.  Attempts run one at a time in index order, attempt k
+    sampling on the (seed, k) stream, so the result is a pure function
+    of the arguments; `workers` (at least 1) is accepted but does not
+    change it.  Exhaustion returns the best attempt with per-metric
+    flags instead of raising.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -284,48 +288,36 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
     leak_target = min(bounds.leak_kl_eta, bounds.leak_kl_phi)
     vd_target = bounds.secrecy_vd
 
-    def run_attempt(k: int):
-        code = sample_wiretap_code(
-            p, M, L, W_B, seed, index=k, decoder_kind=decoder_kind,
-            C_prime=C_prime if decoder_kind == "threshold" else None)
-        return code, eval_wiretap(code, W_B, W_E, p)
-
     best = None
     best_key = None
-    next_k = 0
-    while next_k < max_retries:
-        batch = list(range(next_k, min(next_k + workers, max_retries)))
-        next_k = batch[-1] + 1
-        if workers == 1:
-            outcomes = [run_attempt(batch[0])]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_attempt, batch))
-        for attempt, (code, report) in zip(batch, outcomes):
-            ok_eps = report.eps_B <= eps_target
-            ok_leak = report.I_E <= leak_target
-            ok_vd = report.d_E <= vd_target
-            if on_attempt is not None:
-                on_attempt(attempt, report, (ok_eps, ok_leak, ok_vd))
-            result = ConstructionResult(
-                code=code, report=report, bounds=bounds,
-                eps_target=eps_target, leak_target=leak_target,
-                vd_target=vd_target, satisfied_eps=ok_eps,
-                satisfied_leak=ok_leak, satisfied_vd=ok_vd,
-                attempts=attempt + 1,
-            )
-            if ok_eps and ok_leak and ok_vd:
-                return result
-            excess = max(
-                (report.eps_B - eps_target) / max(eps_target, 1e-300),
-                (report.I_E - leak_target) / max(leak_target, 1e-300),
-                (report.d_E - vd_target) / max(vd_target, 1e-300),
-            )
-            key = (-(ok_eps + ok_leak + ok_vd), excess)
-            if best is None or key < best_key:
-                best = result
-                best_key = key
+    for attempt in range(max_retries):
+        code = sample_wiretap_code(
+            p, M, L, W_B, seed, index=attempt, decoder_kind=decoder_kind,
+            C_prime=C_prime if decoder_kind == "threshold" else None)
+        report = eval_wiretap(code, W_B, W_E, p)
+        ok_eps = report.eps_B <= eps_target
+        ok_leak = report.I_E <= leak_target
+        ok_vd = report.d_E <= vd_target
+        if on_attempt is not None:
+            on_attempt(attempt, report, (ok_eps, ok_leak, ok_vd))
+        result = ConstructionResult(
+            code=code, report=report, bounds=bounds,
+            eps_target=eps_target, leak_target=leak_target,
+            vd_target=vd_target, satisfied_eps=ok_eps,
+            satisfied_leak=ok_leak, satisfied_vd=ok_vd,
+            attempts=attempt + 1,
+        )
+        if ok_eps and ok_leak and ok_vd:
+            return result
+        excess = max(
+            (report.eps_B - eps_target) / max(eps_target, 1e-300),
+            (report.I_E - leak_target) / max(leak_target, 1e-300),
+            (report.d_E - vd_target) / max(vd_target, 1e-300),
+        )
+        key = (-(ok_eps + ok_leak + ok_vd), excess)
+        if best is None or key < best_key:
+            best = result
+            best_key = key
     return ConstructionResult(
         code=best.code, report=best.report, bounds=best.bounds,
         eps_target=best.eps_target, leak_target=best.leak_target,

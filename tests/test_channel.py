@@ -28,6 +28,7 @@ from chanres import (
     uniform,
     variational_distance,
 )
+from chanres.channel import _word_rows
 
 
 def binary_entropy(w: float) -> float:
@@ -260,3 +261,31 @@ def test_channel_json_errors(tmp_path):
     with pytest.raises(ValueError) as err:
         load_distribution(nodist)
     assert "probs" in str(err.value)
+
+
+def test_non_finite_entries_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            Distribution(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            Channel(np.array([[bad, 1.0], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.9, 0.1], [0.1, 0.9]],
+    [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]],
+    [[1.0, 0.0], [0.3, 0.7]],
+], ids=["bsc", "asym3", "z"])
+def test_word_rows_equal_materialized_product(rows):
+    W = Channel(np.array(rows))
+    K = W.input_size
+    gen = np.random.default_rng(3)
+    for n in range(1, 5):
+        dense = product(W, n).rows
+        index = np.arange(K ** n)
+        # digit k of the index is letter k, the first least significant
+        words = index[:, None] // K ** np.arange(n) % K
+        assert np.all(_word_rows(W, words) == dense)
+        picked = gen.integers(K ** n, size=(3, 5))
+        batch = picked[..., None] // K ** np.arange(n) % K
+        assert np.all(_word_rows(W, batch) == dense[picked])

@@ -431,3 +431,47 @@ def test_rerun_byte_identical(tmp_path):
         assert rc == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_non_finite_inputs_exit_2(tmp_path, capsys):
+    chan = write_bsc(tmp_path)
+    dist = write_uniform(tmp_path)
+    nan_dist = tmp_path / "nan.json"
+    nan_dist.write_text('{"probs": [NaN, 1.0]}')
+    base = ["bounds", "--channel", chan, "--codebook-size", "4"]
+    assert main(base + ["--dist", str(nan_dist), "--threshold", "1.64"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert main(base + ["--dist", dist, "--threshold", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, rc", [
+    ({"trials": 150.7}, 2),
+    ({"max_joint_states": math.inf}, 2),
+    ({"trials": 150}, 0),
+], ids=["fractional-int", "infinite-int", "int"])
+def test_config_values_take_option_types(tmp_path, capsys, entry, rc):
+    chan = write_bsc(tmp_path)
+    dist = write_uniform(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"trials": 120}, **entry)))
+    argv = ["simulate", "resolvability", "--channel", chan, "--dist", dist,
+            "--codebook-size", "4", "--threshold", "1.5", "--seed", "3"]
+    assert main(argv + ["--config", str(cfg)]) == rc
+    out = capsys.readouterr().out
+    if rc == 0:
+        # the config value and the same value on the command line agree
+        assert main(argv + ["--trials", str(entry["trials"])]) == 0
+        assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("key", ["run", "parser", "command", "help"])
+def test_config_rejects_keys_that_are_not_options(tmp_path, capsys, key):
+    chan = write_bsc(tmp_path)
+    dist = write_uniform(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    rc = main(["bounds", "--channel", chan, "--dist", dist,
+               "--codebook-size", "4", "--threshold", "2", "--config", str(cfg)])
+    assert rc == 2
+    assert "unknown option" in capsys.readouterr().err

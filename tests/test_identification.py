@@ -266,3 +266,11 @@ def test_id_code_json_round_trip(tmp_path):
     bad.write_text('{"codewords": [0], "C": 2.0}')
     with pytest.raises(ValueError, match="subsets"):
         load_id_code(bad)
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf])
+def test_non_finite_threshold_rejected(C):
+    with pytest.raises(ValueError, match="finite"):
+        SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, C)
+    with pytest.raises(ValueError, match="finite"):
+        IdCode((3, 1, 2), ((1, 0), (2,)), C)

@@ -1,6 +1,7 @@
 """Codebook sampling, exact gap evaluation, Monte Carlo vs bounds."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from chanres import (
     BudgetError,
     Channel,
+    Distribution,
     EnumerationBudget,
     McEstimate,
     ResolvabilityCode,
@@ -18,13 +20,18 @@ from chanres import (
     expectation_bounds,
     identity_channel,
     mc_expectation,
+    output_distribution,
     point_mass,
+    product,
     sample_code,
     size_ceiling_check,
     uniform,
 )
+from chanres import resolvability
+from chanres.channel import _kron_chain
 from chanres.exponents import phi
 from chanres.resolvability import PHI_T_GRID
+from chanres.rng import sample_indices, stream
 
 
 def test_code_validation():
@@ -222,3 +229,47 @@ def test_counting_check():
     assert not v.hypothesis_holds
     with pytest.raises(ValueError):
         counting_check(0.0, 0.0, 2, W, [])
+
+
+def test_mc_expectation_does_not_depend_on_the_budget():
+    # a cap of 10000 states is below the 2^16-state W^8, which must not
+    # change a single bit of the estimates
+    W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    p = uniform(2)
+    kwargs = dict(trials=300, seed=0, n=8)
+    lean = mc_expectation(p, W, 16, math.e, budget=EnumerationBudget(10000),
+                          **kwargs)
+    full = mc_expectation(p, W, 16, math.e, **kwargs)
+    for a, b in zip(lean, full):
+        assert a.mean == b.mean
+        assert a.std_error == b.std_error
+
+
+def test_mc_expectation_runs_without_threads(monkeypatch):
+    W, p = bsc(0.1), uniform(2)
+    base = mc_expectation(p, W, 4, math.e, trials=120, seed=5, n=2)
+
+    def refuse(self):
+        raise AssertionError("mc_expectation started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    wide = mc_expectation(p, W, 4, math.e, trials=120, seed=5, n=2, workers=4)
+    assert base == wide
+
+
+def test_mc_expectation_words_spanning_blocks():
+    # M * |Y|^n above one block: each trial's rows are summed over
+    # several blocks and must equal the mean over the materialized rows
+    W = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
+    p = Distribution(np.array([0.5, 0.3, 0.2]))
+    M, n, trials, seed = 50, 6, 100, 3
+    rows = product(W, n).rows
+    wpn = _kron_chain([output_distribution(W, p).probs] * n)
+    eps = []
+    for i in range(trials):
+        words = sample_indices(p.probs, stream(seed, i).random((M, n)))
+        mix = rows[words @ 3 ** np.arange(n)].mean(axis=0)
+        eps.append(float(np.abs(mix - wpn).sum()))
+    est = mc_expectation(p, W, M, math.e, trials=trials, seed=seed, n=n)[0]
+    assert 3 ** n * M > resolvability._BLOCK_FLOATS
+    assert est.mean == float(np.mean(eps))

@@ -213,3 +213,14 @@ def test_eta():
         eta(-0.1)
     with pytest.raises(ValueError):
         eta(1.1)
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf])
+def test_non_finite_threshold_rejected(C):
+    W, p = bsc(0.1), uniform(2)
+    with pytest.raises(ValueError, match="finite"):
+        tail_pair(p, W, C)
+    with pytest.raises(ValueError, match="finite"):
+        product_tail_pair(p, W, C, 2)
+    with pytest.raises(ValueError, match="finite"):
+        TailPair(delta=0.5, delta_prime=0.0, threshold_C=C)

@@ -1,6 +1,7 @@
 """Wiretap code sampling, exact leakage evaluation, guarantee screening."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -285,3 +286,49 @@ def test_construct_attempt_callback():
     with pytest.raises(ValueError):
         construct_until_bounds(p, W_B, W_E, 2, 1, math.e, None, seed=14,
                                workers=0)
+
+
+def test_construct_runs_without_threads(monkeypatch):
+    W_B = product(bsc(0.1), 4)
+    W_E = product(bsc(0.3), 4)
+    p = product_dist(uniform(2), 4)
+    base = construct_until_bounds(p, W_B, W_E, 2, 4, math.e, math.e, seed=42,
+                                  max_retries=3)
+
+    def refuse(self):
+        raise AssertionError("construct_until_bounds started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    wide = construct_until_bounds(p, W_B, W_E, 2, 4, math.e, math.e, seed=42,
+                                  max_retries=3, workers=4)
+    assert np.array_equal(base.code.codewords, wide.code.codewords)
+    assert base.report == wide.report
+
+
+def test_pairwise_distance_matches_double_loop():
+    gen = np.random.default_rng(8)
+    p = uniform(3)
+    W_B = _normalize(np.eye(3) + 0.1)
+    for M in (1, 2, 7, 40):
+        W_E = _normalize(gen.random((3, 16)) + 0.01)
+        code = sample_wiretap_code(p, M, 3, W_B, seed=M)
+        q_e = W_E.rows[code.codewords].mean(axis=1)
+        total = 0.0
+        for i in range(M):
+            for j in range(M):
+                if i != j:
+                    total += float(np.abs(q_e[i] - q_e[j]).sum())
+        expected = total / (M * (M - 1)) if M > 1 else 0.0
+        assert eval_wiretap(code, W_B, W_E, p).d_E == expected
+
+
+@pytest.mark.parametrize("C", [math.nan, math.inf])
+def test_non_finite_threshold_rejected(C):
+    W, p = bsc(0.1), uniform(2)
+    with pytest.raises(ValueError, match="finite"):
+        wiretap_bounds(W, W, p, 2, 2, C, None)
+    with pytest.raises(ValueError, match="finite"):
+        wiretap_bounds(W, W, p, 2, 2, math.e, C)
+    with pytest.raises(ValueError, match="finite"):
+        sample_wiretap_code(p, 2, 2, W, seed=0, decoder_kind="threshold",
+                            C_prime=C)
