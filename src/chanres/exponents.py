@@ -447,6 +447,8 @@ def capacity(W: Channel, tol: float = 1e-8,
 
     The stationarity certificate is max_x D(W_x || W_p) - I <= tol.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     rows = W.rows
     K = rows.shape[0]
     logrows = np.where(rows > 0, np.log(np.where(rows > 0, rows, 1.0)), 0.0)

@@ -101,14 +101,23 @@ class SetFamily:
                 )
             if any(v < 0 for v in s):
                 raise ValueError("subset elements must be nonnegative")
-        for i in range(len(subsets)):
-            for j in range(i + 1, len(subsets)):
-                inter = len(subsets[i] & subsets[j])
-                if not inter < self.overlap_cap:
-                    raise ValueError(
-                        f"subsets {i} and {j} share {inter} elements, "
-                        f"not below the cap {self.overlap_cap!r}"
-                    )
+        # one 0/1 incidence row per subset over the elements in use; row
+        # i against the later rows gives the counts |S_i & S_j|, exact in
+        # float64 (small integers), which lets the product use BLAS
+        _, cols = np.unique(np.fromiter(
+            (v for s in subsets for v in s), dtype=np.int64),
+            return_inverse=True)
+        inc = np.zeros((len(subsets), cols.max() + 1))
+        inc[np.repeat(np.arange(len(subsets)), self.subset_size), cols] = 1
+        for i in range(len(subsets) - 1):
+            shared = inc[i + 1:] @ inc[i]
+            bad = np.flatnonzero(~(shared < self.overlap_cap))
+            if bad.size:
+                raise ValueError(
+                    f"subsets {i} and {i + 1 + bad[0]} share "
+                    f"{int(shared[bad[0]])} elements, "
+                    f"not below the cap {self.overlap_cap!r}"
+                )
 
     @property
     def size(self) -> int:
@@ -147,13 +156,20 @@ def build_set_family(params: AdParams, seed: int,
         max_attempts = 200 * max(target, 1) + 1000
     gen = stream(seed, 0)
     chosen: list[frozenset] = []
+    # 0/1 incidence rows of the chosen subsets, grown by doubling up to
+    # the target so a huge guaranteed count allocates nothing up front
+    inc = np.zeros((min(target, 64), params.M), dtype=bool)
     attempts = 0
     while len(chosen) < target and attempts < max_attempts:
         attempts += 1
-        cand = frozenset(int(v) for v in
-                         gen.choice(params.M, size=size, replace=False))
-        if all(len(cand & s) < cap for s in chosen):
-            chosen.append(cand)
+        draw = gen.choice(params.M, size=size, replace=False)
+        k = len(chosen)
+        if (inc[:k, draw].sum(axis=1) < cap).all():
+            if k == len(inc):
+                inc = np.concatenate(
+                    [inc, np.zeros((min(k, target - k), params.M), bool)])
+            inc[k, draw] = True
+            chosen.append(frozenset(int(v) for v in draw))
     if not chosen:
         raise RetriesExhausted(
             f"no admissible subset found in {attempts} attempts", attempts)
@@ -250,10 +266,9 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
         over = level[xs]
         miss_i = 1.0 - np.sum(rows[xs] * over, axis=1)
         counts = over.sum(axis=0)
-        union_i = np.array([
-            float(np.sum(rows[x] * ((counts - over[i]) >= 1)))
-            for i, x in enumerate(xs)
-        ])
+        # C-contiguous (m' x Y) products: each row sums pairwise, the
+        # same bits as a 1-D sum of that row
+        union_i = np.sum(rows[xs] * ((counts - over) >= 1), axis=1)
         good = (miss_i <= miss_bound) & (union_i <= union_bound)
         picked: list[int] = []
         seen: set[int] = set()
@@ -268,15 +283,12 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
             continue
         sel = np.array(picked)
         sel_level = level[sel]
-        sel_counts = sel_level.sum(axis=0)
-        final_union = tuple(
-            float(np.sum(rows[x] * ((sel_counts - sel_level[i]) >= 1)))
-            for i, x in enumerate(sel)
-        )
+        sel_rows = rows[sel]
+        final_union = tuple(np.sum(
+            sel_rows * ((sel_level.sum(axis=0) - sel_level) >= 1),
+            axis=1).tolist())
         final_miss = tuple(
-            float(1.0 - np.sum(rows[x] * sel_level[i]))
-            for i, x in enumerate(sel)
-        )
+            (1.0 - np.sum(sel_rows * sel_level, axis=1)).tolist())
         return Selection(
             codewords=tuple(int(x) for x in sel),
             miss_values=final_miss,
@@ -310,6 +322,8 @@ class IdCode:
         object.__setattr__(self, "codewords", codewords)
         if len(set(codewords)) != len(codewords):
             raise ValueError("codewords must be distinct")
+        if any(c < 0 for c in codewords):
+            raise ValueError("codewords must be nonnegative")
         subsets = tuple(tuple(sorted(int(v) for v in s)) for s in self.subsets)
         object.__setattr__(self, "subsets", subsets)
         if not subsets:
@@ -321,6 +335,8 @@ class IdCode:
                 raise ValueError(
                     f"subset {i} references positions outside the codeword list"
                 )
+            if len(set(s)) != len(s):
+                raise ValueError(f"subset {i} repeats a position")
         if not 0 < self.C < math.inf:
             raise ValueError("C must be positive and finite")
 
@@ -360,20 +376,24 @@ def eval_id_code(code: IdCode, W: Channel, p: Distribution) -> IdMetrics:
         raise ValueError("codeword index outside the input alphabet")
     level = _level_sets(W, p, code.C)
     cw = np.array(code.codewords)
-    mixtures = []
-    regions = []
-    for s in code.subsets:
+    n = code.messages
+    mix = np.empty((n, W.output_size))
+    regions = np.empty((n, W.output_size), dtype=bool)
+    for k, s in enumerate(code.subsets):
         idx = cw[list(s)]
-        mixtures.append(W.rows[idx].mean(axis=0))
-        regions.append(np.any(level[idx], axis=0))
+        mix[k] = W.rows[idx].mean(axis=0)
+        regions[k] = np.any(level[idx], axis=0)
     mu = 0.0
     lam = 0.0
-    n = len(code.subsets)
     for i in range(n):
-        mu = max(mu, float(1.0 - mixtures[i][regions[i]].sum()))
-        for j in range(n):
-            if j != i:
-                lam = max(lam, float(mixtures[j][regions[i]].sum()))
+        # acc[j] = mass of message j's mixture on region i.  compress
+        # yields a C-contiguous copy, whose rows numpy sums pairwise,
+        # as it sums one row's masked entries in 1-D; a fancy index
+        # mix[:, regions[i]] would sum them sequentially instead
+        acc = mix.compress(regions[i], axis=1).sum(axis=1)
+        mu = max(mu, float(1.0 - acc[i]))
+        acc[i] = 0.0  # lam excludes j = i; every mass is >= 0
+        lam = max(lam, float(acc.max()))
     return IdMetrics(mu=mu, lam=lam)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: outputs, exit codes, determinism."""
 
 import csv
+import functools
 import json
 import math
 
@@ -21,6 +22,7 @@ from chanres import (
     taylor_compare,
     uniform,
 )
+from chanres import cli
 from chanres.cli import _fmt, main
 
 
@@ -125,11 +127,23 @@ def test_capacity_command(tmp_path):
     assert doc["residual"] <= 1e-8
 
 
-def test_capacity_unreachable_tol_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+def test_capacity_invalid_tol_exits_2(tmp_path, capsys, tol):
     chan = write_bsc(tmp_path)
-    rc = main(["capacity", "--channel", chan, "--tol", "-1"])
+    rc = main(["capacity", "--channel", chan, "--tol", tol])
+    assert rc == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_capacity_iteration_cap_exits_4(tmp_path, capsys, monkeypatch):
+    # the Z channel reaches tol 1e-15 in 39 iterations; cap it at 3
+    monkeypatch.setattr(cli, "capacity",
+                        functools.partial(cli.capacity, max_iter=3))
+    W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    chan = write_channel(tmp_path, W, "z.json")
+    rc = main(["capacity", "--channel", chan, "--tol", "1e-15"])
     assert rc == 4
-    assert "iteration cap" in capsys.readouterr().err
+    assert "iteration cap 3" in capsys.readouterr().err
 
 
 def test_exponents_csv(tmp_path):
@@ -374,6 +388,23 @@ def test_idcode_build_and_eval(tmp_path, capsys):
     assert rc == 0
     ev = json.loads(out.read_text())
     assert ev == {"mu": 0.0, "lam": 0.0, "messages": 1}
+
+
+@pytest.mark.parametrize("codewords, subsets", [
+    ([-1, 0], [[0], [1]]),
+    ([0, 1, 2], [[0, 0, 1], [2]]),
+])
+def test_idcode_eval_malformed_code_exits_2(tmp_path, capsys,
+                                            codewords, subsets):
+    chan = write_channel(tmp_path, identity_channel(3), "id3.json")
+    dist = write_uniform(tmp_path, 3)
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(
+        {"codewords": codewords, "subsets": subsets, "C": 2.0}))
+    rc = main(["idcode", "eval", "--channel", chan, "--dist", dist,
+               "--code", str(code_file)])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_idcode_build_retries_exhausted_exits_0(tmp_path, capsys):

@@ -438,6 +438,16 @@ def test_capacity_convergence_error():
         capacity(W, tol=1e-30, max_iter=3)
     assert err.value.best_value is not None
     assert err.value.residual is not None
+    # reachable in 39 iterations, stopped by the cap
+    assert capacity(W, tol=1e-15).iterations == 39
+    with pytest.raises(ConvergenceError):
+        capacity(W, tol=1e-15, max_iter=3)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, 0.0, math.inf])
+def test_capacity_rejects_invalid_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        capacity(bsc(0.1), tol=tol, max_iter=3)
 
 
 def test_secrecy_rate_and_lower_bound():

@@ -8,6 +8,7 @@ import pytest
 from chanres import (
     AdParams,
     Channel,
+    Distribution,
     IdCode,
     InfeasibleParams,
     RetriesExhausted,
@@ -21,12 +22,16 @@ from chanres import (
     id_error_bounds,
     identity_channel,
     load_id_code,
+    output_distribution,
     product,
     product_dist,
     save_id_code,
     select_codewords,
+    tail_pair,
     uniform,
 )
+from chanres import identification
+from chanres.rng import sample_indices, stream
 
 
 def z_channel():
@@ -172,6 +177,12 @@ def test_id_code_validation():
         IdCode((0, 1), (), 2.0)
     with pytest.raises(ValueError):
         IdCode((0, 1), ((0,),), 0.0)
+    # a negative codeword would index the last input; a repeated
+    # position would weight its codeword twice in the uniform mixture
+    with pytest.raises(ValueError, match="nonnegative"):
+        IdCode((-1, 0), ((0,), (1,)), 2.0)
+    with pytest.raises(ValueError, match="repeats"):
+        IdCode((0, 1, 2), ((0, 0, 1), (2,)), 2.0)
     with pytest.raises(ValueError):
         assemble_id_code((0, 9), SetFamily((frozenset({0}),), 1, 0.5),
                          identity_channel(4), uniform(4), 2.0)
@@ -274,3 +285,207 @@ def test_non_finite_threshold_rejected(C):
         SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, C)
     with pytest.raises(ValueError, match="finite"):
         IdCode((3, 1, 2), ((1, 0), (2,)), C)
+
+
+def random_channel(rng, K, Y, concentration):
+    return Channel(rng.dirichlet(np.full(Y, concentration), size=K))
+
+
+def eval_reference(code, W, p):
+    """Double loop over (i, j): one masked 1-D sum per pair."""
+    level = W.rows > code.C * output_distribution(W, p).probs
+    mixtures, regions = [], []
+    for s in code.subsets:
+        idx = [code.codewords[k] for k in s]
+        mixtures.append(W.rows[idx].mean(axis=0))
+        regions.append(np.any(level[idx], axis=0))
+    mu = lam = 0.0
+    for i, region in enumerate(regions):
+        mu = max(mu, float(1.0 - mixtures[i][region].sum()))
+        for j, mixture in enumerate(mixtures):
+            if j != i:
+                lam = max(lam, float(mixture[region].sum()))
+    return mu, lam, [int(r.sum()) for r in regions]
+
+
+# numpy sums fewer than 8 entries one by one, unrolls by 8 up to 128,
+# and splits pairwise above that: one output count per regime
+@pytest.mark.parametrize("Y, C, lo, hi", [
+    (6, 1.5, 1, 7),
+    (120, 1.2, 8, 128),
+    (400, 0.5, 129, 400),
+])
+def test_eval_id_code_equals_pair_loop(Y, C, lo, hi):
+    rng = np.random.default_rng(Y)
+    K = 30
+    for _ in range(4):
+        W = random_channel(rng, K, Y, 0.3)
+        p = Distribution(rng.dirichlet(np.ones(K)))
+        codewords = tuple(int(v) for v in rng.permutation(K)[:20])
+        # unequal subset sizes, positions drawn without repeats
+        subsets = tuple(
+            tuple(int(v) for v in rng.choice(20, size=int(rng.integers(1, 7)),
+                                             replace=False))
+            for _ in range(25))
+        code = IdCode(codewords, subsets, C)
+        mu, lam, sizes = eval_reference(code, W, p)
+        assert lo <= min(sizes) and max(sizes) <= hi
+        metrics = eval_id_code(code, W, p)
+        assert (metrics.mu, metrics.lam) == (mu, lam)
+        single = IdCode(codewords, subsets[:1], C)
+        metrics = eval_id_code(single, W, p)
+        assert metrics.lam == 0.0
+        assert (metrics.mu, metrics.lam) == eval_reference(single, W, p)[:2]
+
+
+def build_reference(params, seed, max_attempts=None):
+    """The pair loop: each candidate against every chosen frozenset."""
+    size = params.subset_size
+    target = max(params.family_size, 1)
+    cap = params.kappa * size
+    if max_attempts is None:
+        max_attempts = 200 * target + 1000
+    gen = identification.stream(seed, 0)
+    chosen = []
+    attempts = 0
+    while len(chosen) < target and attempts < max_attempts:
+        attempts += 1
+        cand = frozenset(int(v) for v in
+                         gen.choice(params.M, size=size, replace=False))
+        if all(len(cand & s) < cap for s in chosen):
+            chosen.append(cand)
+    return tuple(chosen), attempts, len(chosen) >= target
+
+
+class CrowdedStream:
+    """Draws confined to the first size + 6 elements, so many overlap."""
+
+    def __init__(self, seed, index):
+        self.gen = np.random.default_rng([seed, index])
+
+    def choice(self, M, size, replace):
+        return self.gen.choice(size + 6, size=size, replace=replace)
+
+
+@pytest.mark.parametrize("M, tau, kappa", [
+    (100, 0.1, 0.8), (120, 0.1, 0.8), (60, 0.15, 0.98), (200, 0.05, 0.6),
+])
+def test_build_set_family_equals_pair_loop(M, tau, kappa):
+    params = AdParams(M=M, tau=tau, kappa=kappa)
+    for seed in range(4):
+        built = build_set_family(params, seed)
+        assert (built.family.subsets, built.attempts, built.complete) \
+            == build_reference(params, seed)
+    # stopped by the attempt cap before the target
+    built = build_set_family(params, 0, max_attempts=5)
+    assert not built.complete and built.attempts == 5
+    assert (built.family.subsets, built.attempts, built.complete) \
+        == build_reference(params, 0, max_attempts=5)
+
+
+def test_build_set_family_rejections_equal_pair_loop(monkeypatch):
+    # real parameters almost never reject a candidate; crowded draws
+    # make the overlap test refuse most of them
+    monkeypatch.setattr(identification, "stream", CrowdedStream)
+    params = AdParams(M=100, tau=0.1, kappa=0.8)
+    for seed, max_attempts in ((0, 300), (1, 300), (2, 40)):
+        built = build_set_family(params, seed, max_attempts)
+        ref = build_reference(params, seed, max_attempts)
+        assert (built.family.subsets, built.attempts, built.complete) == ref
+        assert built.attempts > built.family.size > 1
+
+
+def test_set_family_error_names_first_pair():
+    rng = np.random.default_rng(11)
+    raised = 0
+    for _ in range(200):
+        size = int(rng.integers(1, 5))
+        subsets = tuple(frozenset(int(v) for v in
+                                  rng.choice(9, size=size, replace=False))
+                        for _ in range(int(rng.integers(2, 9))))
+        cap = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
+        expected = None
+        for i in range(len(subsets)):
+            for j in range(i + 1, len(subsets)):
+                inter = len(subsets[i] & subsets[j])
+                if expected is None and not inter < cap:
+                    expected = (f"subsets {i} and {j} share {inter} elements, "
+                                f"not below the cap {cap!r}")
+        if expected is None:
+            assert SetFamily(subsets, size, cap).subsets == subsets
+            continue
+        raised += 1
+        with pytest.raises(ValueError) as info:
+            SetFamily(subsets, size, cap)
+        assert str(info.value) == expected
+    assert raised > 50
+
+
+def select_reference(W, p, params, seed, max_retries=100):
+    """The screening loop with one masked 1-D sum per candidate.
+
+    Returns the selection fields and how many candidates the union
+    screen alone refused.
+    """
+    miss_avg = 1.0 - tail_pair(p, W, params.C).delta
+    m_prime = params.m_prime
+    miss_bound = params.alpha * params.beta * miss_avg
+    union_bound = params.alpha_prime * params.beta_prime * m_prime / params.C
+    level = W.rows > params.C * output_distribution(W, p).probs
+    rows = W.rows
+    union_refused = 0
+    for attempt in range(max_retries):
+        xs = sample_indices(p.probs, stream(seed, attempt).random(m_prime))
+        over = level[xs]
+        counts = over.sum(axis=0)
+        picked = []
+        for i, x in enumerate(xs):
+            miss = 1.0 - np.sum(rows[x] * over[i])
+            union = float(np.sum(rows[x] * ((counts - over[i]) >= 1)))
+            union_refused += miss <= miss_bound and union > union_bound
+            if (miss <= miss_bound and union <= union_bound
+                    and int(x) not in picked and len(picked) < params.M):
+                picked.append(int(x))
+        if len(picked) < params.M:
+            continue
+        sel_level = level[picked]
+        sel_counts = sel_level.sum(axis=0)
+        union = tuple(float(np.sum(rows[x] * ((sel_counts - sel_level[i]) >= 1)))
+                      for i, x in enumerate(picked))
+        miss = tuple(float(1.0 - np.sum(rows[x] * sel_level[i]))
+                     for i, x in enumerate(picked))
+        return (tuple(picked), miss, union, attempt + 1), union_refused
+    return None, union_refused
+
+
+def test_select_codewords_equals_candidate_loop():
+    rng = np.random.default_rng(4)
+    nonzero_unions = 0
+    for trial in range(12):
+        K, Y = int(rng.integers(4, 30)), int(rng.integers(4, 300))
+        W = random_channel(rng, K, Y, 0.05)
+        p = Distribution(rng.dirichlet(np.full(K, 3.0)))
+        params = SelectionParams(2.0, 4.0, 2.0, 4.0, 0.1, 0.8,
+                                 int(rng.integers(1, 4)), 2.0)
+        sel = select_codewords(W, p, params, seed=trial, max_retries=20)
+        ref, _ = select_reference(W, p, params, trial, max_retries=20)
+        assert (sel.codewords, sel.miss_values, sel.union_values,
+                sel.attempts) == ref
+        nonzero_unions += any(v > 0.0 for v in sel.union_values)
+    assert nonzero_unions >= 3
+    # near-identity channels at a high threshold: the union bound drops
+    # below 1 and refuses a candidate drawn twice in one attempt
+    union_refused = 0
+    for trial in range(8):
+        K = 50
+        W = Channel(0.97 * np.eye(K)
+                    + 0.03 * rng.dirichlet(np.full(K, 0.5), size=K))
+        p = Distribution(rng.dirichlet(np.full(K, 50.0)))
+        params = SelectionParams(6.0, 1.25, 5.0, 1.5, 0.1, 0.8,
+                                 int(rng.integers(1, 3)), 40.0)
+        sel = select_codewords(W, p, params, seed=trial, max_retries=20)
+        ref, refused = select_reference(W, p, params, trial, max_retries=20)
+        assert (sel.codewords, sel.miss_values, sel.union_values,
+                sel.attempts) == ref
+        union_refused += refused
+    assert union_refused > 0
