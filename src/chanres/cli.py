@@ -303,7 +303,7 @@ def run_idcode_build(args) -> int:
         return 0
     ad = AdParams(M=params.M, tau=params.tau, kappa=params.kappa)
     build = build_set_family(ad, seed + 1 if args.family_seed is None
-                             else int(args.family_seed))
+                             else int(args.family_seed), budget=_budget(args))
     code = assemble_id_code(selection.codewords, build.family, W, p, params.C)
     metrics = eval_id_code(code, W, p)
     mu_bound, lam_bound = id_error_bounds(params, p, W)

@@ -16,7 +16,6 @@ solves it (with a dense simplex grid as fallback on small alphabets).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -161,22 +160,29 @@ def _multiplicative_max(A: np.ndarray, c: float, start: np.ndarray,
     return F, p, resid
 
 
-def _compositions(total: int, parts: int):
-    """Every tuple of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every vector of `parts` nonnegative integers summing to `total`.
+
+    One row each, in lexicographic order; built one column at a time,
+    each row of the first j columns repeated once per value the next
+    column can take.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total])
+    for _ in range(parts - 1):
+        reps = left + 1
+        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), k])
+        left = np.repeat(left, reps) - k
+    return np.column_stack([rows, left])
 
 
 def _simplex_grid_argmax(A: np.ndarray, c: float, step: float) -> np.ndarray:
     m = int(round(1.0 / step))
     comps = _compositions(m, A.shape[0])
     best_val, best = -math.inf, None
-    while batch := list(itertools.islice(comps, 20000)):
-        P = np.array(batch, dtype=float) / m
+    for start in range(0, len(comps), 20000):
+        P = comps[start:start + 20000] / m
         vals = np.sum((P @ A) ** c, axis=1)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
@@ -514,8 +520,7 @@ def secrecy_capacity_lb(W_B: Channel, W_E: Channel) -> tuple[float, Distribution
         starts.append(rng.dirichlet(np.ones(K)))
     if K <= 4:
         # the first composition with the largest rate, as a start
-        best_g = max((np.array(comp, dtype=float) / 50
-                      for comp in _compositions(50, K)), key=exact)
+        best_g = max(_compositions(50, K) / 50, key=exact)
         starts.append(0.98 * best_g + 0.02 * np.full(K, 1.0 / K))
 
     best_p = None

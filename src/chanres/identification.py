@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BudgetError, Channel, Distribution, output_distribution
+from .channel import (
+    DEFAULT_BUDGET,
+    BudgetError,
+    Channel,
+    Distribution,
+    EnumerationBudget,
+    output_distribution,
+)
 from .rng import sample_indices, stream
 from .spectrum import tail_pair
 
@@ -133,7 +140,9 @@ class FamilyBuild:
 
 
 def build_set_family(params: AdParams, seed: int,
-                     max_attempts: int | None = None) -> FamilyBuild:
+                     max_attempts: int | None = None,
+                     budget: EnumerationBudget = DEFAULT_BUDGET
+                     ) -> FamilyBuild:
     """Rejection-sample a nearly-disjoint family of the guaranteed size.
 
     Candidates are uniform subsets of {0..M-1} of size floor(tau*M),
@@ -142,7 +151,9 @@ def build_set_family(params: AdParams, seed: int,
     raised: the count floor(e^(tau*M)/(M*e)) is guaranteed to exist,
     but rejection sampling is only expected to find it.  For small M
     that guaranteed count can be zero even though admissible subsets
-    exist, so at least one subset is always requested.
+    exist, so at least one subset is always requested.  The budget caps
+    the incidence entries of the target family, target * M, before any
+    sampling.
     """
     size = params.subset_size
     if size < 1:
@@ -151,6 +162,8 @@ def build_set_family(params: AdParams, seed: int,
             f"for M={params.M}, tau={params.tau}"
         )
     target = max(params.family_size, 1)
+    budget.check(target * params.M,
+                 f"the {target} x {params.M} subset incidence matrix")
     cap = float(params.kappa) * size
     if max_attempts is None:
         max_attempts = 200 * max(target, 1) + 1000
@@ -304,6 +317,17 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
         "codewords passing both screens", max_retries)
 
 
+def _integer(v, what: str) -> int:
+    """v as an int; ValueError unless v is integral (2.0 is, 1.5 is not)."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} {v!r} is not an integer") from None
+    if i != v:
+        raise ValueError(f"{what} {v!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class IdCode:
     """Identification code: codewords plus a subset family over them.
@@ -318,13 +342,14 @@ class IdCode:
     C: float
 
     def __post_init__(self):
-        codewords = tuple(int(c) for c in self.codewords)
+        codewords = tuple(_integer(c, "codeword") for c in self.codewords)
         object.__setattr__(self, "codewords", codewords)
         if len(set(codewords)) != len(codewords):
             raise ValueError("codewords must be distinct")
         if any(c < 0 for c in codewords):
             raise ValueError("codewords must be nonnegative")
-        subsets = tuple(tuple(sorted(int(v) for v in s)) for s in self.subsets)
+        subsets = tuple(tuple(sorted(_integer(v, "subset position") for v in s))
+                        for s in self.subsets)
         object.__setattr__(self, "subsets", subsets)
         if not subsets:
             raise ValueError("at least one message subset is required")

@@ -5,10 +5,16 @@
     delta       = E_p W_x{ W_x/W_p >  C }      (strict inequality)
     delta_prime = E_p W_x^2/W_p { W_x/W_p <= C }  (inclusive)
 
-and ``product_tail_pair`` does the same on the n-fold product channel
-without materializing product rows: per-coordinate log-density atoms
-are combined by broadcast outer sums, which caps the work at the joint
-atom count rather than the product alphabet.
+``product_tail_pair`` does the same on the n-fold memoryless product,
+and ``spectrum_cdf`` gives the law of the normalized density there,
+both by the method of types.  The density of a product pair depends
+only on how often each single-letter density value occurs in it, so
+the pairs fall into type classes, one per count vector k over the
+distinct single-letter densities v_i with masses m_i: a class has
+density sum_i k_i v_i and probability multinomial(n; k) prod_i m_i^k_i.
+That leaves C(n+b-1, b-1) classes for b distinct densities, where the
+product has one atom per tuple of positive-mass (x, y) letters; a BSC
+with uniform input has n+1 classes.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .channel import (
     EnumerationBudget,
     output_distribution,
 )
+from .exponents import _compositions
 
 _EDGE_TOL = 1e-9
 
@@ -68,49 +75,63 @@ def tail_pair(p: Distribution, W: Channel, C: float) -> TailPair:
     return TailPair(delta, delta_prime, float(C))
 
 
-def _density_atoms(p: Distribution, W: Channel, n: int,
-                   budget: EnumerationBudget) -> tuple[np.ndarray, np.ndarray]:
-    """Log-density and joint log-probability atoms of the n-fold pair.
+def _type_classes(p: Distribution, W: Channel, n: int,
+                  budget: EnumerationBudget) -> tuple[np.ndarray, np.ndarray]:
+    """Log-density and log-probability of each type class of the n-fold pair.
 
-    Atom k of the output arrays corresponds to one product pair (x, y)
-    with p^n(x) W^n_x(y) > 0; entries are log(W_x(y)/W_p(y)) and
-    log(p(x) W_x(y)) summed over coordinates.
+    Single-letter (x, y) pairs of positive mass that share a density
+    value are merged into one letter.  Ties: a class density is
+    sum_i k_i * v_i, each term rounded once and the sum taken left to
+    right over the letters in increasing order of v_i, so a class whose
+    every pair has the same letter has density exactly n * v; callers
+    compare it with the threshold as it is.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     wp = output_distribution(W, p).probs
     joint = p.probs[:, None] * W.rows
     xs, ys = np.nonzero(joint > 0)
+    # the cap counts the a^n product atoms, not the far fewer classes
     budget.check(len(xs) ** n, f"{n}-fold density atom enumeration")
-    dens1 = np.log(W.rows[xs, ys]) - np.log(wp[ys])
-    jlp1 = np.log(joint[xs, ys])
-    dens = dens1
-    jlp = jlp1
-    for _ in range(n - 1):
-        dens = (dens[:, None] + dens1[None, :]).ravel()
-        jlp = (jlp[:, None] + jlp1[None, :]).ravel()
-    return dens, jlp
+    values, letter = np.unique(np.log(W.rows[xs, ys]) - np.log(wp[ys]),
+                               return_inverse=True)
+    mass = np.bincount(letter, weights=joint[xs, ys])
+    counts = _compositions(n, values.size)
+    dens = np.zeros(len(counts))
+    for i, v in enumerate(values):
+        dens += counts[:, i] * v
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    log_prob = (log_fact[n] - log_fact[counts].sum(axis=1)
+                + counts @ np.log(mass))
+    return dens, log_prob
 
 
 def spectrum_cdf(p: Distribution, W: Channel, a: float, n: int = 1,
                  budget: EnumerationBudget = DEFAULT_BUDGET) -> float:
-    """P{ (1/n) log(W^n_x(y)/W^n_p(y)) <= a } under p^n x W^n, inclusive."""
-    dens, jlp = _density_atoms(p, W, n, budget)
-    mass = float(np.sum(np.exp(jlp[dens <= n * a])))
+    """P{ (1/n) log(W^n_x(y)/W^n_p(y)) <= a } under p^n x W^n, inclusive.
+
+    A class counts when its density (see the tie rule of
+    ``_type_classes``) is at most n * a.
+    """
+    dens, log_prob = _type_classes(p, W, n, budget)
+    mass = float(np.sum(np.exp(log_prob[dens <= n * a])))
     return min(max(mass, 0.0), 1.0)
 
 
 def product_tail_pair(p: Distribution, W: Channel, C: float, n: int,
                       budget: EnumerationBudget = DEFAULT_BUDGET) -> TailPair:
-    """Exact (delta, delta_prime) on the n-fold product at threshold C."""
+    """Exact (delta, delta_prime) on the n-fold product at threshold C.
+
+    A class is over the threshold when its density (see the tie rule
+    of ``_type_classes``) exceeds log(C).
+    """
     if not 0 < C < math.inf:
         raise ValueError("C must be positive and finite")
-    dens, jlp = _density_atoms(p, W, n, budget)
-    thr = math.log(C)
-    over = dens > thr
-    delta = float(np.sum(np.exp(jlp[over])))
+    dens, log_prob = _type_classes(p, W, n, budget)
+    over = dens > math.log(C)
+    delta = float(np.sum(np.exp(log_prob[over])))
     under = ~over
-    delta_prime = float(np.sum(np.exp(jlp[under] + dens[under])))
+    delta_prime = float(np.sum(np.exp(log_prob[under] + dens[under])))
     return TailPair(delta, delta_prime, float(C))
 
 

@@ -393,6 +393,7 @@ def test_idcode_build_and_eval(tmp_path, capsys):
 @pytest.mark.parametrize("codewords, subsets", [
     ([-1, 0], [[0], [1]]),
     ([0, 1, 2], [[0, 0, 1], [2]]),
+    ([0.9, 1.5, 2], [[0.2], [1.7, 2]]),
 ])
 def test_idcode_eval_malformed_code_exits_2(tmp_path, capsys,
                                             codewords, subsets):
@@ -405,6 +406,19 @@ def test_idcode_eval_malformed_code_exits_2(tmp_path, capsys,
                "--code", str(code_file)])
     assert rc == 2
     assert capsys.readouterr().out == ""
+
+
+def test_idcode_build_family_budget_exits_3(tmp_path, capsys):
+    # the family is one subset of the 7 codeword positions: 7 entries
+    chan = write_channel(tmp_path, identity_channel(7), "id7.json")
+    dist = write_uniform(tmp_path, 7)
+    rc = main(["idcode", "build", "--channel", chan, "--dist", dist,
+               "--alpha", "2", "--alpha-prime", "4", "--beta", "2",
+               "--beta-prime", "4", "--tau", "0.15", "--kappa", "0.99",
+               "--codewords", "7", "--threshold", "2.0", "--seed", "2",
+               "--max-joint-states", "6"])
+    assert rc == 3
+    assert "max_joint_states >= 7" in capsys.readouterr().err
 
 
 def test_idcode_build_retries_exhausted_exits_0(tmp_path, capsys):

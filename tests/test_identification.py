@@ -7,8 +7,10 @@ import pytest
 
 from chanres import (
     AdParams,
+    BudgetError,
     Channel,
     Distribution,
+    EnumerationBudget,
     IdCode,
     InfeasibleParams,
     RetriesExhausted,
@@ -88,6 +90,18 @@ def test_build_set_family():
     assert small.target_size == 1 and small.family.size == 1
     with pytest.raises(ValueError):
         build_set_family(AdParams(M=2, tau=0.1, kappa=0.8), seed=0)
+
+
+def test_build_set_family_budget():
+    # the 81 x 100 incidence matrix of the family above fits 8100 entries
+    params = AdParams(M=100, tau=0.1, kappa=0.8)
+    built = build_set_family(params, seed=5, budget=EnumerationBudget(8100))
+    assert built.family.size == 81
+    with pytest.raises(BudgetError, match="max_joint_states >= 8100"):
+        build_set_family(params, seed=5, budget=EnumerationBudget(8099))
+    # 13.1e9 guaranteed subsets of 300 elements: refused before sampling
+    with pytest.raises(BudgetError):
+        build_set_family(AdParams(M=300, tau=0.1, kappa=0.8), seed=0)
 
 
 def test_selection_params():
@@ -186,6 +200,33 @@ def test_id_code_validation():
     with pytest.raises(ValueError):
         assemble_id_code((0, 9), SetFamily((frozenset({0}),), 1, 0.5),
                          identity_channel(4), uniform(4), 2.0)
+
+
+@pytest.mark.parametrize("codewords, subsets", [
+    ((0.9, 1.5, 2), ((0,), (1, 2))),
+    ((0, 1, 2), ((0.2,), (1.7, 2))),
+    ((math.inf, 1, 2), ((0,), (1, 2))),
+    ((math.nan, 1, 2), ((0,), (1, 2))),
+    (("1", 0), ((0,), (1,))),
+])
+def test_id_code_rejects_non_integral_entries(codewords, subsets):
+    # int() would truncate 0.9 and 1.7 to valid positions
+    with pytest.raises(ValueError, match="not an integer"):
+        IdCode(codewords, subsets, 2.0)
+
+
+def test_id_code_accepts_integral_floats():
+    code = IdCode((2.0, 0, 1), ((0.0, 1), (2,)), 2.0)
+    assert code.codewords == (2, 0, 1)
+    assert code.subsets == ((0, 1), (2,))
+
+
+def test_load_id_code_rejects_fractional_entries(tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text('{"codewords": [0.9, 1.5, 2], '
+                    '"subsets": [[0.2], [1.7, 2]], "C": 2.0}')
+    with pytest.raises(ValueError, match="codeword 0.9"):
+        load_id_code(path)
 
 
 def test_eval_identity_two_messages():

@@ -1,0 +1,97 @@
+"""Property tests: the type-class path and additivity on random channels.
+
+Channels and input laws are drawn with some zero entries, so dead
+output columns, zero-probability inputs and merged single-letter
+densities all occur.  Each fast path is checked against the
+materialized n-fold product.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from chanres import (
+    Channel,
+    Distribution,
+    phi,
+    product,
+    product_dist,
+    product_tail_pair,
+    psi,
+    spectrum_cdf,
+    tail_pair,
+)
+
+# zero, or a weight bounded away from zero before normalization
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _normalized(draw, size):
+    w = draw(st.lists(_WEIGHT, min_size=size, max_size=size)
+             .filter(lambda v: sum(v) > 0))
+    return np.array(w) / sum(w)
+
+
+@st.composite
+def channel_and_law(draw):
+    K = draw(st.integers(1, 3))
+    L = draw(st.integers(2, 3))
+    W = Channel(np.array([_normalized(draw, L) for _ in range(K)]))
+    return W, Distribution(_normalized(draw, K))
+
+
+def _product_densities(p, W, n):
+    """log(W^n_x(y)/W^n_p(y)) and the joint mass of every product atom."""
+    pn, Wn = product_dist(p, n), product(W, n)
+    joint = pn.probs[:, None] * Wn.rows
+    wpn = pn.probs @ Wn.rows
+    live = joint > 0
+    ratio = Wn.rows[live] / np.broadcast_to(wpn, Wn.rows.shape)[live]
+    return np.log(ratio), joint[live]
+
+
+def _away_from_atoms(dens, thr):
+    # the paths sum the density in different orders; a threshold within
+    # rounding of an atom can fall on either side of it
+    return bool(np.all(np.abs(dens - thr) > 1e-9 * max(1.0, abs(thr))))
+
+
+@PROPERTY
+@given(channel_and_law(), st.integers(1, 4), st.floats(-3.0, 3.0))
+def test_product_tail_pair_equals_materialized_product(law, n, log_C):
+    W, p = law
+    dens, _ = _product_densities(p, W, n)
+    assume(_away_from_atoms(dens, log_C))
+    C = math.exp(log_C)
+    fast = product_tail_pair(p, W, C, n)
+    slow = tail_pair(product_dist(p, n), product(W, n), C)
+    assert math.isclose(fast.delta, slow.delta, rel_tol=1e-9, abs_tol=1e-12)
+    assert math.isclose(fast.delta_prime, slow.delta_prime,
+                        rel_tol=1e-9, abs_tol=1e-12)
+
+
+@PROPERTY
+@given(channel_and_law(), st.integers(1, 4), st.floats(-2.0, 2.0))
+def test_spectrum_cdf_equals_brute_force(law, n, a):
+    W, p = law
+    dens, mass = _product_densities(p, W, n)
+    assume(_away_from_atoms(dens, n * a))
+    brute = min(float(np.sum(mass[dens <= n * a])), 1.0)
+    assert math.isclose(spectrum_cdf(p, W, a, n), brute,
+                        rel_tol=1e-9, abs_tol=1e-12)
+
+
+@PROPERTY
+@given(channel_and_law(), st.integers(2, 3),
+       st.floats(0.01, 2.0), st.floats(-0.9, -0.01))
+def test_psi_phi_additive_over_products(law, n, s, t):
+    W, p = law
+    Wn, pn = product(W, n), product_dist(p, n)
+    assert math.isclose(psi(s, Wn, pn), n * psi(s, W, p),
+                        rel_tol=1e-9, abs_tol=1e-12)
+    assert math.isclose(phi(t, Wn, pn), n * phi(t, W, p),
+                        rel_tol=1e-9, abs_tol=1e-12)

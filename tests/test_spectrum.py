@@ -188,6 +188,27 @@ def test_spectrum_cdf_identity_inclusive_edge():
     assert spectrum_cdf(uniform(2), identity_channel(2), 0.69, 2) == 0.0
 
 
+@pytest.mark.parametrize("b", [2, 4])
+def test_lattice_threshold_tie_rule(b):
+    # uniform input on identity_channel(b): every product pair has
+    # density exactly n*log(b), one letter repeated n times, so both
+    # thresholds sit on the lattice; the cdf is inclusive there and
+    # delta strict for every n, also where adding log(b) n times one by
+    # one rounds away from n*log(b)
+    p, W = uniform(b), identity_channel(b)
+    for n in range(1, 13):
+        edge = n * math.log(b)
+        assert spectrum_cdf(p, W, math.log(b), n) == 1.0
+        assert spectrum_cdf(p, W, math.log(b) - 1e-12, n) == 0.0
+        C = float(b ** n)
+        assert math.log(C) == edge
+        tp = product_tail_pair(p, W, C, n)
+        assert tp.delta == 0.0
+        assert math.isclose(tp.delta_prime, C, rel_tol=1e-12)
+        below = product_tail_pair(p, W, C * (1.0 - 1e-12), n)
+        assert below.delta == 1.0 and below.delta_prime == 0.0
+
+
 def test_spectrum_cdf_partitions_with_delta():
     # P{density <= n*a} + delta(C = e^{n*a}) covers everything once:
     # the cdf is inclusive and delta is strict on the same atoms
