@@ -57,7 +57,6 @@ from .identification import (
     SelectionParams,
     SetFamily,
     assemble_id_code,
-    asymptotic_schedule,
     build_set_family,
     eval_id_code,
     id_error_bounds,

@@ -9,9 +9,9 @@ this package:
 Both vanish at the origin, are convex in the parameter, and are
 additive over memoryless products, so single-letter optimization gives
 blocklength exponents directly.  Worst-case variants maximize over the
-input distribution; the inner maximand is concave in p, and a
-multiplicative-gradient iteration with a stationarity certificate
-solves it (with a dense simplex grid as fallback on small alphabets).
+input distribution; the inner maximand is concave in p, so a Newton
+ascent on the simplex solves it, certified by its stationarity (KKT)
+residual.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ S_GRID = np.linspace(0.0, 1.0, int(round(1.0 / GRID_STEP)) + 1)
 T_GRID = np.linspace(-0.5, 0.0, int(round(0.5 / GRID_STEP)) + 1)
 
 _KKT_TOL = 1e-9
-_KKT_ACCEPT = 1e-8
+_NEWTON_ITER = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -123,10 +123,10 @@ def phi(t, W: Channel, p: Distribution):
 # ---------------------------------------------------------------------------
 # Concave maximization of F(p) = sum_y (p @ A)_y^c over the simplex.
 #
-# The gradient is c * D with D_x = sum_y A[x,y] (p @ A)_y^(c-1), and
-# p @ D == F, so the multiplicative update p <- p * D / F stays on the
-# simplex and increases F.  Stationarity: D_x == F on the support of
-# the maximizer and D_x <= F off it.
+# The gradient is c * D with D_x = sum_y A[x,y] (p @ A)_y^(c-1), p @ D
+# == F, and the Hessian is c (c-1) A diag((p @ A)^(c-2)) A^T.
+# Stationarity: D_x == F on the support of the maximizer and D_x <= F
+# off it; as F is concave, a stationary point is the global maximum.
 # ---------------------------------------------------------------------------
 
 
@@ -137,27 +137,6 @@ def _kkt_residual(p: np.ndarray, D: np.ndarray, F: float) -> float:
     off = ~on
     r_off = float(max(0.0, np.max(D[off] - F))) if np.any(off) else 0.0
     return max(r_on, r_off) / scale
-
-
-def _multiplicative_max(A: np.ndarray, c: float, start: np.ndarray,
-                        max_iter: int = 200_000,
-                        tol: float = _KKT_TOL):
-    p = np.array(start, dtype=float)
-    p = p / p.sum()
-    F = 0.0
-    resid = math.inf
-    for _ in range(max_iter):
-        g = p @ A
-        D = A @ np.where(g > 0, g ** (c - 1.0), 0.0)
-        F = float(p @ D)
-        if not math.isfinite(F) or F <= 0:
-            return F, p, math.inf
-        resid = _kkt_residual(p, D, F)
-        if resid <= tol:
-            return F, p, resid
-        p = p * (D / F)
-        p = p / p.sum()
-    return F, p, resid
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -177,63 +156,70 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.column_stack([rows, left])
 
 
-def _simplex_grid_argmax(A: np.ndarray, c: float, step: float) -> np.ndarray:
-    m = int(round(1.0 / step))
-    comps = _compositions(m, A.shape[0])
-    best_val, best = -math.inf, None
-    for start in range(0, len(comps), 20000):
-        P = comps[start:start + 20000] / m
-        vals = np.sum((P @ A) ** c, axis=1)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val, best = float(vals[i]), P[i]
-    return best
+def _certified_power_max(A: np.ndarray, c: float):
+    """Returns (F_max, argmax p, residual) with a stationarity certificate.
 
-
-def _certified_power_max(A: np.ndarray, c: float, warm: np.ndarray | None = None):
-    """Returns (F_max, argmax p, residual) with a stationarity certificate."""
+    Newton ascent from the uniform law, constrained to sum(p) == 1 on
+    the active set: the support, plus the letters with D_x > F, minus
+    the letters with p_x == 0 the step would make negative.  The Newton
+    matrix is damped by residual * F along the identity, since F is
+    linear along the Hessian's null space when |X| > |Y|.  The step is
+    capped to the simplex and halved until every output keeps positive
+    mass (an emptied output has infinite marginal gain, which the
+    gradient there no longer sees) and F does not fall by more than
+    rounding.  Stops once `_kkt_residual` <= _KKT_TOL, and raises
+    ConvergenceError after _NEWTON_ITER steps or a step it cannot take.
+    """
     A = A[:, np.any(A > 0, axis=0)]
     K = A.shape[0]
-    starts = []
-    if warm is not None and warm.size == K:
-        starts.append(np.maximum(warm, 1e-12))
-    starts.append(np.full(K, 1.0 / K))
-    if K <= 8:
-        for x in range(K):
-            v = np.full(K, 0.1 / K)
-            v[x] += 0.9
-            starts.append(v)
-    rng = np.random.Generator(np.random.Philox(key=[0xC0FFEE, 0]))
-    for _ in range(6):
-        starts.append(rng.dirichlet(np.ones(K)))
-
-    best = (-math.inf, None, math.inf)
-    for start in starts:
-        F, p, resid = _multiplicative_max(A, c, start)
+    p = np.full(K, 1.0 / K)
+    for _ in range(_NEWTON_ITER):
+        g = p @ A
+        D = A @ g ** (c - 1.0)
+        F = float(p @ D)
+        resid = _kkt_residual(p, D, F)
         if resid <= _KKT_TOL:
             return F, p, resid
-        if math.isfinite(F) and (F, -resid) > (best[0], -best[2]):
-            best = (F, p, resid)
-
-    if K <= 4:
-        pg = _simplex_grid_argmax(A, c, 0.01)
-        start = 0.99 * pg + 0.01 * np.full(K, 1.0 / K)
-        F, p, resid = _multiplicative_max(A, c, start)
-        if resid <= _KKT_ACCEPT:
-            return F, p, resid
-        if math.isfinite(F) and F > best[0]:
-            best = (F, p, resid)
-
-    if best[1] is not None and best[2] <= _KKT_ACCEPT:
-        return best
+        active = (p > 0) | (D > F)
+        while True:
+            S = np.flatnonzero(active)
+            AS = A[S]
+            kkt = np.ones((S.size + 1, S.size + 1))
+            kkt[-1, -1] = 0.0
+            kkt[:-1, :-1] = ((1.0 - c) * (AS * g ** (c - 2.0)) @ AS.T
+                             + resid * F * np.eye(S.size))
+            d = np.linalg.lstsq(kkt, np.append(D[S], 0.0), rcond=None)[0][:-1]
+            drop = (p[S] == 0) & (d < 0)
+            if not drop.any():
+                break
+            active[S[drop]] = False
+        step = np.zeros(K)
+        step[S] = d
+        neg = np.flatnonzero(step < 0)
+        ratios = -p[neg] / step[neg]
+        t, hit = 1.0, None
+        if neg.size and ratios.min() < 1.0:
+            t, hit = float(ratios.min()), neg[np.argmin(ratios)]
+        for _ in range(60):  # a step cut 2^60-fold is lost in rounding
+            q = np.maximum(p + t * step, 0.0)
+            if hit is not None:
+                q[hit] = 0.0
+            q /= q.sum()
+            gq = q @ A
+            if np.all(gq > 0) and np.sum(gq ** c) >= F * (1.0 - 1e-15):
+                break
+            t, hit = t / 2.0, None
+        else:
+            break
+        p = q
     raise ConvergenceError(
         f"input-distribution maximization failed to certify "
-        f"(best value {best[0]!r}, stationarity residual {best[2]!r})",
-        best_value=best[0], residual=best[2],
+        f"(best value {F!r}, stationarity residual {resid!r})",
+        best_value=F, residual=resid,
     )
 
 
-def _psi_worst_solve(s: float, W: Channel, warm: np.ndarray | None = None):
+def _psi_worst_solve(s: float, W: Channel):
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
     K = W.input_size
@@ -244,18 +230,18 @@ def _psi_worst_solve(s: float, W: Channel, warm: np.ndarray | None = None):
         covered = int(np.count_nonzero(np.any(W.rows > 0, axis=0)))
         return math.log(covered), np.full(K, 1.0 / K)
     A = W.rows ** (1.0 + s)
-    F, p, _ = _certified_power_max(A, 1.0 - s, warm)
+    F, p, _ = _certified_power_max(A, 1.0 - s)
     return float(np.log(F)), p
 
 
-def _phi_worst_solve(t: float, W: Channel, warm: np.ndarray | None = None):
+def _phi_worst_solve(t: float, W: Channel):
     if not -0.5 <= t <= 0.0:
         raise ValueError("t must lie in [-1/2, 0]")
     K = W.input_size
     if t == 0.0:
         return 0.0, np.full(K, 1.0 / K)
     A = W.rows ** (1.0 / (1.0 + t))
-    F, p, _ = _certified_power_max(A, 1.0 + t, warm)
+    F, p, _ = _certified_power_max(A, 1.0 + t)
     return float(np.log(F)), p
 
 
@@ -269,24 +255,6 @@ def phi_worst(t: float, W: Channel) -> tuple[float, Distribution]:
     """max_p phi(t | W, p) over input laws, for t in [-1/2, 0]."""
     val, p = _phi_worst_solve(t, W)
     return val, Distribution(p)
-
-
-class _WorstCurve:
-    """Memoized worst-case generating function along a parameter sweep."""
-
-    def __init__(self, solver, W: Channel):
-        self._solver = solver
-        self._W = W
-        self._cache: dict[float, float] = {}
-        self._warm: np.ndarray | None = None
-
-    def __call__(self, x: float) -> float:
-        val = self._cache.get(x)
-        if val is None:
-            val, p = self._solver(x, self._W, self._warm)
-            self._warm = p
-            self._cache[x] = val
-        return val
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
@@ -363,10 +331,14 @@ def _given_family(W: Channel, p: Distribution) -> tuple:
 
 
 def _worst_family(W: Channel) -> tuple:
-    psi_curve = _WorstCurve(_psi_worst_solve, W)
-    phi_curve = _WorstCurve(_phi_worst_solve, W)
-    return (psi_curve, np.array([psi_curve(s) for s in S_GRID.tolist()]),
-            phi_curve, np.array([phi_curve(t) for t in T_GRID.tolist()]),
+    def psi_fn(s):
+        return _psi_worst_solve(s, W)[0]
+
+    def phi_fn(t):
+        return _phi_worst_solve(t, W)[0]
+
+    return (psi_fn, np.array([psi_fn(s) for s in S_GRID.tolist()]),
+            phi_fn, np.array([phi_fn(t) for t in T_GRID.tolist()]),
             "_worst")
 
 

@@ -93,7 +93,8 @@ class SetFamily:
     overlap_cap: float
 
     def __post_init__(self):
-        subsets = tuple(frozenset(int(v) for v in s) for s in self.subsets)
+        subsets = tuple(frozenset(_integer(v, "subset element") for v in s)
+                        for s in self.subsets)
         object.__setattr__(self, "subsets", subsets)
         if not subsets:
             raise ValueError("family must contain at least one subset")
@@ -430,27 +431,6 @@ def id_error_bounds(params: SelectionParams, p: Distribution,
     lam_bound = (params.kappa + params.alpha_prime * params.beta_prime
                  * params.m_prime / params.C)
     return mu_bound, lam_bound
-
-
-def asymptotic_schedule(n: int, R: float, R_prime: float) -> dict:
-    """Blocklength-indexed parameter schedule from the asymptotic analysis.
-
-    Returned for reference: its alpha_prime and beta_prime equal
-    1/(n+2) < 1, which SelectionParams rejects, so this schedule
-    cannot drive the finite construction directly.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return {
-        "M": math.ceil(math.exp(n * R)),
-        "C": math.exp(n * R_prime),
-        "alpha": 1.0 + 2.0 / n,
-        "beta": 1.0 + 2.0 / n,
-        "alpha_prime": 1.0 / (n + 2.0),
-        "beta_prime": 1.0 / (n + 2.0),
-        "tau": 1.0 / (n + 2.0),
-        "kappa": _LOG2P1 / math.log(n) if n > 1 else math.inf,
-    }
 
 
 def save_id_code(code: IdCode, path) -> None:

@@ -14,7 +14,8 @@ distinct single-letter densities v_i with masses m_i: a class has
 density sum_i k_i v_i and probability multinomial(n; k) prod_i m_i^k_i.
 That leaves C(n+b-1, b-1) classes for b distinct densities, where the
 product has one atom per tuple of positive-mass (x, y) letters; a BSC
-with uniform input has n+1 classes.
+with uniform input has n+1 classes.  The enumeration budget caps the
+class count.
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ def _type_classes(p: Distribution, W: Channel, n: int,
     wp = output_distribution(W, p).probs
     joint = p.probs[:, None] * W.rows
     xs, ys = np.nonzero(joint > 0)
-    # the cap counts the a^n product atoms, not the far fewer classes
-    budget.check(len(xs) ** n, f"{n}-fold density atom enumeration")
     values, letter = np.unique(np.log(W.rows[xs, ys]) - np.log(wp[ys]),
                                return_inverse=True)
+    budget.check(math.comb(n + values.size - 1, values.size - 1),
+                 f"{n}-fold type class enumeration")
     mass = np.bincount(letter, weights=joint[xs, ys])
     counts = _compositions(n, values.size)
     dens = np.zeros(len(counts))

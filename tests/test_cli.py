@@ -99,13 +99,25 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_budget_exits_3(tmp_path, capsys):
+    # BSC with uniform input at n = 2: 3 type classes
     chan = write_bsc(tmp_path)
     dist = write_uniform(tmp_path)
     rc = main(["bounds", "--channel", chan, "--dist", dist,
                "--codebook-size", "4", "--threshold", "1.5",
-               "--blocklength", "2", "--max-joint-states", "8"])
+               "--blocklength", "2", "--max-joint-states", "2"])
     assert rc == 3
     assert "max_joint_states" in capsys.readouterr().err
+
+
+def test_bounds_n30_counts_classes_not_atoms(tmp_path, capsys):
+    # 31 type classes fit the default budget; the 4^30 atoms would not
+    chan = write_bsc(tmp_path)
+    dist = write_uniform(tmp_path)
+    rc = main(["bounds", "--channel", chan, "--dist", dist,
+               "--codebook-size", "4", "--threshold", "1.5",
+               "--blocklength", "30"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["blocklength"] == 30
 
 
 def test_capacity_command(tmp_path):

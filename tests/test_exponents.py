@@ -1,6 +1,7 @@
 """Generating functions, exponent optimization, capacity, secrecy."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -36,11 +37,12 @@ from chanres.exponents import (
     S_GRID,
     T_GRID,
     ExponentReport,
+    _KKT_TOL,
     _golden_max,
+    _kkt_residual,
     _phi_worst_solve,
     _power,
     _psi_worst_solve,
-    _WorstCurve,
 )
 
 # the 3-ary asymmetric channel and input law of the benchmark
@@ -182,8 +184,12 @@ def _reference_grid_golden_max(f, lo, hi):
 
 def _reference_sweep(W, rates, p):
     """The sweep with one scalar call per grid point and rate."""
-    psi_curve = _WorstCurve(_psi_worst_solve, W)
-    phi_curve = _WorstCurve(_phi_worst_solve, W)
+    def psi_curve(s):
+        return _psi_worst_solve(s, W)[0]
+
+    def phi_curve(t):
+        return _phi_worst_solve(t, W)[0]
+
     reports = []
     for R in rates:
         families = [] if p is None else [
@@ -325,6 +331,32 @@ def test_worst_case_dominates_fixed_laws():
                             rel_tol=1e-9, abs_tol=1e-11)
         assert math.isclose(phi_val, phi(t, W, phi_arg), rel_tol=1e-9,
                             abs_tol=1e-11)
+
+
+# four inputs on two outputs: near s = 0 and t = 0 the maximand is
+# nearly flat along the null space of its Hessian, where a first-order
+# ascent crawls for tens of seconds without certifying
+HARD_4X2 = Channel(np.array([[0.42190983, 0.57809017],
+                             [0.75488368, 0.24511632],
+                             [0.38190314, 0.61809686],
+                             [0.79701893, 0.20298107]]))
+
+
+def test_worst_case_certified_fast_near_origin():
+    s, t = 0.001, -0.001
+    start = time.perf_counter()
+    psi_val, psi_arg = psi_worst(s, HARD_4X2)
+    phi_val, phi_arg = phi_worst(t, HARD_4X2)
+    assert time.perf_counter() - start < 1.0
+    for val, arg, A, c in (
+            (psi_val, psi_arg, HARD_4X2.rows ** (1.0 + s), 1.0 - s),
+            (phi_val, phi_arg, HARD_4X2.rows ** (1.0 / (1.0 + t)), 1.0 + t)):
+        g = arg.probs @ A
+        D = A @ g ** (c - 1.0)
+        F = float(arg.probs @ D)
+        assert _kkt_residual(arg.probs, D, F) <= _KKT_TOL
+        assert math.isclose(val, math.log(F), rel_tol=1e-9)
+        assert val >= math.log(float(np.sum((np.full(4, 0.25) @ A) ** c)))
 
 
 def test_worst_case_one_dim_grid_oracle():

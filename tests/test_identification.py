@@ -17,7 +17,6 @@ from chanres import (
     SelectionParams,
     SetFamily,
     assemble_id_code,
-    asymptotic_schedule,
     bsc,
     build_set_family,
     eval_id_code,
@@ -71,6 +70,12 @@ def test_set_family_validation():
         SetFamily((frozenset({0, 1, 2}),), 3, 0.0)
     singles = SetFamily((frozenset({0}), frozenset({1})), 1, 0.8)
     assert singles.size == 2
+    # fractional elements are refused, not truncated to {0, 1}
+    with pytest.raises(ValueError, match="not an integer"):
+        SetFamily((frozenset({0.5, 1.7}),), 2, 1.5)
+    integral = SetFamily((frozenset({0.0, 1.0}),), 2, 1.5)
+    assert integral.subsets == (frozenset({0, 1}),)
+    assert all(type(v) is int for v in integral.subsets[0])
 
 
 def test_build_set_family():
@@ -283,27 +288,6 @@ def test_full_pipeline_small_alphabet():
     mu_bound, lam_bound = id_error_bounds(params, p, W)
     assert mu_bound == 0.0
     assert math.isclose(lam_bound, 0.99 + 16.0 * 28 / 2.0, rel_tol=1e-13)
-
-
-def test_asymptotic_schedule():
-    sched = asymptotic_schedule(4, 0.2, 0.1)
-    assert sched["M"] == 3
-    assert math.isclose(sched["C"], math.exp(0.4), rel_tol=1e-14)
-    assert math.isclose(sched["alpha"], 1.5, rel_tol=1e-14)
-    assert math.isclose(sched["alpha_prime"], 1.0 / 6.0, rel_tol=1e-14)
-    assert math.isclose(sched["tau"], 1.0 / 6.0, rel_tol=1e-14)
-    assert math.isclose(sched["kappa"],
-                        (math.log(2.0) + 1.0) / math.log(4.0), rel_tol=1e-14)
-    # the schedule is a reference point, not a runnable configuration:
-    # its alpha_prime falls below 1 and the screening constructor
-    # refuses it
-    with pytest.raises(ValueError):
-        SelectionParams(sched["alpha"], sched["alpha_prime"], sched["beta"],
-                        sched["beta_prime"], sched["tau"], sched["kappa"],
-                        sched["M"], sched["C"])
-    assert asymptotic_schedule(1, 0.2, 0.1)["kappa"] == math.inf
-    with pytest.raises(ValueError):
-        asymptotic_schedule(0, 0.2, 0.1)
 
 
 def test_id_code_json_round_trip(tmp_path):

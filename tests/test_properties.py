@@ -1,28 +1,33 @@
-"""Property tests: the type-class path and additivity on random channels.
+"""Property tests on random channels: the type-class path, additivity
+and the worst-case input solve.
 
 Channels and input laws are drawn with some zero entries, so dead
 output columns, zero-probability inputs and merged single-letter
 densities all occur.  Each fast path is checked against the
-materialized n-fold product.
+materialized n-fold product, and the worst-case solve against a
+simplex grid.
 """
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chanres import (
     Channel,
     Distribution,
     phi,
+    phi_worst,
     product,
     product_dist,
     product_tail_pair,
     psi,
+    psi_worst,
     spectrum_cdf,
     tail_pair,
 )
+from chanres.exponents import _compositions
 
 # zero, or a weight bounded away from zero before normalization
 _WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
@@ -95,3 +100,48 @@ def test_psi_phi_additive_over_products(law, n, s, t):
                         rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(phi(t, Wn, pn), n * phi(t, W, p),
                         rel_tol=1e-9, abs_tol=1e-12)
+
+
+# a step-0.02 grid on the simplex of up to 4 inputs (23,426 points)
+_GRID_STEPS = 50
+
+# a full Newton step here at s = 0.05 empties output 1; a solve that
+# took it and read that output's gain as 0 would certify F = 1.025861,
+# below the step-0.02 grid's best, 1.026166
+DEAD_COLUMN = Channel(np.array([[1.0, 0.0, 0.0],
+                                [0.6782, 0.1515, 0.1703],
+                                [0.1301, 0.0, 0.8699]]))
+
+# without the rounding slack in the line search, the last Newton step
+# here at t = -0.44 is refused and the solve stops at residual 4.2e-9
+NEAR_FLAT = Channel(np.array([[0.623, 0.377], [0.715, 0.285],
+                              [0.543, 0.457]]))
+
+
+@st.composite
+def small_channel(draw):
+    K = draw(st.integers(1, 4))
+    L = draw(st.integers(2, 3))
+    return Channel(np.array([_normalized(draw, L) for _ in range(K)]))
+
+
+def _power_sums(A, c, P):
+    """sum_y (p @ A)_y^c for each row p of P."""
+    return np.sum((P @ A) ** c, axis=-1)
+
+
+@PROPERTY
+@given(small_channel(),
+       st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 1.0 - 1e-6)),
+       st.one_of(st.floats(-1e-3, -1e-6), st.floats(-0.5, -1e-3)))
+@example(DEAD_COLUMN, 0.05, -0.05)
+@example(NEAR_FLAT, 0.5, -0.44)
+def test_worst_case_beats_simplex_grid(W, s, t):
+    grid = _compositions(_GRID_STEPS, W.input_size) / _GRID_STEPS
+    for (val, arg), A, c in (
+            (psi_worst(s, W), W.rows ** (1.0 + s), 1.0 - s),
+            (phi_worst(t, W), W.rows ** (1.0 / (1.0 + t)), 1.0 + t)):
+        F = math.exp(val)
+        assert F >= float(np.max(_power_sums(A, c, grid))) * (1.0 - 1e-9)
+        assert math.isclose(float(_power_sums(A, c, arg.probs)), F,
+                            rel_tol=1e-12)

@@ -167,9 +167,33 @@ def test_product_tail_binomial_closed_form():
 
 
 def test_product_tail_budget():
-    with pytest.raises(BudgetError):
-        product_tail_pair(uniform(2), bsc(0.1), 1.5, 30,
-                          EnumerationBudget(10 ** 6))
+    # the budget counts type classes: nine distinct letter densities give
+    # C(38, 8) = 48,903,492 classes at n = 30
+    W = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
+    p = Distribution(np.array([0.5, 0.3, 0.2]))
+    with pytest.raises(BudgetError, match="needs 48903492 "):
+        product_tail_pair(p, W, 1.5, 30, EnumerationBudget(10 ** 6))
+    with pytest.raises(BudgetError, match="needs 48903492 "):
+        spectrum_cdf(p, W, 0.0, 30, EnumerationBudget(10 ** 6))
+
+
+def test_product_tail_bsc_n30_within_budget():
+    # 31 classes, where the 4^30 atoms would be far over the cap; a class
+    # with k flips has density (n - k) log 1.8 + k log 0.2
+    n, C = 30, 1.5
+    tp = product_tail_pair(uniform(2), bsc(0.1), C, n, EnumerationBudget(31))
+    delta = delta_prime = 0.0
+    for k in range(n + 1):
+        mass = math.comb(n, k) * 0.9 ** (n - k) * 0.1 ** k
+        dens = (n - k) * math.log(1.8) + k * math.log(0.2)
+        if dens > math.log(C):
+            delta += mass
+        else:
+            delta_prime += mass * math.exp(dens)
+    assert tp.delta == pytest.approx(delta, rel=1e-12)
+    assert tp.delta_prime == pytest.approx(delta_prime, rel=1e-12)
+    with pytest.raises(BudgetError, match="needs 31 "):
+        product_tail_pair(uniform(2), bsc(0.1), C, n, EnumerationBudget(30))
 
 
 def test_spectrum_cdf_bsc():
