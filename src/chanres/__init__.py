@@ -48,6 +48,7 @@ from .exponents import (
 )
 from .identification import (
     AdParams,
+    CountingVerdict,
     FamilyBuild,
     IdCode,
     IdMetrics,
@@ -58,24 +59,23 @@ from .identification import (
     SetFamily,
     assemble_id_code,
     build_set_family,
+    counting_check,
     eval_id_code,
     id_error_bounds,
     load_id_code,
     save_id_code,
     select_codewords,
+    size_ceiling_check,
 )
 from .resolvability import (
     BruteForceResult,
-    CountingVerdict,
     McEstimate,
     ResolvabilityCode,
     brute_force_min,
-    counting_check,
     eval_code,
     expectation_bounds,
     mc_expectation,
     sample_code,
-    size_ceiling_check,
 )
 from .spectrum import (
     TailPair,

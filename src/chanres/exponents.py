@@ -11,7 +11,9 @@ additive over memoryless products, so single-letter optimization gives
 blocklength exponents directly.  Worst-case variants maximize over the
 input distribution; the inner maximand is concave in p, so a Newton
 ascent on the simplex solves it, certified by its stationarity (KKT)
-residual.
+residual.  An array of parameters is solved as one stack.  A sweep
+over rates evaluates each family's curves once on the scan grids and
+refines the optima of all rates by one golden section in lockstep.
 """
 
 from __future__ import annotations
@@ -49,15 +51,21 @@ T_GRID = np.linspace(-0.5, 0.0, int(round(0.5 / GRID_STEP)) + 1)
 
 _KKT_TOL = 1e-9
 _NEWTON_ITER = 100
+# the most floats of powered channel matrices an array call of psi, phi
+# or the worst-case solve stacks at once (256 KiB); its temporaries are
+# a few times this
+_BLOCK_FLOATS = 1 << 15
 
 
 class ConvergenceError(RuntimeError):
     """An iterative optimizer could not certify its result."""
 
-    def __init__(self, message, best_value=None, residual=None):
+    def __init__(self, message, best_value=None, residual=None,
+                 parameter=None):
         super().__init__(message)
         self.best_value = best_value
         self.residual = residual
+        self.parameter = parameter
 
 
 def _params(x, name: str, W: Channel, p: Distribution) -> np.ndarray:
@@ -86,6 +94,13 @@ def _power(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocks(n: int, floats_each: int) -> list[slice]:
+    """Slices of range(n), each of at most _BLOCK_FLOATS // floats_each
+    entries (and at least one)."""
+    per = max(1, _BLOCK_FLOATS // floats_each)
+    return [slice(lo, lo + per) for lo in range(0, n, per)]
+
+
 def _shaped(vals: np.ndarray, x):
     """vals in the shape of the parameter(s) x, exactly 0 where x is 0."""
     if np.ndim(x) == 0:
@@ -98,16 +113,21 @@ def psi(s, W: Channel, p: Distribution):
     """log E_p sum_y W_x(y)^(1+s) W_p(y)^(-s); psi(0) == 0 exactly.
 
     s may be an array of any shape: the result then has that shape and
-    each entry equals the scalar call.  An array call allocates
-    s.size * |X| * |Y| floats at a time.
+    each entry equals the scalar call.  An array call works through
+    blocks of at most _BLOCK_FLOATS // (|X| * |Y|) parameters (at least
+    one).
     """
     e = _params(s, "s", W, p)
     wp = output_distribution(W, p).probs
     live = wp > 0
     sup = p.support()
     rows = W.rows[np.ix_(sup, live)]
-    inner = np.sum(_power(rows, 1.0 + e) * _power(wp[live], -e), axis=2)
-    return _shaped(np.log(np.matmul(p.probs[sup], inner[:, :, None])[:, 0]), s)
+    vals = np.empty(e.shape[0])
+    for blk in _blocks(e.shape[0], W.rows.size):
+        inner = np.sum(_power(rows, 1.0 + e[blk]) * _power(wp[live], -e[blk]),
+                       axis=2)
+        vals[blk] = np.log(np.matmul(p.probs[sup], inner[:, :, None])[:, 0])
+    return _shaped(vals, s)
 
 
 def phi(t, W: Channel, p: Distribution):
@@ -116,8 +136,11 @@ def phi(t, W: Channel, p: Distribution):
     t may be an array, as the argument s of `psi`.
     """
     e = _params(t, "t", W, p)
-    g = np.matmul(p.probs, _power(W.rows, 1.0 / (1.0 + e)))
-    return _shaped(np.log(np.sum(_power(g, 1.0 + e[:, 0]), axis=1)), t)
+    vals = np.empty(e.shape[0])
+    for blk in _blocks(e.shape[0], W.rows.size):
+        g = np.matmul(p.probs, _power(W.rows, 1.0 / (1.0 + e[blk])))
+        vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
+    return _shaped(vals, t)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +153,14 @@ def phi(t, W: Channel, p: Distribution):
 # ---------------------------------------------------------------------------
 
 
-def _kkt_residual(p: np.ndarray, D: np.ndarray, F: float) -> float:
-    scale = max(abs(F), 1.0)
+def _kkt_residual(p: np.ndarray, D: np.ndarray, F) -> np.ndarray:
+    """The stationarity residual of each law p, letters on the last axis."""
+    F = np.asarray(F)
+    gap = D - F[..., None]
     on = p > 1e-10
-    r_on = float(np.max(np.abs(D[on] - F))) if np.any(on) else 0.0
-    off = ~on
-    r_off = float(max(0.0, np.max(D[off] - F))) if np.any(off) else 0.0
-    return max(r_on, r_off) / scale
+    resid = np.maximum(np.max(np.where(on, np.abs(gap), 0.0), axis=-1),
+                       np.max(np.where(on, 0.0, gap), axis=-1))
+    return resid / np.maximum(np.abs(F), 1.0)
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -156,8 +180,69 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.column_stack([rows, left])
 
 
-def _certified_power_max(A: np.ndarray, c: float):
-    """Returns (F_max, argmax p, residual) with a stationarity certificate.
+def _f_slices(A: np.ndarray) -> np.ndarray:
+    """A copy of the stack A with each (K, Y) slice in Fortran order.
+
+    A column mask of one matrix leaves it in that order, and BLAS sums
+    p @ A and A @ v in an order that depends on the layout, so each
+    slice gets the bits of a solve of that matrix alone.
+    """
+    return np.ascontiguousarray(A.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _newton_step(A, c, p, g, D, F, resid):
+    """The next law of one Newton ascent, or None if it cannot move.
+
+    A is the slice, g = p @ A and D = A @ g^(c-1); F and resid are
+    floats.  See `_certified_power_max`.
+    """
+    active = (p > 0) | (D > F)
+    while True:
+        S = np.flatnonzero(active)
+        AS = A[S]
+        kkt = np.ones((S.size + 1, S.size + 1))
+        kkt[-1, -1] = 0.0
+        kkt[:-1, :-1] = ((1.0 - c) * (AS * g ** (c - 2.0)) @ AS.T
+                         + resid * F * np.eye(S.size))
+        d = np.linalg.lstsq(kkt, np.append(D[S], 0.0), rcond=None)[0][:-1]
+        drop = (p[S] == 0) & (d < 0)
+        if not drop.any():
+            break
+        active[S[drop]] = False
+    step = np.zeros(p.size)
+    step[S] = d
+    neg = np.flatnonzero(step < 0)
+    ratios = -p[neg] / step[neg]
+    t, hit = 1.0, None
+    if neg.size and ratios.min() < 1.0:
+        t, hit = float(ratios.min()), neg[np.argmin(ratios)]
+    for _ in range(60):  # a step cut 2^60-fold is lost in rounding
+        q = np.maximum(p + t * step, 0.0)
+        if hit is not None:
+            q[hit] = 0.0
+        q /= q.sum()
+        gq = q @ A
+        if np.all(gq > 0) and np.sum(gq ** c) >= F * (1.0 - 1e-15):
+            return q
+        t, hit = t / 2.0, None
+    return None
+
+
+def _uncertified(name: str, x: float, F: float, resid: float):
+    return ConvergenceError(
+        f"input-distribution maximization failed to certify at "
+        f"{name} = {x!r} (best value {F!r}, stationarity residual {resid!r})",
+        best_value=F, residual=resid, parameter=x,
+    )
+
+
+def _certified_power_max(A: np.ndarray, c: np.ndarray, x: np.ndarray,
+                         name: str):
+    """Maximizes sum_y (p @ A_i)_y^c_i over input laws p, for each slice i.
+
+    A has shape (G, K, Y); c holds one power per slice and x the
+    parameter a ConvergenceError names (as `name`).  Returns the arrays
+    (F_max, argmax laws, KKT residuals), each certified.
 
     Newton ascent from the uniform law, constrained to sum(p) == 1 on
     the active set: the support, plus the letters with D_x > F, minus
@@ -167,129 +252,153 @@ def _certified_power_max(A: np.ndarray, c: float):
     capped to the simplex and halved until every output keeps positive
     mass (an emptied output has infinite marginal gain, which the
     gradient there no longer sees) and F does not fall by more than
-    rounding.  Stops once `_kkt_residual` <= _KKT_TOL, and raises
-    ConvergenceError after _NEWTON_ITER steps or a step it cannot take.
+    rounding.
+
+    Each iteration computes g, D, F and `_kkt_residual` of every
+    uncertified slice in array operations; a slice stops once its
+    residual is <= _KKT_TOL, and only the others take a step
+    (`_newton_step`, one slice at a time).  Raises ConvergenceError
+    after _NEWTON_ITER steps or a step a slice cannot take.  Slices are
+    grouped by their live output columns, since a column of tiny
+    entries can underflow to zero at some parameters only; each slice
+    gets exactly the bits a stack of one would.
     """
-    A = A[:, np.any(A > 0, axis=0)]
-    K = A.shape[0]
-    p = np.full(K, 1.0 / K)
-    for _ in range(_NEWTON_ITER):
-        g = p @ A
-        D = A @ g ** (c - 1.0)
-        F = float(p @ D)
-        resid = _kkt_residual(p, D, F)
-        if resid <= _KKT_TOL:
-            return F, p, resid
-        active = (p > 0) | (D > F)
-        while True:
-            S = np.flatnonzero(active)
-            AS = A[S]
-            kkt = np.ones((S.size + 1, S.size + 1))
-            kkt[-1, -1] = 0.0
-            kkt[:-1, :-1] = ((1.0 - c) * (AS * g ** (c - 2.0)) @ AS.T
-                             + resid * F * np.eye(S.size))
-            d = np.linalg.lstsq(kkt, np.append(D[S], 0.0), rcond=None)[0][:-1]
-            drop = (p[S] == 0) & (d < 0)
-            if not drop.any():
+    G, K, _ = A.shape
+    F_max, P, R = np.empty(G), np.full((G, K), 1.0 / K), np.empty(G)
+    # the outputs with positive mass at the uniform start: D would be
+    # infinite at the others, whether their entries or their mass underflow
+    live = np.any(A * (1.0 / K) > 0, axis=1)
+    rest = np.arange(G)
+    while rest.size:
+        cols = live[rest[0]]
+        same = np.all(live[rest] == cols, axis=1)
+        todo, rest = rest[same], rest[~same]
+        As, cs, p = _f_slices(A[todo][:, :, cols]), c[todo], P[todo]
+        for _ in range(_NEWTON_ITER):
+            g = np.matmul(p[:, None, :], As)
+            D = np.matmul(As, _power(g, (cs - 1.0)[:, None, None])
+                          .transpose(0, 2, 1))[:, :, 0]
+            F = np.matmul(p[:, None, :], D[:, :, None])[:, 0, 0]
+            resid = _kkt_residual(p, D, F)
+            done = resid <= _KKT_TOL
+            F_max[todo[done]], P[todo[done]], R[todo[done]] = (
+                F[done], p[done], resid[done])
+            left = np.flatnonzero(~done)
+            if not left.size:
                 break
-            active[S[drop]] = False
-        step = np.zeros(K)
-        step[S] = d
-        neg = np.flatnonzero(step < 0)
-        ratios = -p[neg] / step[neg]
-        t, hit = 1.0, None
-        if neg.size and ratios.min() < 1.0:
-            t, hit = float(ratios.min()), neg[np.argmin(ratios)]
-        for _ in range(60):  # a step cut 2^60-fold is lost in rounding
-            q = np.maximum(p + t * step, 0.0)
-            if hit is not None:
-                q[hit] = 0.0
-            q /= q.sum()
-            gq = q @ A
-            if np.all(gq > 0) and np.sum(gq ** c) >= F * (1.0 - 1e-15):
-                break
-            t, hit = t / 2.0, None
+            for i in left.tolist():
+                q = _newton_step(As[i], float(cs[i]), p[i], g[i, 0], D[i],
+                                 float(F[i]), float(resid[i]))
+                if q is None:
+                    raise _uncertified(name, float(x[todo[i]]),
+                                       float(F[i]), float(resid[i]))
+                p[i] = q
+            todo, As, cs, p = todo[left], _f_slices(As[left]), cs[left], p[left]
         else:
-            break
-        p = q
-    raise ConvergenceError(
-        f"input-distribution maximization failed to certify "
-        f"(best value {F!r}, stationarity residual {resid!r})",
-        best_value=F, residual=resid,
-    )
+            raise _uncertified(name, float(x[todo[0]]), float(F[left[0]]),
+                               float(resid[left[0]]))
+    return F_max, P, R
 
 
-def _psi_worst_solve(s: float, W: Channel):
-    if not 0.0 <= s <= 1.0:
+def _worst_solve(W: Channel, x: np.ndarray, e: np.ndarray, c: np.ndarray,
+                 name: str):
+    """(log max_p sum_y (p @ W^e_i)_y^c_i, argmax) for each parameter x_i.
+
+    The stack of powered channels is built and solved in `_blocks`, so
+    memory does not grow with the parameter count.
+    """
+    vals, P = np.empty(x.size), np.empty((x.size, W.input_size))
+    for blk in _blocks(x.size, W.rows.size):
+        F, P[blk], _ = _certified_power_max(
+            _power(W.rows, e[blk].reshape(-1, 1, 1)), c[blk], x[blk], name)
+        vals[blk] = np.log(F)
+    return vals, P
+
+
+def _psi_worst_solve(s, W: Channel):
+    """(max_p log sum_y (p @ W^(1+s))_y^(1-s), argmax) for an array of s."""
+    s = np.asarray(s, dtype=float).ravel()
+    if not np.all((s >= 0.0) & (s <= 1.0)):
         raise ValueError("s must lie in [0, 1]")
     K = W.input_size
-    if s == 0.0:
-        return 0.0, np.full(K, 1.0 / K)
-    if s == 1.0:
-        # the maximand degenerates to counting outputs reachable from supp(p)
-        covered = int(np.count_nonzero(np.any(W.rows > 0, axis=0)))
-        return math.log(covered), np.full(K, 1.0 / K)
-    A = W.rows ** (1.0 + s)
-    F, p, _ = _certified_power_max(A, 1.0 - s)
-    return float(np.log(F)), p
+    vals, P = np.zeros(s.size), np.full((s.size, K), 1.0 / K)
+    mid = (s > 0.0) & (s < 1.0)
+    vals[mid], P[mid] = _worst_solve(W, s[mid], 1.0 + s[mid], 1.0 - s[mid], "s")
+    # at s = 1 the maximand counts the outputs reachable from supp(p)
+    vals[s == 1.0] = math.log(np.count_nonzero(np.any(W.rows > 0, axis=0)))
+    return vals, P
 
 
-def _phi_worst_solve(t: float, W: Channel):
-    if not -0.5 <= t <= 0.0:
+def _phi_worst_solve(t, W: Channel):
+    """(max_p phi(t | W, p), argmax) for an array of t."""
+    t = np.asarray(t, dtype=float).ravel()
+    if not np.all((t >= -0.5) & (t <= 0.0)):
         raise ValueError("t must lie in [-1/2, 0]")
     K = W.input_size
-    if t == 0.0:
-        return 0.0, np.full(K, 1.0 / K)
-    A = W.rows ** (1.0 / (1.0 + t))
-    F, p, _ = _certified_power_max(A, 1.0 + t)
-    return float(np.log(F)), p
+    vals, P = np.zeros(t.size), np.full((t.size, K), 1.0 / K)
+    mid = t != 0.0
+    vals[mid], P[mid] = _worst_solve(W, t[mid], 1.0 / (1.0 + t[mid]),
+                                     1.0 + t[mid], "t")
+    return vals, P
 
 
 def psi_worst(s: float, W: Channel) -> tuple[float, Distribution]:
     """max_p psi-style generating function, with its maximizing input law."""
-    val, p = _psi_worst_solve(s, W)
-    return val, Distribution(p)
+    vals, P = _psi_worst_solve(s, W)
+    return float(vals[0]), Distribution(P[0])
 
 
 def phi_worst(t: float, W: Channel) -> tuple[float, Distribution]:
     """max_p phi(t | W, p) over input laws, for t in [-1/2, 0]."""
-    val, p = _phi_worst_solve(t, W)
-    return val, Distribution(p)
+    vals, P = _phi_worst_solve(t, W)
+    return float(vals[0]), Distribution(P[0])
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12):
+def _golden_max(f, lo, hi, tol: float = 1e-12):
+    """Golden-section maxima of objectives i on [lo_i, hi_i], in lockstep.
+
+    f(i, x) returns the values of the objectives i (an index array) at
+    the points x.  Each interval takes exactly the steps of a search of
+    its objective alone, and each step evaluates every unfinished
+    objective in one call of f.  Returns the arrays (argmax, max).
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    every = np.arange(a.size)
+    fc, fd = np.split(f(np.tile(every, 2), np.concatenate([c, d])), 2)
+    run = every[(b - a) > tol]
+    while run.size:
+        left = fc[run] >= fd[run]
+        lt, rt = run[left], run[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        new = f(run, np.where(left, c[run], d[run]))
+        fc[lt], fd[rt] = new[left], new[~left]
+        run = run[(b[run] - a[run]) > tol]
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, f(every, x)
 
 
-def _grid_golden_max(f, xs: np.ndarray, vals=None):
-    """Dense grid scan refined by golden-section around the best cell.
+def _grid_golden_max(f, xs: np.ndarray, rows):
+    """Dense grid scan refined by golden section around the best cell,
+    for every objective in lockstep.
 
-    vals[i] must equal f(xs[i]); by default f takes the grid as one array.
+    f is as in `_golden_max`; rows yields, for each objective i in
+    turn, its values on the grid xs.  Returns the arrays (argmax, max).
     """
-    if vals is None:
-        vals = f(xs)
-    i = int(np.argmax(vals))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, len(xs) - 1)])
-    xg, vg = _golden_max(f, a, b)
-    if vg >= vals[i]:
-        return float(xg), float(vg)
-    return float(xs[i]), float(vals[i])
+    best, best_vals = [], []
+    for v in rows:
+        best.append(int(np.argmax(v)))
+        best_vals.append(float(v[best[-1]]))
+    best, best_vals = np.array(best), np.array(best_vals)
+    xg, vg = _golden_max(f, xs[np.maximum(best - 1, 0)],
+                         xs[np.minimum(best + 1, len(xs) - 1)])
+    keep = vg >= best_vals
+    return np.where(keep, xg, xs[best]), np.where(keep, vg, best_vals)
 
 
 @dataclass(frozen=True)
@@ -302,27 +411,39 @@ class ExponentReport:
     family: str
 
 
-def _family_reports(R: float, psi_fn, psi_grid, phi_fn, phi_grid,
-                    suffix: str) -> list[ExponentReport]:
-    """The three reports of one family at rate R; psi_grid and phi_grid
-    hold psi_fn on S_GRID and phi_fn on T_GRID."""
-    def vd(s, psi_s):
-        return (s * R - psi_s) / (1.0 + s)
+def _family_reports(rates: list[float], psi_fn, psi_grid, phi_fn, phi_grid,
+                    suffix: str) -> list[list[ExponentReport]]:
+    """The three reports of one family at each rate, one list per rate.
 
-    def kl(t, phi_t):
-        return -phi_t - t * R
+    psi_fn and phi_fn take arrays of s and t; psi_grid and phi_grid hold
+    them on S_GRID and T_GRID.  The golden sections of all rates run in
+    lockstep, so each of their steps is one call of psi_fn or phi_fn.
+    """
+    R = np.array(rates)
+
+    def vd(i, s, psi_s):
+        return (s * R[i] - psi_s) / (1.0 + s)
+
+    def kl(i, t, phi_t):
+        return -phi_t - t * R[i]
 
     s_star, vd_val = _grid_golden_max(
-        lambda s: vd(s, psi_fn(s)), S_GRID, vd(S_GRID, psi_grid))
+        lambda i, s: vd(i, s, psi_fn(s)), S_GRID,
+        (vd(i, S_GRID, psi_grid) for i in range(R.size)))
     t_star, kl_val = _grid_golden_max(
-        lambda t: kl(t, phi_fn(t)), T_GRID, kl(T_GRID, phi_grid))
-    # max(0.0, -0.0) is 0.0, where max(-0.0, 0.0) would keep -0.0
-    vd_val, kl_val = max(0.0, vd_val), max(0.0, kl_val)
-    return [
-        ExponentReport(R, vd_val, s_star, "vd_psi" + suffix),
-        ExponentReport(R, kl_val, t_star, "kl_phi" + suffix),
-        ExponentReport(R, kl_val / 2.0, t_star, "vd_phi_half" + suffix),
-    ]
+        lambda i, t: kl(i, t, phi_fn(t)), T_GRID,
+        (kl(i, T_GRID, phi_grid) for i in range(R.size)))
+    reports = []
+    for rate, s, v, t, k in zip(rates, s_star.tolist(), vd_val.tolist(),
+                                t_star.tolist(), kl_val.tolist()):
+        # max(0.0, -0.0) is 0.0, where max(-0.0, 0.0) would keep -0.0
+        v, k = max(0.0, v), max(0.0, k)
+        reports.append([
+            ExponentReport(rate, v, s, "vd_psi" + suffix),
+            ExponentReport(rate, k, t, "kl_phi" + suffix),
+            ExponentReport(rate, k / 2.0, t, "vd_phi_half" + suffix),
+        ])
+    return reports
 
 
 def _given_family(W: Channel, p: Distribution) -> tuple:
@@ -337,9 +458,12 @@ def _worst_family(W: Channel) -> tuple:
     def phi_fn(t):
         return _phi_worst_solve(t, W)[0]
 
-    return (psi_fn, np.array([psi_fn(s) for s in S_GRID.tolist()]),
-            phi_fn, np.array([phi_fn(t) for t in T_GRID.tolist()]),
-            "_worst")
+    return psi_fn, psi_fn(S_GRID), phi_fn, phi_fn(T_GRID), "_worst"
+
+
+def _check_rates(*rates: float) -> None:
+    if not all(0.0 <= R < math.inf for R in rates):
+        raise ValueError("rates must be nonnegative and finite")
 
 
 def exponent_sweep(W: Channel, rates, p: Distribution | None = None
@@ -351,13 +475,13 @@ def exponent_sweep(W: Channel, rates, p: Distribution | None = None
     With p=None only the three worst-case families apply.
     """
     rates = [float(R) for R in rates]
-    if any(R < 0 for R in rates):
-        raise ValueError("rates must be nonnegative")
+    _check_rates(*rates)
     if not rates:
         return []
     families = ([] if p is None else [_given_family(W, p)]) + [_worst_family(W)]
-    return [rep for R in rates for fam in families
-            for rep in _family_reports(R, *fam)]
+    per_family = [_family_reports(rates, *fam) for fam in families]
+    return [rep for per_rate in zip(*per_family) for reps in per_rate
+            for rep in reps]
 
 
 def resolvability_exponents(R: float, W: Channel,
@@ -388,17 +512,19 @@ class WiretapExponentReport:
 def wiretap_exponents(R: float, R_prime: float, W_B: Channel, W_E: Channel,
                       p: Distribution) -> WiretapExponentReport:
     """Exponents of decoding error and of the three leakage measures."""
-    if R < 0 or R_prime < 0:
-        raise ValueError("rates must be nonnegative")
+    _check_rates(R, R_prime)
     if W_B.input_size != W_E.input_size:
         raise ValueError("channels must share an input alphabet")
-    s_err, e_err = _grid_golden_max(
-        lambda s: -phi(s, W_B, p) - s * (R + R_prime), S_GRID)
-    t_kl, e_kl = _grid_golden_max(
-        lambda t: -phi(t, W_E, p) - t * R_prime, T_GRID)
-    s_vd, e_vd = _grid_golden_max(
-        lambda s: (s * R_prime - psi(s, W_E, p)) / (1.0 + s), S_GRID)
-    e_err, e_kl, e_vd = max(0.0, e_err), max(0.0, e_kl), max(0.0, e_vd)
+
+    def best(f, xs):
+        x, v = _grid_golden_max(f, xs, [f(None, xs)])
+        return float(x[0]), max(0.0, float(v[0]))
+
+    s_err, e_err = best(
+        lambda _, s: -phi(s, W_B, p) - s * (R + R_prime), S_GRID)
+    t_kl, e_kl = best(lambda _, t: -phi(t, W_E, p) - t * R_prime, T_GRID)
+    s_vd, e_vd = best(
+        lambda _, s: (s * R_prime - psi(s, W_E, p)) / (1.0 + s), S_GRID)
     edge = 2.0 * GRID_STEP
     return WiretapExponentReport(
         R=float(R), R_prime=float(R_prime),
@@ -543,8 +669,8 @@ def taylor_compare(R: float, W: Channel, p: Distribution) -> TaylorComparison:
     if J <= 0.0:
         raise ValueError("zero information-density variance: "
                          "quadratic approximation undefined")
-    if R < 0:
-        raise ValueError("rates must be nonnegative")
-    vd_psi, _, vd_phi_half = _family_reports(float(R), *_given_family(W, p))
+    _check_rates(R)
+    vd_psi, _, vd_phi_half = _family_reports(
+        [float(R)], *_given_family(W, p))[0]
     return TaylorComparison(*_taylor_terms(R, mutual_information(p, W), J),
                             vd_psi.bound_value, vd_phi_half.bound_value)

@@ -9,6 +9,8 @@ density-ratio level sets {y : W_x(y)/W_p(y) > C} are nearly disjoint;
 i.i.d. candidates from p are screened against explicit miss and
 union thresholds.  Message i is the uniform mixture over the codewords
 picked out by subset i, decoded by the union of their level sets.
+The counting argument that caps the number of distinguishable message
+sets (`size_ceiling_check`, `counting_check`) closes the module.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .channel import (
     EnumerationBudget,
     output_distribution,
 )
+from .resolvability import brute_force_min
 from .rng import sample_indices, stream
 from .spectrum import tail_pair
 
@@ -452,3 +455,43 @@ def load_id_code(path) -> IdCode:
             raise ValueError(f"id code file {path} missing field '{field}'")
     return IdCode(tuple(doc["codewords"]),
                   tuple(tuple(s) for s in doc["subsets"]), float(doc["C"]))
+
+
+@dataclass(frozen=True)
+class CountingVerdict:
+    """Outcome of the identification counting argument."""
+
+    eps_estimate: float
+    hypothesis_holds: bool
+    size_ceiling: int | None
+
+
+def size_ceiling_check(mu: float, lam: float, eps_value: float,
+                       input_size: int, M: int) -> CountingVerdict:
+    """Pure arithmetic form of the counting argument.
+
+    When mu + lam + eps < 1, distinguishable message sets inject into
+    codeword multisets, so their number is capped by input_size ** M.
+    """
+    for name, v in (("mu", mu), ("lambda", lam)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    if eps_value < 0:
+        raise ValueError("eps must be nonnegative")
+    holds = (1.0 - mu - lam) > eps_value
+    ceiling = int(input_size) ** int(M) if holds else None
+    return CountingVerdict(float(eps_value), holds, ceiling)
+
+
+def counting_check(mu: float, lam: float, M: int, W: Channel,
+                   p_grid) -> CountingVerdict:
+    """Counting argument with eps estimated over a grid of input laws.
+
+    The approximation floor eps(M, W) is estimated as the largest
+    brute-force minimum over the supplied grid.
+    """
+    p_grid = list(p_grid)
+    if not p_grid:
+        raise ValueError("p_grid must be non-empty")
+    eps = max(brute_force_min(M, W, q).eps_min for q in p_grid)
+    return size_ceiling_check(mu, lam, eps, W.input_size, M)

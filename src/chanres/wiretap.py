@@ -210,10 +210,9 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     def gallager(s):
         return -(s * log_ml + phi(s, W_B, p))
 
-    # one phi call per grid point: on a product channel an array call
-    # would hold a copy of the whole matrix for each of them
-    s_star, neg = _grid_golden_max(
-        gallager, S_GRID, [gallager(s) for s in S_GRID.tolist()])
+    s_star, neg = _grid_golden_max(lambda _, s: gallager(s), S_GRID,
+                                   [gallager(S_GRID)])
+    s_star, neg = float(s_star[0]), float(neg[0])
     error_gallager = 3.0 * math.exp(-neg)
 
     if C_prime is None:

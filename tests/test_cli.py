@@ -22,7 +22,7 @@ from chanres import (
     taylor_compare,
     uniform,
 )
-from chanres import cli
+from chanres import cli, exponents
 from chanres.cli import _fmt, main
 
 
@@ -205,6 +205,32 @@ def test_exponents_worst_mode(tmp_path, capsys):
                "--rate-steps", "1"])
     assert rc == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, end", [("nan", "0.5"), ("0.1", "inf"),
+                                        ("-inf", "0.5"), ("0.1", "nan")])
+def test_exponents_non_finite_rates_exit_2(tmp_path, capsys, start, end):
+    chan = write_bsc(tmp_path)
+    rc = main(["exponents", "--channel", chan, "--worst",
+               f"--rate-start={start}", f"--rate-end={end}",
+               "--rate-steps", "3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_exponents_uncertified_exits_4_naming_parameter(tmp_path, capsys,
+                                                        monkeypatch):
+    # one Newton step is too few for this channel near s = 0 and t = 0
+    monkeypatch.setattr(exponents, "_NEWTON_ITER", 1)
+    W = Channel(np.array([[0.42190983, 0.57809017], [0.75488368, 0.24511632],
+                          [0.38190314, 0.61809686], [0.79701893, 0.20298107]]))
+    chan = write_channel(tmp_path, W, "hard.json")
+    rc = main(["exponents", "--channel", chan, "--worst", "--rate-start",
+               "0.01", "--rate-end", "0.4", "--rate-steps", "3"])
+    assert rc == 4
+    assert "failed to certify at s = " in capsys.readouterr().err
 
 
 def test_exponents_noiseless_channel_drops_taylor(tmp_path):

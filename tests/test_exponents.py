@@ -1,7 +1,9 @@
 """Generating functions, exponent optimization, capacity, secrecy."""
 
+import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from chanres.exponents import (
     ExponentReport,
     _KKT_TOL,
     _golden_max,
+    _grid_golden_max,
     _kkt_residual,
     _phi_worst_solve,
     _power,
@@ -50,6 +53,20 @@ ASYM = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
 ASYM_P = Distribution(np.array([0.5, 0.3, 0.2]))
 # no input reaches output 2, so W_p has a zero entry
 DEAD_OUTPUT = Channel(np.array([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0]]))
+# four inputs on two outputs: near s = 0 and t = 0 the maximand is
+# nearly flat along the null space of its Hessian, where a first-order
+# ascent crawls for tens of seconds without certifying
+HARD_4X2 = Channel(np.array([[0.42190983, 0.57809017],
+                             [0.75488368, 0.24511632],
+                             [0.38190314, 0.61809686],
+                             [0.79701893, 0.20298107]]))
+# a full Newton step at s = 0.05 would empty output 1
+DEAD_COLUMN = Channel(np.array([[1.0, 0.0, 0.0],
+                                [0.6782, 0.1515, 0.1703],
+                                [0.1301, 0.0, 0.8699]]))
+# W^(1+s) underflows to 0 in column 2 for s above about 0.9, and
+# W^(1/(1+t)) for t below about -0.47
+TINY_COLUMN = Channel(np.array([[0.7, 0.3, 1e-170], [0.3, 0.7, 1e-170]]))
 
 
 def binary_entropy(w: float) -> float:
@@ -169,6 +186,26 @@ def test_array_origin_and_domain():
         phi(np.array([[-0.2], [-1.5]]), W, p)
 
 
+def _scalar_golden_max(f, lo, hi, tol=1e-12):
+    """The golden section of one objective, one point per call of f."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
 def _reference_grid_golden_max(f, lo, hi):
     npts = int(round((hi - lo) / GRID_STEP)) + 1
     xs = np.linspace(lo, hi, npts)
@@ -176,7 +213,7 @@ def _reference_grid_golden_max(f, lo, hi):
     i = int(np.argmax(vals))
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, npts - 1)])
-    xg, vg = _golden_max(f, a, b)
+    xg, vg = _scalar_golden_max(f, a, b)
     if vg >= vals[i]:
         return float(xg), float(vg)
     return float(xs[i]), float(vals[i])
@@ -184,11 +221,13 @@ def _reference_grid_golden_max(f, lo, hi):
 
 def _reference_sweep(W, rates, p):
     """The sweep with one scalar call per grid point and rate."""
+    @functools.lru_cache(maxsize=None)
     def psi_curve(s):
-        return _psi_worst_solve(s, W)[0]
+        return psi_worst(s, W)[0]
 
+    @functools.lru_cache(maxsize=None)
     def phi_curve(t):
-        return _phi_worst_solve(t, W)[0]
+        return phi_worst(t, W)[0]
 
     reports = []
     for R in rates:
@@ -213,9 +252,147 @@ def _reference_sweep(W, rates, p):
     (bsc(0.1), uniform(2), [0.3, 0.8, 1.2]),
     (ASYM, ASYM_P, [0.05, 0.25, 0.45]),
     (ASYM, None, [0.1, 0.4]),
+    (HARD_4X2, None, [0.0, 0.01, 0.2]),
 ])
 def test_exponent_sweep_matches_scalar_reference(W, p, rates):
     assert exponent_sweep(W, rates, p) == _reference_sweep(W, rates, p)
+
+
+@pytest.mark.parametrize("W", [bsc(0.1), ASYM, HARD_4X2, DEAD_COLUMN,
+                               TINY_COLUMN],
+                         ids=["bsc", "asym", "hard4x2", "dead", "tiny"])
+def test_worst_curves_equal_scalar_calls(W):
+    # the whole grid in one call against every third point alone
+    for solve, single, grid in ((_psi_worst_solve, psi_worst, S_GRID),
+                                (_phi_worst_solve, phi_worst, T_GRID)):
+        vals, laws = solve(grid, W)
+        for i in range(0, grid.size, 3):
+            one, one_law = solve(grid[i], W)
+            assert one[0] == vals[i] and np.array_equal(one_law[0], laws[i])
+        assert single(float(grid[1]), W)[0] == vals[1]
+
+
+@pytest.mark.parametrize("W", [bsc(0.1), ASYM], ids=["bsc", "asym"])
+def test_worst_curves_equal_unstacked_products(W):
+    # the uniform law certifies at once on these channels, so each value
+    # is log(p @ D) at p uniform; the stack must give the bits of the
+    # plain two-dimensional products, whose BLAS summation order
+    # depends on the layout a column mask leaves
+    p = np.full(W.input_size, 1.0 / W.input_size)
+
+    def log_F(A, c):
+        A = A[:, np.any(A > 0, axis=0)]
+        return float(np.log(float(p @ (A @ (p @ A) ** (c - 1.0)))))
+
+    s, t = S_GRID[1:-1], T_GRID[:-1]
+    assert _psi_worst_solve(s, W)[0].tolist() == [
+        log_F(W.rows ** (1.0 + x), 1.0 - x) for x in s.tolist()]
+    assert _phi_worst_solve(t, W)[0].tolist() == [
+        log_F(W.rows ** (1.0 / (1.0 + x)), 1.0 + x) for x in t.tolist()]
+
+
+def test_tiny_column_drops_out_where_it_underflows():
+    # the grid's stack mixes slices with three and two live columns
+    live = np.any(TINY_COLUMN.rows ** (1.0 + S_GRID[:, None, None]) > 0,
+                  axis=1)
+    assert live[:, 2].any() and not live[:, 2].all()
+    vals, laws = _psi_worst_solve(S_GRID, TINY_COLUMN)
+    assert np.all(np.isfinite(vals))
+    # the symmetric rows make the uniform law optimal at every s
+    assert np.all(laws == 0.5)
+
+
+def test_block_size_does_not_change_curves(monkeypatch):
+    curves = [(_psi_worst_solve(S_GRID, W), _phi_worst_solve(T_GRID, W))
+              for W in (HARD_4X2, TINY_COLUMN)]
+    given = psi(S_GRID, ASYM, ASYM_P), phi(T_GRID, ASYM, ASYM_P)
+    monkeypatch.setattr(exponents, "_BLOCK_FLOATS", 64)
+    assert np.array_equal(psi(S_GRID, ASYM, ASYM_P), given[0])
+    assert np.array_equal(phi(T_GRID, ASYM, ASYM_P), given[1])
+    for W, ((a, A), (b, B)) in zip((HARD_4X2, TINY_COLUMN), curves):
+        (a1, A1), (b1, B1) = (_psi_worst_solve(S_GRID, W),
+                              _phi_worst_solve(T_GRID, W))
+        assert np.array_equal(a, a1) and np.array_equal(A, A1)
+        assert np.array_equal(b, b1) and np.array_equal(B, B1)
+
+
+def test_lockstep_golden_section_equals_scalar_search():
+    rates = np.array([0.0, 0.05, 0.25, 0.45, 3.0])
+
+    def vd(i, s):
+        return (s * rates[i] - psi(s, ASYM, ASYM_P)) / (1.0 + s)
+
+    rows = [vd(i, S_GRID) for i in range(rates.size)]
+    # rate 0 peaks at s = 0 and rate 3 at s = 1: cells GRID_STEP wide
+    assert int(np.argmax(rows[0])) == 0
+    assert int(np.argmax(rows[-1])) == S_GRID.size - 1
+    xs, vs = _grid_golden_max(vd, S_GRID, rows)
+    for i, R in enumerate(rates.tolist()):
+        ref = _reference_grid_golden_max(
+            lambda s: (s * R - psi(s, ASYM, ASYM_P)) / (1.0 + s), 0.0, 1.0)
+        assert (float(xs[i]), float(vs[i])) == ref
+    # raw intervals of assorted widths, edge cells among them
+    lo = np.array([0.0, 0.3, 0.999, 0.1, 0.0])
+    hi = lo + np.array([1e-3, 2e-3, 1e-3, 0.5, 1.0])
+    xs, vs = _golden_max(vd, lo, hi)
+    for i in range(lo.size):
+        ref = _scalar_golden_max(lambda s: float(vd(i, s)), lo[i], hi[i])
+        assert (float(xs[i]), float(vs[i])) == ref
+
+
+def test_sweep_solver_calls_bounded(monkeypatch):
+    # one call per lockstep golden-section step and per grid curve; one
+    # call per grid point and per rate and step would be 2,351
+    calls = []
+    solve = exponents._certified_power_max
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return solve(*args)
+
+    monkeypatch.setattr(exponents, "_certified_power_max", counted)
+    exponent_sweep(bsc(0.1), np.linspace(0.8, 1.2, 9), uniform(2))
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("p", [None, uniform(64)], ids=["worst", "given"])
+def test_sweep_memory_bounded(p):
+    # the 1,001 powered 64x64 matrices of S_GRID alone are 33 MB
+    tracemalloc.start()
+    try:
+        exponent_sweep(identity_channel(64), [0.5], p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_convergence_error_names_parameter(monkeypatch):
+    monkeypatch.setattr(exponents, "_NEWTON_ITER", 1)
+    with pytest.raises(ConvergenceError, match=r"at s = 0\.001 ") as err:
+        psi_worst(0.001, HARD_4X2)
+    assert err.value.parameter == 0.001
+    assert err.value.residual > _KKT_TOL
+    assert err.value.best_value > 0.0
+    # in a stack, the entry that fails is the one named
+    with pytest.raises(ConvergenceError, match=r"at t = -0\.002 ") as err:
+        _phi_worst_solve(np.array([0.0, -0.002]), HARD_4X2)
+    assert err.value.parameter == -0.002
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rates_rejected(bad):
+    W_B, W_E, p = bsc(0.1), bsc(0.3), uniform(2)
+    with pytest.raises(ValueError, match="finite"):
+        exponent_sweep(W_B, [0.5, bad], p)
+    with pytest.raises(ValueError, match="finite"):
+        exponent_sweep(W_B, [bad], None)
+    with pytest.raises(ValueError, match="finite"):
+        wiretap_exponents(bad, 0.1, W_B, W_E, p)
+    with pytest.raises(ValueError, match="finite"):
+        wiretap_exponents(0.1, bad, W_B, W_E, p)
+    with pytest.raises(ValueError, match="finite"):
+        taylor_compare(bad, W_B, p)
 
 
 def test_convexity_and_tangent_lower_bounds():
@@ -331,15 +508,6 @@ def test_worst_case_dominates_fixed_laws():
                             rel_tol=1e-9, abs_tol=1e-11)
         assert math.isclose(phi_val, phi(t, W, phi_arg), rel_tol=1e-9,
                             abs_tol=1e-11)
-
-
-# four inputs on two outputs: near s = 0 and t = 0 the maximand is
-# nearly flat along the null space of its Hessian, where a first-order
-# ascent crawls for tens of seconds without certifying
-HARD_4X2 = Channel(np.array([[0.42190983, 0.57809017],
-                             [0.75488368, 0.24511632],
-                             [0.38190314, 0.61809686],
-                             [0.79701893, 0.20298107]]))
 
 
 def test_worst_case_certified_fast_near_origin():

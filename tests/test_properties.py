@@ -1,11 +1,11 @@
-"""Property tests on random channels: the type-class path, additivity
-and the worst-case input solve.
+"""Property tests on random channels: the type-class path, additivity,
+array generating functions and the worst-case input solve.
 
 Channels and input laws are drawn with some zero entries, so dead
 output columns, zero-probability inputs and merged single-letter
 densities all occur.  Each fast path is checked against the
-materialized n-fold product, and the worst-case solve against a
-simplex grid.
+materialized n-fold product or the scalar call, and the worst-case
+solve against a simplex grid.
 """
 
 import math
@@ -27,7 +27,7 @@ from chanres import (
     spectrum_cdf,
     tail_pair,
 )
-from chanres.exponents import _compositions
+from chanres.exponents import _compositions, _phi_worst_solve, _psi_worst_solve
 
 # zero, or a weight bounded away from zero before normalization
 _WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
@@ -145,3 +145,30 @@ def test_worst_case_beats_simplex_grid(W, s, t):
         assert F >= float(np.max(_power_sums(A, c, grid))) * (1.0 - 1e-9)
         assert math.isclose(float(_power_sums(A, c, arg.probs)), F,
                             rel_tol=1e-12)
+
+
+_S = st.one_of(st.floats(0.0, 1e-3), st.floats(1e-3, 1.0))
+_T = st.one_of(st.floats(-1e-3, 0.0), st.floats(-0.5, -1e-3))
+
+
+@PROPERTY
+@given(small_channel(), st.lists(_S, min_size=1, max_size=6),
+       st.lists(_T, min_size=1, max_size=6))
+@example(DEAD_COLUMN, [0.05, 0.0, 1.0], [-0.05, -0.5])
+@example(NEAR_FLAT, [0.5], [-0.44, -0.1])
+def test_worst_curves_equal_scalar_calls(W, s, t):
+    for solve, xs in ((_psi_worst_solve, s), (_phi_worst_solve, t)):
+        vals, laws = solve(np.array(xs), W)
+        for x, v, law in zip(xs, vals.tolist(), laws):
+            one, one_law = solve(x, W)
+            assert one[0] == v and np.array_equal(one_law[0], law)
+
+
+@PROPERTY
+@given(channel_and_law(), st.lists(st.floats(-0.9, 2.0), min_size=1,
+                                   max_size=6),
+       st.lists(st.floats(-0.9, 1.0), min_size=1, max_size=6))
+def test_array_psi_phi_equal_scalar_calls(law, s, t):
+    W, p = law
+    assert psi(np.array(s), W, p).tolist() == [psi(x, W, p) for x in s]
+    assert phi(np.array(t), W, p).tolist() == [phi(x, W, p) for x in t]
