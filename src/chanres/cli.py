@@ -7,6 +7,11 @@ identification codes, `capacity`, and the wiretap pair
 from an explicit --seed, and reruns with the same seed are
 byte-identical regardless of --workers.
 
+Each option is declared once, in `_OPTIONS`, with its type and
+default; one without a default is required.  The entries of a --config
+file become the subcommand's defaults, so a flag overrides the file
+and the file overrides the declared default.
+
 Exit codes: 0 success (including constructions that report
 satisfied=false after exhausting retries), 2 invalid input, 3
 enumeration budget exceeded, 4 numerical failure.
@@ -20,6 +25,7 @@ import json
 import sys
 
 from .channel import (
+    DEFAULT_MAX_JOINT_STATES,
     BudgetError,
     Channel,
     EnumerationBudget,
@@ -69,68 +75,27 @@ def _open_out(path):
             yield fh
 
 
-def _budget(args) -> EnumerationBudget:
-    if getattr(args, "max_joint_states", None) is None:
-        return EnumerationBudget()
-    return EnumerationBudget(args.max_joint_states)
-
-
-def _blocks(args, budget, *laws):
-    """n, then each channel and distribution as its n-fold product."""
-    n = 1 if args.blocklength is None else int(args.blocklength)
-    if n > 1:
-        laws = [product(x, n, budget) if isinstance(x, Channel)
-                else product_dist(x, n, budget) for x in laws]
-    return (n, *laws)
-
-
-def _need(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise ValueError(
-            "missing required option(s): " + ", ".join("--" + n for n in missing)
-        )
-
-
-def _apply_config(args) -> None:
-    """Fill unset options from --config, converted as the command line would."""
-    if getattr(args, "config", None) is None:
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
-    # the options of this subcommand; --help keeps no value
-    types = {a.dest: a.type for a in args.parser._actions
-             if a.default is not argparse.SUPPRESS}
-    for key, value in doc.items():
-        dest = key.replace("-", "_")
-        if dest not in types:
-            raise ValueError(f"config file {args.config}: unknown option {key!r}")
-        if getattr(args, dest) is None:
-            convert = types[dest] or str
-            try:
-                setattr(args, dest, convert(str(value)))
-            except ValueError as exc:
-                raise ValueError(
-                    f"config file {args.config}: option {key!r}: {exc}") from None
+def _blocks(args, *laws):
+    """Each channel and distribution as its n-fold product, n = --blocklength."""
+    budget = EnumerationBudget(args.max_joint_states)
+    if args.blocklength > 1:
+        laws = [product(x, args.blocklength, budget) if isinstance(x, Channel)
+                else product_dist(x, args.blocklength, budget) for x in laws]
+    return laws
 
 
 def run_bounds(args) -> int:
-    _need(args, "channel", "dist", "codebook-size", "threshold")
     W = load_channel(args.channel)
     p = load_distribution(args.dist)
-    n = 1 if args.blocklength is None else int(args.blocklength)
-    M = int(args.codebook_size)
-    C = float(args.threshold)
     tp, bound_vd, bound_eta, bound_phi = expectation_bounds(
-        p, W, M, C, n, _budget(args))
+        p, W, args.codebook_size, args.threshold, args.blocklength,
+        EnumerationBudget(args.max_joint_states))
     doc = {
         "delta": tp.delta,
         "delta_prime": tp.delta_prime,
-        "threshold": C,
-        "blocklength": n,
-        "codebook_size": M,
+        "threshold": args.threshold,
+        "blocklength": args.blocklength,
+        "codebook_size": args.codebook_size,
         "bound_vd": bound_vd,
         "bound_kl_eta": bound_eta,
         "bound_kl_phi": bound_phi,
@@ -141,19 +106,17 @@ def run_bounds(args) -> int:
 
 
 def run_exponents(args) -> int:
-    _need(args, "channel", "rate-start", "rate-end", "rate-steps")
     W = load_channel(args.channel)
     if args.worst:
         if args.dist is not None:
             raise ValueError("--worst and --dist are mutually exclusive")
         p = None
+    elif args.dist is None:
+        raise ValueError("missing required option(s): --dist")
     else:
-        _need(args, "dist")
         p = load_distribution(args.dist)
-    steps = int(args.rate_steps)
-    if steps < 1:
-        raise ValueError("--rate-steps must be positive")
-    lo, hi = float(args.rate_start), float(args.rate_end)
+    steps = args.rate_steps
+    lo, hi = args.rate_start, args.rate_end
     rates = [lo] if steps == 1 else [
         lo + (hi - lo) * i / (steps - 1) for i in range(steps)
     ]
@@ -183,22 +146,17 @@ def run_exponents(args) -> int:
 
 
 def run_simulate_resolvability(args) -> int:
-    _need(args, "channel", "dist", "codebook-size", "threshold",
-          "trials", "seed")
     W = load_channel(args.channel)
     p = load_distribution(args.dist)
-    n = 1 if args.blocklength is None else int(args.blocklength)
-    workers = 1 if args.workers is None else int(args.workers)
     estimates = mc_expectation(
-        p, W, int(args.codebook_size), float(args.threshold),
-        int(args.trials), int(args.seed), n=n, budget=_budget(args),
-        workers=workers,
+        p, W, args.codebook_size, args.threshold, args.trials, args.seed,
+        n=args.blocklength, budget=EnumerationBudget(args.max_joint_states),
     )
     config = {
         "channel": args.channel, "dist": args.dist,
-        "codebook_size": int(args.codebook_size),
-        "threshold": float(args.threshold), "blocklength": n,
-        "trials": int(args.trials), "seed": int(args.seed),
+        "codebook_size": args.codebook_size,
+        "threshold": args.threshold, "blocklength": args.blocklength,
+        "trials": args.trials, "seed": args.seed,
     }
     names = ("vd", "kl_eta", "kl_phi")
     with _open_out(args.output) as out:
@@ -215,16 +173,9 @@ def run_simulate_resolvability(args) -> int:
 
 
 def run_simulate_wiretap(args) -> int:
-    _need(args, "channel-b", "channel-e", "dist", "messages",
-          "randomization", "threshold", "decoder-threshold", "seed")
-    n, W_B, W_E, p = _blocks(args, _budget(args), load_channel(args.channel_b),
-                             load_channel(args.channel_e),
-                             load_distribution(args.dist))
-    M = int(args.messages)
-    L = int(args.randomization)
-    retries = 100 if args.max_retries is None else int(args.max_retries)
-    workers = 1 if args.workers is None else int(args.workers)
-    decoder = args.decoder or "maximum_likelihood"
+    W_B, W_E, p = _blocks(args, load_channel(args.channel_b),
+                          load_channel(args.channel_e),
+                          load_distribution(args.dist))
     with _open_out(args.output) as out:
         def emit(attempt, report, flags):
             out.write(_dump({
@@ -236,21 +187,21 @@ def run_simulate_wiretap(args) -> int:
             }) + "\n")
 
         result = construct_until_bounds(
-            p, W_B, W_E, M, L, float(args.threshold),
-            float(args.decoder_threshold), int(args.seed),
-            max_retries=retries, decoder_kind=decoder,
-            on_attempt=emit, workers=workers,
+            p, W_B, W_E, args.messages, args.randomization, args.threshold,
+            args.decoder_threshold, args.seed, max_retries=args.max_retries,
+            decoder_kind=args.decoder, on_attempt=emit,
         )
         manifest = {
             "parameters": {
                 "channel_b": args.channel_b, "channel_e": args.channel_e,
-                "dist": args.dist, "messages": M, "randomization": L,
-                "threshold": float(args.threshold),
-                "decoder_threshold": float(args.decoder_threshold),
-                "blocklength": n, "decoder": decoder,
-                "max_retries": retries,
+                "dist": args.dist, "messages": args.messages,
+                "randomization": args.randomization,
+                "threshold": args.threshold,
+                "decoder_threshold": args.decoder_threshold,
+                "blocklength": args.blocklength, "decoder": args.decoder,
+                "max_retries": args.max_retries,
             },
-            "seed": int(args.seed),
+            "seed": args.seed,
             "attempts": result.attempts,
             "bounds": {
                 "error_gallager": result.bounds.error_gallager,
@@ -280,20 +231,16 @@ def run_simulate_wiretap(args) -> int:
 
 
 def run_idcode_build(args) -> int:
-    _need(args, "channel", "dist", "alpha", "alpha-prime", "beta",
-          "beta-prime", "tau", "kappa", "codewords", "threshold", "seed")
-    _, W, p = _blocks(args, _budget(args), load_channel(args.channel),
-                      load_distribution(args.dist))
+    W, p = _blocks(args, load_channel(args.channel),
+                   load_distribution(args.dist))
     params = SelectionParams(
-        alpha=float(args.alpha), alpha_prime=float(args.alpha_prime),
-        beta=float(args.beta), beta_prime=float(args.beta_prime),
-        tau=float(args.tau), kappa=float(args.kappa),
-        M=int(args.codewords), C=float(args.threshold),
+        alpha=args.alpha, alpha_prime=args.alpha_prime,
+        beta=args.beta, beta_prime=args.beta_prime,
+        tau=args.tau, kappa=args.kappa, M=args.codewords, C=args.threshold,
     )
-    retries = 100 if args.max_retries is None else int(args.max_retries)
-    seed = int(args.seed)
     try:
-        selection = select_codewords(W, p, params, seed, max_retries=retries)
+        selection = select_codewords(W, p, params, args.seed,
+                                     max_retries=args.max_retries)
     except RetriesExhausted as exc:
         sys.stdout.write(_dump({
             "satisfied": False,
@@ -302,8 +249,9 @@ def run_idcode_build(args) -> int:
         }) + "\n")
         return 0
     ad = AdParams(M=params.M, tau=params.tau, kappa=params.kappa)
-    build = build_set_family(ad, seed + 1 if args.family_seed is None
-                             else int(args.family_seed), budget=_budget(args))
+    build = build_set_family(
+        ad, args.seed + 1 if args.family_seed is None else args.family_seed,
+        budget=EnumerationBudget(args.max_joint_states))
     code = assemble_id_code(selection.codewords, build.family, W, p, params.C)
     metrics = eval_id_code(code, W, p)
     mu_bound, lam_bound = id_error_bounds(params, p, W)
@@ -330,9 +278,8 @@ def run_idcode_build(args) -> int:
 
 
 def run_idcode_eval(args) -> int:
-    _need(args, "channel", "dist", "code")
-    _, W, p = _blocks(args, _budget(args), load_channel(args.channel),
-                      load_distribution(args.dist))
+    W, p = _blocks(args, load_channel(args.channel),
+                   load_distribution(args.dist))
     code = load_id_code(args.code)
     metrics = eval_id_code(code, W, p)
     with _open_out(args.output) as out:
@@ -342,10 +289,7 @@ def run_idcode_eval(args) -> int:
 
 
 def run_capacity(args) -> int:
-    _need(args, "channel")
-    W = load_channel(args.channel)
-    tol = 1e-8 if args.tol is None else float(args.tol)
-    result = capacity(W, tol=tol)
+    result = capacity(load_channel(args.channel), tol=args.tol)
     doc = {
         "capacity_nats": result.value,
         "argmax": [float(v) for v in result.argmax.probs],
@@ -358,14 +302,11 @@ def run_capacity(args) -> int:
 
 
 def run_wiretap_bounds(args) -> int:
-    _need(args, "channel-b", "channel-e", "dist", "messages",
-          "randomization", "threshold", "decoder-threshold")
-    _, W_B, W_E, p = _blocks(args, _budget(args), load_channel(args.channel_b),
-                             load_channel(args.channel_e),
-                             load_distribution(args.dist))
-    bounds = wiretap_bounds(W_B, W_E, p, int(args.messages),
-                            int(args.randomization), float(args.threshold),
-                            float(args.decoder_threshold))
+    W_B, W_E, p = _blocks(args, load_channel(args.channel_b),
+                          load_channel(args.channel_e),
+                          load_distribution(args.dist))
+    bounds = wiretap_bounds(W_B, W_E, p, args.messages, args.randomization,
+                            args.threshold, args.decoder_threshold)
     doc = {
         "error_gallager": bounds.error_gallager,
         "error_threshold": bounds.error_threshold,
@@ -380,16 +321,117 @@ def run_wiretap_bounds(args) -> int:
     return 0
 
 
-def _add_common(sp) -> None:
-    sp.set_defaults(parser=sp)
-    sp.add_argument("--config", default=None,
-                    help="JSON file supplying any unset options")
-    sp.add_argument("--output", default=None,
-                    help="write results to this file instead of stdout")
-    sp.add_argument("--max-joint-states", type=int, default=None,
-                    help="cap on exactly enumerated joint states")
-    sp.add_argument("--blocklength", type=int, default=None,
-                    help="memoryless block length n (default 1)")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _read_config(parser, path: str) -> dict:
+    """The entries of a --config file, each converted as its flag would be."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    # the options of this subcommand; --help holds no value
+    actions = {a.dest: a for a in parser._actions
+               if a.default is not argparse.SUPPRESS}
+    entries = {}
+    for key, value in doc.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config file {path}: unknown option {key!r}")
+        try:
+            if action.nargs == 0:  # a switch such as --worst
+                if not isinstance(value, bool):
+                    raise ValueError("must be true or false")
+            else:
+                value = (action.type or str)(str(value))
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(
+                        "must be one of " + ", ".join(action.choices))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(
+                f"config file {path}: option {key!r}: {exc}") from None
+        entries[action.dest] = value
+    return entries
+
+
+class _Config(argparse.Action):
+    """--config FILE: the file's entries become the subcommand's defaults.
+
+    They take effect from the next parse of the same parser (see
+    `parse_args`), where a flag still overrides them.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        parser.set_defaults(**_read_config(parser, path))
+        setattr(namespace, self.dest, path)
+
+
+# the default of an option that must be given, as a flag or by --config
+_REQUIRED = object()
+
+# Every option, declared once: flag name -> add_argument keywords.  An
+# option declared without a default is required.
+_OPTIONS = {
+    "config": dict(action=_Config, default=None,
+                   help="JSON file of option values; flags override it"),
+    "output": dict(default=None,
+                   help="write results to this file instead of stdout"),
+    "blocklength": dict(type=int, default=1,
+                        help="memoryless block length n"),
+    "max-joint-states": dict(type=int, default=DEFAULT_MAX_JOINT_STATES,
+                             help="cap on exactly enumerated joint states"),
+    "channel": dict(),
+    "dist": dict(),
+    "codebook-size": dict(type=int),
+    "threshold": dict(type=float),
+    "worst": dict(action="store_true", default=False,
+                  help="worst-case families only, no input law"),
+    "rate-start": dict(type=float),
+    "rate-end": dict(type=float),
+    "rate-steps": dict(type=_positive_int),
+    "trials": dict(type=int),
+    "seed": dict(type=int),
+    "workers": dict(type=_positive_int, default=1,
+                    help="accepted; runs are sequential whatever its value"),
+    "channel-b": dict(),
+    "channel-e": dict(),
+    "messages": dict(type=int),
+    "randomization": dict(type=int),
+    "decoder-threshold": dict(type=float),
+    "decoder": dict(choices=("maximum_likelihood", "threshold"),
+                    default="maximum_likelihood"),
+    "max-retries": dict(type=int, default=100),
+    "alpha": dict(type=float),
+    "alpha-prime": dict(type=float),
+    "beta": dict(type=float),
+    "beta-prime": dict(type=float),
+    "tau": dict(type=float),
+    "kappa": dict(type=float),
+    "codewords": dict(type=int),
+    "family-seed": dict(type=int, default=None,
+                        help="seed of the subset family (default: --seed + 1)"),
+    "code": dict(),
+    "tol": dict(type=float, default=1e-8),
+}
+
+# option groups that several subcommands take
+_BLOCK = ("blocklength", "max-joint-states")  # commands that build n-fold laws
+_LAW = ("channel", "dist")
+_WIRETAP = ("channel-b", "channel-e", "dist", "messages", "randomization",
+            "threshold", "decoder-threshold")
+
+
+def _command(sub, name, run, help, *options):
+    sp = sub.add_parser(name, help=help)
+    for option in ("config", "output") + options:
+        sp.add_argument("--" + option,
+                        **{"default": _REQUIRED, **_OPTIONS[option]})
+    sp.set_defaults(run=run)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,110 +441,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "identification, and wiretap coding on finite channels.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("bounds", help="tail pair and expectation bounds")
-    _add_common(sp)
-    sp.add_argument("--channel", default=None)
-    sp.add_argument("--dist", default=None)
-    sp.add_argument("--codebook-size", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
-    sp.set_defaults(run=run_bounds)
-
-    sp = sub.add_parser("exponents", help="rate sweep of exponent bounds (CSV)")
-    _add_common(sp)
-    sp.add_argument("--channel", default=None)
-    sp.add_argument("--dist", default=None)
-    sp.add_argument("--worst", action="store_true",
-                    help="worst-case families only, no input law")
-    sp.add_argument("--rate-start", type=float, default=None)
-    sp.add_argument("--rate-end", type=float, default=None)
-    sp.add_argument("--rate-steps", type=int, default=None)
-    sp.set_defaults(run=run_exponents)
+    _command(sub, "bounds", run_bounds, "tail pair and expectation bounds",
+             *_BLOCK, *_LAW, "codebook-size", "threshold")
+    exp = _command(sub, "exponents", run_exponents,
+                   "rate sweep of exponent bounds (CSV)",
+                   *_LAW, "worst", "rate-start", "rate-end", "rate-steps")
+    exp.set_defaults(dist=None)  # required unless --worst; see run_exponents
 
     sim = sub.add_parser("simulate", help="Monte Carlo drivers")
     simsub = sim.add_subparsers(dest="what", required=True)
-
-    sp = simsub.add_parser("resolvability",
-                           help="codebook sampling vs expectation bounds")
-    _add_common(sp)
-    sp.add_argument("--channel", default=None)
-    sp.add_argument("--dist", default=None)
-    sp.add_argument("--codebook-size", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.set_defaults(run=run_simulate_resolvability)
-
-    sp = simsub.add_parser("wiretap",
-                           help="redraw wiretap codes until bounds hold")
-    _add_common(sp)
-    sp.add_argument("--channel-b", default=None)
-    sp.add_argument("--channel-e", default=None)
-    sp.add_argument("--dist", default=None)
-    sp.add_argument("--messages", type=int, default=None)
-    sp.add_argument("--randomization", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--decoder-threshold", type=float, default=None)
-    sp.add_argument("--decoder", choices=("maximum_likelihood", "threshold"),
-                    default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--max-retries", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.set_defaults(run=run_simulate_wiretap)
+    _command(simsub, "resolvability", run_simulate_resolvability,
+             "codebook sampling vs expectation bounds",
+             *_BLOCK, *_LAW, "codebook-size", "threshold", "trials", "seed",
+             "workers")
+    _command(simsub, "wiretap", run_simulate_wiretap,
+             "redraw wiretap codes until bounds hold",
+             *_BLOCK, *_WIRETAP, "decoder", "seed", "max-retries", "workers")
 
     idc = sub.add_parser("idcode", help="identification codes")
     idsub = idc.add_subparsers(dest="what", required=True)
+    _command(idsub, "build", run_idcode_build,
+             "screen codewords and build a family",
+             *_BLOCK, *_LAW, "alpha", "alpha-prime", "beta", "beta-prime",
+             "tau", "kappa", "codewords", "threshold", "seed", "family-seed",
+             "max-retries")
+    _command(idsub, "eval", run_idcode_eval, "exact errors of a stored code",
+             *_BLOCK, *_LAW, "code")
 
-    sp = idsub.add_parser("build", help="screen codewords and build a family")
-    _add_common(sp)
-    sp.add_argument("--channel", default=None)
-    sp.add_argument("--dist", default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--alpha-prime", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--beta-prime", type=float, default=None)
-    sp.add_argument("--tau", type=float, default=None)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--codewords", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--family-seed", type=int, default=None)
-    sp.add_argument("--max-retries", type=int, default=None)
-    sp.set_defaults(run=run_idcode_build)
-
-    sp = idsub.add_parser("eval", help="exact errors of a stored code")
-    _add_common(sp)
-    sp.add_argument("--channel", default=None)
-    sp.add_argument("--dist", default=None)
-    sp.add_argument("--code", default=None)
-    sp.set_defaults(run=run_idcode_eval)
-
-    sp = sub.add_parser("capacity", help="capacity by alternating maximization")
-    _add_common(sp)
-    sp.add_argument("--channel", default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.set_defaults(run=run_capacity)
-
-    sp = sub.add_parser("wiretap-bounds", help="the five wiretap guarantees")
-    _add_common(sp)
-    sp.add_argument("--channel-b", default=None)
-    sp.add_argument("--channel-e", default=None)
-    sp.add_argument("--dist", default=None)
-    sp.add_argument("--messages", type=int, default=None)
-    sp.add_argument("--randomization", type=int, default=None)
-    sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--decoder-threshold", type=float, default=None)
-    sp.set_defaults(run=run_wiretap_bounds)
-
+    _command(sub, "capacity", run_capacity,
+             "capacity by alternating maximization", "channel", "tol")
+    _command(sub, "wiretap-bounds", run_wiretap_bounds,
+             "the five wiretap guarantees", *_BLOCK, *_WIRETAP)
     return ap
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The subcommand's options: each flag, else its --config entry, else
+    its declared default.  Raises ValueError naming any required option
+    given neither way."""
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.config is not None:
+        # the first parse made the config entries the defaults
+        args = ap.parse_args(argv)
+    missing = ["--" + dest.replace("_", "-")
+               for dest, value in vars(args).items() if value is _REQUIRED]
+    if missing:
+        raise ValueError("missing required option(s): " + ", ".join(missing))
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        _apply_config(args)
+        args = parse_args(argv)
         return args.run(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,7 +194,9 @@ def _newton_step(A, c, p, g, D, F, resid):
     """The next law of one Newton ascent, or None if it cannot move.
 
     A is the slice, g = p @ A and D = A @ g^(c-1); F and resid are
-    floats.  See `_certified_power_max`.
+    floats.  See `_certified_power_max`.  An output of tiny mass can
+    overflow g^(c-2); a Newton matrix that is not finite is a step this
+    cannot take.
     """
     active = (p > 0) | (D > F)
     while True:
@@ -202,8 +204,11 @@ def _newton_step(A, c, p, g, D, F, resid):
         AS = A[S]
         kkt = np.ones((S.size + 1, S.size + 1))
         kkt[-1, -1] = 0.0
-        kkt[:-1, :-1] = ((1.0 - c) * (AS * g ** (c - 2.0)) @ AS.T
-                         + resid * F * np.eye(S.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            kkt[:-1, :-1] = ((1.0 - c) * (AS * g ** (c - 2.0)) @ AS.T
+                             + resid * F * np.eye(S.size))
+        if not np.all(np.isfinite(kkt)):
+            return None
         d = np.linalg.lstsq(kkt, np.append(D[S], 0.0), rcond=None)[0][:-1]
         drop = (p[S] == 0) & (d < 0)
         if not drop.any():

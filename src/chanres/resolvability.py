@@ -119,16 +119,14 @@ def expectation_bounds(p: Distribution, W: Channel, M: int, C: float,
 
 def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
                    trials: int, seed: int, n: int = 1,
-                   budget: EnumerationBudget = DEFAULT_BUDGET,
-                   workers: int = 1
+                   budget: EnumerationBudget = DEFAULT_BUDGET
                    ) -> tuple[McEstimate, McEstimate, McEstimate]:
     """Monte Carlo means of both gaps on the n-fold product channel.
 
     Codewords are sampled coordinate-wise from p, trial i using the
     (seed, i) stream, and only the W^n rows of the sampled words are
     built.  Trials run in index order in blocks; the result is a pure
-    function of the arguments, and `workers` (at least 1) is accepted
-    but does not change it.  Returns three estimates: variational
+    function of the arguments.  Returns three estimates: variational
     distance against 2*delta + sqrt(delta_prime/M), divergence against
     the corner-term bound eta(delta) + delta*log|Y^n| + delta_prime/M,
     and the same divergence samples against the phi-based bound
@@ -138,8 +136,6 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
         raise ValueError("at least 100 trials are required")
     if M < 1:
         raise ValueError("M must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
     L = W.output_size
     budget.check(L ** n, f"{n}-fold output distribution")
 

@@ -32,7 +32,6 @@ from .channel import (
     EnumerationBudget,
     output_distribution,
 )
-from .exponents import _compositions
 
 _EDGE_TOL = 1e-9
 
@@ -96,14 +95,22 @@ def _type_classes(p: Distribution, W: Channel, n: int,
                                return_inverse=True)
     budget.check(math.comb(n + values.size - 1, values.size - 1),
                  f"{n}-fold type class enumeration")
-    mass = np.bincount(letter, weights=joint[xs, ys])
-    counts = _compositions(n, values.size)
-    dens = np.zeros(len(counts))
-    for i, v in enumerate(values):
-        dens += counts[:, i] * v
+    log_mass = np.log(np.bincount(letter, weights=joint[xs, ys]))
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-    log_prob = (log_fact[n] - log_fact[counts].sum(axis=1)
-                + counts @ np.log(mass))
+    # the classes are built letter by letter, in lexicographic order of
+    # their count vectors; `left` is what the later letters still share
+    dens, log_prob, left = np.zeros(1), log_fact[[n]], np.array([n])
+    for i, v in enumerate(values):
+        if i < values.size - 1:
+            reps = left + 1
+            k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            dens, log_prob, left = (np.repeat(a, reps)
+                                    for a in (dens, log_prob, left))
+        else:
+            k = left
+        dens = dens + k * v
+        log_prob = log_prob - log_fact[k] + k * log_mass[i]
+        left = left - k
     return dens, log_prob
 
 

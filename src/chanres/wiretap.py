@@ -266,8 +266,7 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
                            M: int, L: int, C: float, C_prime: float,
                            seed: int, max_retries: int = 100,
                            decoder_kind: str = "maximum_likelihood",
-                           on_attempt=None, workers: int = 1
-                           ) -> ConstructionResult:
+                           on_attempt=None) -> ConstructionResult:
     """Redraw codes until one meets all three guarantees at once.
 
     Each of the three failure events has expectation-level probability
@@ -275,12 +274,9 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
     positive probability per draw and retrying terminates quickly in
     practice.  Attempts run one at a time in index order, attempt k
     sampling on the (seed, k) stream, so the result is a pure function
-    of the arguments; `workers` (at least 1) is accepted but does not
-    change it.  Exhaustion returns the best attempt with per-metric
-    flags instead of raising.
+    of the arguments.  Exhaustion returns the best attempt with
+    per-metric flags instead of raising.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
     bounds = wiretap_bounds(W_B, W_E, p, M, L, C, C_prime)
     eps_target = (bounds.error_threshold if decoder_kind == "threshold"
                   else bounds.error_gallager)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import functools
 import json
@@ -231,6 +232,17 @@ def test_exponents_uncertified_exits_4_naming_parameter(tmp_path, capsys,
                "0.01", "--rate-end", "0.4", "--rate-steps", "3"])
     assert rc == 4
     assert "failed to certify at s = " in capsys.readouterr().err
+
+
+def test_exponents_overflowing_newton_matrix_exits_4(tmp_path, capsys):
+    # g^(c-2) overflows at the tiny column; the solve is uncertified
+    W = Channel(np.array([[0.7, 0.3, 1e-170], [0.2, 0.8, 1e-170],
+                          [0.5, 0.5, 1e-170]]))
+    chan = write_channel(tmp_path, W, "tiny.json")
+    rc = main(["exponents", "--channel", chan, "--worst", "--rate-start",
+               "0.1", "--rate-end", "0.5", "--rate-steps", "3"])
+    assert rc == 4
+    assert "failed to certify at " in capsys.readouterr().err
 
 
 def test_exponents_noiseless_channel_drops_taylor(tmp_path):
@@ -558,3 +570,122 @@ def test_config_rejects_keys_that_are_not_options(tmp_path, capsys, key):
                "--codebook-size", "4", "--threshold", "2", "--config", str(cfg)])
     assert rc == 2
     assert "unknown option" in capsys.readouterr().err
+
+
+def _subcommands(parser, path=()):
+    """(argv prefix, parser) of every subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sp in action.choices.items():
+                yield from _subcommands(sp, path + (name,))
+            return
+    yield path, parser
+
+
+def _options(parser):
+    """dest -> action of every option but --help and --config."""
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _sample(action):
+    """A value other than the default: (flag argv, config entry)."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        return [flag], True
+    if action.choices:
+        return [flag, action.choices[-1]], action.choices[-1]
+    if action.type is float:
+        return [flag, "0.25"], 0.25
+    if action.type is None:
+        return [flag, "in.json"], "in.json"
+    return [flag, "3"], 3
+
+
+SUBCOMMANDS = dict(_subcommands(cli.build_parser()))
+
+
+@pytest.mark.parametrize("path, dest", [
+    (path, dest) for path, sp in SUBCOMMANDS.items() for dest in _options(sp)
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else x)
+def test_config_entry_equals_flag(tmp_path, path, dest):
+    options = _options(SUBCOMMANDS[path])
+    # every other required option as a flag
+    argv = list(path)
+    for other, action in options.items():
+        if other != dest and action.default is cli._REQUIRED:
+            argv += _sample(action)[0]
+    flag, entry = _sample(options[dest])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[0][2:]: entry}))
+    by_flag = vars(cli.parse_args(argv + flag))
+    by_config = vars(cli.parse_args(argv + ["--config", str(cfg)]))
+    assert by_flag.pop("config") is None
+    assert by_config.pop("config") == str(cfg)
+    assert by_config == by_flag
+    assert by_flag[dest] != SUBCOMMANDS[path].get_default(dest)
+
+
+def test_config_switch_prints_what_the_flag_prints(tmp_path, capsys):
+    chan = write_bsc(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"worst": True}))
+    argv = ["exponents", "--channel", chan, "--rate-start", "0.8",
+            "--rate-end", "1.2", "--rate-steps", "3"]
+    assert main(argv + ["--worst"]) == 0
+    by_flag = capsys.readouterr().out
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == by_flag
+
+
+@pytest.mark.parametrize("command", ["exponents", "capacity"])
+@pytest.mark.parametrize("option", ["blocklength", "max-joint-states"])
+def test_block_options_only_on_commands_that_build_products(
+        tmp_path, capsys, command, option):
+    chan = write_bsc(tmp_path)
+    argv = [command, "--channel", chan]
+    if command == "exponents":
+        argv += ["--worst", "--rate-start", "0.8", "--rate-end", "1.2",
+                 "--rate-steps", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--" + option, "1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option: 1}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "unknown option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["resolvability", "--channel", "c.json",
+                                      "--codebook-size", "4",
+                                      "--trials", "100"],
+                                     ["wiretap", "--channel-b", "c.json",
+                                      "--channel-e", "c.json",
+                                      "--messages", "2",
+                                      "--randomization", "2",
+                                      "--decoder-threshold", "2"]])
+def test_workers_must_be_positive(tmp_path, capsys, command):
+    argv = ["simulate"] + command + ["--dist", "d.json", "--threshold", "2",
+                                     "--seed", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", "0"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 0}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["exponents", "--channel", "c.json", "--rate-start", "0.8",
+      "--rate-end", "1.2", "--rate-steps", "3"], {"worst": "yes"}),
+    (["simulate", "wiretap", "--channel-b", "c.json", "--channel-e", "c.json",
+      "--dist", "d.json", "--messages", "2", "--randomization", "2",
+      "--threshold", "2", "--decoder-threshold", "2", "--seed", "0"],
+     {"decoder": "nearest"}),
+], ids=["switch", "choice"])
+def test_config_entries_checked_as_flags_are(tmp_path, capsys, argv, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert f"option {next(iter(entry))!r}" in capsys.readouterr().err

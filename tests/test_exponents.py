@@ -67,6 +67,10 @@ DEAD_COLUMN = Channel(np.array([[1.0, 0.0, 0.0],
 # W^(1+s) underflows to 0 in column 2 for s above about 0.9, and
 # W^(1/(1+t)) for t below about -0.47
 TINY_COLUMN = Channel(np.array([[0.7, 0.3, 1e-170], [0.3, 0.7, 1e-170]]))
+# the uniform law is not optimal here, and g^(c-2) overflows at the tiny
+# column once a step leaves it
+TINY_COLUMN_3X3 = Channel(np.array([[0.7, 0.3, 1e-170], [0.2, 0.8, 1e-170],
+                                    [0.5, 0.5, 1e-170]]))
 
 
 def binary_entropy(w: float) -> float:
@@ -300,6 +304,14 @@ def test_tiny_column_drops_out_where_it_underflows():
     assert np.all(np.isfinite(vals))
     # the symmetric rows make the uniform law optimal at every s
     assert np.all(laws == 0.5)
+
+
+@pytest.mark.parametrize("solve, x, name", [(psi_worst, 0.35, "s"),
+                                            (phi_worst, -0.45, "t")])
+def test_overflowing_newton_matrix_is_uncertified(solve, x, name):
+    with pytest.raises(ConvergenceError, match=f"at {name} = {x} ") as err:
+        solve(x, TINY_COLUMN_3X3)
+    assert err.value.parameter == x
 
 
 def test_block_size_does_not_change_curves(monkeypatch):

@@ -118,20 +118,7 @@ def test_mc_expectation_validation():
     with pytest.raises(ValueError):
         mc_expectation(p, W, 0, 1.5, trials=100, seed=1)
     with pytest.raises(ValueError):
-        mc_expectation(p, W, 4, 1.5, trials=100, seed=1, workers=0)
-    with pytest.raises(ValueError):
         McEstimate(mean=0.1, std_error=0.0, trials=1, bound=1.0, seed=0)
-
-
-def test_mc_expectation_deterministic_and_worker_invariant():
-    W, p = bsc(0.1), uniform(2)
-    runs = [
-        mc_expectation(p, W, 4, math.e, trials=120, seed=5, n=2, workers=w)
-        for w in (1, 1, 4)
-    ]
-    for est_a, est_b, est_c in zip(*runs):
-        assert est_a.mean == est_b.mean == est_c.mean
-        assert est_a.std_error == est_b.std_error == est_c.std_error
 
 
 def test_mc_expectation_dense_and_streamed_paths_agree():
@@ -253,8 +240,7 @@ def test_mc_expectation_runs_without_threads(monkeypatch):
         raise AssertionError("mc_expectation started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    wide = mc_expectation(p, W, 4, math.e, trials=120, seed=5, n=2, workers=4)
-    assert base == wide
+    assert mc_expectation(p, W, 4, math.e, trials=120, seed=5, n=2) == base
 
 
 def test_mc_expectation_words_spanning_blocks():

@@ -1,6 +1,7 @@
 """Tail functionals delta / delta_prime and the density spectrum."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ def test_product_tail_equals_single_letter_at_n1():
         assert math.isclose(a.delta, b.delta, rel_tol=1e-12, abs_tol=1e-14)
         assert math.isclose(a.delta_prime, b.delta_prime,
                             rel_tol=1e-12, abs_tol=1e-14)
+
+
+def test_product_tail_many_letter_densities():
+    # K = 40 gives 1,600 distinct letter densities, one class each at n = 1
+    K = 40
+    W = Channel(np.random.default_rng(1).dirichlet(np.ones(K), size=K))
+    start = time.perf_counter()
+    fast = product_tail_pair(uniform(K), W, math.e, 1)
+    assert time.perf_counter() - start < 1.0
+    slow = tail_pair(uniform(K), W, math.e)
+    assert math.isclose(fast.delta, slow.delta, rel_tol=1e-12)
+    assert math.isclose(fast.delta_prime, slow.delta_prime, rel_tol=1e-12)
 
 
 def test_product_tail_matches_materialized_product():
