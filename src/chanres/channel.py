@@ -216,6 +216,32 @@ def _kl(a: np.ndarray, b: np.ndarray) -> float:
     return max(float(np.sum(a[mask] * (np.log(a[mask]) - np.log(b[mask])))), 0.0)
 
 
+def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.sum(values[r][mask[r]])`` for each row r, bit for bit.
+
+    The sum of a compressed row adds pairwise; the rows with k entries
+    in the mask, summed as one (rows, k) array along axis 1, add the
+    same pairs in the same order.
+    """
+    counts = mask.sum(axis=1)
+    out = np.empty(len(values))
+    for k in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = values[rows][mask[rows]].reshape(rows.size, k).sum(axis=1)
+    return out
+
+
+def _kl_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[_kl(row, b) for row in A]``, bit for bit, as one array.
+
+    Mass outside supp(b) meets log 0 = -inf, so its term, and the row's
+    sum, is +inf, as `_kl` returns.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = A * (np.log(A) - np.log(b))
+    return np.maximum(_row_sums(terms, A > 0), 0.0)
+
+
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """Divergence D(p||q) in nats; +inf when p has mass outside supp(q)."""
     if p.size != q.size:

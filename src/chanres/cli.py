@@ -380,7 +380,7 @@ _OPTIONS = {
                    help="JSON file of option values; flags override it"),
     "output": dict(default=None,
                    help="write results to this file instead of stdout"),
-    "blocklength": dict(type=int, default=1,
+    "blocklength": dict(type=_positive_int, default=1,
                         help="memoryless block length n"),
     "max-joint-states": dict(type=int, default=DEFAULT_MAX_JOINT_STATES,
                              help="cap on exactly enumerated joint states"),

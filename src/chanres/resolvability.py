@@ -23,19 +23,21 @@ from .channel import (
     Distribution,
     EnumerationBudget,
     _kl,
+    _kl_rows,
     _kron_chain,
     _word_rows,
     output_distribution,
 )
 from .exponents import phi
-from .rng import sample_indices, stream
+from .rng import sample_indices, uniforms
 from .spectrum import eta, product_tail_pair
 
 PHI_T_GRID = np.linspace(-0.5, -0.05, 11)
 
-# floats of W^n rows built at once by mc_expectation; capped for memory
-# (blocks of 2**20 floats raised the peak RSS of the benchmark's
-# montecarlo jobs from 37 to 57 MB, at no gain in speed)
+# floats built at once by the Monte Carlo array paths (the W^n rows of
+# mc_expectation, the pairwise distances of wiretap.eval_wiretap); capped
+# for memory (blocks of 2**20 floats raised the peak RSS of the
+# benchmark's montecarlo jobs from 37 to 57 MB, at no gain in speed)
 _BLOCK_FLOATS = 2 ** 14
 
 
@@ -74,8 +76,7 @@ def sample_code(p: Distribution, M: int, seed: int) -> ResolvabilityCode:
     """Draw M codewords i.i.d. from p; draw j uses the (seed, j) stream."""
     if M < 1:
         raise ValueError("M must be positive")
-    u = np.array([stream(seed, j).random() for j in range(M)])
-    idx = sample_indices(p.probs, u)
+    idx = sample_indices(p.probs, uniforms(seed, range(M)))
     return ResolvabilityCode(tuple(int(i) for i in idx), M)
 
 
@@ -150,8 +151,7 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
     div_s = np.empty(trials)
     for lo in range(0, trials, per_block):
         hi = min(lo + per_block, trials)
-        words = sample_indices(p.probs, np.stack(
-            [stream(seed, i).random((M, n)) for i in range(lo, hi)]))
+        words = sample_indices(p.probs, uniforms(seed, range(lo, hi), (M, n)))
         # sum each trial's rows in word order, as .mean(axis=0) does,
         # carrying the partial sum when a trial spans several blocks
         mix = None
@@ -162,7 +162,7 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
             mix = rows.sum(axis=1)
         mix /= M
         eps_s[lo:hi] = np.abs(mix - wpn).sum(axis=1)
-        div_s[lo:hi] = [_kl(row, wpn) for row in mix]
+        div_s[lo:hi] = _kl_rows(mix, wpn)
 
     def estimate(samples: np.ndarray, bound: float) -> McEstimate:
         return McEstimate(

@@ -5,21 +5,45 @@ from __future__ import annotations
 import numpy as np
 
 
+def _key(seed: int, index: int) -> np.ndarray:
+    if seed < 0 or index < 0:
+        raise ValueError("seed and index must be nonnegative")
+    return np.array([seed, index], dtype=np.uint64)
+
+
 def stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator keyed by (seed, index).
 
     Randomness is a pure function of the key, so per-trial results do
     not depend on evaluation order or worker count.
     """
-    if seed < 0 or index < 0:
-        raise ValueError("seed and index must be nonnegative")
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
 
 
-def sample_indices(probs: np.ndarray, uniforms) -> np.ndarray:
-    """Inverse-CDF sampling of symbol indices from uniforms in [0, 1)."""
+def uniforms(seed: int, indices, shape=()) -> np.ndarray:
+    """The draws of one `stream` per index, stacked, bit for bit.
+
+    Equal to ``np.stack([stream(seed, i).random(shape) for i in indices])``.
+
+    Philox output is a pure function of (key, counter), so one generator
+    whose key is swapped and whose counter and buffer are reset draws
+    what a new generator per index would, without building one each time.
+    """
+    shape = tuple(shape)
+    bits = np.random.Philox(key=_key(seed, 0))
+    gen = np.random.Generator(bits)
+    fresh = bits.state          # zero counter, empty buffer
+    out = np.empty((len(indices),) + shape)
+    for k, i in enumerate(indices):
+        fresh["state"]["key"] = _key(seed, i)
+        bits.state = fresh
+        out[k] = gen.random(shape)
+    return out
+
+
+def sample_indices(probs: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF sampling of symbol indices from uniforms u in [0, 1)."""
     support = np.flatnonzero(probs > 0)
     edges = np.cumsum(probs[support])
-    k = np.searchsorted(edges, np.asarray(uniforms), side="right")
+    k = np.searchsorted(edges, np.asarray(u), side="right")
     return support[np.minimum(k, support.size - 1)]

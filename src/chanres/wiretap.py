@@ -17,9 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, Distribution, _kl, output_distribution
+from .channel import (
+    Channel,
+    Distribution,
+    _kl,
+    _kl_rows,
+    _row_sums,
+    output_distribution,
+)
 from .exponents import S_GRID, _grid_golden_max, phi
-from .resolvability import PHI_T_GRID
+from .resolvability import PHI_T_GRID, _BLOCK_FLOATS
 from .rng import sample_indices, stream
 from .spectrum import eta, tail_pair
 
@@ -99,6 +106,15 @@ def sample_wiretap_code(p: Distribution, M: int, L: int, W_B: Channel,
     return WiretapCode(cw, dec, M, L, decoder_kind)
 
 
+def _sequential_sum(terms: np.ndarray, start: float = 0.0) -> float:
+    """start + terms[0] + terms[1] + ..., added left to right.
+
+    np.cumsum adds in sequence, as a Python loop does; np.sum would
+    regroup the additions and move printed digits.
+    """
+    return float(np.cumsum(np.concatenate([[start], terms]))[-1])
+
+
 @dataclass(frozen=True)
 class LeakageReport:
     """Exact reliability and leakage of one code."""
@@ -130,30 +146,27 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     q_e = W_E.rows[code.codewords].mean(axis=1)     # (M, Y_E)
     phi_row = q_e.mean(axis=0)
 
-    correct = 0.0
-    for m in range(M):
-        correct += float(q_b[m][code.decoder == m].sum())
+    # each message's mass on the outputs decoded to it
+    decoded = code.decoder == np.arange(M)[:, None]     # (M, Y_B)
+    correct = _sequential_sum(_row_sums(q_b, decoded))
     eps_b = 1.0 - correct / M
 
-    i_e = float(np.mean([_kl(q_e[m], phi_row) for m in range(M)]))
+    i_e = float(np.mean(_kl_rows(q_e, phi_row)))
 
-    if M > 1:
-        # one float add per (i, j) pair in row order: a numpy sum over
-        # the pairs would regroup the additions and move printed digits
-        total = 0.0
-        for i in range(M):
-            dist = np.abs(q_e[i] - q_e).sum(axis=1).tolist()
-            del dist[i]
-            for d in dist:
-                total += d
-        d_e = total / (M * (M - 1))
-    else:
-        d_e = 0.0
+    # distances of all (i, j) pairs, i != j, in row order; a block of
+    # rows at a time keeps the (rows, M, Y_E) differences small
+    total = 0.0
+    step = max(1, _BLOCK_FLOATS // (M * W_E.output_size))
+    for lo in range(0, M, step):
+        rows = np.arange(lo, min(lo + step, M))
+        dist = np.abs(q_e[rows, None, :] - q_e).sum(axis=2)
+        total = _sequential_sum(dist[rows[:, None] != np.arange(M)], total)
+    d_e = total / (M * (M - 1)) if M > 1 else 0.0
 
     wp_e = output_distribution(W_E, p).probs
-    to_wp = [_kl(q_e[m], wp_e) for m in range(M)]
+    to_wp = _kl_rows(q_e, wp_e)
     phi_to_wp = _kl(phi_row, wp_e)
-    if all(map(math.isfinite, to_wp)) and math.isfinite(phi_to_wp):
+    if np.all(np.isfinite(to_wp)) and math.isfinite(phi_to_wp):
         lhs = i_e + phi_to_wp
         rhs = float(np.mean(to_wp))
         residual = abs(lhs - rhs)
@@ -165,8 +178,7 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     else:
         residual = math.nan
 
-    pairwise_bound = 2.0 * float(
-        np.mean([np.abs(q_e[m] - wp_e).sum() for m in range(M)]))
+    pairwise_bound = 2.0 * float(np.mean(np.abs(q_e - wp_e).sum(axis=1)))
 
     return LeakageReport(eps_B=eps_b, I_E=i_e, d_E=d_e,
                          decomposition_residual=residual,

@@ -5,6 +5,9 @@ import csv
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -689,3 +692,57 @@ def test_config_entries_checked_as_flags_are(tmp_path, capsys, argv, entry):
     cfg.write_text(json.dumps(entry))
     assert main(argv + ["--config", str(cfg)]) == 2
     assert f"option {next(iter(entry))!r}" in capsys.readouterr().err
+
+
+def _required_argv(path):
+    """The subcommand's argv, each required option with a sample value."""
+    argv = list(path)
+    for action in _options(SUBCOMMANDS[path]).values():
+        if action.default is cli._REQUIRED:
+            argv += _sample(action)[0]
+    return argv
+
+
+@pytest.mark.parametrize("path", [
+    ("bounds",), ("simulate", "resolvability"), ("simulate", "wiretap"),
+    ("idcode", "build"), ("idcode", "eval"), ("wiretap-bounds",),
+], ids=" ".join)
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_blocklength_below_one_exits_2(tmp_path, capsys, path, n):
+    argv = _required_argv(path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--blocklength", n])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"blocklength": int(n)}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_simulate_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma loads lazily (np.unique is one trigger) and adds about
+    # 1.6 MB to the peak RSS of a simulate run
+    chan = write_bsc(tmp_path)
+    dist = write_uniform(tmp_path)
+    script = f"""
+import sys
+from chanres.cli import main
+assert main(["simulate", "resolvability", "--channel", {chan!r},
+             "--dist", {dist!r}, "--codebook-size", "16", "--threshold", "2",
+             "--blocklength", "4", "--trials", "200", "--seed", "0",
+             "--output", "res.jsonl"]) == 0
+assert main(["simulate", "wiretap", "--channel-b", {chan!r},
+             "--channel-e", {chan!r}, "--dist", {dist!r}, "--messages", "40",
+             "--randomization", "4", "--threshold", "2",
+             "--decoder-threshold", "2", "--blocklength", "4", "--seed", "0",
+             "--max-retries", "2", "--output", "wt.jsonl"]) == 0
+print(sorted(m for m in sys.modules if m == "numpy.ma"
+             or m.startswith("numpy.ma.")))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Property tests on random channels: the type-class path, additivity,
-array generating functions and the worst-case input solve.
+array generating functions, the worst-case input solve and the
+divergence decomposition of wiretap leakage.
 
 Channels and input laws are drawn with some zero entries, so dead
 output columns, zero-probability inputs and merged single-letter
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from chanres import (
     Channel,
     Distribution,
+    output_distribution,
     phi,
     phi_worst,
     product,
@@ -27,7 +29,9 @@ from chanres import (
     spectrum_cdf,
     tail_pair,
 )
+from chanres.channel import _kl
 from chanres.exponents import _compositions, _phi_worst_solve, _psi_worst_solve
+from chanres.wiretap import _DECOMP_TOL, WiretapCode, eval_wiretap
 
 # zero, or a weight bounded away from zero before normalization
 _WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
@@ -172,3 +176,41 @@ def test_array_psi_phi_equal_scalar_calls(law, s, t):
     W, p = law
     assert psi(np.array(s), W, p).tolist() == [psi(x, W, p) for x in s]
     assert phi(np.array(t), W, p).tolist() == [phi(x, W, p) for x in t]
+
+
+@st.composite
+def wiretap_code_and_channels(draw):
+    """A code on random channels.  Its codewords may use inputs outside
+    supp(p), whose outputs W_p can miss: then D(Q_m || W_p) is infinite."""
+    W_B, p = draw(channel_and_law())
+    K = W_B.input_size
+    L_E = draw(st.integers(2, 4))
+    W_E = Channel(np.array([_normalized(draw, L_E) for _ in range(K)]))
+    M = draw(st.integers(1, 12))
+    L = draw(st.integers(1, 3))
+    cw = draw(st.lists(st.integers(0, K - 1), min_size=M * L,
+                       max_size=M * L))
+    dec = draw(st.lists(st.integers(-1, M - 1), min_size=W_B.output_size,
+                        max_size=W_B.output_size))
+    code = WiretapCode(np.reshape(cw, (M, L)), dec, M, L,
+                       "maximum_likelihood")
+    return code, W_B, W_E, p
+
+
+@PROPERTY
+@given(wiretap_code_and_channels())
+def test_divergence_decomposition_residual(case):
+    code, W_B, W_E, p = case
+    report = eval_wiretap(code, W_B, W_E, p)
+    q_e = W_E.rows[code.codewords].mean(axis=1)
+    wp_e = output_distribution(W_E, p).probs
+    to_wp = [_kl(q, wp_e) for q in q_e]
+    phi_to_wp = _kl(q_e.mean(axis=0), wp_e)
+    if not all(map(math.isfinite, to_wp + [phi_to_wp])):
+        assert math.isnan(report.decomposition_residual)
+        return
+    # mean_m D(Q_m || W_p) == I_E + D(Phi || W_p), up to rounding
+    rhs = float(np.mean(to_wp))
+    residual = abs(report.I_E + phi_to_wp - rhs)
+    assert report.decomposition_residual == residual
+    assert residual <= _DECOMP_TOL * max(1.0, abs(rhs))
