@@ -28,6 +28,12 @@ SUM_TOL = 1e-12
 
 DEFAULT_MAX_JOINT_STATES = 2 ** 24
 
+# the most floats an array path builds at once: a block of psi/phi
+# parameters or worst-case solves, of Monte Carlo W^n rows, of pairwise
+# leakage distances; capped for memory (2**15 raised the benchmark's
+# Monte Carlo peak RSS by 0.5 MB, and 2**20 by 20 MB, at no gain in speed)
+_BLOCK_FLOATS = 2 ** 14
+
 
 class BudgetError(ValueError):
     """An exact enumeration would exceed the configured state cap."""
@@ -160,6 +166,13 @@ def output_distribution(W: Channel, p: Distribution) -> Distribution:
 def _kron_chain(factors) -> np.ndarray:
     """Kronecker product of per-letter factors, the first least significant."""
     return functools.reduce(lambda acc, f: np.kron(f, acc), factors)
+
+
+def _blocks(n: int, floats_each: int) -> list[slice]:
+    """Slices of range(n), each of at most _BLOCK_FLOATS // floats_each
+    entries (and at least one)."""
+    per = max(1, _BLOCK_FLOATS // floats_each)
+    return [slice(lo, lo + per) for lo in range(0, n, per)]
 
 
 def _word_rows(W: Channel, words) -> np.ndarray:

@@ -75,7 +75,7 @@ def _open_out(path):
             yield fh
 
 
-def _blocks(args, *laws):
+def _n_fold(args, *laws):
     """Each channel and distribution as its n-fold product, n = --blocklength."""
     budget = EnumerationBudget(args.max_joint_states)
     if args.blocklength > 1:
@@ -173,7 +173,7 @@ def run_simulate_resolvability(args) -> int:
 
 
 def run_simulate_wiretap(args) -> int:
-    W_B, W_E, p = _blocks(args, load_channel(args.channel_b),
+    W_B, W_E, p = _n_fold(args, load_channel(args.channel_b),
                           load_channel(args.channel_e),
                           load_distribution(args.dist))
     with _open_out(args.output) as out:
@@ -231,7 +231,7 @@ def run_simulate_wiretap(args) -> int:
 
 
 def run_idcode_build(args) -> int:
-    W, p = _blocks(args, load_channel(args.channel),
+    W, p = _n_fold(args, load_channel(args.channel),
                    load_distribution(args.dist))
     params = SelectionParams(
         alpha=args.alpha, alpha_prime=args.alpha_prime,
@@ -278,7 +278,7 @@ def run_idcode_build(args) -> int:
 
 
 def run_idcode_eval(args) -> int:
-    W, p = _blocks(args, load_channel(args.channel),
+    W, p = _n_fold(args, load_channel(args.channel),
                    load_distribution(args.dist))
     code = load_id_code(args.code)
     metrics = eval_id_code(code, W, p)
@@ -302,7 +302,7 @@ def run_capacity(args) -> int:
 
 
 def run_wiretap_bounds(args) -> int:
-    W_B, W_E, p = _blocks(args, load_channel(args.channel_b),
+    W_B, W_E, p = _n_fold(args, load_channel(args.channel_b),
                           load_channel(args.channel_e),
                           load_distribution(args.dist))
     bounds = wiretap_bounds(W_B, W_E, p, args.messages, args.randomization,
@@ -404,7 +404,7 @@ _OPTIONS = {
     "decoder-threshold": dict(type=float),
     "decoder": dict(choices=("maximum_likelihood", "threshold"),
                     default="maximum_likelihood"),
-    "max-retries": dict(type=int, default=100),
+    "max-retries": dict(type=_positive_int, default=100),
     "alpha": dict(type=float),
     "alpha-prime": dict(type=float),
     "beta": dict(type=float),

@@ -26,6 +26,7 @@ import numpy as np
 from .channel import (
     Channel,
     Distribution,
+    _blocks,
     dispersion_J,
     mutual_information,
     output_distribution,
@@ -51,10 +52,6 @@ T_GRID = np.linspace(-0.5, 0.0, int(round(0.5 / GRID_STEP)) + 1)
 
 _KKT_TOL = 1e-9
 _NEWTON_ITER = 100
-# the most floats of powered channel matrices an array call of psi, phi
-# or the worst-case solve stacks at once (256 KiB); its temporaries are
-# a few times this
-_BLOCK_FLOATS = 1 << 15
 
 
 class ConvergenceError(RuntimeError):
@@ -94,13 +91,6 @@ def _power(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(n: int, floats_each: int) -> list[slice]:
-    """Slices of range(n), each of at most _BLOCK_FLOATS // floats_each
-    entries (and at least one)."""
-    per = max(1, _BLOCK_FLOATS // floats_each)
-    return [slice(lo, lo + per) for lo in range(0, n, per)]
-
-
 def _shaped(vals: np.ndarray, x):
     """vals in the shape of the parameter(s) x, exactly 0 where x is 0."""
     if np.ndim(x) == 0:
@@ -114,8 +104,7 @@ def psi(s, W: Channel, p: Distribution):
 
     s may be an array of any shape: the result then has that shape and
     each entry equals the scalar call.  An array call works through
-    blocks of at most _BLOCK_FLOATS // (|X| * |Y|) parameters (at least
-    one).
+    `channel._blocks` of |X| * |Y| floats per parameter.
     """
     e = _params(s, "s", W, p)
     wp = output_distribution(W, p).probs
@@ -309,8 +298,8 @@ def _worst_solve(W: Channel, x: np.ndarray, e: np.ndarray, c: np.ndarray,
                  name: str):
     """(log max_p sum_y (p @ W^e_i)_y^c_i, argmax) for each parameter x_i.
 
-    The stack of powered channels is built and solved in `_blocks`, so
-    memory does not grow with the parameter count.
+    The stack of powered channels is built and solved in
+    `channel._blocks`, so memory does not grow with the parameter count.
     """
     vals, P = np.empty(x.size), np.empty((x.size, W.input_size))
     for blk in _blocks(x.size, W.rows.size):
@@ -416,15 +405,17 @@ class ExponentReport:
     family: str
 
 
-def _family_reports(rates: list[float], psi_fn, psi_grid, phi_fn, phi_grid,
+def _family_reports(rates: list[float], psi_fn, phi_fn,
                     suffix: str) -> list[list[ExponentReport]]:
     """The three reports of one family at each rate, one list per rate.
 
-    psi_fn and phi_fn take arrays of s and t; psi_grid and phi_grid hold
-    them on S_GRID and T_GRID.  The golden sections of all rates run in
-    lockstep, so each of their steps is one call of psi_fn or phi_fn.
+    psi_fn and phi_fn take arrays of s and t; each is evaluated once on
+    its scan grid (S_GRID, T_GRID).  The golden sections of all rates
+    run in lockstep, so each of their steps is one call of psi_fn or
+    phi_fn.
     """
     R = np.array(rates)
+    psi_grid, phi_grid = psi_fn(S_GRID), phi_fn(T_GRID)
 
     def vd(i, s, psi_s):
         return (s * R[i] - psi_s) / (1.0 + s)
@@ -452,18 +443,23 @@ def _family_reports(rates: list[float], psi_fn, psi_grid, phi_fn, phi_grid,
 
 
 def _given_family(W: Channel, p: Distribution) -> tuple:
-    return (lambda s: psi(s, W, p), psi(S_GRID, W, p),
-            lambda t: phi(t, W, p), phi(T_GRID, W, p), "")
+    return lambda s: psi(s, W, p), lambda t: phi(t, W, p), ""
 
 
 def _worst_family(W: Channel) -> tuple:
-    def psi_fn(s):
-        return _psi_worst_solve(s, W)[0]
+    return (lambda s: _psi_worst_solve(s, W)[0],
+            lambda t: _phi_worst_solve(t, W)[0], "_worst")
 
-    def phi_fn(t):
-        return _phi_worst_solve(t, W)[0]
 
-    return psi_fn, psi_fn(S_GRID), phi_fn, phi_fn(T_GRID), "_worst"
+def _gallager_max(W: Channel, p: Distribution, rate: float
+                  ) -> tuple[float, float]:
+    """(argmax, max) over s in [0, 1] of the random-coding error exponent
+    -phi(s | W, p) - s * rate, scanned on S_GRID."""
+    def f(_, s):
+        return -phi(s, W, p) - s * rate
+
+    s, v = _grid_golden_max(f, S_GRID, [f(None, S_GRID)])
+    return float(s[0]), float(v[0])
 
 
 def _check_rates(*rates: float) -> None:
@@ -516,29 +512,26 @@ class WiretapExponentReport:
 
 def wiretap_exponents(R: float, R_prime: float, W_B: Channel, W_E: Channel,
                       p: Distribution) -> WiretapExponentReport:
-    """Exponents of decoding error and of the three leakage measures."""
+    """Exponents of decoding error and of the three leakage measures.
+
+    The leakage exponents are the resolvability exponents of Eve's
+    channel at the randomization rate R'.
+    """
     _check_rates(R, R_prime)
     if W_B.input_size != W_E.input_size:
         raise ValueError("channels must share an input alphabet")
-
-    def best(f, xs):
-        x, v = _grid_golden_max(f, xs, [f(None, xs)])
-        return float(x[0]), max(0.0, float(v[0]))
-
-    s_err, e_err = best(
-        lambda _, s: -phi(s, W_B, p) - s * (R + R_prime), S_GRID)
-    t_kl, e_kl = best(lambda _, t: -phi(t, W_E, p) - t * R_prime, T_GRID)
-    s_vd, e_vd = best(
-        lambda _, s: (s * R_prime - psi(s, W_E, p)) / (1.0 + s), S_GRID)
+    s_err, e_err = _gallager_max(W_B, p, R + R_prime)
+    vd, kl, half = _family_reports([R_prime], *_given_family(W_E, p))[0]
     edge = 2.0 * GRID_STEP
     return WiretapExponentReport(
         R=float(R), R_prime=float(R_prime),
-        error_exponent=e_err, leak_kl_exponent=e_kl,
-        leak_vd_exponent_psi=e_vd, leak_vd_exponent_phi=e_kl / 2.0,
-        error_s=s_err, leak_kl_t=t_kl, leak_vd_psi_s=s_vd,
+        error_exponent=max(0.0, e_err), leak_kl_exponent=kl.bound_value,
+        leak_vd_exponent_psi=vd.bound_value,
+        leak_vd_exponent_phi=half.bound_value,
+        error_s=s_err, leak_kl_t=kl.optimizer, leak_vd_psi_s=vd.optimizer,
         error_saturated=(1.0 - s_err) <= edge,
-        leak_kl_saturated=(t_kl + 0.5) <= edge,
-        leak_vd_psi_saturated=(1.0 - s_vd) <= edge,
+        leak_kl_saturated=(kl.optimizer + 0.5) <= edge,
+        leak_vd_psi_saturated=(1.0 - vd.optimizer) <= edge,
     )
 
 

@@ -251,6 +251,26 @@ def _level_sets(W: Channel, p: Distribution, C: float) -> np.ndarray:
     return W.rows > C * wp
 
 
+def _screen_bounds(params: SelectionParams, p: Distribution, W: Channel
+                   ) -> tuple[float, float, float]:
+    """(miss_avg, miss_bound, union_bound): the average miss mass
+    E_p W_x(ratio <= C) and the two screening thresholds."""
+    miss_avg = 1.0 - tail_pair(p, W, params.C).delta
+    return (miss_avg, params.alpha * params.beta * miss_avg,
+            params.alpha_prime * params.beta_prime * params.m_prime / params.C)
+
+
+def _screens(rows: np.ndarray, level: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(miss, union) of each word: its mass off its own level set, and
+    on the level sets of the other words (the rows of `level`)."""
+    # C-contiguous (words x Y) products: each row sums pairwise, the
+    # same bits as a 1-D sum of that row
+    miss = 1.0 - np.sum(rows * level, axis=1)
+    union = np.sum(rows * ((level.sum(axis=0) - level) >= 1), axis=1)
+    return miss, union
+
+
 def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
                      seed: int, max_retries: int = 100) -> Selection:
     """Draw and screen candidates until M distinct codewords pass.
@@ -262,54 +282,29 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
     when beta times the average miss mass reaches 1, since screening
     can then never succeed.
     """
-    miss_avg = 1.0 - tail_pair(p, W, params.C).delta
+    if max_retries < 1:
+        raise ValueError("max_retries must be at least 1")
+    miss_avg, miss_bound, union_bound = _screen_bounds(params, p, W)
     if params.beta * miss_avg >= 1.0:
         raise InfeasibleParams(
             f"beta * E_p W_x(ratio <= C) = {params.beta * miss_avg!r} >= 1: "
             "screening cannot succeed"
         )
-    m_prime = params.m_prime
-    miss_bound = params.alpha * params.beta * miss_avg
-    union_bound = params.alpha_prime * params.beta_prime * m_prime / params.C
-    feasibility_lhs = (params.beta * miss_avg
-                       + params.alpha_prime * params.beta_prime
-                       * m_prime / params.C)
+    feasibility_lhs = params.beta * miss_avg + union_bound
     level = _level_sets(W, p, params.C)
-    rows = W.rows
 
     for attempt in range(max_retries):
-        gen = stream(seed, attempt)
-        xs = sample_indices(p.probs, gen.random(m_prime))
-        over = level[xs]
-        miss_i = 1.0 - np.sum(rows[xs] * over, axis=1)
-        counts = over.sum(axis=0)
-        # C-contiguous (m' x Y) products: each row sums pairwise, the
-        # same bits as a 1-D sum of that row
-        union_i = np.sum(rows[xs] * ((counts - over) >= 1), axis=1)
+        xs = sample_indices(p.probs, stream(seed, attempt).random(params.m_prime))
+        miss_i, union_i = _screens(W.rows[xs], level[xs])
         good = (miss_i <= miss_bound) & (union_i <= union_bound)
-        picked: list[int] = []
-        seen: set[int] = set()
-        for i in np.flatnonzero(good):
-            x = int(xs[i])
-            if x not in seen:
-                seen.add(x)
-                picked.append(x)
-            if len(picked) == params.M:
-                break
+        picked = list(dict.fromkeys(xs[good].tolist()))[:params.M]
         if len(picked) < params.M:
             continue
-        sel = np.array(picked)
-        sel_level = level[sel]
-        sel_rows = rows[sel]
-        final_union = tuple(np.sum(
-            sel_rows * ((sel_level.sum(axis=0) - sel_level) >= 1),
-            axis=1).tolist())
-        final_miss = tuple(
-            (1.0 - np.sum(sel_rows * sel_level, axis=1)).tolist())
+        final_miss, final_union = _screens(W.rows[picked], level[picked])
         return Selection(
-            codewords=tuple(int(x) for x in sel),
-            miss_values=final_miss,
-            union_values=final_union,
+            codewords=tuple(picked),
+            miss_values=tuple(final_miss.tolist()),
+            union_values=tuple(final_union.tolist()),
             miss_bound=miss_bound,
             union_bound=union_bound,
             feasibility_lhs=feasibility_lhs,
@@ -429,11 +424,8 @@ def eval_id_code(code: IdCode, W: Channel, p: Distribution) -> IdMetrics:
 def id_error_bounds(params: SelectionParams, p: Distribution,
                     W: Channel) -> tuple[float, float]:
     """Guaranteed (mu, lam) ceilings for codes built from these parameters."""
-    miss_avg = 1.0 - tail_pair(p, W, params.C).delta
-    mu_bound = params.alpha * params.beta * miss_avg
-    lam_bound = (params.kappa + params.alpha_prime * params.beta_prime
-                 * params.m_prime / params.C)
-    return mu_bound, lam_bound
+    _, miss_bound, union_bound = _screen_bounds(params, p, W)
+    return miss_bound, params.kappa + union_bound
 
 
 def save_id_code(code: IdCode, path) -> None:

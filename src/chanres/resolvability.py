@@ -22,6 +22,7 @@ from .channel import (
     Channel,
     Distribution,
     EnumerationBudget,
+    _blocks,
     _kl,
     _kl_rows,
     _kron_chain,
@@ -30,15 +31,9 @@ from .channel import (
 )
 from .exponents import phi
 from .rng import sample_indices, uniforms
-from .spectrum import eta, product_tail_pair
+from .spectrum import TailPair, eta, product_tail_pair
 
 PHI_T_GRID = np.linspace(-0.5, -0.05, 11)
-
-# floats built at once by the Monte Carlo array paths (the W^n rows of
-# mc_expectation, the pairwise distances of wiretap.eval_wiretap); capped
-# for memory (blocks of 2**20 floats raised the peak RSS of the
-# benchmark's montecarlo jobs from 37 to 57 MB, at no gain in speed)
-_BLOCK_FLOATS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -94,6 +89,33 @@ def eval_code(code: ResolvabilityCode, W: Channel, p: Distribution
     return _gaps(mix, wp)
 
 
+def _code_bounds(tp: TailPair, M: int, n: int, Y: int, phi_grid
+                 ) -> tuple[float, float, float, float]:
+    """(vd, eta, phi bound, its t) for a random code of M words.
+
+    tp is the tail pair of the n-fold channel, Y the single-letter
+    output size and phi_grid the values phi(PHI_T_GRID) of one letter.
+    The phi bound is min over the grid of log(1 + e^x) / (-t) with
+    x = t*log M + n*phi(t); for x > 709, where e^x overflows,
+    log(1 + e^x) is x to double precision.
+    """
+    vd = 2.0 * tp.delta + math.sqrt(tp.delta_prime / M)
+    bound_eta = (eta(tp.delta) + tp.delta * n * math.log(Y)
+                 + tp.delta_prime / M)
+    log_m = math.log(M)
+
+    def log1p_exp(x):
+        try:
+            return math.log1p(math.exp(x))
+        except OverflowError:
+            return x
+
+    bound_phi, t = min(
+        (log1p_exp(t * log_m + n * v) / (-t), t)
+        for t, v in zip(PHI_T_GRID.tolist(), phi_grid.tolist()))
+    return vd, bound_eta, bound_phi, t
+
+
 def expectation_bounds(p: Distribution, W: Channel, M: int, C: float,
                        n: int = 1,
                        budget: EnumerationBudget = DEFAULT_BUDGET):
@@ -107,15 +129,8 @@ def expectation_bounds(p: Distribution, W: Channel, M: int, C: float,
     if M < 1:
         raise ValueError("M must be positive")
     tp = product_tail_pair(p, W, C, n, budget)
-    bound_vd = 2.0 * tp.delta + math.sqrt(tp.delta_prime / M)
-    bound_eta = (eta(tp.delta) + tp.delta * n * math.log(W.output_size)
-                 + tp.delta_prime / M)
-    log_m = math.log(M)
-    bound_phi = float(min(
-        math.log1p(math.exp(t * log_m + n * phi(t, W, p))) / (-t)
-        for t in PHI_T_GRID
-    ))
-    return tp, bound_vd, bound_eta, bound_phi
+    return (tp, *_code_bounds(tp, M, n, W.output_size,
+                              phi(PHI_T_GRID, W, p))[:3])
 
 
 def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
@@ -145,24 +160,22 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
 
     wpn = _kron_chain([output_distribution(W, p).probs] * n)
 
-    chunk = max(1, _BLOCK_FLOATS // L ** n)     # words per block
-    per_block = max(1, chunk // M)              # trials per block
     eps_s = np.empty(trials)
     div_s = np.empty(trials)
-    for lo in range(0, trials, per_block):
-        hi = min(lo + per_block, trials)
-        words = sample_indices(p.probs, uniforms(seed, range(lo, hi), (M, n)))
+    for blk in _blocks(trials, M * L ** n):
+        words = sample_indices(p.probs,
+                               uniforms(seed, range(trials)[blk], (M, n)))
         # sum each trial's rows in word order, as .mean(axis=0) does,
         # carrying the partial sum when a trial spans several blocks
         mix = None
-        for a in range(0, M, chunk):
-            rows = _word_rows(W, words[:, a:a + chunk])
+        for part in _blocks(M, L ** n):
+            rows = _word_rows(W, words[:, part])
             if mix is not None:
                 rows = np.concatenate([mix[:, None], rows], axis=1)
             mix = rows.sum(axis=1)
         mix /= M
-        eps_s[lo:hi] = np.abs(mix - wpn).sum(axis=1)
-        div_s[lo:hi] = _kl_rows(mix, wpn)
+        eps_s[blk] = np.abs(mix - wpn).sum(axis=1)
+        div_s[blk] = _kl_rows(mix, wpn)
 
     def estimate(samples: np.ndarray, bound: float) -> McEstimate:
         return McEstimate(

@@ -13,22 +13,23 @@ bounds built from the tail pair and generating functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import (
     Channel,
     Distribution,
+    _blocks,
     _kl,
     _kl_rows,
     _row_sums,
     output_distribution,
 )
-from .exponents import S_GRID, _grid_golden_max, phi
-from .resolvability import PHI_T_GRID, _BLOCK_FLOATS
+from .exponents import _gallager_max, phi
+from .resolvability import PHI_T_GRID, _code_bounds
 from .rng import sample_indices, stream
-from .spectrum import eta, tail_pair
+from .spectrum import tail_pair
 
 DECODER_KINDS = ("maximum_likelihood", "threshold")
 
@@ -156,9 +157,8 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     # distances of all (i, j) pairs, i != j, in row order; a block of
     # rows at a time keeps the (rows, M, Y_E) differences small
     total = 0.0
-    step = max(1, _BLOCK_FLOATS // (M * W_E.output_size))
-    for lo in range(0, M, step):
-        rows = np.arange(lo, min(lo + step, M))
+    for blk in _blocks(M, M * W_E.output_size):
+        rows = np.arange(M)[blk]
         dist = np.abs(q_e[rows, None, :] - q_e).sum(axis=2)
         total = _sequential_sum(dist[rows[:, None] != np.arange(M)], total)
     d_e = total / (M * (M - 1)) if M > 1 else 0.0
@@ -207,9 +207,13 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
                    C_prime: float | None) -> WiretapBounds:
     """Expected-value guarantees for codes drawn i.i.d. from p.
 
-    C_prime may be None when no threshold-decoder guarantee is wanted;
-    the threshold error bound is then reported as inf and the stored
-    C_prime as nan.
+    Each message's L words form a random code on Eve's channel, so the
+    leakage bounds are the resolvability bounds of W_E at codebook size
+    L (`resolvability._code_bounds`), tripled (sextupled for the
+    pairwise distance), and the error bound is the random-coding bound
+    of W_B at rate log(M*L).  C_prime may be None when no
+    threshold-decoder guarantee is wanted; the threshold error bound is
+    then reported as inf and the stored C_prime as nan.
     """
     if M < 1 or L < 1:
         raise ValueError("M and L must be positive")
@@ -217,14 +221,7 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
         raise ValueError("C must be positive and finite")
     if C_prime is not None and not 0 < C_prime < math.inf:
         raise ValueError("C_prime must be positive and finite")
-    log_ml = math.log(M) + math.log(L)
-
-    def gallager(s):
-        return -(s * log_ml + phi(s, W_B, p))
-
-    s_star, neg = _grid_golden_max(lambda _, s: gallager(s), S_GRID,
-                                   [gallager(S_GRID)])
-    s_star, neg = float(s_star[0]), float(neg[0])
+    s_star, neg = _gallager_max(W_B, p, math.log(M) + math.log(L))
     error_gallager = 3.0 * math.exp(-neg)
 
     if C_prime is None:
@@ -233,22 +230,12 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
         miss_b = 1.0 - tail_pair(p, W_B, C_prime).delta
         error_threshold = 3.0 * (miss_b + M * L / C_prime)
 
-    tp_e = tail_pair(p, W_E, C)
-    leak_eta = 3.0 * (eta(tp_e.delta)
-                      + tp_e.delta * math.log(W_E.output_size)
-                      + tp_e.delta_prime / L)
-    log_l = math.log(L)
-    t_vals = [(math.log1p(math.exp(t * log_l + phi(t, W_E, p))) / (-t), t)
-              for t in PHI_T_GRID]
-    best_phi, t_star = min(t_vals)
-    leak_phi = 3.0 * float(best_phi)
-
-    secrecy_vd = 6.0 * (2.0 * tp_e.delta + math.sqrt(tp_e.delta_prime / L))
-
+    vd, leak_eta, leak_phi, t_star = _code_bounds(
+        tail_pair(p, W_E, C), L, 1, W_E.output_size, phi(PHI_T_GRID, W_E, p))
     return WiretapBounds(
         error_gallager=error_gallager, error_threshold=error_threshold,
-        leak_kl_eta=leak_eta, leak_kl_phi=leak_phi, secrecy_vd=secrecy_vd,
-        gallager_s=s_star, phi_t=float(t_star),
+        leak_kl_eta=3.0 * leak_eta, leak_kl_phi=3.0 * leak_phi,
+        secrecy_vd=6.0 * vd, gallager_s=s_star, phi_t=t_star,
         M=M, L=L, C=float(C),
         C_prime=math.nan if C_prime is None else float(C_prime),
     )
@@ -289,6 +276,8 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
     of the arguments.  Exhaustion returns the best attempt with
     per-metric flags instead of raising.
     """
+    if max_retries < 1:
+        raise ValueError("max_retries must be at least 1")
     bounds = wiretap_bounds(W_B, W_E, p, M, L, C, C_prime)
     eps_target = (bounds.error_threshold if decoder_kind == "threshold"
                   else bounds.error_gallager)
@@ -325,10 +314,4 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
         if best is None or key < best_key:
             best = result
             best_key = key
-    return ConstructionResult(
-        code=best.code, report=best.report, bounds=best.bounds,
-        eps_target=best.eps_target, leak_target=best.leak_target,
-        vd_target=best.vd_target, satisfied_eps=best.satisfied_eps,
-        satisfied_leak=best.satisfied_leak, satisfied_vd=best.satisfied_vd,
-        attempts=max_retries,
-    )
+    return replace(best, attempts=max_retries)

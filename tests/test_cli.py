@@ -19,6 +19,7 @@ from chanres import (
     constant_channel,
     exponent_sweep,
     identity_channel,
+    phi,
     product,
     product_dist,
     save_channel,
@@ -28,6 +29,7 @@ from chanres import (
 )
 from chanres import cli, exponents
 from chanres.cli import _fmt, main
+from chanres.resolvability import PHI_T_GRID
 
 
 def write_bsc(tmp_path, w=0.1, name="chan.json"):
@@ -122,6 +124,23 @@ def test_bounds_n30_counts_classes_not_atoms(tmp_path, capsys):
                "--blocklength", "30"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["blocklength"] == 30
+
+
+def test_bounds_phi_at_large_n(tmp_path, capsys):
+    # at n = 3000 the exponent x = t*log M + n*phi(t) passes 709 on part
+    # of the t grid, where e^x overflows; log(1 + e^x) is x there
+    chan = write_bsc(tmp_path)
+    dist = write_uniform(tmp_path)
+    rc = main(["bounds", "--channel", chan, "--dist", dist,
+               "--codebook-size", "16", "--threshold", repr(math.e),
+               "--blocklength", "3000"])
+    assert rc == 0
+    got = json.loads(capsys.readouterr().out)["bound_kl_phi"]
+    x = [t * math.log(16) + 3000 * phi(t, bsc(0.1), uniform(2))
+         for t in PHI_T_GRID.tolist()]
+    assert max(x) > 710
+    assert math.isfinite(got)
+    assert got == min(v / (-t) for v, t in zip(x, PHI_T_GRID.tolist()))
 
 
 def test_capacity_command(tmp_path):
@@ -716,6 +735,21 @@ def test_blocklength_below_one_exits_2(tmp_path, capsys, path, n):
     assert "must be at least 1" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"blocklength": int(n)}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [("simulate", "wiretap"), ("idcode", "build")],
+                         ids=" ".join)
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_max_retries_below_one_exits_2(tmp_path, capsys, path, n):
+    argv = _required_argv(path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-retries", n])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_retries": int(n)}))
     assert main(argv + ["--config", str(cfg)]) == 2
     assert "must be at least 1" in capsys.readouterr().err
 

@@ -33,7 +33,7 @@ from chanres import (
     uniform,
     wiretap_exponents,
 )
-from chanres import exponents
+from chanres import channel, exponents
 from chanres.exponents import (
     GRID_STEP,
     S_GRID,
@@ -318,7 +318,7 @@ def test_block_size_does_not_change_curves(monkeypatch):
     curves = [(_psi_worst_solve(S_GRID, W), _phi_worst_solve(T_GRID, W))
               for W in (HARD_4X2, TINY_COLUMN)]
     given = psi(S_GRID, ASYM, ASYM_P), phi(T_GRID, ASYM, ASYM_P)
-    monkeypatch.setattr(exponents, "_BLOCK_FLOATS", 64)
+    monkeypatch.setattr(channel, "_BLOCK_FLOATS", 64)
     assert np.array_equal(psi(S_GRID, ASYM, ASYM_P), given[0])
     assert np.array_equal(phi(T_GRID, ASYM, ASYM_P), given[1])
     for W, ((a, A), (b, B)) in zip((HARD_4X2, TINY_COLUMN), curves):

@@ -1,9 +1,12 @@
-"""Byte-for-byte stdout of the two `simulate` commands.
+"""Byte-for-byte stdout of every `chanres` command.
 
-`tests/data/golden_simulate.txt` holds, for each run below, a `$ chanres
-...` line followed by the run's stdout.  Any change to a sampled code,
-a Monte Carlo mean or a leakage figure, down to the last printed digit,
-fails this test.  Re-record only when an output change is intended:
+`tests/data/golden_simulate.txt` (the two `simulate` commands) and
+`tests/data/golden_commands.txt` (the others) hold, for each run below,
+a `$ chanres ...` line followed by the run's stdout, and by the file a
+run writes with --output, after a `--- <file>` line.  Any change to a
+sampled code, a Monte Carlo mean, a bound, an exponent or a leakage
+figure, down to the last printed digit, fails this test.  Re-record
+only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -15,20 +18,30 @@ import sys
 
 from chanres.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_simulate.txt")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden_simulate.txt")
+GOLDEN_COMMANDS = os.path.join(DATA, "golden_commands.txt")
 
 E = repr(math.e)
 
+
+def _channel(rows):
+    return {"input_size": len(rows), "output_size": len(rows[0]),
+            "rows": rows}
+
+
 INPUTS = {
-    "bsc01.json": {"input_size": 2, "output_size": 2,
-                   "rows": [[0.9, 0.1], [0.1, 0.9]]},
-    "z.json": {"input_size": 2, "output_size": 2,
-               "rows": [[1.0, 0.0], [0.3, 0.7]]},
-    "bob.json": {"input_size": 2, "output_size": 2,
-                 "rows": [[0.95, 0.05], [0.05, 0.95]]},
-    "eve.json": {"input_size": 2, "output_size": 2,
-                 "rows": [[0.8, 0.2], [0.2, 0.8]]},
+    "bsc01.json": _channel([[0.9, 0.1], [0.1, 0.9]]),
+    "z.json": _channel([[1.0, 0.0], [0.3, 0.7]]),
+    "bob.json": _channel([[0.95, 0.05], [0.05, 0.95]]),
+    "eve.json": _channel([[0.8, 0.2], [0.2, 0.8]]),
+    "asym3.json": _channel([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2],
+                            [0.2, 0.1, 0.7]]),
+    "sym4.json": _channel([[0.95 if x == y else 0.05 / 3 for y in range(4)]
+                           for x in range(4)]),
     "u2.json": {"probs": [0.5, 0.5]},
+    "p3.json": {"probs": [0.5, 0.3, 0.2]},
+    "u4.json": {"probs": [0.25] * 4},
 }
 
 
@@ -55,25 +68,72 @@ RUNS = [argv for seed in (0, 5) for argv in (
 )]
 
 
-def transcript(capture) -> str:
-    """Every run's command line and stdout; `capture()` returns the
-    stdout written since its last call.  Runs in the current directory."""
+def _bounds(channel, dist, n):
+    return ["bounds", "--channel", channel, "--dist", dist,
+            "--codebook-size", "16", "--threshold", E, "--blocklength", str(n)]
+
+
+def _exponents(channel, law, lo, hi):
+    return ["exponents", "--channel", channel, *law, "--rate-start", lo,
+            "--rate-end", hi, "--rate-steps", "9"]
+
+
+_IDCODE = ["--channel", "sym4.json", "--dist", "u4.json", "--blocklength", "4"]
+
+COMMAND_RUNS = [
+    _bounds("bsc01.json", "u2.json", 4),
+    _bounds("bsc01.json", "u2.json", 12),
+    _bounds("asym3.json", "p3.json", 5),
+    _exponents("bsc01.json", ["--dist", "u2.json"], "0.8", "1.2"),
+    _exponents("bsc01.json", ["--worst"], "0.8", "1.2"),
+    _exponents("asym3.json", ["--dist", "p3.json"], "0.05", "0.45"),
+    _exponents("asym3.json", ["--worst"], "0.05", "0.45"),
+    *(["wiretap-bounds", "--channel-b", "bob.json", "--channel-e", "eve.json",
+       "--dist", "u2.json", "--messages", m, "--randomization", r,
+       "--threshold", E, "--decoder-threshold", "4", "--blocklength", "4"]
+      for m, r in (("2", "4"), ("1", "2"))),
+    ["idcode", "build", *_IDCODE, "--alpha", "2", "--alpha-prime", "4",
+     "--beta", "2", "--beta-prime", "4", "--tau", "0.1", "--kappa", "0.8",
+     "--codewords", "100", "--threshold", "2", "--seed", "0",
+     "--output", "code.json"],
+    ["idcode", "eval", *_IDCODE, "--code", "code.json"],
+    ["capacity", "--channel", "z.json"],
+    ["capacity", "--channel", "asym3.json"],
+]
+
+
+def transcript(runs, capture) -> str:
+    """Every run's command line and stdout, then the file it wrote with
+    --output; `capture()` returns the stdout written since its last
+    call.  Runs in the current directory."""
     for name, doc in INPUTS.items():
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
     parts = []
-    for argv in RUNS:
+    for argv in runs:
         assert main(argv) == 0, argv
         parts.append("$ chanres " + " ".join(argv) + "\n" + capture())
+        if "--output" in argv:
+            out = argv[argv.index("--output") + 1]
+            with open(out, "r", encoding="utf-8") as fh:
+                parts.append(f"--- {out}\n" + fh.read())
     return "".join(parts)
 
 
-def test_simulate_stdout_matches_golden(tmp_path, monkeypatch, capsys):
+def _check(path, runs, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with open(GOLDEN, "rb") as fh:
+    with open(path, "rb") as fh:
         golden = fh.read()
-    got = transcript(lambda: capsys.readouterr().out).encode("utf-8")
+    got = transcript(runs, lambda: capsys.readouterr().out).encode("utf-8")
     assert got == golden
+
+
+def test_simulate_stdout_matches_golden(tmp_path, monkeypatch, capsys):
+    _check(GOLDEN, RUNS, tmp_path, monkeypatch, capsys)
+
+
+def test_command_stdout_matches_golden(tmp_path, monkeypatch, capsys):
+    _check(GOLDEN_COMMANDS, COMMAND_RUNS, tmp_path, monkeypatch, capsys)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
@@ -89,8 +149,9 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
         buf.truncate()
         return text
 
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
-            contextlib.redirect_stdout(buf):
-        text = transcript(capture)
-    with open(GOLDEN, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    for path, runs in ((GOLDEN, RUNS), (GOLDEN_COMMANDS, COMMAND_RUNS)):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+                contextlib.redirect_stdout(buf):
+            text = transcript(runs, capture)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)

@@ -184,6 +184,14 @@ def test_select_retries_exhausted():
     assert info.value.attempts == 5
 
 
+@pytest.mark.parametrize("max_retries", [0, -1])
+def test_select_needs_a_retry(max_retries):
+    params = SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, 2.0)
+    with pytest.raises(ValueError, match="max_retries"):
+        select_codewords(product(bsc(0.05), 3), product_dist(uniform(2), 3),
+                         params, seed=1, max_retries=max_retries)
+
+
 def test_id_code_validation():
     code = IdCode((3, 1, 2), ((1, 0), (2,)), 2.0)
     assert code.messages == 2

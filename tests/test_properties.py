@@ -1,6 +1,7 @@
 """Property tests on random channels: the type-class path, additivity,
-array generating functions, the worst-case input solve and the
-divergence decomposition of wiretap leakage.
+array generating functions, the worst-case input solve, the
+divergence decomposition of wiretap leakage, and the wiretap bounds
+and exponents against the per-formula code they replaced.
 
 Channels and input laws are drawn with some zero entries, so dead
 output columns, zero-probability inputs and merged single-letter
@@ -30,8 +31,24 @@ from chanres import (
     tail_pair,
 )
 from chanres.channel import _kl
-from chanres.exponents import _compositions, _phi_worst_solve, _psi_worst_solve
-from chanres.wiretap import _DECOMP_TOL, WiretapCode, eval_wiretap
+from chanres.exponents import (
+    GRID_STEP,
+    S_GRID,
+    T_GRID,
+    _compositions,
+    _grid_golden_max,
+    _phi_worst_solve,
+    _psi_worst_solve,
+    wiretap_exponents,
+)
+from chanres.resolvability import PHI_T_GRID
+from chanres.spectrum import eta
+from chanres.wiretap import (
+    _DECOMP_TOL,
+    WiretapCode,
+    eval_wiretap,
+    wiretap_bounds,
+)
 
 # zero, or a weight bounded away from zero before normalization
 _WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
@@ -214,3 +231,84 @@ def test_divergence_decomposition_residual(case):
     residual = abs(report.I_E + phi_to_wp - rhs)
     assert report.decomposition_residual == residual
     assert residual <= _DECOMP_TOL * max(1.0, abs(rhs))
+
+
+def _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime):
+    """The fields of `wiretap_bounds`, each formula written out for the
+    wiretap code alone, with one scalar phi call per grid point."""
+    log_ml = math.log(M) + math.log(L)
+
+    def gallager(s):
+        return -(s * log_ml + phi(s, W_B, p))
+
+    s_star, neg = _grid_golden_max(lambda _, s: gallager(s), S_GRID,
+                                   [gallager(S_GRID)])
+    if C_prime is None:
+        error_threshold = math.inf
+    else:
+        miss_b = 1.0 - tail_pair(p, W_B, C_prime).delta
+        error_threshold = 3.0 * (miss_b + M * L / C_prime)
+    tp_e = tail_pair(p, W_E, C)
+    leak_eta = 3.0 * (eta(tp_e.delta)
+                      + tp_e.delta * math.log(W_E.output_size)
+                      + tp_e.delta_prime / L)
+    log_l = math.log(L)
+    best_phi, t_star = min(
+        (math.log1p(math.exp(t * log_l + phi(t, W_E, p))) / (-t), t)
+        for t in PHI_T_GRID)
+    return dict(
+        error_gallager=3.0 * math.exp(-float(neg[0])),
+        error_threshold=error_threshold, leak_kl_eta=leak_eta,
+        leak_kl_phi=3.0 * float(best_phi),
+        secrecy_vd=6.0 * (2.0 * tp_e.delta + math.sqrt(tp_e.delta_prime / L)),
+        gallager_s=float(s_star[0]), phi_t=float(t_star), M=M, L=L,
+        C=float(C), C_prime=math.nan if C_prime is None else float(C_prime))
+
+
+def _spelled_out_wiretap_exponents(R, R_prime, W_B, W_E, p):
+    """The fields of `wiretap_exponents`, one grid-and-golden search per
+    exponent."""
+    def best(f, xs):
+        x, v = _grid_golden_max(f, xs, [f(None, xs)])
+        return float(x[0]), max(0.0, float(v[0]))
+
+    s_err, e_err = best(
+        lambda _, s: -phi(s, W_B, p) - s * (R + R_prime), S_GRID)
+    t_kl, e_kl = best(lambda _, t: -phi(t, W_E, p) - t * R_prime, T_GRID)
+    s_vd, e_vd = best(
+        lambda _, s: (s * R_prime - psi(s, W_E, p)) / (1.0 + s), S_GRID)
+    edge = 2.0 * GRID_STEP
+    return dict(
+        R=float(R), R_prime=float(R_prime), error_exponent=e_err,
+        leak_kl_exponent=e_kl, leak_vd_exponent_psi=e_vd,
+        leak_vd_exponent_phi=e_kl / 2.0, error_s=s_err, leak_kl_t=t_kl,
+        leak_vd_psi_s=s_vd, error_saturated=(1.0 - s_err) <= edge,
+        leak_kl_saturated=(t_kl + 0.5) <= edge,
+        leak_vd_psi_saturated=(1.0 - s_vd) <= edge)
+
+
+def _fields_equal(report, expected):
+    assert list(vars(report)) == list(expected)
+    for name, want in expected.items():
+        got = getattr(report, name)
+        assert got == want or (math.isnan(got) and math.isnan(want)), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(channel_and_law(), st.integers(2, 3), st.integers(1, 3),
+       st.integers(1, 60), st.integers(1, 60), st.floats(-2.0, 3.0),
+       st.one_of(st.none(), st.floats(-2.0, 3.0)),
+       st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.data())
+def test_wiretap_reuse_equals_spelled_out_formulas(law, Y_E, n, M, L, log_C,
+                                                   log_C_prime, R, R_prime,
+                                                   data):
+    W_B, p = law
+    W_E = Channel(np.array([_normalized(data.draw, Y_E)
+                            for _ in range(W_B.input_size)]))
+    W_B, W_E, p = product(W_B, n), product(W_E, n), product_dist(p, n)
+    C = math.exp(log_C)
+    C_prime = None if log_C_prime is None else math.exp(log_C_prime)
+    _fields_equal(wiretap_bounds(W_B, W_E, p, M, L, C, C_prime),
+                  _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime))
+    _fields_equal(wiretap_exponents(R, R_prime, W_B, W_E, p),
+                  _spelled_out_wiretap_exponents(R, R_prime, W_B, W_E, p))

@@ -27,7 +27,7 @@ from chanres import (
     size_ceiling_check,
     uniform,
 )
-from chanres import resolvability
+from chanres import channel
 from chanres.channel import _kron_chain
 from chanres.exponents import phi
 from chanres.resolvability import PHI_T_GRID
@@ -257,5 +257,5 @@ def test_mc_expectation_words_spanning_blocks():
         mix = rows[words @ 3 ** np.arange(n)].mean(axis=0)
         eps.append(float(np.abs(mix - wpn).sum()))
     est = mc_expectation(p, W, M, math.e, trials=trials, seed=seed, n=n)[0]
-    assert 3 ** n * M > resolvability._BLOCK_FLOATS
+    assert 3 ** n * M > channel._BLOCK_FLOATS
     assert est.mean == float(np.mean(eps))

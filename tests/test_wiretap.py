@@ -260,6 +260,14 @@ def test_construct_unsatisfied_collision():
     assert res.report.eps_B == 0.0
 
 
+@pytest.mark.parametrize("max_retries", [0, -1])
+def test_construct_needs_a_retry(max_retries):
+    W = bsc(0.1)
+    with pytest.raises(ValueError, match="max_retries"):
+        construct_until_bounds(uniform(2), W, W, 2, 2, math.e, None, seed=0,
+                               max_retries=max_retries)
+
+
 def test_construct_attempt_callback():
     K = 16
     W_B = identity_channel(K)
