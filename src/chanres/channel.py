@@ -39,6 +39,11 @@ class BudgetError(ValueError):
     """An exact enumeration would exceed the configured state cap."""
 
 
+def _count(k: int) -> str:
+    """k in full up to 15 digits, else as a power of ten ("about 10^1204.1")."""
+    return str(k) if k < 10 ** 15 else f"about 10^{math.log10(k):.1f}"
+
+
 @dataclass(frozen=True)
 class EnumerationBudget:
     """Cap on the number of joint states materialized by exact enumeration."""
@@ -52,9 +57,10 @@ class EnumerationBudget:
 
     def check(self, states: int, what: str) -> None:
         if states > self.max_joint_states:
+            need, cap = _count(states), _count(self.max_joint_states)
             raise BudgetError(
-                f"{what} needs {states} joint states, over the cap of "
-                f"{self.max_joint_states}; rerun with max_joint_states >= {states}"
+                f"{what} needs {need} joint states, over the cap of "
+                f"{cap}; rerun with max_joint_states >= {need}"
             )
 
 
@@ -124,6 +130,23 @@ class Channel:
 
     def row(self, x: int) -> np.ndarray:
         return self.rows[x]
+
+    @functools.cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(values, index) with ``values[index]`` equal to rows bit for bit,
+        when at most half the entries are distinct, else None.
+
+        A power of the matrix is then a power of `values` gathered through
+        `index`: the same floats, from a fraction of the pow calls.  Products
+        W^n, identity and symmetric channels have few distinct entries.
+        Entries are told apart by their bits, so -0.0 keeps its sign.
+        """
+        bits = self.rows.view(np.int64)
+        values = np.sort(bits, axis=None)
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        if values.size > self.rows.size // 2:
+            return None
+        return values.view(float), np.searchsorted(values, bits)
 
 
 def uniform(size: int) -> Distribution:

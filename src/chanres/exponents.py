@@ -122,12 +122,21 @@ def psi(s, W: Channel, p: Distribution):
 def phi(t, W: Channel, p: Distribution):
     """log sum_y (E_p W_x(y)^(1/(1+t)))^(1+t); phi(0) == 0 exactly.
 
-    t may be an array, as the argument s of `psi`.
+    t may be an array, as the argument s of `psi`.  When W has few
+    distinct entries (`Channel.levels`), each is raised to the power
+    once and gathered into place: the same floats as the full matrix.
     """
     e = _params(t, "t", W, p)
     vals = np.empty(e.shape[0])
+    levels = W.levels
     for blk in _blocks(e.shape[0], W.rows.size):
-        g = np.matmul(p.probs, _power(W.rows, 1.0 / (1.0 + e[blk])))
+        if levels is None:
+            powers = _power(W.rows, 1.0 / (1.0 + e[blk]))
+        else:
+            values, index = levels
+            powers = np.take(_power(values, 1.0 / (1.0 + e[blk, 0])), index,
+                             axis=1)
+        g = np.matmul(p.probs, powers)
         vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
     return _shaped(vals, t)
 

@@ -1,10 +1,12 @@
-"""The Monte Carlo array paths against the loops they replace, bit for bit.
+"""Array paths against the code they replace, bit for bit.
 
 `rng.uniforms` draws what one `rng.stream` per index draws,
-`channel._kl_rows` returns what `_kl` returns row by row, and
+`channel._kl_rows` returns what `_kl` returns row by row,
 `eval_wiretap` adds its sums over messages and pairs as explicit loops
-would.  Every comparison is exact (`np.array_equal` or `==`): the
-printed outputs of `chanres simulate` depend on it.
+would, and `phi` on a channel with few distinct entries (gathered
+through `Channel.levels`) returns what powers of the full matrix give.
+Every comparison is exact (`np.array_equal`, `==`, or equal int64
+views): the printed outputs of `chanres` depend on it.
 """
 
 import math
@@ -14,8 +16,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chanres import Channel, Distribution, output_distribution
-from chanres.channel import _kl, _kl_rows
+from chanres import (
+    Channel,
+    Distribution,
+    bsc,
+    identity_channel,
+    output_distribution,
+    phi,
+    product,
+    product_dist,
+)
+from chanres.channel import _blocks, _kl, _kl_rows
+from chanres.exponents import S_GRID, T_GRID, _params, _power, _shaped
 from chanres.rng import stream, uniforms
 from chanres.wiretap import WiretapCode, eval_wiretap
 
@@ -155,3 +167,104 @@ def test_eval_wiretap_equals_explicit_loops(case):
     assert report.I_E == float(np.mean([_kl(q_e[m], q_e.mean(axis=0))
                                         for m in range(M)]))
     assert report.pairwise_bound == bound
+
+
+def _full_matrix_phi(t, W, p):
+    """`phi` as it was before `Channel.levels`: every entry of W raised
+    to the power."""
+    e = _params(t, "t", W, p)
+    vals = np.empty(e.shape[0])
+    for blk in _blocks(e.shape[0], W.rows.size):
+        g = np.matmul(p.probs, _power(W.rows, 1.0 / (1.0 + e[blk])))
+        vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
+    return _shaped(vals, t)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# the grids, and t = -0.5, 0, 1: the exponents 2, 1, 1/2 `_power`
+# takes as square, copy and sqrt
+_SPECIAL_T = np.array([-0.5, 0.0, 1.0])
+_ALL_T = np.concatenate([S_GRID, T_GRID, _SPECIAL_T])
+
+
+def _assert_phi_bits(W, p, scalars):
+    levels = W.levels
+    if levels is not None:
+        values, index = levels
+        assert np.array_equal(_bits(values[index]), _bits(W.rows))
+    for ts in (S_GRID, T_GRID, _SPECIAL_T):
+        assert np.array_equal(_bits(phi(ts, W, p)),
+                              _bits(_full_matrix_phi(ts, W, p)))
+    for t in scalars:
+        assert _bits(phi(t, W, p)) == _bits(_full_matrix_phi(t, W, p))
+
+
+@st.composite
+def channel_with_negative_zero(draw):
+    """(W, p): rows with zero entries, one of them -0.0, which
+    `Channel` keeps."""
+    X = draw(st.integers(1, 4))
+    Y = draw(st.integers(2, 4))
+    rows = np.array([_normalized(draw, Y) for _ in range(X)])
+    zeros = np.argwhere(rows == 0)
+    if zeros.size:
+        x, y = zeros[draw(st.integers(0, len(zeros) - 1))]
+        rows[x, y] = -0.0
+    return Channel(rows), Distribution(_normalized(draw, X))
+
+
+@PROPERTY
+@given(channel_with_negative_zero(), st.integers(1, 3),
+       st.lists(st.sampled_from(_ALL_T.tolist()), min_size=1, max_size=6))
+def test_phi_gather_equals_full_matrix_powers(case, n, scalars):
+    W, p = case
+    Wn, pn = product(W, n), product_dist(p, n)
+    # the products keep a -0.0 entry (-0.0 times a positive entry)
+    assert np.signbit(Wn.rows).any() == np.signbit(W.rows).any()
+    _assert_phi_bits(Wn, pn, scalars)
+
+
+def _random_rows(rng, X, Y):
+    rows = rng.random((X, Y))
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("rows, gathered", [
+    (_random_rows(np.random.default_rng(0), 6, 6), False),     # 36 of 36
+    (np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]), True),  # 2 of 6
+    (np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]), True),      # 3 of 6
+    (np.array([[0.5, 0.3, 0.2], [0.1, 0.5, 0.4]]), False),     # 5 of 6
+    (np.array([[0.6, 0.4]]), False),                            # 2 of 2
+    (bsc(0.1).rows, True),
+    (identity_channel(5).rows, True),
+    (product(bsc(0.2), 3).rows, True),
+])
+def test_phi_on_both_sides_of_the_half_rule(rows, gathered):
+    W = Channel(rows)
+    assert (W.levels is not None) == gathered
+    p = Distribution(_random_rows(np.random.default_rng(1), 1, W.input_size)[0])
+    _assert_phi_bits(W, p, _SPECIAL_T.tolist() + [0.3, -0.2])
+
+
+def test_levels_computed_once_per_channel(monkeypatch):
+    W, p = product(bsc(0.1), 4), product_dist(Distribution([0.3, 0.7]), 4)
+    sorts = []
+    sort = np.sort
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return sort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counted)
+    phi(0.5, W, p)
+    levels = W.levels
+    for t in (-0.25, 1.0):
+        phi(t, W, p)
+    phi(T_GRID, W, p)
+    assert W.levels is levels
+    assert len(sorts) == 1
+    phi(0.5, product(bsc(0.1), 4), p)
+    assert len(sorts) == 2

@@ -115,6 +115,20 @@ def test_budget_exits_3(tmp_path, capsys):
     assert "max_joint_states" in capsys.readouterr().err
 
 
+def test_budget_error_prints_a_readable_count(tmp_path, capsys):
+    # the 2000-fold product channel needs 4^2000 states, a 1,205-digit count
+    bob = write_bsc(tmp_path, 0.05, "b.json")
+    eve = write_bsc(tmp_path, 0.2, "e.json")
+    rc = main(["wiretap-bounds", "--channel-b", bob, "--channel-e", eve,
+               "--dist", write_uniform(tmp_path), "--messages", "2",
+               "--randomization", "4", "--threshold", repr(math.e),
+               "--decoder-threshold", "4", "--blocklength", "2000"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err) < 300
+    assert "needs about 10^1204.1 joint states" in err
+
+
 def test_bounds_n30_counts_classes_not_atoms(tmp_path, capsys):
     # 31 type classes fit the default budget; the 4^30 atoms would not
     chan = write_bsc(tmp_path)

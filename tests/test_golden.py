@@ -78,6 +78,13 @@ def _exponents(channel, law, lo, hi):
             "--rate-end", hi, "--rate-steps", "9"]
 
 
+def _wiretap_bounds(messages, randomization, n):
+    return ["wiretap-bounds", "--channel-b", "bob.json", "--channel-e",
+            "eve.json", "--dist", "u2.json", "--messages", messages,
+            "--randomization", randomization, "--threshold", E,
+            "--decoder-threshold", "4", "--blocklength", str(n)]
+
+
 _IDCODE = ["--channel", "sym4.json", "--dist", "u4.json", "--blocklength", "4"]
 
 COMMAND_RUNS = [
@@ -88,10 +95,8 @@ COMMAND_RUNS = [
     _exponents("bsc01.json", ["--worst"], "0.8", "1.2"),
     _exponents("asym3.json", ["--dist", "p3.json"], "0.05", "0.45"),
     _exponents("asym3.json", ["--worst"], "0.05", "0.45"),
-    *(["wiretap-bounds", "--channel-b", "bob.json", "--channel-e", "eve.json",
-       "--dist", "u2.json", "--messages", m, "--randomization", r,
-       "--threshold", E, "--decoder-threshold", "4", "--blocklength", "4"]
-      for m, r in (("2", "4"), ("1", "2"))),
+    _wiretap_bounds("2", "4", 4),
+    _wiretap_bounds("1", "2", 4),
     ["idcode", "build", *_IDCODE, "--alpha", "2", "--alpha-prime", "4",
      "--beta", "2", "--beta-prime", "4", "--tau", "0.1", "--kappa", "0.8",
      "--codewords", "100", "--threshold", "2", "--seed", "0",
@@ -99,6 +104,8 @@ COMMAND_RUNS = [
     ["idcode", "eval", *_IDCODE, "--code", "code.json"],
     ["capacity", "--channel", "z.json"],
     ["capacity", "--channel", "asym3.json"],
+    # the benchmark's wiretap-bounds job: phi on 256x256 products
+    _wiretap_bounds("2", "4", 8),
 ]
 
 
