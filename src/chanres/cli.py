@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
              *_BLOCK, *_LAW, "code")
 
     _command(sub, "capacity", run_capacity,
-             "capacity by alternating maximization", "channel", "tol")
+             "capacity by Newton ascent", "channel", "tol")
     _command(sub, "wiretap-bounds", run_wiretap_bounds,
              "the five wiretap guarantees", *_BLOCK, *_WIRETAP)
     return ap

@@ -14,6 +14,8 @@ ascent on the simplex solves it, certified by its stationarity (KKT)
 residual.  An array of parameters is solved as one stack.  A sweep
 over rates evaluates each family's curves once on the scan grids and
 refines the optima of all rates by one golden section in lockstep.
+The same Newton step maximizes the mutual information for `capacity`,
+and the secrecy rate of `secrecy_capacity_lb` in convex-concave rounds.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .channel import (
     Channel,
     Distribution,
     _blocks,
+    _kl_rows,
     dispersion_J,
     mutual_information,
     output_distribution,
@@ -161,23 +164,6 @@ def _kkt_residual(p: np.ndarray, D: np.ndarray, F) -> np.ndarray:
     return resid / np.maximum(np.abs(F), 1.0)
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """Every vector of `parts` nonnegative integers summing to `total`.
-
-    One row each, in lexicographic order; built one column at a time,
-    each row of the first j columns repeated once per value the next
-    column can take.
-    """
-    rows = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([total])
-    for _ in range(parts - 1):
-        reps = left + 1
-        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.column_stack([np.repeat(rows, reps, axis=0), k])
-        left = np.repeat(left, reps) - k
-    return np.column_stack([rows, left])
-
-
 def _f_slices(A: np.ndarray) -> np.ndarray:
     """A copy of the stack A with each (K, Y) slice in Fortran order.
 
@@ -188,23 +174,30 @@ def _f_slices(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(A.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def _newton_step(A, c, p, g, D, F, resid):
-    """The next law of one Newton ascent, or None if it cannot move.
+def _power_sum(g: np.ndarray, c: float):
+    """sum_y g_y^c, or None where an output g_y is empty."""
+    return np.sum(g ** c) if np.all(g > 0) else None
 
-    A is the slice, g = p @ A and D = A @ g^(c-1); F and resid are
-    floats.  See `_certified_power_max`.  An output of tiny mass can
-    overflow g^(c-2); a Newton matrix that is not finite is a step this
-    cannot take.
+
+def _newton_step(p, D, F, resid, neg_hess, value):
+    """The next law of a Newton ascent on a concave objective, or None if
+    it cannot move.  See `_certified_power_max`.
+
+    D is the gradient at the law p up to a constant, F == p @ D and
+    resid the stationarity residual.  neg_hess(S) is minus the Hessian
+    on the letters S; value(q) is the objective at q, or None where q
+    empties an output (whose infinite marginal gain the gradient no
+    longer sees).  The step is clipped to the simplex and halved until
+    the value does not fall by more than rounding.  A Newton matrix that
+    is not finite (a tiny output mass can overflow it) is no step.
     """
     active = (p > 0) | (D > F)
     while True:
         S = np.flatnonzero(active)
-        AS = A[S]
         kkt = np.ones((S.size + 1, S.size + 1))
         kkt[-1, -1] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            kkt[:-1, :-1] = ((1.0 - c) * (AS * g ** (c - 2.0)) @ AS.T
-                             + resid * F * np.eye(S.size))
+            kkt[:-1, :-1] = neg_hess(S) + resid * F * np.eye(S.size)
         if not np.all(np.isfinite(kkt)):
             return None
         d = np.linalg.lstsq(kkt, np.append(D[S], 0.0), rcond=None)[0][:-1]
@@ -214,20 +207,14 @@ def _newton_step(A, c, p, g, D, F, resid):
         active[S[drop]] = False
     step = np.zeros(p.size)
     step[S] = d
-    neg = np.flatnonzero(step < 0)
-    ratios = -p[neg] / step[neg]
-    t, hit = 1.0, None
-    if neg.size and ratios.min() < 1.0:
-        t, hit = float(ratios.min()), neg[np.argmin(ratios)]
+    t = 1.0
     for _ in range(60):  # a step cut 2^60-fold is lost in rounding
         q = np.maximum(p + t * step, 0.0)
-        if hit is not None:
-            q[hit] = 0.0
         q /= q.sum()
-        gq = q @ A
-        if np.all(gq > 0) and np.sum(gq ** c) >= F * (1.0 - 1e-15):
+        v = value(q)
+        if v is not None and v >= F * (1.0 - 1e-15):
             return q
-        t, hit = t / 2.0, None
+        t /= 2.0
     return None
 
 
@@ -251,20 +238,18 @@ def _certified_power_max(A: np.ndarray, c: np.ndarray, x: np.ndarray,
     the active set: the support, plus the letters with D_x > F, minus
     the letters with p_x == 0 the step would make negative.  The Newton
     matrix is damped by residual * F along the identity, since F is
-    linear along the Hessian's null space when |X| > |Y|.  The step is
-    capped to the simplex and halved until every output keeps positive
-    mass (an emptied output has infinite marginal gain, which the
-    gradient there no longer sees) and F does not fall by more than
-    rounding.
+    linear along the Hessian's null space when |X| > |Y|.  The step
+    (`_newton_step`) keeps every output's mass positive and F from
+    falling.
 
     Each iteration computes g, D, F and `_kkt_residual` of every
     uncertified slice in array operations; a slice stops once its
-    residual is <= _KKT_TOL, and only the others take a step
-    (`_newton_step`, one slice at a time).  Raises ConvergenceError
-    after _NEWTON_ITER steps or a step a slice cannot take.  Slices are
-    grouped by their live output columns, since a column of tiny
-    entries can underflow to zero at some parameters only; each slice
-    gets exactly the bits a stack of one would.
+    residual is <= _KKT_TOL, and only the others take a step, one slice
+    at a time.  Raises ConvergenceError after _NEWTON_ITER steps or a
+    step a slice cannot take.  Slices are grouped by their live output
+    columns, since a column of tiny entries can underflow to zero at
+    some parameters only; each slice gets exactly the bits a stack of
+    one would.
     """
     G, K, _ = A.shape
     F_max, P, R = np.empty(G), np.full((G, K), 1.0 / K), np.empty(G)
@@ -290,8 +275,11 @@ def _certified_power_max(A: np.ndarray, c: np.ndarray, x: np.ndarray,
             if not left.size:
                 break
             for i in left.tolist():
-                q = _newton_step(As[i], float(cs[i]), p[i], g[i, 0], D[i],
-                                 float(F[i]), float(resid[i]))
+                Ai, ci, gi = As[i], float(cs[i]), g[i, 0]
+                q = _newton_step(
+                    p[i], D[i], float(F[i]), float(resid[i]),
+                    lambda S: (1.0 - ci) * (Ai[S] * gi ** (ci - 2.0)) @ Ai[S].T,
+                    lambda u: _power_sum(u @ Ai, ci))
                 if q is None:
                     raise _uncertified(name, float(x[todo[i]]),
                                        float(F[i]), float(resid[i]))
@@ -552,34 +540,50 @@ class CapacityResult:
     residual: float
 
 
+def _info_max(W, cost, p, tol, max_iter):
+    """Newton ascent on the concave I(p;W) - p @ cost over input laws.
+
+    W is a channel matrix and cost <= 0; the start law p reaches every
+    output a letter reaches, and the ascent keeps it so.  The gradient
+    is D(W_x || W_p) - cost_x, minus the Hessian sum_y W_xy W_x'y / W_p(y).
+    Returns (law, value, iterations, residual); the residual
+    max_x (D_x - cost_x) - value bounds the distance to the maximum.
+    Stops at residual <= tol, a step that cannot move, or max_iter.
+    """
+    rows = W[:, p @ W > 0]
+
+    def value(q):
+        wq = q @ rows
+        return None if np.any(wq <= 0) else q @ (_kl_rows(rows, wq) - cost)
+
+    for it in range(1, max_iter + 1):
+        wp = p @ rows
+        D = _kl_rows(rows, wp) - cost
+        F = float(p @ D)
+        resid = float(np.max(D)) - F
+        q = None if resid <= tol or it == max_iter else _newton_step(
+            p, D, F, resid, lambda S: (rows[S] / wp) @ rows[S].T, value)
+        if q is None:
+            return p, F, it, resid
+        p = q
+
+
 def capacity(W: Channel, tol: float = 1e-8,
              max_iter: int = 200_000) -> CapacityResult:
-    """Channel capacity in nats by alternating maximization.
+    """Channel capacity in nats by Newton ascent from the uniform law.
 
     The stationarity certificate is max_x D(W_x || W_p) - I <= tol.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    rows = W.rows
-    K = rows.shape[0]
-    logrows = np.where(rows > 0, np.log(np.where(rows > 0, rows, 1.0)), 0.0)
-    p = np.full(K, 1.0 / K)
-    for it in range(max_iter):
-        wp = p @ rows
-        lwp = np.where(wp > 0, np.log(np.where(wp > 0, wp, 1.0)), 0.0)
-        D = np.sum(np.where(rows > 0, rows * (logrows - lwp), 0.0), axis=1)
-        i_val = float(p @ D)
-        resid = float(np.max(D) - i_val)
-        if resid <= tol:
-            return CapacityResult(max(i_val, 0.0), Distribution(p), it + 1, resid)
-        p = p * np.exp(D - np.max(D))
-        p = np.maximum(p, 1e-300)
-        p = p / p.sum()
-    raise ConvergenceError(
-        f"capacity iteration cap {max_iter} exceeded "
-        f"(best value {i_val!r}, residual {resid!r})",
-        best_value=i_val, residual=resid,
-    )
+    K = W.input_size
+    p, i_val, iterations, resid = _info_max(W.rows, np.zeros(K),
+                                            np.full(K, 1.0 / K), tol, max_iter)
+    if resid > tol:
+        raise ConvergenceError(f"capacity iteration cap {max_iter} exceeded "
+                               f"(best value {i_val!r}, residual {resid!r})",
+                               best_value=i_val, residual=resid)
+    return CapacityResult(max(i_val, 0.0), Distribution(p), iterations, resid)
 
 
 def secrecy_rate(W_B: Channel, W_E: Channel, p: Distribution) -> float:
@@ -594,56 +598,33 @@ def secrecy_capacity_lb(W_B: Channel, W_E: Channel) -> tuple[float, Distribution
 
     The objective is not concave, so this is a certified-achievable
     lower bound: the returned value is the exact secrecy rate of the
-    returned input law, found by multi-start ascent (plus a dense grid
-    on alphabets of size <= 4).
+    returned input law.  From each of 21 starts, the convex-concave
+    procedure replaces I(q;W_E) by its tangent q @ D(W_E,x || W_E,p) at
+    the current law p, which lies above it, and maximizes I(q;W_B) less
+    the tangent by `_info_max`, until the secrecy rate stops rising.  A
+    letter that reaches an Eve output p leaves empty has an infinite
+    tangent slope and sits out the round.
     """
-    from scipy.optimize import minimize
-
-    if W_B.input_size != W_E.input_size:
-        raise ValueError("channels must share an input alphabet")
     K = W_B.input_size
-
-    def exact(pv: np.ndarray) -> float:
-        return secrecy_rate(W_B, W_E, Distribution(pv))
-
-    def neg_obj(pv: np.ndarray) -> float:
-        pv = np.maximum(pv, 0.0)
-        tot = pv.sum()
-        if tot <= 0:
-            return 1e9
-        pv = pv / tot
-        val = exact(pv)
-        return -val if math.isfinite(val) else 1e9
-
-    starts = [np.full(K, 1.0 / K)]
-    for x in range(min(K, 8)):
-        v = np.full(K, 0.1 / K)
-        v[x] += 0.9
-        starts.append(v)
     rng = np.random.Generator(np.random.Philox(key=[0x5EC2EC, 0]))
-    for _ in range(12):
-        starts.append(rng.dirichlet(np.ones(K)))
-    if K <= 4:
-        # the first composition with the largest rate, as a start
-        best_g = max(_compositions(50, K) / 50, key=exact)
-        starts.append(0.98 * best_g + 0.02 * np.full(K, 1.0 / K))
-
-    best_p = None
-    best_v = -math.inf
-    cons = ({"type": "eq", "fun": lambda v: v.sum() - 1.0},)
-    bounds = [(0.0, 1.0)] * K
-    for start in starts:
-        res = minimize(neg_obj, start / start.sum(), method="SLSQP",
-                       bounds=bounds, constraints=cons,
-                       options={"maxiter": 400, "ftol": 1e-14})
-        pv = np.maximum(res.x, 0.0)
-        if pv.sum() <= 0:
-            continue
-        pv = pv / pv.sum()
-        v = exact(pv)
+    starts = [np.full(K, 1.0 / K), *(0.9 * np.eye(K)[:8] + 0.1 / K),
+              *rng.dirichlet(np.ones(K), size=12)]
+    best_v, best_p = -math.inf, None
+    for p in starts:
+        p = p / p.sum()
+        v = secrecy_rate(W_B, W_E, Distribution(p))
+        for _ in range(_NEWTON_ITER):
+            slope = _kl_rows(W_E.rows, p @ W_E.rows)
+            keep = np.isfinite(slope)
+            q = np.zeros(K)
+            q[keep] = _info_max(W_B.rows[keep], slope[keep] - slope[keep].max(),
+                                p[keep], _KKT_TOL, _NEWTON_ITER)[0]
+            rate = secrecy_rate(W_B, W_E, Distribution(q))
+            if not rate > v:
+                break
+            p, v = q, rate
         if v > best_v:
-            best_v = v
-            best_p = pv
+            best_v, best_p = v, p
     return best_v, Distribution(best_p)
 
 

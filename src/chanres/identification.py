@@ -209,8 +209,8 @@ class SelectionParams:
 
     def __post_init__(self):
         for name in ("alpha", "alpha_prime", "beta", "beta_prime"):
-            if getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must exceed 1")
+            if not 1.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must exceed 1 and be finite")
         if 1.0 / self.alpha + 1.0 / self.alpha_prime >= 1.0:
             raise ValueError("need 1/alpha + 1/alpha_prime < 1")
         if self.gamma <= 0.0:

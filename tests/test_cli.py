@@ -185,7 +185,7 @@ def test_capacity_invalid_tol_exits_2(tmp_path, capsys, tol):
 
 
 def test_capacity_iteration_cap_exits_4(tmp_path, capsys, monkeypatch):
-    # the Z channel reaches tol 1e-15 in 39 iterations; cap it at 3
+    # the Z channel reaches tol 1e-15 in 5 iterations; cap it at 3
     monkeypatch.setattr(cli, "capacity",
                         functools.partial(cli.capacity, max_iter=3))
     W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
@@ -492,6 +492,26 @@ def test_idcode_eval_malformed_code_exits_2(tmp_path, capsys,
                "--code", str(code_file)])
     assert rc == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--alpha-prime", "--beta",
+                                  "--beta-prime"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_idcode_build_non_finite_screen_parameter_exits_2(tmp_path, capsys,
+                                                          flag, value):
+    chan = write_channel(tmp_path, identity_channel(7), "id7.json")
+    dist = write_uniform(tmp_path, 7)
+    params = {"--alpha": "2", "--alpha-prime": "4", "--beta": "2",
+              "--beta-prime": "4", flag: value}
+    rc = main(["idcode", "build", "--channel", chan, "--dist", dist,
+               *(x for kv in params.items() for x in kv),
+               "--tau", "0.15", "--kappa", "0.99", "--codewords", "7",
+               "--threshold", "2.0", "--seed", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must exceed 1 and be finite" in captured.err
 
 
 def test_idcode_build_family_budget_exits_3(tmp_path, capsys):

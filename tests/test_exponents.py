@@ -306,6 +306,21 @@ def test_tiny_column_drops_out_where_it_underflows():
     assert np.all(laws == 0.5)
 
 
+def test_groups_of_live_columns_that_take_steps_equal_scalar_calls():
+    # the tiny entry raised to 1 + s or 1/(1+t) underflows at s = 0.95
+    # and t = -0.5, not at s = 0.05 and t = -0.05, so each stack is
+    # solved in two groups; the optimum is not uniform, so both step
+    W = Channel(np.array([[0.6, 0.4, 1e-200], [0.1, 0.9, 0.0],
+                          [0.5, 0.5, 0.0]]))
+    for solve, xs in ((_psi_worst_solve, [0.05, 0.95]),
+                      (_phi_worst_solve, [-0.05, -0.5])):
+        vals, laws = solve(np.array(xs), W)
+        assert not np.allclose(laws, 1.0 / 3.0)
+        for x, v, law in zip(xs, vals.tolist(), laws):
+            one, one_law = solve(x, W)
+            assert one[0] == v and np.array_equal(one_law[0], law)
+
+
 @pytest.mark.parametrize("solve, x, name", [(psi_worst, 0.35, "s"),
                                             (phi_worst, -0.45, "t")])
 def test_overflowing_newton_matrix_is_uncertified(solve, x, name):
@@ -650,8 +665,8 @@ def test_capacity_convergence_error():
         capacity(W, tol=1e-30, max_iter=3)
     assert err.value.best_value is not None
     assert err.value.residual is not None
-    # reachable in 39 iterations, stopped by the cap
-    assert capacity(W, tol=1e-15).iterations == 39
+    # reachable in 5 iterations, stopped by the cap
+    assert capacity(W, tol=1e-15).iterations == 5
     with pytest.raises(ConvergenceError):
         capacity(W, tol=1e-15, max_iter=3)
 
@@ -660,6 +675,64 @@ def test_capacity_convergence_error():
 def test_capacity_rejects_invalid_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         capacity(bsc(0.1), tol=tol, max_iter=3)
+
+
+def _alternating_capacity(W: Channel, tol: float = 1e-8,
+                          max_iter: int = 200_000) -> float:
+    """Capacity by Blahut-Arimoto alternation, the loop the Newton ascent
+    replaced, with the same certificate max_x D(W_x || W_p) - I <= tol."""
+    rows = W.rows
+    logrows = np.where(rows > 0, np.log(np.where(rows > 0, rows, 1.0)), 0.0)
+    p = np.full(rows.shape[0], 1.0 / rows.shape[0])
+    for _ in range(max_iter):
+        wp = p @ rows
+        lwp = np.where(wp > 0, np.log(np.where(wp > 0, wp, 1.0)), 0.0)
+        D = np.sum(np.where(rows > 0, rows * (logrows - lwp), 0.0), axis=1)
+        i_val = float(p @ D)
+        if float(np.max(D) - i_val) <= tol:
+            return max(i_val, 0.0)
+        p = p * np.exp(D - np.max(D))
+        p = np.maximum(p, 1e-300)
+        p = p / p.sum()
+    raise AssertionError("the alternation did not converge")
+
+
+def _capacity_cases() -> dict:
+    rng = np.random.default_rng(2024)
+    cases = {f"dense-{K}x{Y}": rng.dirichlet(np.ones(Y), size=K)
+             for K, Y in ((16, 16), (64, 16), (256, 4))}
+    for K, Y in ((8, 8), (16, 6), (12, 24)):
+        rows = rng.dirichlet(np.ones(Y), size=K) * (rng.random((K, Y)) < 0.4)
+        rows[np.arange(K), rng.integers(0, Y, K)] += 0.05
+        cases[f"sparse-{K}x{Y}"] = rows / rows.sum(axis=1, keepdims=True)
+    rows = rng.dirichlet(np.ones(5), size=6)
+    rows[:, 2] = 0.0
+    cases["zero-column-6x5"] = rows / rows.sum(axis=1, keepdims=True)
+    return cases
+
+
+CAPACITY_CASES = _capacity_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CAPACITY_CASES))
+def test_capacity_equals_alternating_maximization(name):
+    W = Channel(CAPACITY_CASES[name])
+    res = capacity(W)
+    ref = _alternating_capacity(W)
+    assert res.value >= ref - 1e-12
+    assert abs(res.value - ref) <= 1e-8
+    assert res.residual <= 1e-8
+
+
+def test_capacity_z_channel_closed_form():
+    # input 1 crosses to output 0 with probability q; with
+    # z = q^(q/(1-q)), the capacity is log(1 + (1-q) z), reached at
+    # P(input 1) = z / (1 + (1-q) z)
+    q = 0.3
+    z = q ** (q / (1.0 - q))
+    res = capacity(Channel(np.array([[1.0, 0.0], [q, 1.0 - q]])))
+    assert abs(res.argmax.probs[1] - z / (1.0 + (1.0 - q) * z)) <= 1e-10
+    assert math.isclose(res.value, math.log1p((1.0 - q) * z), rel_tol=1e-12)
 
 
 def test_secrecy_rate_and_lower_bound():

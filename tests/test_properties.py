@@ -1,18 +1,20 @@
 """Property tests on random channels: the type-class path, additivity,
-array generating functions, the worst-case input solve, the
-divergence decomposition of wiretap leakage, and the wiretap bounds
-and exponents against the per-formula code they replaced.
+array generating functions, the worst-case input solve, the secrecy
+bound, the divergence decomposition of wiretap leakage, and the wiretap
+bounds and exponents against the per-formula code they replaced.
 
 Channels and input laws are drawn with some zero entries, so dead
 output columns, zero-probability inputs and merged single-letter
 densities all occur.  Each fast path is checked against the
 materialized n-fold product or the scalar call, and the worst-case
-solve against a simplex grid.
+solve and the secrecy bound against a simplex grid.
 """
 
 import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,8 @@ from chanres import (
     product_tail_pair,
     psi,
     psi_worst,
+    secrecy_capacity_lb,
+    secrecy_rate,
     spectrum_cdf,
     tail_pair,
 )
@@ -35,7 +39,6 @@ from chanres.exponents import (
     GRID_STEP,
     S_GRID,
     T_GRID,
-    _compositions,
     _grid_golden_max,
     _phi_worst_solve,
     _psi_worst_solve,
@@ -123,6 +126,23 @@ def test_psi_phi_additive_over_products(law, n, s, t):
                         rel_tol=1e-9, abs_tol=1e-12)
 
 
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every vector of `parts` nonnegative integers summing to `total`.
+
+    One row each, in lexicographic order; built one column at a time,
+    each row of the first j columns repeated once per value the next
+    column can take.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total])
+    for _ in range(parts - 1):
+        reps = left + 1
+        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), k])
+        left = np.repeat(left, reps) - k
+    return np.column_stack([rows, left])
+
+
 # a step-0.02 grid on the simplex of up to 4 inputs (23,426 points)
 _GRID_STEPS = 50
 
@@ -166,6 +186,48 @@ def test_worst_case_beats_simplex_grid(W, s, t):
         assert F >= float(np.max(_power_sums(A, c, grid))) * (1.0 - 1e-9)
         assert math.isclose(float(_power_sums(A, c, arg.probs)), F,
                             rel_tol=1e-12)
+
+
+# only letter 2 reaches Eve's output 2, and Bob cannot tell letter 2
+# from letter 0: the best law leaves letter 2 out, and at a law without
+# it, letter 2's tangent slope D(W_E,2 || W_E,p) is infinite
+SOLE_EVE_READER = (
+    Channel(np.array([[0.9, 0.1], [0.1, 0.9], [0.9, 0.1]])),
+    Channel(np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [0.0, 0.2, 0.8]])))
+
+
+def _secrecy_pairs() -> list:
+    """SOLE_EVE_READER and seeded random pairs of 2 or 3 inputs, half of
+    them with zero entries."""
+    rng = np.random.default_rng(11)
+    pairs = [SOLE_EVE_READER]
+    for i in range(10):
+        K = 2 + i % 2
+        sides = []
+        for Y in rng.integers(2, 4, size=2).tolist():
+            rows = rng.dirichlet(np.ones(Y), size=K)
+            if i % 4 >= 2:
+                rows = rows * (rng.random((K, Y)) < 0.6)
+                rows[np.arange(K), rng.integers(0, Y, K)] += 0.1
+            sides.append(Channel(rows / rows.sum(axis=1, keepdims=True)))
+        pairs.append(tuple(sides))
+    return pairs
+
+
+SECRECY_PAIRS = _secrecy_pairs()
+
+
+@pytest.mark.parametrize("i", range(len(SECRECY_PAIRS)))
+def test_secrecy_bound_beats_simplex_grid_without_scipy(monkeypatch, i):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    W_B, W_E = SECRECY_PAIRS[i]
+    val, arg = secrecy_capacity_lb(W_B, W_E)
+    assert val == secrecy_rate(W_B, W_E, arg)
+    grid = _compositions(40, W_B.input_size) / 40
+    assert val >= max(secrecy_rate(W_B, W_E, Distribution(g)) for g in grid)
+    if i == 0:
+        assert arg.probs[2] == 0.0
 
 
 _S = st.one_of(st.floats(0.0, 1e-3), st.floats(1e-3, 1.0))
