@@ -14,6 +14,8 @@ ascent on the simplex solves it, certified by its stationarity (KKT)
 residual.  An array of parameters is solved as one stack.  A sweep
 over rates evaluates each family's curves once on the scan grids and
 refines the optima of all rates by one golden section in lockstep.
+The random-coding (Gallager) search finds its grid cell by bisection,
+as its objective is concave.
 The same Newton step maximizes the mutual information for `capacity`,
 and the secrecy rate of `secrecy_capacity_lb` in convex-concave rounds.
 """
@@ -385,11 +387,65 @@ def _grid_golden_max(f, xs: np.ndarray, rows):
     for v in rows:
         best.append(int(np.argmax(v)))
         best_vals.append(float(v[best[-1]]))
-    best, best_vals = np.array(best), np.array(best_vals)
+    return _refine_cells(f, xs, np.array(best), np.array(best_vals))
+
+
+def _refine_cells(f, xs: np.ndarray, best: np.ndarray, best_vals: np.ndarray):
+    """Golden section on [xs[b - 1], xs[b + 1]] around each grid argmax b,
+    in lockstep, keeping the grid point where the section ends below it.
+
+    f is as in `_golden_max`; best_vals holds f at the grid points
+    xs[best].  Returns the arrays (argmax, max).
+    """
     xg, vg = _golden_max(f, xs[np.maximum(best - 1, 0)],
                          xs[np.minimum(best + 1, len(xs) - 1)])
     keep = vg >= best_vals
     return np.where(keep, xg, xs[best]), np.where(keep, vg, best_vals)
+
+
+# A computed value f of a concave objective is taken to lie within
+# _CELL_TOL * max(1, |f|) of its exact value.  Even on a 256 x 256
+# product, phi is the log of sums of a few hundred rounded terms, so its
+# error is far below 1e-12 relative; adjacent grid values at a peak of
+# ordinary curvature differ by about f'' * GRID_STEP^2 / 2, some 1e-7 to
+# 1e-6.  1e-9 is far from both.
+_CELL_TOL = 1e-9
+
+
+def _bisect_cell(f, xs: np.ndarray):
+    """(b, f at xs[b]) for the grid argmax b of a concave objective, or
+    None when b cannot be certified.
+
+    f is as in `_golden_max`, for one objective.  The increments of a
+    concave function fall along the grid, so the first b with
+    f(xs[b]) >= f(xs[b + 1]) (else the last point) is found by
+    bisection, each step evaluating its two points in one call of f.
+    b is certified when f(xs[b]) exceeds each grid neighbour by more
+    than twice the rounding bound _CELL_TOL: the exact values then rise
+    strictly into b and fall strictly out of it, so by concavity every
+    other computed grid value lies below f(xs[b]), and b is the
+    `np.argmax` of the full scan.
+    """
+    vals = {}
+
+    def at(*idx):
+        new = sorted({i for i in idx if 0 <= i < xs.size} - vals.keys())
+        if new:
+            vals.update(zip(new, f(None, xs[new]).tolist()))
+
+    lo, hi = 0, xs.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        at(mid, mid + 1)
+        if vals[mid] >= vals[mid + 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    at(lo - 1, lo + 1)
+    gap = 2.0 * _CELL_TOL * max(1.0, abs(vals[lo]))
+    if all(vals[lo] - vals[j] > gap for j in (lo - 1, lo + 1) if j in vals):
+        return lo, vals[lo]
+    return None
 
 
 @dataclass(frozen=True)
@@ -451,11 +507,26 @@ def _worst_family(W: Channel) -> tuple:
 def _gallager_max(W: Channel, p: Distribution, rate: float
                   ) -> tuple[float, float]:
     """(argmax, max) over s in [0, 1] of the random-coding error exponent
-    -phi(s | W, p) - s * rate, scanned on S_GRID."""
+    -phi(s | W, p) - s * rate, found on S_GRID and refined by golden section.
+
+    The objective is E_0(s) - s * rate, concave in s for every input law
+    (Gallager 1968, Thm 5.6.3), so `_bisect_cell` finds the best grid
+    cell in about 20 evaluations where a scan takes 1,001.  Its
+    certificate makes that cell the one the scan would pick.  A flat
+    objective (a useless channel or a point-mass law at rate 0, a
+    noiseless channel at rate log|Y|) cannot be certified and is scanned
+    in full.  Either way the result is bit for bit that of
+    `_grid_golden_max` on the scan.
+    """
     def f(_, s):
         return -phi(s, W, p) - s * rate
 
-    s, v = _grid_golden_max(f, S_GRID, [f(None, S_GRID)])
+    cell = _bisect_cell(f, S_GRID)
+    if cell is None:
+        s, v = _grid_golden_max(f, S_GRID, [f(None, S_GRID)])
+    else:
+        s, v = _refine_cells(f, S_GRID, np.array([cell[0]]),
+                             np.array([cell[1]]))
     return float(s[0]), float(v[0])
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,12 @@ def eval_code(code: ResolvabilityCode, W: Channel, p: Distribution
     return _gaps(mix, wp)
 
 
+def _check_fits_float(size: int, name: str) -> None:
+    if size > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.3g}, "
+                         "the largest float")
+
+
 def _code_bounds(tp: TailPair, M: int, n: int, Y: int, phi_grid
                  ) -> tuple[float, float, float, float]:
     """(vd, eta, phi bound, its t) for a random code of M words.
@@ -97,8 +104,10 @@ def _code_bounds(tp: TailPair, M: int, n: int, Y: int, phi_grid
     output size and phi_grid the values phi(PHI_T_GRID) of one letter.
     The phi bound is min over the grid of log(1 + e^x) / (-t) with
     x = t*log M + n*phi(t); for x > 709, where e^x overflows,
-    log(1 + e^x) is x to double precision.
+    log(1 + e^x) is x to double precision.  Raises ValueError when M
+    does not fit a float, as the bounds divide by it.
     """
+    _check_fits_float(M, "M")
     vd = 2.0 * tp.delta + math.sqrt(tp.delta_prime / M)
     bound_eta = (eta(tp.delta) + tp.delta * n * math.log(Y)
                  + tp.delta_prime / M)

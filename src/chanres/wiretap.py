@@ -27,7 +27,7 @@ from .channel import (
     output_distribution,
 )
 from .exponents import _gallager_max, phi
-from .resolvability import PHI_T_GRID, _code_bounds
+from .resolvability import PHI_T_GRID, _check_fits_float, _code_bounds
 from .rng import sample_indices, stream
 from .spectrum import tail_pair
 
@@ -213,10 +213,12 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     pairwise distance), and the error bound is the random-coding bound
     of W_B at rate log(M*L).  C_prime may be None when no
     threshold-decoder guarantee is wanted; the threshold error bound is
-    then reported as inf and the stored C_prime as nan.
+    then reported as inf and the stored C_prime as nan.  M*L must fit a
+    float.
     """
     if M < 1 or L < 1:
         raise ValueError("M and L must be positive")
+    _check_fits_float(M * L, "M*L")
     if not 0 < C < math.inf:
         raise ValueError("C must be positive and finite")
     if C_prime is not None and not 0 < C_prime < math.inf:

@@ -449,6 +449,58 @@ def test_wiretap_bounds_command(tmp_path):
     assert -0.5 <= doc["phi_t"] <= -0.05
 
 
+def test_wiretap_bounds_n8_gallager_search_is_bisected(tmp_path, monkeypatch):
+    # the benchmark's n = 8 job: a scan of S_GRID on the 256 x 256 product
+    # took 1,001 phi evaluations, the bisection and golden section fewer
+    # than 100
+    sizes = []
+    real_phi = exponents.phi
+
+    def counted(t, W, p):
+        sizes.append(np.size(t))
+        return real_phi(t, W, p)
+
+    monkeypatch.setattr(exponents, "phi", counted)
+    rc = main(["wiretap-bounds",
+               "--channel-b", write_bsc(tmp_path, 0.05, "bob.json"),
+               "--channel-e", write_bsc(tmp_path, 0.2, "eve.json"),
+               "--dist", write_uniform(tmp_path), "--messages", "2",
+               "--randomization", "4", "--threshold", str(math.e),
+               "--decoder-threshold", "4", "--blocklength", "8",
+               "--output", str(tmp_path / "wb.json")])
+    assert rc == 0
+    assert sum(sizes) <= 100
+    assert exponents.S_GRID.size not in sizes
+
+
+_BEYOND_FLOATS = str(10 ** 400)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["bounds", "--channel", "bsc.json", "--dist", "u2.json",
+      "--codebook-size", _BEYOND_FLOATS, "--threshold", "2"], "M"),
+    (["simulate", "resolvability", "--channel", "bsc.json", "--dist", "u2.json",
+      "--codebook-size", _BEYOND_FLOATS, "--threshold", "2", "--trials", "100",
+      "--seed", "0"], "M"),
+    (["wiretap-bounds", "--channel-b", "bsc.json", "--channel-e", "bsc.json",
+      "--dist", "u2.json", "--messages", str(10 ** 200),
+      "--randomization", str(10 ** 200), "--threshold", "2",
+      "--decoder-threshold", "4"], "M*L"),
+    (["simulate", "wiretap", "--channel-b", "bsc.json", "--channel-e",
+      "bsc.json", "--dist", "u2.json", "--messages", _BEYOND_FLOATS,
+      "--randomization", "4", "--threshold", "2", "--decoder-threshold", "4",
+      "--seed", "0"], "M*L"),
+], ids=["bounds", "simulate-resolvability", "wiretap-bounds",
+        "simulate-wiretap"])
+def test_code_size_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch,
+                                                argv, name):
+    write_bsc(tmp_path, name="bsc.json")
+    write_uniform(tmp_path, name="u2.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"error: {name} must be at most 1.8e+308" in capsys.readouterr().err
+
+
 def test_idcode_build_and_eval(tmp_path, capsys):
     chan = write_channel(tmp_path, identity_channel(7), "id7.json")
     dist = write_uniform(tmp_path, 7)

@@ -1,7 +1,8 @@
 """Property tests on random channels: the type-class path, additivity,
 array generating functions, the worst-case input solve, the secrecy
-bound, the divergence decomposition of wiretap leakage, and the wiretap
-bounds and exponents against the per-formula code they replaced.
+bound, the divergence decomposition of wiretap leakage, the wiretap
+bounds and exponents against the per-formula code they replaced, and
+the bisected Gallager search against the full scan of S_GRID.
 
 Channels and input laws are drawn with some zero entries, so dead
 output columns, zero-probability inputs and merged single-letter
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from chanres import (
     Channel,
     Distribution,
+    identity_channel,
     output_distribution,
     phi,
     phi_worst,
@@ -39,6 +41,8 @@ from chanres.exponents import (
     GRID_STEP,
     S_GRID,
     T_GRID,
+    _bisect_cell,
+    _gallager_max,
     _grid_golden_max,
     _phi_worst_solve,
     _psi_worst_solve,
@@ -374,3 +378,71 @@ def test_wiretap_reuse_equals_spelled_out_formulas(law, Y_E, n, M, L, log_C,
                   _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime))
     _fields_equal(wiretap_exponents(R, R_prime, W_B, W_E, p),
                   _spelled_out_wiretap_exponents(R, R_prime, W_B, W_E, p))
+
+
+def _gallager_objective(W, p, rate):
+    def f(_, s):
+        return -phi(s, W, p) - s * rate
+    return f
+
+
+def _scanned_gallager_max(W, p, rate):
+    """The Gallager search as a scan of every S_GRID point, then the
+    golden section around the best one."""
+    f = _gallager_objective(W, p, rate)
+    s, v = _grid_golden_max(f, S_GRID, [f(None, S_GRID)])
+    return float(s[0]), float(v[0])
+
+
+@PROPERTY
+@given(channel_and_law(), st.integers(1, 3),
+       st.one_of(st.just(0.0),
+                 st.builds(lambda M, L: math.log(M) + math.log(L),
+                           st.integers(1, 60), st.integers(1, 60)),
+                 st.floats(0.0, 3.0)))
+def test_bisected_gallager_search_equals_full_scan(law, n, rate):
+    W, p = law
+    W, p = product(W, n), product_dist(p, n)
+    assert (repr(_gallager_max(W, p, rate))
+            == repr(_scanned_gallager_max(W, p, rate)))
+
+
+def _seeded_law(seed, K, Y):
+    rng = np.random.default_rng(seed)
+    return (Channel(rng.dirichlet(np.ones(Y), size=K)),
+            Distribution(rng.dirichlet(np.ones(K))))
+
+
+# flat objectives: no information at rate 0, or E_0(s) = s * rate
+_FLAT = {
+    "rows-equal": (Channel(np.tile([0.2, 0.3, 0.5], (3, 1))),
+                   Distribution([0.2, 0.3, 0.5]), 0.0),
+    "point-mass": (_seeded_law(5, 3, 3)[0], Distribution([0.0, 1.0, 0.0]),
+                   0.0),
+    "identity-at-log-Y": (identity_channel(4), Distribution(np.full(4, 0.25)),
+                          math.log(4)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FLAT))
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_gallager_objective_takes_the_full_scan(name, n):
+    W, p, rate = _FLAT[name]
+    W, p, rate = product(W, n), product_dist(p, n), n * rate
+    assert _bisect_cell(_gallager_objective(W, p, rate), S_GRID) is None
+    assert (repr(_gallager_max(W, p, rate))
+            == repr(_scanned_gallager_max(W, p, rate)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_generic_gallager_objective_is_certified(seed):
+    K, Y, n = 2 + seed % 3, 2 + seed % 2, 1 + seed % 3
+    W, p = _seeded_law(seed, K, Y)
+    W, p = product(W, n), product_dist(p, n)
+    for rate in (0.0, math.log(8), np.random.default_rng(seed).uniform(0, 2)):
+        f = _gallager_objective(W, p, rate)
+        b, value = _bisect_cell(f, S_GRID)
+        grid = f(None, S_GRID)
+        assert b == int(np.argmax(grid)) and value == grid[b]
+        assert (repr(_gallager_max(W, p, rate))
+                == repr(_scanned_gallager_max(W, p, rate)))
