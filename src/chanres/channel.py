@@ -278,6 +278,19 @@ def _kl_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(_row_sums(terms, A > 0), 0.0)
 
 
+def _density(W: Channel, p: Distribution) -> tuple[np.ndarray, np.ndarray]:
+    """(ratio, density): W_x(y)/W_p(y) and its log for every pair (x, y).
+
+    Every threshold test reads `density`: a pair is over C when density >
+    log(C), so a computed tie ratio == C is never over.  W_x(y) = 0 gives
+    density -inf; W_p(y) = 0 < W_x(y) gives +inf."""
+    wp = output_distribution(W, p).probs
+    pos = W.rows > 0    # logs of the zeros would take numpy's slow path
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(W.rows, wp, out=np.zeros_like(W.rows), where=pos)
+    return ratio, np.log(ratio, out=np.full_like(ratio, -np.inf), where=pos)
+
+
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """Divergence D(p||q) in nats; +inf when p has mass outside supp(q)."""
     if p.size != q.size:
@@ -285,26 +298,23 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return _kl(p.probs, q.probs)
 
 
+def _density_moments(p: Distribution, W: Channel) -> tuple[float, float]:
+    """First and second moments of the information density under p x W."""
+    joint = p.probs[:, None] * W.rows
+    pos = joint > 0
+    mass, dens = joint[pos], _density(W, p)[1][pos]
+    return float(np.sum(mass * dens)), float(np.sum(mass * dens ** 2))
+
+
 def mutual_information(p: Distribution, W: Channel) -> float:
-    """I(p;W) = E_p D(W_x || W_p)."""
-    wp = output_distribution(W, p)
-    total = 0.0
-    for x in p.support():
-        total += p.probs[x] * kl_divergence(Distribution(W.rows[x]), wp)
-    return max(total, 0.0)
+    """I(p;W) = E_p D(W_x || W_p), the mean of the information density."""
+    return max(_density_moments(p, W)[0], 0.0)
 
 
 def dispersion_J(p: Distribution, W: Channel) -> float:
-    """Half the variance of the information density log W_x(y) - log W_p(y)."""
-    wp = output_distribution(W, p).probs
-    second = 0.0
-    for x in p.support():
-        row = W.rows[x]
-        mask = row > 0
-        dens = np.log(row[mask]) - np.log(wp[mask])
-        second += p.probs[x] * float(np.sum(row[mask] * dens ** 2))
-    i_val = mutual_information(p, W)
-    return max(0.5 * (second - i_val * i_val), 0.0)
+    """Half the variance of the information density log(W_x(y)/W_p(y))."""
+    mean, second = _density_moments(p, W)
+    return max(0.5 * (second - mean * mean), 0.0)
 
 
 def divergence_tail_check(p: Distribution, q: Distribution,
@@ -317,26 +327,71 @@ def divergence_tail_check(p: Distribution, q: Distribution,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     lhs = kl_divergence(p, q) + 1.0 / math.e
-    mass = 0.0
-    for w in p.support():
-        if q.probs[w] == 0:
-            mass += p.probs[w]
-        elif math.log(p.probs[w]) - math.log(q.probs[w]) >= alpha:
-            mass += p.probs[w]
-    return lhs, float(alpha) * mass
+    # q = 0 < p gives +inf, counted; p = 0 gives -inf or nan, never counted
+    with np.errstate(divide="ignore", invalid="ignore"):
+        over = np.log(p.probs) - np.log(q.probs) >= alpha
+    return lhs, float(alpha) * float(np.sum(p.probs[over]))
+
+
+def _load_fields(path, what: str, **checks) -> dict:
+    """Each named field of the JSON object in `path`, passed through its
+    check.  A ValueError names the file and the field that is missing or
+    that its check refuses."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file {path} must hold a JSON object")
+    out = {}
+    for field, check in checks.items():
+        if field not in doc:
+            raise ValueError(f"{what} file {path} missing field '{field}'")
+        try:
+            out[field] = check(doc[field])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"{what} file {path}: field '{field}': {exc}") from None
+    return out
+
+
+def _json_numbers(value) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:      # lists of unequal length
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise TypeError("must hold numbers, in lists of equal length")
+    return arr.astype(float)
+
+
+def _json_real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _json_int(value) -> int:
+    """value as an int; 2.0 is one, 2.5, "2" and true are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value % 1:
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return value
 
 
 def load_channel(path) -> Channel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for field in ("input_size", "output_size", "rows"):
-        if field not in doc:
-            raise ValueError(f"channel file {path} missing field '{field}'")
-    rows = np.asarray(doc["rows"], dtype=float)
-    if rows.ndim != 2 or rows.shape != (doc["input_size"], doc["output_size"]):
+    doc = _load_fields(path, "channel", input_size=_json_int,
+                       output_size=_json_int, rows=_json_numbers)
+    rows, shape = doc["rows"], (doc["input_size"], doc["output_size"])
+    if rows.shape != shape:
         raise ValueError(
             f"channel file {path}: field 'rows' has shape {rows.shape}, "
-            f"expected ({doc['input_size']}, {doc['output_size']})"
+            f"expected {shape}"
         )
     return Channel(rows)
 
@@ -353,11 +408,8 @@ def save_channel(W: Channel, path) -> None:
 
 
 def load_distribution(path) -> Distribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "probs" not in doc:
-        raise ValueError(f"distribution file {path} missing field 'probs'")
-    return Distribution(np.asarray(doc["probs"], dtype=float))
+    return Distribution(
+        _load_fields(path, "distribution", probs=_json_numbers)["probs"])
 
 
 def save_distribution(p: Distribution, path) -> None:

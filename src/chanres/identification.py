@@ -27,7 +27,10 @@ from .channel import (
     Channel,
     Distribution,
     EnumerationBudget,
-    output_distribution,
+    _density,
+    _json_list,
+    _json_real,
+    _load_fields,
 )
 from .resolvability import brute_force_min
 from .rng import sample_indices, stream
@@ -244,13 +247,6 @@ class Selection:
     attempts: int
 
 
-def _level_sets(W: Channel, p: Distribution, C: float) -> np.ndarray:
-    # row x is the indicator of {y : W_x(y) > C * W_p(y)}; outputs with
-    # W_p(y) = 0 but W_x(y) > 0 count as exceeding any threshold
-    wp = output_distribution(W, p).probs
-    return W.rows > C * wp
-
-
 def _screen_bounds(params: SelectionParams, p: Distribution, W: Channel
                    ) -> tuple[float, float, float]:
     """(miss_avg, miss_bound, union_bound): the average miss mass
@@ -291,7 +287,7 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
             "screening cannot succeed"
         )
     feasibility_lhs = params.beta * miss_avg + union_bound
-    level = _level_sets(W, p, params.C)
+    level = _density(W, p)[1] > math.log(params.C)
 
     for attempt in range(max_retries):
         xs = sample_indices(p.probs, stream(seed, attempt).random(params.m_prime))
@@ -398,7 +394,7 @@ def eval_id_code(code: IdCode, W: Channel, p: Distribution) -> IdMetrics:
     """
     if max(code.codewords) >= W.input_size:
         raise ValueError("codeword index outside the input alphabet")
-    level = _level_sets(W, p, code.C)
+    level = _density(W, p)[1] > math.log(code.C)
     cw = np.array(code.codewords)
     n = code.messages
     mix = np.empty((n, W.output_size))
@@ -440,13 +436,11 @@ def save_id_code(code: IdCode, path) -> None:
 
 
 def load_id_code(path) -> IdCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for field in ("codewords", "subsets", "C"):
-        if field not in doc:
-            raise ValueError(f"id code file {path} missing field '{field}'")
-    return IdCode(tuple(doc["codewords"]),
-                  tuple(tuple(s) for s in doc["subsets"]), float(doc["C"]))
+    doc = _load_fields(
+        path, "id code", codewords=_json_list,
+        subsets=lambda v: [tuple(_json_list(s)) for s in _json_list(v)],
+        C=_json_real)
+    return IdCode(tuple(doc["codewords"]), tuple(doc["subsets"]), doc["C"])
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@
     delta       = E_p W_x{ W_x/W_p >  C }      (strict inequality)
     delta_prime = E_p W_x^2/W_p { W_x/W_p <= C }  (inclusive)
 
+Every threshold test of the package (these tail pairs, the level sets
+of identification, the threshold decoder of wiretap codes) follows one
+rule, read from the density log(W_x(y)/W_p(y)) that ``channel._density``
+forms for every pair: a pair is over C when its density exceeds
+log(C).  A computed tie W_x(y)/W_p(y) == C is never over, and a pair
+with W_p(y) = 0 < W_x(y) always is.
+
 ``product_tail_pair`` does the same on the n-fold memoryless product,
 and ``spectrum_cdf`` gives the law of the normalized density there,
 both by the method of types.  The density of a product pair depends
@@ -30,7 +37,7 @@ from .channel import (
     Channel,
     Distribution,
     EnumerationBudget,
-    output_distribution,
+    _density,
 )
 
 _EDGE_TOL = 1e-9
@@ -49,7 +56,10 @@ class TailPair:
             raise ValueError("threshold_C must be positive and finite")
         if not -_EDGE_TOL <= self.delta <= 1.0 + _EDGE_TOL:
             raise ValueError(f"delta {self.delta!r} outside [0, 1]")
-        if not -_EDGE_TOL <= self.delta_prime <= self.threshold_C + _EDGE_TOL:
+        # delta_prime rounds relative to C: e^(n log b) at C = b^n is off
+        # by a few ulps of C, well past 1e-9 once C is above about 1e7
+        top = self.threshold_C + _EDGE_TOL * max(self.threshold_C, 1.0)
+        if not -_EDGE_TOL <= self.delta_prime <= top:
             raise ValueError(
                 f"delta_prime {self.delta_prime!r} outside [0, C={self.threshold_C!r}]"
             )
@@ -63,15 +73,11 @@ def tail_pair(p: Distribution, W: Channel, C: float) -> TailPair:
     """Exact (delta, delta_prime) for a single-letter channel."""
     if not 0 < C < math.inf:
         raise ValueError("C must be positive and finite")
-    wp = output_distribution(W, p).probs
-    live = wp > 0
-    rows = W.rows[:, live]
-    ratio = rows / wp[live]
-    joint = p.probs[:, None] * rows
-    over = ratio > C
+    ratio, dens = _density(W, p)
+    joint = p.probs[:, None] * W.rows
+    over = dens > math.log(C)
     delta = float(np.sum(joint[over]))
-    under = ~over
-    delta_prime = float(np.sum((joint * ratio)[under]))
+    delta_prime = float(np.sum(joint[~over] * ratio[~over]))
     return TailPair(delta, delta_prime, float(C))
 
 
@@ -88,11 +94,9 @@ def _type_classes(p: Distribution, W: Channel, n: int,
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    wp = output_distribution(W, p).probs
     joint = p.probs[:, None] * W.rows
     xs, ys = np.nonzero(joint > 0)
-    values, letter = np.unique(np.log(W.rows[xs, ys]) - np.log(wp[ys]),
-                               return_inverse=True)
+    values, letter = np.unique(_density(W, p)[1][xs, ys], return_inverse=True)
     budget.check(math.comb(n + values.size - 1, values.size - 1),
                  f"{n}-fold type class enumeration")
     log_mass = np.log(np.bincount(letter, weights=joint[xs, ys]))

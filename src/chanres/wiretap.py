@@ -21,6 +21,7 @@ from .channel import (
     Channel,
     Distribution,
     _blocks,
+    _density,
     _kl,
     _kl_rows,
     _row_sums,
@@ -76,8 +77,7 @@ def _ml_decoder(codewords: np.ndarray, W_B: Channel) -> np.ndarray:
 
 def _threshold_decoder(codewords: np.ndarray, W_B: Channel,
                        p: Distribution, C_prime: float) -> np.ndarray:
-    wp = output_distribution(W_B, p).probs
-    exceed = W_B.rows[codewords] > C_prime * wp     # (M, L, Y)
+    exceed = (_density(W_B, p)[1] > math.log(C_prime))[codewords]  # (M, L, Y)
     # an output decodes iff exactly one (m, l) pair clears the
     # threshold there; zero or multiple claimants erase
     counts = exceed.sum(axis=(0, 1))

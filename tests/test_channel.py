@@ -1,6 +1,7 @@
 """Probability primitives: validation, products, divergences, dispersion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,22 @@ def test_channel_json_errors(tmp_path):
     with pytest.raises(ValueError) as err:
         load_distribution(nodist)
     assert "probs" in str(err.value)
+
+    for text, field in (('{"input_size": 2.5, "output_size": 2, '
+                         '"rows": [[1, 0], [0, 1]]}', "input_size"),
+                        ('{"input_size": 2, "output_size": NaN, '
+                         '"rows": [[1, 0], [0, 1]]}', "output_size"),
+                        ('{"input_size": 2, "output_size": 2, '
+                         '"rows": [[true, false], [false, true]]}', "rows")):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: field '{field}'")):
+            load_channel(bad)
+    bad.write_text('{"input_size": 2.0, "output_size": 2, '
+                   '"rows": [[1, 0], [0, 1]]}')
+    assert load_channel(bad).input_size == 2
+    nodist.write_text('{"probs": ["0.5", "0.5"]}')
+    with pytest.raises(ValueError, match=re.escape(f"{nodist}: field 'probs'")):
+        load_distribution(nodist)
 
 
 def test_non_finite_entries_rejected():

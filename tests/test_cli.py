@@ -104,6 +104,50 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("kind, text, message", [
+    ("channel", "5", "must hold a JSON object"),
+    ("channel", '{"input_size": "2", "output_size": 2, "rows": [[1, 0], [0, 1]]}',
+     "field 'input_size': '2' is not an integer"),
+    ("channel", '{"input_size": 2, "output_size": 2, "rows": [[1, 0], [0, "x"]]}',
+     "field 'rows': must hold numbers"),
+    ("channel", '{"input_size": 2, "output_size": 2, "rows": [[1, 0], [0]]}',
+     "field 'rows': must hold numbers, in lists of equal length"),
+    ("dist", '{"probs": {"a": 1}}', "field 'probs': must hold numbers"),
+    ("dist", "[0.5, 0.5]", "must hold a JSON object"),
+    ("code", '{"codewords": [0, 1], "subsets": [[0], [1]], "C": [2]}',
+     "field 'C': [2] is not a number"),
+    ("code", '{"codewords": 5, "subsets": [[0], [1]], "C": 2}',
+     "field 'codewords': 5 is not a list"),
+    ("code", '{"codewords": [0, 1], "subsets": [0, 1], "C": 2}',
+     "field 'subsets': 0 is not a list"),
+])
+def test_malformed_json_exits_2(tmp_path, capsys, kind, text, message):
+    files = {"channel": write_channel(tmp_path, identity_channel(2), "id2.json"),
+             "dist": write_uniform(tmp_path),
+             "code": str(tmp_path / "code.json")}
+    (tmp_path / "code.json").write_text(
+        '{"codewords": [0, 1], "subsets": [[0], [1]], "C": 1.5}')
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files[kind] = str(bad)
+    rc = main(["idcode", "eval", "--channel", files["channel"],
+               "--dist", files["dist"], "--code", files["code"]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
+def test_bounds_at_a_threshold_above_1e7(tmp_path, capsys):
+    # delta_prime is C = 2^25 up to rounding relative to C
+    chan = write_channel(tmp_path, identity_channel(2), "id2.json")
+    rc = main(["bounds", "--channel", chan, "--dist", write_uniform(tmp_path),
+               "--codebook-size", "2", "--threshold", "33554432",
+               "--blocklength", "25"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["delta"] == 0.0 and doc["delta_prime"] == 33554432.0
+
+
 def test_budget_exits_3(tmp_path, capsys):
     # BSC with uniform input at n = 2: 3 type classes
     chan = write_bsc(tmp_path)
