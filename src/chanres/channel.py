@@ -1,4 +1,4 @@
-"""Finite-alphabet probability primitives.
+"""Finite-alphabet probability primitives, shared input checks, JSON files.
 
 Distributions are probability vectors and channels are row-stochastic
 matrices ``W[x, y] = W_x(y)`` over finite alphabets.  Everything
@@ -127,9 +127,6 @@ class Channel:
     @property
     def output_size(self) -> int:
         return self.rows.shape[1]
-
-    def row(self, x: int) -> np.ndarray:
-        return self.rows[x]
 
     @functools.cached_property
     def levels(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -278,8 +275,9 @@ def _kl_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(_row_sums(terms, A > 0), 0.0)
 
 
-def _density(W: Channel, p: Distribution) -> tuple[np.ndarray, np.ndarray]:
-    """(ratio, density): W_x(y)/W_p(y) and its log for every pair (x, y).
+def _density(W: Channel, p: Distribution) -> tuple[np.ndarray, ...]:
+    """(ratio, density, joint): W_x(y)/W_p(y), its log, and the mass
+    p(x) W_x(y) of every pair (x, y), once p matches the input size.
 
     Every threshold test reads `density`: a pair is over C when density >
     log(C), so a computed tie ratio == C is never over.  W_x(y) = 0 gives
@@ -288,7 +286,8 @@ def _density(W: Channel, p: Distribution) -> tuple[np.ndarray, np.ndarray]:
     pos = W.rows > 0    # logs of the zeros would take numpy's slow path
     with np.errstate(divide="ignore"):
         ratio = np.divide(W.rows, wp, out=np.zeros_like(W.rows), where=pos)
-    return ratio, np.log(ratio, out=np.full_like(ratio, -np.inf), where=pos)
+    return (ratio, np.log(ratio, out=np.full_like(ratio, -np.inf), where=pos),
+            p.probs[:, None] * W.rows)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
@@ -300,9 +299,9 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 def _density_moments(p: Distribution, W: Channel) -> tuple[float, float]:
     """First and second moments of the information density under p x W."""
-    joint = p.probs[:, None] * W.rows
+    _, dens, joint = _density(W, p)
     pos = joint > 0
-    mass, dens = joint[pos], _density(W, p)[1][pos]
+    mass, dens = joint[pos], dens[pos]
     return float(np.sum(mass * dens)), float(np.sum(mass * dens ** 2))
 
 
@@ -324,8 +323,7 @@ def divergence_tail_check(p: Distribution, q: Distribution,
     Returns (lhs, rhs).  An infinite divergence makes the inequality
     vacuous and is reported as lhs = +inf.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha, "alpha")
     lhs = kl_divergence(p, q) + 1.0 / math.e
     # q = 0 < p gives +inf, counted; p = 0 gives -inf or nan, never counted
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -333,14 +331,50 @@ def divergence_tail_check(p: Distribution, q: Distribution,
     return lhs, float(alpha) * float(np.sum(p.probs[over]))
 
 
-def _load_fields(path, what: str, **checks) -> dict:
-    """Each named field of the JSON object in `path`, passed through its
-    check.  A ValueError names the file and the field that is missing or
-    that its check refuses."""
+def _check_positive(value, name: str) -> None:
+    """ValueError naming `name` and `value` unless 0 < value < inf."""
+    if value is None or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _indices(values, what: str) -> np.ndarray:
+    """values as an int64 array; a ValueError names the first entry that is
+    not an integer of int64 range (2.0 and True are; 1.5, nan and "1" not)."""
+    arr = num = np.asarray(values)
+    if arr.dtype.kind not in "biuf":    # str, None or ints past 64 bits
+        arr = np.asarray(values, dtype=object)
+        real = (int, float, np.integer, np.floating)
+        num = np.reshape([v if isinstance(v, real) and abs(v) < 2 ** 63
+                          else np.nan for v in arr.flat], arr.shape)
+    with np.errstate(invalid="ignore"):     # nan, inf, overflow: junk ints
+        ints = num.astype(np.int64)
+    bad = np.flatnonzero(ints != num)
+    if bad.size:
+        raise ValueError(f"{what} {arr.item(bad[0])!r} is not an integer")
+    return ints
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object in `path`; a ValueError if it holds another value."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{what} file {path} must hold a JSON object")
+    return doc
+
+
+def _write_json(doc, path) -> None:
+    """doc as indent-2 JSON plus a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _load_fields(path, what: str, **checks) -> dict:
+    """Each named field of the JSON object in `path`, passed through its
+    check.  A ValueError names the file and the field that is missing or
+    that its check refuses."""
+    doc = _read_json(path, what)
     out = {}
     for field, check in checks.items():
         if field not in doc:
@@ -397,14 +431,8 @@ def load_channel(path) -> Channel:
 
 
 def save_channel(W: Channel, path) -> None:
-    doc = {
-        "input_size": W.input_size,
-        "output_size": W.output_size,
-        "rows": [[float(v) for v in row] for row in W.rows],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json({"input_size": W.input_size, "output_size": W.output_size,
+                 "rows": W.rows.tolist()}, path)
 
 
 def load_distribution(path) -> Distribution:
@@ -413,6 +441,4 @@ def load_distribution(path) -> Distribution:
 
 
 def save_distribution(p: Distribution, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"probs": [float(v) for v in p.probs]}, fh, indent=2)
-        fh.write("\n")
+    _write_json({"probs": p.probs.tolist()}, path)

@@ -29,6 +29,7 @@ from .channel import (
     BudgetError,
     Channel,
     EnumerationBudget,
+    _read_json,
     dispersion_J,
     load_channel,
     load_distribution,
@@ -330,15 +331,11 @@ def _positive_int(text: str) -> int:
 
 def _read_config(parser, path: str) -> dict:
     """The entries of a --config file, each converted as its flag would be."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
     # the options of this subcommand; --help holds no value
     actions = {a.dest: a for a in parser._actions
                if a.default is not argparse.SUPPRESS}
     entries = {}
-    for key, value in doc.items():
+    for key, value in _read_json(path, "config").items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"config file {path}: unknown option {key!r}")

@@ -31,6 +31,7 @@ from .channel import (
     Channel,
     Distribution,
     _blocks,
+    _check_positive,
     _kl_rows,
     dispersion_J,
     mutual_information,
@@ -645,8 +646,7 @@ def capacity(W: Channel, tol: float = 1e-8,
 
     The stationarity certificate is max_x D(W_x || W_p) - I <= tol.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_positive(tol, "tol")
     K = W.input_size
     p, i_val, iterations, resid = _info_max(W.rows, np.zeros(K),
                                             np.full(K, 1.0 / K), tol, max_iter)

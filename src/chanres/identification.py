@@ -15,7 +15,6 @@ sets (`size_ceiling_check`, `counting_check`) closes the module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,10 +26,13 @@ from .channel import (
     Channel,
     Distribution,
     EnumerationBudget,
+    _check_positive,
     _density,
+    _indices,
     _json_list,
     _json_real,
     _load_fields,
+    _write_json,
 )
 from .resolvability import brute_force_min
 from .rng import sample_indices, stream
@@ -99,28 +101,28 @@ class SetFamily:
     overlap_cap: float
 
     def __post_init__(self):
-        subsets = tuple(frozenset(_integer(v, "subset element") for v in s)
-                        for s in self.subsets)
-        object.__setattr__(self, "subsets", subsets)
-        if not subsets:
+        sets = [frozenset(s) for s in self.subsets]
+        if not sets:
             raise ValueError("family must contain at least one subset")
         if self.subset_size < 1:
             raise ValueError("subset_size must be positive")
         if self.overlap_cap <= 0:
             raise ValueError("overlap_cap must be positive")
-        for i, s in enumerate(subsets):
+        for i, s in enumerate(sets):
             if len(s) != self.subset_size:
                 raise ValueError(
                     f"subset {i} has size {len(s)}, expected {self.subset_size}"
                 )
-            if any(v < 0 for v in s):
-                raise ValueError("subset elements must be nonnegative")
+        # integral floats equal their ints, so each set keeps its size
+        elements = _indices([list(s) for s in sets], "subset element")
+        if np.any(elements < 0):
+            raise ValueError("subset elements must be nonnegative")
+        subsets = tuple(frozenset(row) for row in elements.tolist())
+        object.__setattr__(self, "subsets", subsets)
         # one 0/1 incidence row per subset over the elements in use; row
         # i against the later rows gives the counts |S_i & S_j|, exact in
         # float64 (small integers), which lets the product use BLAS
-        _, cols = np.unique(np.fromiter(
-            (v for s in subsets for v in s), dtype=np.int64),
-            return_inverse=True)
+        _, cols = np.unique(elements.ravel(), return_inverse=True)
         inc = np.zeros((len(subsets), cols.max() + 1))
         inc[np.repeat(np.arange(len(subsets)), self.subset_size), cols] = 1
         for i in range(len(subsets) - 1):
@@ -221,8 +223,7 @@ class SelectionParams:
         _check_growth(self.tau, self.kappa)
         if self.M < 1:
             raise ValueError("M must be positive")
-        if not 0 < self.C < math.inf:
-            raise ValueError("C must be positive and finite")
+        _check_positive(self.C, "C")
 
     @property
     def gamma(self) -> float:
@@ -312,17 +313,6 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
         "codewords passing both screens", max_retries)
 
 
-def _integer(v, what: str) -> int:
-    """v as an int; ValueError unless v is integral (2.0 is, 1.5 is not)."""
-    try:
-        i = int(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} {v!r} is not an integer") from None
-    if i != v:
-        raise ValueError(f"{what} {v!r} is not an integer")
-    return i
-
-
 @dataclass(frozen=True)
 class IdCode:
     """Identification code: codewords plus a subset family over them.
@@ -337,14 +327,15 @@ class IdCode:
     C: float
 
     def __post_init__(self):
-        codewords = tuple(_integer(c, "codeword") for c in self.codewords)
+        codewords = tuple(_indices(self.codewords, "codeword").tolist())
         object.__setattr__(self, "codewords", codewords)
         if len(set(codewords)) != len(codewords):
             raise ValueError("codewords must be distinct")
         if any(c < 0 for c in codewords):
             raise ValueError("codewords must be nonnegative")
-        subsets = tuple(tuple(sorted(_integer(v, "subset position") for v in s))
-                        for s in self.subsets)
+        # all positions in one check; int() is then exact
+        _indices([v for s in self.subsets for v in s], "subset position")
+        subsets = tuple(tuple(sorted(map(int, s))) for s in self.subsets)
         object.__setattr__(self, "subsets", subsets)
         if not subsets:
             raise ValueError("at least one message subset is required")
@@ -357,8 +348,7 @@ class IdCode:
                 )
             if len(set(s)) != len(s):
                 raise ValueError(f"subset {i} repeats a position")
-        if not 0 < self.C < math.inf:
-            raise ValueError("C must be positive and finite")
+        _check_positive(self.C, "C")
 
     @property
     def messages(self) -> int:
@@ -368,8 +358,7 @@ class IdCode:
 def assemble_id_code(codewords, family: SetFamily, W: Channel,
                      p: Distribution, C: float) -> IdCode:
     """Bind a codeword list and a subset family into an identification code."""
-    code = IdCode(tuple(codewords),
-                  tuple(tuple(sorted(s)) for s in family.subsets), float(C))
+    code = IdCode(tuple(codewords), family.subsets, float(C))
     if max(code.codewords) >= W.input_size:
         raise ValueError("codeword index outside the input alphabet")
     if p.size != W.input_size:
@@ -425,14 +414,9 @@ def id_error_bounds(params: SelectionParams, p: Distribution,
 
 
 def save_id_code(code: IdCode, path) -> None:
-    doc = {
-        "codewords": list(code.codewords),
-        "subsets": [list(s) for s in code.subsets],
-        "C": code.C,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json({"codewords": list(code.codewords),
+                 "subsets": [list(s) for s in code.subsets],
+                 "C": code.C}, path)
 
 
 def load_id_code(path) -> IdCode:

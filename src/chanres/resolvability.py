@@ -24,6 +24,7 @@ from .channel import (
     Distribution,
     EnumerationBudget,
     _blocks,
+    _indices,
     _kl,
     _kl_rows,
     _kron_chain,
@@ -45,8 +46,8 @@ class ResolvabilityCode:
     M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "codewords",
-                           tuple(int(c) for c in self.codewords))
+        object.__setattr__(self, "codewords", tuple(
+            _indices(self.codewords, "codeword").tolist()))
         if self.M != len(self.codewords) or self.M < 1:
             raise ValueError("M must equal the number of codewords")
         if any(c < 0 for c in self.codewords):
@@ -73,7 +74,7 @@ def sample_code(p: Distribution, M: int, seed: int) -> ResolvabilityCode:
     if M < 1:
         raise ValueError("M must be positive")
     idx = sample_indices(p.probs, uniforms(seed, range(M)))
-    return ResolvabilityCode(tuple(int(i) for i in idx), M)
+    return ResolvabilityCode(idx, M)
 
 
 def _gaps(mix: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
@@ -159,8 +160,6 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
     """
     if trials < 100:
         raise ValueError("at least 100 trials are required")
-    if M < 1:
-        raise ValueError("M must be positive")
     L = W.output_size
     budget.check(L ** n, f"{n}-fold output distribution")
 

@@ -37,6 +37,7 @@ from .channel import (
     Channel,
     Distribution,
     EnumerationBudget,
+    _check_positive,
     _density,
 )
 
@@ -52,8 +53,7 @@ class TailPair:
     threshold_C: float
 
     def __post_init__(self):
-        if not 0 < self.threshold_C < math.inf:
-            raise ValueError("threshold_C must be positive and finite")
+        _check_positive(self.threshold_C, "threshold_C")
         if not -_EDGE_TOL <= self.delta <= 1.0 + _EDGE_TOL:
             raise ValueError(f"delta {self.delta!r} outside [0, 1]")
         # delta_prime rounds relative to C: e^(n log b) at C = b^n is off
@@ -71,10 +71,8 @@ class TailPair:
 
 def tail_pair(p: Distribution, W: Channel, C: float) -> TailPair:
     """Exact (delta, delta_prime) for a single-letter channel."""
-    if not 0 < C < math.inf:
-        raise ValueError("C must be positive and finite")
-    ratio, dens = _density(W, p)
-    joint = p.probs[:, None] * W.rows
+    _check_positive(C, "C")
+    ratio, dens, joint = _density(W, p)
     over = dens > math.log(C)
     delta = float(np.sum(joint[over]))
     delta_prime = float(np.sum(joint[~over] * ratio[~over]))
@@ -94,9 +92,9 @@ def _type_classes(p: Distribution, W: Channel, n: int,
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    joint = p.probs[:, None] * W.rows
+    _, density, joint = _density(W, p)
     xs, ys = np.nonzero(joint > 0)
-    values, letter = np.unique(_density(W, p)[1][xs, ys], return_inverse=True)
+    values, letter = np.unique(density[xs, ys], return_inverse=True)
     budget.check(math.comb(n + values.size - 1, values.size - 1),
                  f"{n}-fold type class enumeration")
     log_mass = np.log(np.bincount(letter, weights=joint[xs, ys]))
@@ -137,8 +135,7 @@ def product_tail_pair(p: Distribution, W: Channel, C: float, n: int,
     A class is over the threshold when its density (see the tie rule
     of ``_type_classes``) exceeds log(C).
     """
-    if not 0 < C < math.inf:
-        raise ValueError("C must be positive and finite")
+    _check_positive(C, "C")
     dens, log_prob = _type_classes(p, W, n, budget)
     over = dens > math.log(C)
     delta = float(np.sum(np.exp(log_prob[over])))

@@ -21,7 +21,9 @@ from .channel import (
     Channel,
     Distribution,
     _blocks,
+    _check_positive,
     _density,
+    _indices,
     _kl,
     _kl_rows,
     _row_sums,
@@ -48,12 +50,12 @@ class WiretapCode:
     decoder_kind: str
 
     def __post_init__(self):
-        cw = np.asarray(self.codewords, dtype=int)
+        cw = _indices(self.codewords, "codeword")
         if cw.shape != (self.M, self.L) or self.M < 1 or self.L < 1:
             raise ValueError("codewords must form an M x L index array")
         if np.any(cw < 0):
             raise ValueError("codeword indices must be nonnegative")
-        dec = np.asarray(self.decoder, dtype=int)
+        dec = _indices(self.decoder, "decoder entry")
         if dec.ndim != 1:
             raise ValueError("decoder must map outputs to messages")
         if np.any(dec < -1) or np.any(dec >= self.M):
@@ -71,8 +73,7 @@ def _ml_decoder(codewords: np.ndarray, W_B: Channel) -> np.ndarray:
     # likelihood per (l, m, y); first argmax in (l, m) order breaks ties
     vals = W_B.rows[codewords.T]          # (L, M, Y)
     flat = vals.reshape(L * M, W_B.output_size)
-    winner = np.argmax(flat, axis=0)
-    return (winner % M).astype(int)
+    return np.argmax(flat, axis=0) % M
 
 
 def _threshold_decoder(codewords: np.ndarray, W_B: Channel,
@@ -82,8 +83,7 @@ def _threshold_decoder(codewords: np.ndarray, W_B: Channel,
     # threshold there; zero or multiple claimants erase
     counts = exceed.sum(axis=(0, 1))
     claim = np.argmax(np.any(exceed, axis=1), axis=0)
-    decoder = np.where(counts == 1, claim, -1)
-    return decoder.astype(int)
+    return np.where(counts == 1, claim, -1)
 
 
 def sample_wiretap_code(p: Distribution, M: int, L: int, W_B: Channel,
@@ -93,14 +93,10 @@ def sample_wiretap_code(p: Distribution, M: int, L: int, W_B: Channel,
     """Draw the M x L codeword array i.i.d. from p on the (seed, index) stream."""
     if M < 1 or L < 1:
         raise ValueError("M and L must be positive")
-    if decoder_kind not in DECODER_KINDS:
-        raise ValueError(f"unknown decoder kind {decoder_kind!r}")
     u = stream(seed, index).random((M, L))
-    cw = sample_indices(p.probs, u).astype(int)
+    cw = sample_indices(p.probs, u)
     if decoder_kind == "threshold":
-        if C_prime is None or not 0 < C_prime < math.inf:
-            raise ValueError(
-                "threshold decoding needs a positive, finite C_prime")
+        _check_positive(C_prime, "C_prime")
         dec = _threshold_decoder(cw, W_B, p, C_prime)
     else:
         dec = _ml_decoder(cw, W_B)
@@ -219,10 +215,9 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     if M < 1 or L < 1:
         raise ValueError("M and L must be positive")
     _check_fits_float(M * L, "M*L")
-    if not 0 < C < math.inf:
-        raise ValueError("C must be positive and finite")
-    if C_prime is not None and not 0 < C_prime < math.inf:
-        raise ValueError("C_prime must be positive and finite")
+    _check_positive(C, "C")
+    if C_prime is not None:
+        _check_positive(C_prime, "C_prime")
     s_star, neg = _gallager_max(W_B, p, math.log(M) + math.log(L))
     error_gallager = 3.0 * math.exp(-neg)
 

@@ -1,5 +1,6 @@
 """Probability primitives: validation, products, divergences, dispersion."""
 
+import json
 import math
 import re
 
@@ -11,14 +12,21 @@ from chanres import (
     Channel,
     Distribution,
     EnumerationBudget,
+    IdCode,
+    ResolvabilityCode,
+    SetFamily,
+    WiretapCode,
     bsc,
+    capacity,
     constant_channel,
     dispersion_J,
     divergence_tail_check,
+    expectation_bounds,
     identity_channel,
     kl_divergence,
     load_channel,
     load_distribution,
+    load_id_code,
     mutual_information,
     output_distribution,
     point_mass,
@@ -26,6 +34,11 @@ from chanres import (
     product_dist,
     save_channel,
     save_distribution,
+    sample_wiretap_code,
+    save_id_code,
+    secrecy_rate,
+    spectrum_cdf,
+    tail_pair,
     uniform,
     variational_distance,
 )
@@ -217,6 +230,8 @@ def test_divergence_tail_check():
     assert math.isclose(rhs, 1.0, rel_tol=1e-15)
     with pytest.raises(ValueError):
         divergence_tail_check(uniform(2), uniform(2), 0.0)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        divergence_tail_check(uniform(2), uniform(2), math.nan)
 
 
 def test_divergence_tail_check_never_violated():
@@ -306,3 +321,84 @@ def test_word_rows_equal_materialized_product(rows):
         picked = gen.integers(K ** n, size=(3, 5))
         batch = picked[..., None] // K ** np.arange(n) % K
         assert np.all(_word_rows(W, batch) == dense[picked])
+
+
+@pytest.mark.parametrize("save, load, value, doc", [
+    (save_channel, load_channel, Channel(np.array([[0.75, 0.25], [0.5, 0.5]])),
+     {"input_size": 2, "output_size": 2, "rows": [[0.75, 0.25], [0.5, 0.5]]}),
+    (save_distribution, load_distribution,
+     Distribution(np.array([0.25, 0.75])), {"probs": [0.25, 0.75]}),
+    (save_id_code, load_id_code, IdCode((2, 0, 1), ((0, 1), (2,)), 1.5),
+     {"codewords": [2, 0, 1], "subsets": [[0, 1], [2]], "C": 1.5}),
+], ids=["channel", "distribution", "id_code"])
+def test_writers_share_one_layout(tmp_path, save, load, value, doc):
+    path, back = tmp_path / "out.json", tmp_path / "back.json"
+    save(value, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(doc, indent=2) + "\n"
+    save(load(path), back)
+    assert back.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("call", [
+    lambda W, p: mutual_information(p, W),
+    lambda W, p: dispersion_J(p, W),
+    lambda W, p: spectrum_cdf(p, W, 0.1, n=2),
+    lambda W, p: expectation_bounds(p, W, 4, 2.0),
+    lambda W, p: secrecy_rate(W, W, p),
+], ids=["mutual_information", "dispersion_J", "spectrum_cdf",
+        "expectation_bounds", "secrecy_rate"])
+def test_law_of_the_wrong_size_is_named(call):
+    # the size check runs before p(x) W_x(y) is formed, so numpy's
+    # broadcast error never reaches the caller
+    with pytest.raises(ValueError, match="distribution size 3 does not "
+                                         "match input size 2"):
+        call(bsc(0.1), uniform(3))
+
+
+# one index rule for the four code types: each builder takes three
+# entries and returns what the code stores of them
+_CODE_TYPES = {
+    "resolvability": lambda e: ResolvabilityCode(tuple(e), 3).codewords,
+    "wiretap_codewords": lambda e: WiretapCode(
+        [[v] for v in e], [0, 1, -1], 3, 1,
+        "maximum_likelihood").codewords.ravel().tolist(),
+    "wiretap_decoder": lambda e: WiretapCode(
+        [[0], [1], [2]], list(e), 3, 1, "maximum_likelihood").decoder.tolist(),
+    "id_code": lambda e: IdCode(tuple(e), ((0,), (1, 2)), 2.0).codewords,
+    "set_family": lambda e: sorted(
+        SetFamily((frozenset(e),), 3, 1.5).subsets[0]),
+}
+
+
+@pytest.mark.parametrize("build", _CODE_TYPES.values(), ids=_CODE_TYPES)
+@pytest.mark.parametrize("entries", [(0, 1.5, 2), (0, 1, math.nan),
+                                     (0, "1", 2), (0, None, 2)])
+def test_code_types_refuse_fractional_indices(build, entries):
+    bad = next(v for v in entries if not isinstance(v, int))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{bad!r} is not an integer")):
+        build(entries)
+
+
+@pytest.mark.parametrize("build", _CODE_TYPES.values(), ids=_CODE_TYPES)
+@pytest.mark.parametrize("entries", [(0.0, 1.0, 2.0),
+                                     (np.int64(0), np.uint8(1), 2),
+                                     (False, True, 2)])
+def test_code_types_take_integral_entries_as_ints(build, entries):
+    got = build(entries)
+    assert list(got) == [0, 1, 2]
+    assert all(type(v) is int for v in got)
+
+
+def test_positive_checks_name_the_value():
+    W, p = bsc(0.1), uniform(2)
+    with pytest.raises(ValueError,
+                       match="^C must be positive and finite, got -1.0$"):
+        tail_pair(p, W, -1.0)
+    with pytest.raises(ValueError,
+                       match="^tol must be positive and finite, got nan$"):
+        capacity(W, tol=math.nan)
+    with pytest.raises(ValueError, match="^C_prime must be positive and "
+                                         "finite, got None$"):
+        sample_wiretap_code(p, 2, 2, W, seed=0, decoder_kind="threshold")

@@ -656,6 +656,29 @@ def test_config_file_merge(tmp_path):
     assert math.isclose(doc["threshold"], 1.64, rel_tol=1e-14)
 
 
+def test_config_holding_a_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    rc = main(["bounds", "--channel", write_bsc(tmp_path),
+               "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config file {cfg} must hold a JSON object" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["bounds", "--codebook-size", "4", "--threshold", "2"],
+    ["simulate", "resolvability", "--codebook-size", "4", "--threshold", "2",
+     "--trials", "100", "--seed", "0"],
+])
+def test_law_of_the_wrong_size_exits_2(tmp_path, capsys, command):
+    rc = main(command + ["--channel", write_bsc(tmp_path),
+                         "--dist", write_uniform(tmp_path, 3)])
+    assert rc == 2
+    assert ("distribution size 3 does not match input size 2"
+            in capsys.readouterr().err)
+
+
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     chan = write_bsc(tmp_path)
     cfg = tmp_path / "cfg.json"

@@ -61,8 +61,9 @@ def test_known_ties_are_not_over():
 def test_density_edge_pairs():
     # W_p(y) = 0 < W_x(y) is over every threshold; W_x(y) = 0 is never over
     W = Channel(np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
-    ratio, dens = _density(W, Distribution(np.array([1.0, 0.0])))
+    ratio, dens, joint = _density(W, Distribution(np.array([1.0, 0.0])))
     assert ratio.tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, math.inf]]
+    assert joint.tolist() == [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]]
     assert (dens > math.log(1e300)).tolist() == [[False] * 3, [False, False, True]]
 
 
