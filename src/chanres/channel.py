@@ -44,6 +44,44 @@ def _count(k: int) -> str:
     return str(k) if k < 10 ** 15 else f"about 10^{math.log10(k):.1f}"
 
 
+def _check_positive(value, name: str) -> None:
+    """ValueError naming `name` and `value` unless 0 < value < inf."""
+    if value is None or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _indices(values, what: str, floor: int = 0) -> np.ndarray:
+    """values as an int64 array; a ValueError names the first entry that is
+    not an integer of int64 range (2.0 and True are; 1.5, nan and "1" not),
+    else, in `_integer`'s words, the least entry if it is below floor."""
+    arr = num = np.asarray(values)
+    if arr.dtype.kind not in "biuf":    # str, None or ints past 64 bits
+        arr = np.asarray(values, dtype=object)
+        real = (int, float, np.integer, np.floating)
+        num = np.reshape([v if isinstance(v, real) and abs(v) < 2 ** 63
+                          else np.nan for v in arr.flat], arr.shape)
+    with np.errstate(invalid="ignore"):     # nan, inf, overflow: junk ints
+        ints = num.astype(np.int64)
+    bad = np.flatnonzero(ints != num)
+    if bad.size:
+        raise ValueError(f"{what} {arr.item(bad[0])!r} is not an integer")
+    _integer(int(ints.min(initial=floor)), what, floor)
+    return ints
+
+
+def _integer(value, name: str, floor: int = 1, bits: int = 0) -> int:
+    """value as an int >= floor (and < 2**bits if bits), else a ValueError
+    naming `name` and value; integers are `_indices`'s, with no int64 cap."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)) or value < floor \
+            or bits and int(value) >= 2 ** bits:
+        rule = "a nonnegative integer" if floor == 0 else f"an integer >= {floor}"
+        cap = f" below 2^{bits}" if bits else ""
+        raise ValueError(f"{name} must be {rule}{cap}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EnumerationBudget:
     """Cap on the number of joint states materialized by exact enumeration."""
@@ -51,9 +89,8 @@ class EnumerationBudget:
     max_joint_states: int = DEFAULT_MAX_JOINT_STATES
 
     def __post_init__(self):
-        if int(self.max_joint_states) < 1:
-            raise ValueError("max_joint_states must be a positive integer")
-        object.__setattr__(self, "max_joint_states", int(self.max_joint_states))
+        object.__setattr__(self, "max_joint_states", _integer(
+            self.max_joint_states, "max_joint_states"))
 
     def check(self, states: int, what: str) -> None:
         if states > self.max_joint_states:
@@ -174,12 +211,18 @@ def constant_channel(row, input_size: int) -> Channel:
     return Channel(np.tile(row, (input_size, 1)))
 
 
+def _check_inputs(W: Channel, p: Distribution, codewords=()) -> None:
+    """ValueError unless p and each codeword are on the input alphabet of W."""
+    if len(codewords) and np.max(codewords) >= W.input_size:
+        raise ValueError("codeword index outside the input alphabet")
+    if p.size != W.input_size:
+        raise ValueError(f"distribution size {p.size} does not match "
+                         f"input size {W.input_size}")
+
+
 def output_distribution(W: Channel, p: Distribution) -> Distribution:
     """Mixture output law W_p(y) = sum_x p(x) W_x(y)."""
-    if p.size != W.input_size:
-        raise ValueError(
-            f"distribution size {p.size} does not match input size {W.input_size}"
-        )
+    _check_inputs(W, p)
     return Distribution(p.probs @ W.rows)
 
 
@@ -218,8 +261,7 @@ def product(W: Channel, n: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> C
     significant digit of a product index, so it varies fastest as the
     index increases.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _integer(n, "n")
     states = (W.input_size ** n) * (W.output_size ** n)
     budget.check(states, f"{n}-fold product channel")
     return Channel(_kron_chain([W.rows] * n))
@@ -228,8 +270,7 @@ def product(W: Channel, n: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> C
 def product_dist(p: Distribution, n: int,
                  budget: EnumerationBudget = DEFAULT_BUDGET) -> Distribution:
     """n-fold i.i.d. product of p, in the same little-endian symbol order."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _integer(n, "n")
     budget.check(p.size ** n, f"{n}-fold product distribution")
     return Distribution(_kron_chain([p.probs] * n))
 
@@ -329,29 +370,6 @@ def divergence_tail_check(p: Distribution, q: Distribution,
     with np.errstate(divide="ignore", invalid="ignore"):
         over = np.log(p.probs) - np.log(q.probs) >= alpha
     return lhs, float(alpha) * float(np.sum(p.probs[over]))
-
-
-def _check_positive(value, name: str) -> None:
-    """ValueError naming `name` and `value` unless 0 < value < inf."""
-    if value is None or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def _indices(values, what: str) -> np.ndarray:
-    """values as an int64 array; a ValueError names the first entry that is
-    not an integer of int64 range (2.0 and True are; 1.5, nan and "1" not)."""
-    arr = num = np.asarray(values)
-    if arr.dtype.kind not in "biuf":    # str, None or ints past 64 bits
-        arr = np.asarray(values, dtype=object)
-        real = (int, float, np.integer, np.floating)
-        num = np.reshape([v if isinstance(v, real) and abs(v) < 2 ** 63
-                          else np.nan for v in arr.flat], arr.shape)
-    with np.errstate(invalid="ignore"):     # nan, inf, overflow: junk ints
-        ints = num.astype(np.int64)
-    bad = np.flatnonzero(ints != num)
-    if bad.size:
-        raise ValueError(f"{what} {arr.item(bad[0])!r} is not an integer")
-    return ints
 
 
 def _read_json(path, what: str) -> dict:

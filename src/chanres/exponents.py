@@ -31,6 +31,7 @@ from .channel import (
     Channel,
     Distribution,
     _blocks,
+    _check_inputs,
     _check_positive,
     _kl_rows,
     dispersion_J,
@@ -76,8 +77,7 @@ def _params(x, name: str, W: Channel, p: Distribution) -> np.ndarray:
     e = np.asarray(x, dtype=float).reshape(-1, 1, 1)
     if any(v <= -1 for v in e.ravel().tolist()):
         raise ValueError(f"{name} must exceed -1")
-    if p.size != W.input_size:
-        raise ValueError("distribution does not match channel input")
+    _check_inputs(W, p)
     return e
 
 

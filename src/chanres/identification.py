@@ -27,8 +27,10 @@ from .channel import (
     Distribution,
     EnumerationBudget,
     _check_positive,
+    _check_inputs,
     _density,
     _indices,
+    _integer,
     _json_list,
     _json_real,
     _load_fields,
@@ -73,8 +75,7 @@ class AdParams:
     kappa: float
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be positive")
+        object.__setattr__(self, "M", _integer(self.M, "M"))
         _check_growth(self.tau, self.kappa)
 
     @property
@@ -104,10 +105,9 @@ class SetFamily:
         sets = [frozenset(s) for s in self.subsets]
         if not sets:
             raise ValueError("family must contain at least one subset")
-        if self.subset_size < 1:
-            raise ValueError("subset_size must be positive")
-        if self.overlap_cap <= 0:
-            raise ValueError("overlap_cap must be positive")
+        object.__setattr__(self, "subset_size",
+                           _integer(self.subset_size, "subset_size"))
+        _check_positive(self.overlap_cap, "overlap_cap")
         for i, s in enumerate(sets):
             if len(s) != self.subset_size:
                 raise ValueError(
@@ -115,8 +115,6 @@ class SetFamily:
                 )
         # integral floats equal their ints, so each set keeps its size
         elements = _indices([list(s) for s in sets], "subset element")
-        if np.any(elements < 0):
-            raise ValueError("subset elements must be nonnegative")
         subsets = tuple(frozenset(row) for row in elements.tolist())
         object.__setattr__(self, "subsets", subsets)
         # one 0/1 incidence row per subset over the elements in use; row
@@ -164,18 +162,14 @@ def build_set_family(params: AdParams, seed: int,
     the incidence entries of the target family, target * M, before any
     sampling.
     """
-    size = params.subset_size
-    if size < 1:
-        raise ValueError(
-            f"floor(tau*M) = 0: no subsets of positive size exist "
-            f"for M={params.M}, tau={params.tau}"
-        )
+    size = _integer(params.subset_size,
+                    f"floor(tau*M) at M={params.M}, tau={params.tau}")
     target = max(params.family_size, 1)
     budget.check(target * params.M,
                  f"the {target} x {params.M} subset incidence matrix")
     cap = float(params.kappa) * size
-    if max_attempts is None:
-        max_attempts = 200 * max(target, 1) + 1000
+    max_attempts = _integer(200 * target + 1000 if max_attempts is None
+                            else max_attempts, "max_attempts")
     gen = stream(seed, 0)
     chosen: list[frozenset] = []
     # 0/1 incidence rows of the chosen subsets, grown by doubling up to
@@ -221,8 +215,7 @@ class SelectionParams:
         if self.gamma <= 0.0:
             raise ValueError("need 1 - 1/beta - 1/beta_prime > 0")
         _check_growth(self.tau, self.kappa)
-        if self.M < 1:
-            raise ValueError("M must be positive")
+        object.__setattr__(self, "M", _integer(self.M, "M"))
         _check_positive(self.C, "C")
 
     @property
@@ -279,8 +272,7 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
     when beta times the average miss mass reaches 1, since screening
     can then never succeed.
     """
-    if max_retries < 1:
-        raise ValueError("max_retries must be at least 1")
+    max_retries = _integer(max_retries, "max_retries")
     miss_avg, miss_bound, union_bound = _screen_bounds(params, p, W)
     if params.beta * miss_avg >= 1.0:
         raise InfeasibleParams(
@@ -331,8 +323,6 @@ class IdCode:
         object.__setattr__(self, "codewords", codewords)
         if len(set(codewords)) != len(codewords):
             raise ValueError("codewords must be distinct")
-        if any(c < 0 for c in codewords):
-            raise ValueError("codewords must be nonnegative")
         # all positions in one check; int() is then exact
         _indices([v for s in self.subsets for v in s], "subset position")
         subsets = tuple(tuple(sorted(map(int, s))) for s in self.subsets)
@@ -342,7 +332,7 @@ class IdCode:
         for i, s in enumerate(subsets):
             if not s:
                 raise ValueError(f"subset {i} is empty")
-            if s[0] < 0 or s[-1] >= len(codewords):
+            if s[-1] >= len(codewords):
                 raise ValueError(
                     f"subset {i} references positions outside the codeword list"
                 )
@@ -359,10 +349,7 @@ def assemble_id_code(codewords, family: SetFamily, W: Channel,
                      p: Distribution, C: float) -> IdCode:
     """Bind a codeword list and a subset family into an identification code."""
     code = IdCode(tuple(codewords), family.subsets, float(C))
-    if max(code.codewords) >= W.input_size:
-        raise ValueError("codeword index outside the input alphabet")
-    if p.size != W.input_size:
-        raise ValueError("distribution does not match channel input")
+    _check_inputs(W, p, code.codewords)
     return code
 
 
@@ -381,8 +368,7 @@ def eval_id_code(code: IdCode, W: Channel, p: Distribution) -> IdMetrics:
     region; lam is the worst acceptance of a wrong message's mixture.
     With a single message there is no confusion pair and lam is 0.
     """
-    if max(code.codewords) >= W.input_size:
-        raise ValueError("codeword index outside the input alphabet")
+    _check_inputs(W, p, code.codewords)
     level = _density(W, p)[1] > math.log(code.C)
     cw = np.array(code.codewords)
     n = code.messages
@@ -443,13 +429,14 @@ def size_ceiling_check(mu: float, lam: float, eps_value: float,
     When mu + lam + eps < 1, distinguishable message sets inject into
     codeword multisets, so their number is capped by input_size ** M.
     """
+    input_size, M = _integer(input_size, "input_size"), _integer(M, "M")
     for name, v in (("mu", mu), ("lambda", lam)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
     if eps_value < 0:
         raise ValueError("eps must be nonnegative")
     holds = (1.0 - mu - lam) > eps_value
-    ceiling = int(input_size) ** int(M) if holds else None
+    ceiling = input_size ** M if holds else None
     return CountingVerdict(float(eps_value), holds, ceiling)
 
 

@@ -24,7 +24,9 @@ from .channel import (
     Distribution,
     EnumerationBudget,
     _blocks,
+    _check_inputs,
     _indices,
+    _integer,
     _kl,
     _kl_rows,
     _kron_chain,
@@ -48,10 +50,8 @@ class ResolvabilityCode:
     def __post_init__(self):
         object.__setattr__(self, "codewords", tuple(
             _indices(self.codewords, "codeword").tolist()))
-        if self.M != len(self.codewords) or self.M < 1:
+        if _integer(self.M, "M") != len(self.codewords):
             raise ValueError("M must equal the number of codewords")
-        if any(c < 0 for c in self.codewords):
-            raise ValueError("codeword indices must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,12 @@ class McEstimate:
     seed: int
 
     def __post_init__(self):
-        if self.trials < 2:
-            raise ValueError("standard error needs at least 2 trials")
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", 2))
 
 
 def sample_code(p: Distribution, M: int, seed: int) -> ResolvabilityCode:
     """Draw M codewords i.i.d. from p; draw j uses the (seed, j) stream."""
-    if M < 1:
-        raise ValueError("M must be positive")
+    M = _integer(M, "M")
     idx = sample_indices(p.probs, uniforms(seed, range(M)))
     return ResolvabilityCode(idx, M)
 
@@ -84,8 +82,7 @@ def _gaps(mix: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
 def eval_code(code: ResolvabilityCode, W: Channel, p: Distribution
               ) -> tuple[float, float]:
     """Exact (variational distance, divergence) of the code's output mixture."""
-    if max(code.codewords) >= W.input_size:
-        raise ValueError("codeword index outside the input alphabet")
+    _check_inputs(W, p, code.codewords)
     wp = output_distribution(W, p).probs
     mix = W.rows[list(code.codewords)].mean(axis=0)
     return _gaps(mix, wp)
@@ -136,8 +133,7 @@ def expectation_bounds(p: Distribution, W: Channel, M: int, C: float,
     corner-term divergence bound is eta(delta) + delta*log|Y^n| +
     delta_prime/M, and the phi bound is minimized over a fixed t grid.
     """
-    if M < 1:
-        raise ValueError("M must be positive")
+    M = _integer(M, "M")
     tp = product_tail_pair(p, W, C, n, budget)
     return (tp, *_code_bounds(tp, M, n, W.output_size,
                               phi(PHI_T_GRID, W, p))[:3])
@@ -158,8 +154,7 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
     and the same divergence samples against the phi-based bound
     minimized over a t grid.
     """
-    if trials < 100:
-        raise ValueError("at least 100 trials are required")
+    trials = _integer(trials, "trials", 100)
     L = W.output_size
     budget.check(L ** n, f"{n}-fold output distribution")
 
@@ -210,8 +205,7 @@ class BruteForceResult:
 def brute_force_min(M: int, W: Channel, p: Distribution,
                     limit: int = 10 ** 6) -> BruteForceResult:
     """Exhaustive minimization over codeword multisets of size M."""
-    if M < 1:
-        raise ValueError("M must be positive")
+    M = _integer(M, "M")
     K = W.input_size
     count = math.comb(K + M - 1, M)
     if count > limit:

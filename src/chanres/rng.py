@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _integer
+
 
 def _key(seed: int, index: int) -> np.ndarray:
-    if seed < 0 or index < 0:
-        raise ValueError("seed and index must be nonnegative")
-    return np.array([seed, index], dtype=np.uint64)
+    return np.array([_integer(seed, "seed", 0, 64),
+                     _integer(index, "stream index", 0, 64)], dtype=np.uint64)
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -30,12 +31,16 @@ def uniforms(seed: int, indices, shape=()) -> np.ndarray:
     what a new generator per index would, without building one each time.
     """
     shape = tuple(shape)
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu" or idx.min(initial=0) < 0:
+        idx = [_key(seed, i)[1] for i in indices]   # each as `stream` checks it
     bits = np.random.Philox(key=_key(seed, 0))
     gen = np.random.Generator(bits)
     fresh = bits.state          # zero counter, empty buffer
+    key = fresh["state"]["key"]
     out = np.empty((len(indices),) + shape)
-    for k, i in enumerate(indices):
-        fresh["state"]["key"] = _key(seed, i)
+    for k, i in enumerate(idx):
+        key[1] = i
         bits.state = fresh
         out[k] = gen.random(shape)
     return out

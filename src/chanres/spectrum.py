@@ -39,6 +39,7 @@ from .channel import (
     EnumerationBudget,
     _check_positive,
     _density,
+    _integer,
 )
 
 _EDGE_TOL = 1e-9
@@ -90,8 +91,7 @@ def _type_classes(p: Distribution, W: Channel, n: int,
     every pair has the same letter has density exactly n * v; callers
     compare it with the threshold as it is.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _integer(n, "n")
     _, density, joint = _density(W, p)
     xs, ys = np.nonzero(joint > 0)
     values, letter = np.unique(density[xs, ys], return_inverse=True)

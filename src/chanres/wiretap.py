@@ -21,9 +21,11 @@ from .channel import (
     Channel,
     Distribution,
     _blocks,
+    _check_inputs,
     _check_positive,
     _density,
     _indices,
+    _integer,
     _kl,
     _kl_rows,
     _row_sums,
@@ -51,14 +53,12 @@ class WiretapCode:
 
     def __post_init__(self):
         cw = _indices(self.codewords, "codeword")
-        if cw.shape != (self.M, self.L) or self.M < 1 or self.L < 1:
+        if cw.shape != (_integer(self.M, "M"), _integer(self.L, "L")):
             raise ValueError("codewords must form an M x L index array")
-        if np.any(cw < 0):
-            raise ValueError("codeword indices must be nonnegative")
-        dec = _indices(self.decoder, "decoder entry")
+        dec = _indices(self.decoder, "decoder entry", -1)
         if dec.ndim != 1:
             raise ValueError("decoder must map outputs to messages")
-        if np.any(dec < -1) or np.any(dec >= self.M):
+        if np.any(dec >= self.M):
             raise ValueError("decoder entries must be -1 or a message index")
         if self.decoder_kind not in DECODER_KINDS:
             raise ValueError(f"unknown decoder kind {self.decoder_kind!r}")
@@ -91,8 +91,7 @@ def sample_wiretap_code(p: Distribution, M: int, L: int, W_B: Channel,
                         decoder_kind: str = "maximum_likelihood",
                         C_prime: float | None = None) -> WiretapCode:
     """Draw the M x L codeword array i.i.d. from p on the (seed, index) stream."""
-    if M < 1 or L < 1:
-        raise ValueError("M and L must be positive")
+    M, L = _integer(M, "M"), _integer(L, "L")
     u = stream(seed, index).random((M, L))
     cw = sample_indices(p.probs, u)
     if decoder_kind == "threshold":
@@ -134,8 +133,7 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     pairwise distance is also bounded by twice the mean distance to
     W_p; the bound value is reported for inspection.
     """
-    if np.max(code.codewords) >= W_B.input_size:
-        raise ValueError("codeword index outside the input alphabet")
+    _check_inputs(W_B, p, code.codewords)
     if W_B.input_size != W_E.input_size:
         raise ValueError("channels must share an input alphabet")
     M = code.M
@@ -150,13 +148,12 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
 
     i_e = float(np.mean(_kl_rows(q_e, phi_row)))
 
-    # distances of all (i, j) pairs, i != j, in row order; a block of
-    # rows at a time keeps the (rows, M, Y_E) differences small
+    # all (i, j) distances in row order, a block of rows at a time; the
+    # diagonal ones are +0.0, which leave a sum of nonnegatives unchanged
     total = 0.0
     for blk in _blocks(M, M * W_E.output_size):
-        rows = np.arange(M)[blk]
-        dist = np.abs(q_e[rows, None, :] - q_e).sum(axis=2)
-        total = _sequential_sum(dist[rows[:, None] != np.arange(M)], total)
+        dist = np.abs(q_e[blk, None, :] - q_e).sum(axis=2)
+        total = _sequential_sum(dist.ravel(), total)
     d_e = total / (M * (M - 1)) if M > 1 else 0.0
 
     wp_e = output_distribution(W_E, p).probs
@@ -212,8 +209,7 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     then reported as inf and the stored C_prime as nan.  M*L must fit a
     float.
     """
-    if M < 1 or L < 1:
-        raise ValueError("M and L must be positive")
+    M, L = _integer(M, "M"), _integer(L, "L")
     _check_fits_float(M * L, "M*L")
     _check_positive(C, "C")
     if C_prime is not None:
@@ -273,8 +269,7 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
     of the arguments.  Exhaustion returns the best attempt with
     per-metric flags instead of raising.
     """
-    if max_retries < 1:
-        raise ValueError("max_retries must be at least 1")
+    max_retries = _integer(max_retries, "max_retries")
     bounds = wiretap_bounds(W_B, W_E, p, M, L, C, C_prime)
     eps_target = (bounds.error_threshold if decoder_kind == "threshold"
                   else bounds.error_gallager)

@@ -679,6 +679,45 @@ def test_law_of_the_wrong_size_exits_2(tmp_path, capsys, command):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", [
+    ["exponents", "--rate-start", "0.1", "--rate-end", "0.2",
+     "--rate-steps", "2"],
+    ["idcode", "build", "--alpha", "2", "--alpha-prime", "4", "--beta", "2",
+     "--beta-prime", "4", "--tau", "0.1", "--kappa", "0.8",
+     "--codewords", "4", "--threshold", "2", "--seed", "0"],
+], ids=["exponents", "idcode-build"])
+def test_every_law_size_error_has_one_text(tmp_path, capsys, command):
+    rc = main(command + ["--channel", write_bsc(tmp_path),
+                         "--dist", write_uniform(tmp_path, 3)])
+    assert rc == 2
+    assert ("distribution size 3 does not match input size 2"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [["wiretap-bounds"],
+                                     ["simulate", "wiretap", "--seed", "0"]])
+def test_wiretap_law_size_error_has_the_same_text(tmp_path, capsys, command):
+    chan = write_bsc(tmp_path)
+    rc = main(command + ["--channel-b", chan, "--channel-e", chan,
+                         "--dist", write_uniform(tmp_path, 3),
+                         "--messages", "2", "--randomization", "2",
+                         "--threshold", "2", "--decoder-threshold", "2"])
+    assert rc == 2
+    assert ("distribution size 3 does not match input size 2"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    # 2^64 used to reach numpy as an OverflowError, exit 4
+    rc = main(["simulate", "resolvability", "--channel", write_bsc(tmp_path),
+               "--dist", write_uniform(tmp_path), "--codebook-size", "4",
+               "--threshold", "2", "--trials", "100", "--seed", seed])
+    assert rc == 2
+    assert (f"seed must be a nonnegative integer below 2^64, got {seed}"
+            in capsys.readouterr().err)
+
+
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     chan = write_bsc(tmp_path)
     cfg = tmp_path / "cfg.json"

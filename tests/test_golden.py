@@ -156,9 +156,15 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
         buf.truncate()
         return text
 
+    # os.chdir, not contextlib.chdir, which needs Python 3.11
+    home = os.getcwd()
     for path, runs in ((GOLDEN, RUNS), (GOLDEN_COMMANDS, COMMAND_RUNS)):
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+        with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(buf):
-            text = transcript(runs, capture)
+            os.chdir(tmp)
+            try:
+                text = transcript(runs, capture)
+            finally:
+                os.chdir(home)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
