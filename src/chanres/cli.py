@@ -8,9 +8,9 @@ from an explicit --seed, and reruns with the same seed are
 byte-identical regardless of --workers.
 
 Each option is declared once, in `_OPTIONS`, with its type and
-default; one without a default is required.  The entries of a --config
-file become the subcommand's defaults, so a flag overrides the file
-and the file overrides the declared default.
+default; one without a default is required.  An option takes its flag,
+else its entry in the --config file, else its declared default,
+whatever the order of the flags.
 
 Exit codes: 0 success (including constructions that report
 satisfied=false after exhausting retries), 2 invalid input, 3
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -50,7 +51,6 @@ from .identification import (
     assemble_id_code,
     build_set_family,
     eval_id_code,
-    id_error_bounds,
     load_id_code,
     save_id_code,
     select_codewords,
@@ -76,6 +76,12 @@ def _open_out(path):
             yield fh
 
 
+def _write_doc(args, doc) -> None:
+    """Write `doc` as one JSON line to --output, else stdout."""
+    with _open_out(args.output) as out:
+        out.write(_dump(doc) + "\n")
+
+
 def _n_fold(args, *laws):
     """Each channel and distribution as its n-fold product, n = --blocklength."""
     budget = EnumerationBudget(args.max_joint_states)
@@ -85,7 +91,7 @@ def _n_fold(args, *laws):
     return laws
 
 
-def run_bounds(args) -> int:
+def run_bounds(args):
     W = load_channel(args.channel)
     p = load_distribution(args.dist)
     tp, bound_vd, bound_eta, bound_phi = expectation_bounds(
@@ -101,21 +107,16 @@ def run_bounds(args) -> int:
         "bound_kl_eta": bound_eta,
         "bound_kl_phi": bound_phi,
     }
-    with _open_out(args.output) as out:
-        out.write(_dump(doc) + "\n")
-    return 0
+    _write_doc(args, doc)
 
 
-def run_exponents(args) -> int:
+def run_exponents(args):
     W = load_channel(args.channel)
-    if args.worst:
-        if args.dist is not None:
-            raise ValueError("--worst and --dist are mutually exclusive")
-        p = None
-    elif args.dist is None:
+    if args.worst and args.dist is not None:
+        raise ValueError("--worst and --dist are mutually exclusive")
+    if not args.worst and args.dist is None:
         raise ValueError("missing required option(s): --dist")
-    else:
-        p = load_distribution(args.dist)
+    p = None if args.worst else load_distribution(args.dist)
     steps = args.rate_steps
     lo, hi = args.rate_start, args.rate_end
     rates = [lo] if steps == 1 else [
@@ -143,10 +144,9 @@ def run_exponents(args) -> int:
                 approx = taylor[rep.rate_R].get(rep.family)
                 row.append("" if approx is None else _fmt(approx))
             out.write(",".join(row) + "\n")
-    return 0
 
 
-def run_simulate_resolvability(args) -> int:
+def run_simulate_resolvability(args):
     W = load_channel(args.channel)
     p = load_distribution(args.dist)
     estimates = mc_expectation(
@@ -170,10 +170,9 @@ def run_simulate_resolvability(args) -> int:
                 "satisfied": est.mean <= est.bound + 3.0 * est.std_error,
             }
             out.write(_dump(rec) + "\n")
-    return 0
 
 
-def run_simulate_wiretap(args) -> int:
+def run_simulate_wiretap(args):
     W_B, W_E, p = _n_fold(args, load_channel(args.channel_b),
                           load_channel(args.channel_e),
                           load_distribution(args.dist))
@@ -228,10 +227,9 @@ def run_simulate_wiretap(args) -> int:
             "codewords": [[int(v) for v in row] for row in result.code.codewords],
         }
         out.write(_dump({"manifest": manifest}) + "\n")
-    return 0
 
 
-def run_idcode_build(args) -> int:
+def run_idcode_build(args):
     W, p = _n_fold(args, load_channel(args.channel),
                    load_distribution(args.dist))
     params = SelectionParams(
@@ -243,53 +241,47 @@ def run_idcode_build(args) -> int:
         selection = select_codewords(W, p, params, args.seed,
                                      max_retries=args.max_retries)
     except RetriesExhausted as exc:
-        sys.stdout.write(_dump({
-            "satisfied": False,
-            "attempts": exc.attempts,
-            "reason": str(exc),
-        }) + "\n")
-        return 0
+        sys.stdout.write(_dump({"satisfied": False, "attempts": exc.attempts,
+                                "reason": str(exc)}) + "\n")
+        return
     ad = AdParams(M=params.M, tau=params.tau, kappa=params.kappa)
     build = build_set_family(
         ad, args.seed + 1 if args.family_seed is None else args.family_seed,
         budget=EnumerationBudget(args.max_joint_states))
     code = assemble_id_code(selection.codewords, build.family, W, p, params.C)
     metrics = eval_id_code(code, W, p)
-    mu_bound, lam_bound = id_error_bounds(params, p, W)
     if args.output is not None:
         save_id_code(code, args.output)
     doc = {
         "mu": metrics.mu,
         "lam": metrics.lam,
-        "mu_bound": mu_bound,
-        "lam_bound": lam_bound,
+        "mu_bound": selection.miss_bound,
+        "lam_bound": selection.lam_bound,
         "messages": code.messages,
         "family_complete": build.complete,
         "family_target": build.target_size,
         "selection_attempts": selection.attempts,
         "feasibility_lhs": selection.feasibility_lhs,
         "feasible": selection.feasible,
-        "satisfied": bool(metrics.mu <= mu_bound and metrics.lam <= lam_bound
+        "satisfied": bool(metrics.mu <= selection.miss_bound
+                          and metrics.lam <= selection.lam_bound
                           and build.complete),
         "codewords": list(code.codewords),
         "code_file": args.output,
     }
     sys.stdout.write(_dump(doc) + "\n")
-    return 0
 
 
-def run_idcode_eval(args) -> int:
+def run_idcode_eval(args):
     W, p = _n_fold(args, load_channel(args.channel),
                    load_distribution(args.dist))
     code = load_id_code(args.code)
     metrics = eval_id_code(code, W, p)
-    with _open_out(args.output) as out:
-        out.write(_dump({"mu": metrics.mu, "lam": metrics.lam,
-                         "messages": code.messages}) + "\n")
-    return 0
+    _write_doc(args, {"mu": metrics.mu, "lam": metrics.lam,
+                      "messages": code.messages})
 
 
-def run_capacity(args) -> int:
+def run_capacity(args):
     result = capacity(load_channel(args.channel), tol=args.tol)
     doc = {
         "capacity_nats": result.value,
@@ -297,12 +289,10 @@ def run_capacity(args) -> int:
         "iterations": result.iterations,
         "residual": result.residual,
     }
-    with _open_out(args.output) as out:
-        out.write(_dump(doc) + "\n")
-    return 0
+    _write_doc(args, doc)
 
 
-def run_wiretap_bounds(args) -> int:
+def run_wiretap_bounds(args):
     W_B, W_E, p = _n_fold(args, load_channel(args.channel_b),
                           load_channel(args.channel_e),
                           load_distribution(args.dist))
@@ -317,9 +307,7 @@ def run_wiretap_bounds(args) -> int:
         "gallager_s": bounds.gallager_s,
         "phi_t": bounds.phi_t,
     }
-    with _open_out(args.output) as out:
-        out.write(_dump(doc) + "\n")
-    return 0
+    _write_doc(args, doc)
 
 
 def _positive_int(text: str) -> int:
@@ -329,52 +317,38 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _read_config(parser, path: str) -> dict:
-    """The entries of a --config file, each converted as its flag would be."""
-    # the options of this subcommand; --help holds no value
-    actions = {a.dest: a for a in parser._actions
-               if a.default is not argparse.SUPPRESS}
+def _read_config(path: str, options) -> dict:
+    """The entries of a --config file by dest, each a dest in `options`,
+    converted and checked as its flag would be."""
     entries = {}
     for key, value in _read_json(path, "config").items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
+        dest = key.replace("-", "_")
+        if dest not in options:
             raise ValueError(f"config file {path}: unknown option {key!r}")
+        spec = _OPTIONS[dest.replace("_", "-")]
         try:
-            if action.nargs == 0:  # a switch such as --worst
+            if spec.get("action") == "store_true":  # a switch such as --worst
                 if not isinstance(value, bool):
                     raise ValueError("must be true or false")
             else:
-                value = (action.type or str)(str(value))
-                if action.choices is not None and value not in action.choices:
-                    raise ValueError(
-                        "must be one of " + ", ".join(action.choices))
+                value = spec.get("type", str)(str(value))
+                choices = spec.get("choices")
+                if choices is not None and value not in choices:
+                    raise ValueError("must be one of " + ", ".join(choices))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(
                 f"config file {path}: option {key!r}: {exc}") from None
-        entries[action.dest] = value
+        entries[dest] = value
     return entries
 
 
-class _Config(argparse.Action):
-    """--config FILE: the file's entries become the subcommand's defaults.
+# the argparse default of every option: not given as a flag
+_UNSET = object()
 
-    They take effect from the next parse of the same parser (see
-    `parse_args`), where a flag still overrides them.
-    """
-
-    def __call__(self, parser, namespace, path, option_string=None):
-        parser.set_defaults(**_read_config(parser, path))
-        setattr(namespace, self.dest, path)
-
-
-# the default of an option that must be given, as a flag or by --config
-_REQUIRED = object()
-
-# Every option, declared once: flag name -> add_argument keywords.  An
-# option declared without a default is required.
+# Every option, declared once: flag name -> add_argument keywords.  Its
+# default is the value it takes when given neither as a flag nor in a
+# --config file; an option declared without a default is required.
 _OPTIONS = {
-    "config": dict(action=_Config, default=None,
-                   help="JSON file of option values; flags override it"),
     "output": dict(default=None,
                    help="write results to this file instead of stdout"),
     "blocklength": dict(type=_positive_int, default=1,
@@ -422,16 +396,26 @@ _WIRETAP = ("channel-b", "channel-e", "dist", "messages", "randomization",
             "threshold", "decoder-threshold")
 
 
-def _command(sub, name, run, help, *options):
+def _command(sub, name, run, help, *options, **defaults):
+    """Add the command `name`, which takes --config, --output and
+    `options`; `defaults` (by option name) replace declared defaults."""
     sp = sub.add_parser(name, help=help)
-    for option in ("config", "output") + options:
+    sp.add_argument("--config", action="append",
+                    help="JSON file of option values; flags override it")
+    options = ("output",) + options
+    for option in options:
         sp.add_argument("--" + option,
-                        **{"default": _REQUIRED, **_OPTIONS[option]})
-    sp.set_defaults(run=run)
-    return sp
+                        **{**_OPTIONS[option], "default": _UNSET})
+    # dest -> the value it takes when no flag or entry gives one
+    sp.set_defaults(run=run, options={
+        option.replace("-", "_"):
+            defaults.get(option, _OPTIONS[option].get("default", _UNSET))
+        for option in options})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `chanres` parser, built on first use; parsing leaves it as it is."""
     ap = argparse.ArgumentParser(
         prog="chanres",
         description="Exact bounds and simulations for output approximation, "
@@ -440,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     _command(sub, "bounds", run_bounds, "tail pair and expectation bounds",
              *_BLOCK, *_LAW, "codebook-size", "threshold")
-    exp = _command(sub, "exponents", run_exponents,
-                   "rate sweep of exponent bounds (CSV)",
-                   *_LAW, "worst", "rate-start", "rate-end", "rate-steps")
-    exp.set_defaults(dist=None)  # required unless --worst; see run_exponents
+    # --dist is required unless --worst; see run_exponents
+    _command(sub, "exponents", run_exponents,
+             "rate sweep of exponent bounds (CSV)",
+             *_LAW, "worst", "rate-start", "rate-end", "rate-steps", dist=None)
 
     sim = sub.add_parser("simulate", help="Monte Carlo drivers")
     simsub = sim.add_subparsers(dest="what", required=True)
@@ -473,16 +457,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """The subcommand's options: each flag, else its --config entry, else
-    its declared default.  Raises ValueError naming any required option
-    given neither way."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.config is not None:
-        # the first parse made the config entries the defaults
-        args = ap.parse_args(argv)
-    missing = ["--" + dest.replace("_", "-")
-               for dest, value in vars(args).items() if value is _REQUIRED]
+    """The command's options: each flag, else its --config entry, else its
+    declared default, whatever the order of argv.  Raises ValueError
+    naming any required option given none of these ways."""
+    args = build_parser().parse_args(argv)
+    values = vars(args)
+    options = values.pop("options")
+    entries = {}
+    for path in args.config or ():  # a later file's entries win
+        entries.update(_read_config(path, options))
+    for dest, default in options.items():
+        if values[dest] is _UNSET:
+            values[dest] = entries.get(dest, default)
+    missing = ["--" + dest.replace("_", "-") for dest in options
+               if values[dest] is _UNSET]
     if missing:
         raise ValueError("missing required option(s): " + ", ".join(missing))
     return args
@@ -491,7 +479,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        return args.run(args)
+        args.run(args)
+        return 0
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,7 +38,6 @@ from .channel import (
 )
 from .resolvability import brute_force_min
 from .rng import sample_indices, stream
-from .spectrum import tail_pair
 
 _LOG2P1 = math.log(2.0) + 1.0
 
@@ -236,18 +235,25 @@ class Selection:
     union_values: tuple[float, ...]
     miss_bound: float
     union_bound: float
+    lam_bound: float
     feasibility_lhs: float
     feasible: bool
     attempts: int
 
 
 def _screen_bounds(params: SelectionParams, p: Distribution, W: Channel
-                   ) -> tuple[float, float, float]:
-    """(miss_avg, miss_bound, union_bound): the average miss mass
-    E_p W_x(ratio <= C) and the two screening thresholds."""
-    miss_avg = 1.0 - tail_pair(p, W, params.C).delta
-    return (miss_avg, params.alpha * params.beta * miss_avg,
-            params.alpha_prime * params.beta_prime * params.m_prime / params.C)
+                   ) -> tuple[np.ndarray, float, float, float, float]:
+    """(level, miss_avg, miss_bound, union_bound, lam_bound): the pairs
+    whose ratio exceeds C, E_p W_x(ratio <= C) (clamped at 0 as tail_pair
+    clamps delta), the two screening thresholds, and the lam ceiling of a
+    code whose words pass them; miss_bound is its mu ceiling."""
+    _, dens, joint = _density(W, p)
+    level = dens > math.log(params.C)
+    miss_avg = max(1.0 - float(np.sum(joint[level])), 0.0)
+    union_bound = (params.alpha_prime * params.beta_prime * params.m_prime
+                   / params.C)
+    return (level, miss_avg, params.alpha * params.beta * miss_avg,
+            union_bound, params.kappa + union_bound)
 
 
 def _screens(rows: np.ndarray, level: np.ndarray
@@ -273,14 +279,14 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
     can then never succeed.
     """
     max_retries = _integer(max_retries, "max_retries")
-    miss_avg, miss_bound, union_bound = _screen_bounds(params, p, W)
+    level, miss_avg, miss_bound, union_bound, lam_bound = _screen_bounds(
+        params, p, W)
     if params.beta * miss_avg >= 1.0:
         raise InfeasibleParams(
             f"beta * E_p W_x(ratio <= C) = {params.beta * miss_avg!r} >= 1: "
             "screening cannot succeed"
         )
     feasibility_lhs = params.beta * miss_avg + union_bound
-    level = _density(W, p)[1] > math.log(params.C)
 
     for attempt in range(max_retries):
         xs = sample_indices(p.probs, stream(seed, attempt).random(params.m_prime))
@@ -296,6 +302,7 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
             union_values=tuple(final_union.tolist()),
             miss_bound=miss_bound,
             union_bound=union_bound,
+            lam_bound=lam_bound,
             feasibility_lhs=feasibility_lhs,
             feasible=feasibility_lhs < 1.0,
             attempts=attempt + 1,
@@ -395,8 +402,8 @@ def eval_id_code(code: IdCode, W: Channel, p: Distribution) -> IdMetrics:
 def id_error_bounds(params: SelectionParams, p: Distribution,
                     W: Channel) -> tuple[float, float]:
     """Guaranteed (mu, lam) ceilings for codes built from these parameters."""
-    _, miss_bound, union_bound = _screen_bounds(params, p, W)
-    return miss_bound, params.kappa + union_bound
+    _, _, miss_bound, _, lam_bound = _screen_bounds(params, p, W)
+    return miss_bound, lam_bound
 
 
 def save_id_code(code: IdCode, path) -> None:

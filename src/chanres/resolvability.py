@@ -50,7 +50,8 @@ class ResolvabilityCode:
     def __post_init__(self):
         object.__setattr__(self, "codewords", tuple(
             _indices(self.codewords, "codeword").tolist()))
-        if _integer(self.M, "M") != len(self.codewords):
+        object.__setattr__(self, "M", _integer(self.M, "M"))
+        if self.M != len(self.codewords):
             raise ValueError("M must equal the number of codewords")
 
 

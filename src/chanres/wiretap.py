@@ -53,7 +53,9 @@ class WiretapCode:
 
     def __post_init__(self):
         cw = _indices(self.codewords, "codeword")
-        if cw.shape != (_integer(self.M, "M"), _integer(self.L, "L")):
+        object.__setattr__(self, "M", _integer(self.M, "M"))
+        object.__setattr__(self, "L", _integer(self.L, "L"))
+        if cw.shape != (self.M, self.L):
             raise ValueError("codewords must form an M x L index array")
         dec = _indices(self.decoder, "decoder entry", -1)
         if dec.ndim != 1:

@@ -27,7 +27,7 @@ from chanres import (
     taylor_compare,
     uniform,
 )
-from chanres import cli, exponents
+from chanres import channel, cli, exponents
 from chanres.cli import _fmt, main
 from chanres.resolvability import PHI_T_GRID
 
@@ -572,6 +572,28 @@ def test_idcode_build_and_eval(tmp_path, capsys):
     assert ev == {"mu": 0.0, "lam": 0.0, "messages": 1}
 
 
+def test_idcode_build_forms_the_density_twice(tmp_path, capsys, monkeypatch):
+    # once to select the codewords, once to evaluate the code
+    formed, form = [], channel._density
+
+    def density(W, p):
+        formed.append(W.input_size)
+        return form(W, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chanres.") and hasattr(module, "_density"):
+            monkeypatch.setattr(module, "_density", density)
+    chan = write_channel(tmp_path, identity_channel(7), "id7.json")
+    rc = main(["idcode", "build", "--channel", chan,
+               "--dist", write_uniform(tmp_path, 7), "--alpha", "2",
+               "--alpha-prime", "4", "--beta", "2", "--beta-prime", "4",
+               "--tau", "0.15", "--kappa", "0.99", "--codewords", "7",
+               "--threshold", "2.0", "--seed", "2"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["satisfied"]
+    assert formed == [7, 7]
+
+
 @pytest.mark.parametrize("codewords, subsets", [
     ([-1, 0], [[0], [1]]),
     ([0, 1, 2], [[0, 0, 1], [2]]),
@@ -654,6 +676,45 @@ def test_config_file_merge(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["codebook_size"] == 16
     assert math.isclose(doc["threshold"], 1.64, rel_tol=1e-14)
+
+
+def test_flag_before_config_beats_the_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dist": write_uniform(tmp_path), "codebook-size": 4,
+        "threshold": 1.64,
+    }))
+    later = tmp_path / "later.json"
+    later.write_text(json.dumps({"codebook-size": 8, "threshold": 2.5}))
+    out = tmp_path / "bounds.json"
+    # --codebook abbreviates --codebook-size; of two files, the later
+    # one's entries win
+    rc = main(["bounds", "--codebook", "16", "--channel", write_bsc(tmp_path),
+               "--config", str(cfg), "--config", str(later),
+               "--output", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert doc["codebook_size"] == 16 and doc["threshold"] == 2.5
+
+
+def test_config_values_do_not_outlive_their_run(tmp_path, capsys):
+    # one parser serves every run of a process; a --config file's
+    # entries must not become the next run's values
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dist": write_uniform(tmp_path), "codebook-size": 4,
+        "threshold": 1.64, "blocklength": 3,
+    }))
+    argv = ["bounds", "--channel", write_bsc(tmp_path)]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["blocklength"] == 3
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: missing required option(s): "
+                                       "--dist, --codebook-size, --threshold\n")
+    args = cli.parse_args(argv + ["--dist", "d.json", "--codebook-size", "4",
+                                  "--threshold", "2"])
+    assert args.config is None and args.blocklength == 1
 
 
 def test_config_holding_a_list_exits_2(tmp_path, capsys):
@@ -774,7 +835,8 @@ def test_config_values_take_option_types(tmp_path, capsys, entry, rc):
         assert capsys.readouterr().out == out
 
 
-@pytest.mark.parametrize("key", ["run", "parser", "command", "help"])
+@pytest.mark.parametrize("key", ["run", "parser", "command", "help",
+                                 "config"])
 def test_config_rejects_keys_that_are_not_options(tmp_path, capsys, key):
     chan = write_bsc(tmp_path)
     dist = write_uniform(tmp_path)
@@ -797,21 +859,22 @@ def _subcommands(parser, path=()):
 
 
 def _options(parser):
-    """dest -> action of every option but --help and --config."""
-    return {a.dest: a for a in parser._actions
-            if a.option_strings and a.dest not in ("help", "config")}
+    """dest -> declared default of every option the command takes but
+    --config."""
+    return parser.get_default("options")
 
 
-def _sample(action):
+def _sample(dest):
     """A value other than the default: (flag argv, config entry)."""
-    flag = action.option_strings[0]
-    if action.nargs == 0:
+    flag = "--" + dest.replace("_", "-")
+    spec = cli._OPTIONS[flag[2:]]
+    if spec.get("action") == "store_true":
         return [flag], True
-    if action.choices:
-        return [flag, action.choices[-1]], action.choices[-1]
-    if action.type is float:
+    if "choices" in spec:
+        return [flag, spec["choices"][-1]], spec["choices"][-1]
+    if spec.get("type") is float:
         return [flag, "0.25"], 0.25
-    if action.type is None:
+    if "type" not in spec:
         return [flag, "in.json"], "in.json"
     return [flag, "3"], 3
 
@@ -826,18 +889,18 @@ def test_config_entry_equals_flag(tmp_path, path, dest):
     options = _options(SUBCOMMANDS[path])
     # every other required option as a flag
     argv = list(path)
-    for other, action in options.items():
-        if other != dest and action.default is cli._REQUIRED:
-            argv += _sample(action)[0]
-    flag, entry = _sample(options[dest])
+    for other, default in options.items():
+        if other != dest and default is cli._UNSET:
+            argv += _sample(other)[0]
+    flag, entry = _sample(dest)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({flag[0][2:]: entry}))
     by_flag = vars(cli.parse_args(argv + flag))
     by_config = vars(cli.parse_args(argv + ["--config", str(cfg)]))
     assert by_flag.pop("config") is None
-    assert by_config.pop("config") == str(cfg)
+    assert by_config.pop("config") == [str(cfg)]
     assert by_config == by_flag
-    assert by_flag[dest] != SUBCOMMANDS[path].get_default(dest)
+    assert by_flag[dest] != options[dest]
 
 
 def test_config_switch_prints_what_the_flag_prints(tmp_path, capsys):
@@ -908,9 +971,9 @@ def test_config_entries_checked_as_flags_are(tmp_path, capsys, argv, entry):
 def _required_argv(path):
     """The subcommand's argv, each required option with a sample value."""
     argv = list(path)
-    for action in _options(SUBCOMMANDS[path]).values():
-        if action.default is cli._REQUIRED:
-            argv += _sample(action)[0]
+    for dest, default in _options(SUBCOMMANDS[path]).items():
+        if default is cli._UNSET:
+            argv += _sample(dest)[0]
     return argv
 
 

@@ -183,6 +183,10 @@ def test_counts_are_stored_as_ints():
     assert type(AdParams(np.int64(20), 0.1, 0.8).M) is int
     assert type(SelectionParams(M=2.0, **_SELECT).M) is int
     assert type(SetFamily((frozenset({0, 1}),), 2.0, 1.5).subset_size) is int
+    assert type(ResolvabilityCode((0, 1), 2.0).M) is int
+    code = WiretapCode([[0], [1]], [0, 1], np.int64(2), 1.0,
+                       "maximum_likelihood")
+    assert type(code.M) is int and type(code.L) is int
 
 
 @pytest.mark.parametrize("build, text", [

@@ -3,7 +3,9 @@
 `tests/data/golden_simulate.txt` (the two `simulate` commands) and
 `tests/data/golden_commands.txt` (the others) hold, for each run below,
 a `$ chanres ...` line followed by the run's stdout, and by the file a
-run writes with --output, after a `--- <file>` line.  Any change to a
+run writes with --output, after a `--- <file>` line.
+`tests/data/golden_help.txt` holds the `--help` text of `chanres` and of
+every command and command group, at 80 columns.  Any change to a
 sampled code, a Monte Carlo mean, a bound, an exponent or a leakage
 figure, down to the last printed digit, fails this test.  Re-record
 only when an output change is intended:
@@ -16,11 +18,14 @@ import math
 import os
 import sys
 
+import pytest
+
 from chanres.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden_simulate.txt")
 GOLDEN_COMMANDS = os.path.join(DATA, "golden_commands.txt")
+GOLDEN_HELP = os.path.join(DATA, "golden_help.txt")
 
 E = repr(math.e)
 
@@ -109,6 +114,27 @@ COMMAND_RUNS = [
 ]
 
 
+HELP_RUNS = [[], ["bounds"], ["exponents"], ["simulate"],
+             ["simulate", "resolvability"], ["simulate", "wiretap"],
+             ["idcode"], ["idcode", "build"], ["idcode", "eval"],
+             ["capacity"], ["wiretap-bounds"]]
+
+
+def help_transcript(capture) -> str:
+    """The `--help` text of each of HELP_RUNS, after its command line."""
+    parts = []
+    for argv in HELP_RUNS:
+        argv = argv + ["--help"]
+        try:
+            main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0, argv
+        else:
+            raise AssertionError(f"{argv} did not exit")
+        parts.append("$ chanres " + " ".join(argv) + "\n" + capture())
+    return "".join(parts)
+
+
 def transcript(runs, capture) -> str:
     """Every run's command line and stdout, then the file it wrote with
     --output; `capture()` returns the stdout written since its last
@@ -143,6 +169,18 @@ def test_command_stdout_matches_golden(tmp_path, monkeypatch, capsys):
     _check(GOLDEN_COMMANDS, COMMAND_RUNS, tmp_path, monkeypatch, capsys)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="argparse titles the options section "
+                           "'optional arguments' before Python 3.11")
+def test_help_matches_golden(monkeypatch, capsys):
+    # argparse wraps help text at $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(GOLDEN_HELP, "rb") as fh:
+        golden = fh.read()
+    got = help_transcript(lambda: capsys.readouterr().out).encode("utf-8")
+    assert got == golden
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     import contextlib
     import io
@@ -168,3 +206,8 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
                 os.chdir(home)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    os.environ["COLUMNS"] = "80"
+    with contextlib.redirect_stdout(buf):
+        text = help_transcript(capture)
+    with open(GOLDEN_HELP, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)

@@ -522,3 +522,33 @@ def test_select_codewords_equals_candidate_loop():
                 sel.attempts) == ref
         union_refused += refused
     assert union_refused > 0
+
+
+def test_selection_carries_the_id_error_bounds():
+    # the miss average is read from select_codewords' own level sets; it
+    # equals 1 - tail_pair(...).delta bit for bit, the clamp included
+    # (the seven masses 1/7 of the identity channel sum past 1)
+    rng = np.random.default_rng(8)
+    cases = [(identity_channel(7), uniform(7),
+              SelectionParams(2.0, 4.0, 2.0, 4.0, 0.15, 0.99, 7, 2.0))]
+    for _ in range(10):
+        K = int(rng.integers(4, 30))
+        cases.append((random_channel(rng, K, int(rng.integers(4, 300)), 0.05),
+                      Distribution(rng.dirichlet(np.full(K, 3.0))),
+                      SelectionParams(2.0, 4.0, 2.0, 4.0, 0.1, 0.8,
+                                      int(rng.integers(1, 4)), 2.0)))
+    checked = 0
+    for W, p, params in cases:
+        try:
+            sel = select_codewords(W, p, params, seed=0, max_retries=20)
+        except identification.RetriesExhausted:
+            continue
+        checked += 1
+        miss_avg = 1.0 - tail_pair(p, W, params.C).delta
+        union_bound = (params.alpha_prime * params.beta_prime
+                       * params.m_prime / params.C)
+        assert sel.miss_bound == params.alpha * params.beta * miss_avg
+        assert sel.union_bound == union_bound
+        assert sel.lam_bound == params.kappa + union_bound
+        assert id_error_bounds(params, p, W) == (sel.miss_bound, sel.lam_bound)
+    assert checked >= 6
