@@ -166,20 +166,18 @@ class Channel:
         return self.rows.shape[1]
 
     @functools.cached_property
-    def levels(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(values, index) with ``values[index]`` equal to rows bit for bit,
-        when at most half the entries are distinct, else None.
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, index): the distinct entries, with ``values[index]``
+        equal to rows bit for bit.
 
-        A power of the matrix is then a power of `values` gathered through
-        `index`: the same floats, from a fraction of the pow calls.  Products
-        W^n, identity and symmetric channels have few distinct entries.
+        A power of the matrix is a power of `values` gathered through
+        `index`: the same floats, from a fraction of the pow calls when
+        entries repeat, as in products W^n, identity and symmetric channels.
         Entries are told apart by their bits, so -0.0 keeps its sign.
         """
         bits = self.rows.view(np.int64)
         values = np.sort(bits, axis=None)
         values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-        if values.size > self.rows.size // 2:
-            return None
         return values.view(float), np.searchsorted(values, bits)
 
 

@@ -330,6 +330,9 @@ def _read_config(path: str, options) -> dict:
             if spec.get("action") == "store_true":  # a switch such as --worst
                 if not isinstance(value, bool):
                     raise ValueError("must be true or false")
+            elif isinstance(value, bool) or not isinstance(
+                    value, (str, int, float)):
+                raise ValueError("must be a string or a number")
             else:
                 value = spec.get("type", str)(str(value))
                 choices = spec.get("choices")
@@ -487,7 +490,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ from .channel import (
     _blocks,
     _check_inputs,
     _check_positive,
+    _integer,
     _kl_rows,
     dispersion_J,
     mutual_information,
@@ -128,20 +129,15 @@ def psi(s, W: Channel, p: Distribution):
 def phi(t, W: Channel, p: Distribution):
     """log sum_y (E_p W_x(y)^(1/(1+t)))^(1+t); phi(0) == 0 exactly.
 
-    t may be an array, as the argument s of `psi`.  When W has few
-    distinct entries (`Channel.levels`), each is raised to the power
-    once and gathered into place: the same floats as the full matrix.
+    t may be an array, as the argument s of `psi`.  Each distinct channel
+    entry (`Channel.levels`) is raised to the power once and gathered
+    into place: the same floats as powers of the full matrix.
     """
     e = _params(t, "t", W, p)
     vals = np.empty(e.shape[0])
-    levels = W.levels
+    values, index = W.levels
     for blk in _blocks(e.shape[0], W.rows.size):
-        if levels is None:
-            powers = _power(W.rows, 1.0 / (1.0 + e[blk]))
-        else:
-            values, index = levels
-            powers = np.take(_power(values, 1.0 / (1.0 + e[blk, 0])), index,
-                             axis=1)
+        powers = np.take(_power(values, 1.0 / (1.0 + e[blk, 0])), index, axis=1)
         g = np.matmul(p.probs, powers)
         vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
     return _shaped(vals, t)
@@ -587,8 +583,7 @@ def wiretap_exponents(R: float, R_prime: float, W_B: Channel, W_E: Channel,
     channel at the randomization rate R'.
     """
     _check_rates(R, R_prime)
-    if W_B.input_size != W_E.input_size:
-        raise ValueError("channels must share an input alphabet")
+    _check_inputs(W_E, p)
     s_err, e_err = _gallager_max(W_B, p, R + R_prime)
     vd, kl, half = _family_reports([R_prime], *_given_family(W_E, p))[0]
     edge = 2.0 * GRID_STEP
@@ -647,6 +642,7 @@ def capacity(W: Channel, tol: float = 1e-8,
     The stationarity certificate is max_x D(W_x || W_p) - I <= tol.
     """
     _check_positive(tol, "tol")
+    max_iter = _integer(max_iter, "max_iter")
     K = W.input_size
     p, i_val, iterations, resid = _info_max(W.rows, np.zeros(K),
                                             np.full(K, 1.0 / K), tol, max_iter)
@@ -659,8 +655,6 @@ def capacity(W: Channel, tol: float = 1e-8,
 
 def secrecy_rate(W_B: Channel, W_E: Channel, p: Distribution) -> float:
     """I(p; W_B) - I(p; W_E); may be negative."""
-    if W_B.input_size != W_E.input_size:
-        raise ValueError("channels must share an input alphabet")
     return mutual_information(p, W_B) - mutual_information(p, W_E)
 
 

@@ -157,9 +157,9 @@ def build_set_family(params: AdParams, seed: int,
     raised: the count floor(e^(tau*M)/(M*e)) is guaranteed to exist,
     but rejection sampling is only expected to find it.  For small M
     that guaranteed count can be zero even though admissible subsets
-    exist, so at least one subset is always requested.  The budget caps
-    the incidence entries of the target family, target * M, before any
-    sampling.
+    exist, so at least one subset is always requested; the first draw
+    overlaps nothing and is always kept.  The budget caps the incidence
+    entries of the target family, target * M, before any sampling.
     """
     size = _integer(params.subset_size,
                     f"floor(tau*M) at M={params.M}, tau={params.tau}")
@@ -171,23 +171,17 @@ def build_set_family(params: AdParams, seed: int,
                             else max_attempts, "max_attempts")
     gen = stream(seed, 0)
     chosen: list[frozenset] = []
-    # 0/1 incidence rows of the chosen subsets, grown by doubling up to
-    # the target so a huge guaranteed count allocates nothing up front
-    inc = np.zeros((min(target, 64), params.M), dtype=bool)
+    # 0/1 incidence rows of the chosen subsets; a page of zeros is not
+    # touched until a row on it is written
+    inc = np.zeros((target, params.M), dtype=bool)
     attempts = 0
     while len(chosen) < target and attempts < max_attempts:
         attempts += 1
         draw = gen.choice(params.M, size=size, replace=False)
         k = len(chosen)
         if (inc[:k, draw].sum(axis=1) < cap).all():
-            if k == len(inc):
-                inc = np.concatenate(
-                    [inc, np.zeros((min(k, target - k), params.M), bool)])
             inc[k, draw] = True
             chosen.append(frozenset(int(v) for v in draw))
-    if not chosen:
-        raise RetriesExhausted(
-            f"no admissible subset found in {attempts} attempts", attempts)
     family = SetFamily(tuple(chosen), size, cap)
     return FamilyBuild(family, len(chosen) >= target, target, attempts)
 

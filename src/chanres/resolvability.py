@@ -206,7 +206,7 @@ class BruteForceResult:
 def brute_force_min(M: int, W: Channel, p: Distribution,
                     limit: int = 10 ** 6) -> BruteForceResult:
     """Exhaustive minimization over codeword multisets of size M."""
-    M = _integer(M, "M")
+    M, limit = _integer(M, "M"), _integer(limit, "limit")
     K = W.input_size
     count = math.comb(K + M - 1, M)
     if count > limit:

@@ -136,8 +136,7 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     W_p; the bound value is reported for inspection.
     """
     _check_inputs(W_B, p, code.codewords)
-    if W_B.input_size != W_E.input_size:
-        raise ValueError("channels must share an input alphabet")
+    _check_inputs(W_E, p)
     M = code.M
     q_b = W_B.rows[code.codewords].mean(axis=1)     # (M, Y_B)
     q_e = W_E.rows[code.codewords].mean(axis=1)     # (M, Y_E)
@@ -216,6 +215,7 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     _check_positive(C, "C")
     if C_prime is not None:
         _check_positive(C_prime, "C_prime")
+    _check_inputs(W_E, p)
     s_star, neg = _gallager_max(W_B, p, math.log(M) + math.log(L))
     error_gallager = 3.0 * math.exp(-neg)
 

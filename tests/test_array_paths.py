@@ -3,8 +3,8 @@
 `rng.uniforms` draws what one `rng.stream` per index draws,
 `channel._kl_rows` returns what `_kl` returns row by row,
 `eval_wiretap` adds its sums over messages and pairs as explicit loops
-would, and `phi` on a channel with few distinct entries (gathered
-through `Channel.levels`) returns what powers of the full matrix give.
+would, and `phi`, which gathers the powers of each distinct entry
+through `Channel.levels`, returns what powers of the full matrix give.
 Every comparison is exact (`np.array_equal`, `==`, or equal int64
 views): the printed outputs of `chanres` depend on it.
 """
@@ -191,10 +191,8 @@ _ALL_T = np.concatenate([S_GRID, T_GRID, _SPECIAL_T])
 
 
 def _assert_phi_bits(W, p, scalars):
-    levels = W.levels
-    if levels is not None:
-        values, index = levels
-        assert np.array_equal(_bits(values[index]), _bits(W.rows))
+    values, index = W.levels
+    assert np.array_equal(_bits(values[index]), _bits(W.rows))
     for ts in (S_GRID, T_GRID, _SPECIAL_T):
         assert np.array_equal(_bits(phi(ts, W, p)),
                               _bits(_full_matrix_phi(ts, W, p)))
@@ -232,7 +230,9 @@ def _random_rows(rng, X, Y):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-@pytest.mark.parametrize("rows, gathered", [
+# few: at most half the entries are distinct; channels of both kinds
+# gather, and give the bits of the full matrix
+@pytest.mark.parametrize("rows, few", [
     (_random_rows(np.random.default_rng(0), 6, 6), False),     # 36 of 36
     (np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]), True),  # 2 of 6
     (np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]), True),      # 3 of 6
@@ -242,9 +242,10 @@ def _random_rows(rng, X, Y):
     (identity_channel(5).rows, True),
     (product(bsc(0.2), 3).rows, True),
 ])
-def test_phi_on_both_sides_of_the_half_rule(rows, gathered):
+def test_phi_on_both_sides_of_the_half_rule(rows, few):
     W = Channel(rows)
-    assert (W.levels is not None) == gathered
+    assert isinstance(W.levels, tuple)
+    assert (W.levels[0].size <= W.rows.size // 2) == few
     p = Distribution(_random_rows(np.random.default_rng(1), 1, W.input_size)[0])
     _assert_phi_bits(W, p, _SPECIAL_T.tolist() + [0.3, -0.2])
 

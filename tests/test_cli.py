@@ -768,6 +768,19 @@ def test_wiretap_law_size_error_has_the_same_text(tmp_path, capsys, command):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", [["wiretap-bounds"],
+                                     ["simulate", "wiretap", "--seed", "0"]])
+def test_eve_of_another_input_size_exits_2(tmp_path, capsys, command):
+    eve = write_channel(tmp_path, constant_channel([0.5, 0.5], 3), "eve.json")
+    rc = main(command + ["--channel-b", write_bsc(tmp_path),
+                         "--channel-e", eve, "--dist", write_uniform(tmp_path),
+                         "--messages", "2", "--randomization", "2",
+                         "--threshold", "2", "--decoder-threshold", "2"])
+    assert rc == 2
+    assert ("distribution size 2 does not match input size 3"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
 def test_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
     # 2^64 used to reach numpy as an OverflowError, exit 4
@@ -966,6 +979,39 @@ def test_config_entries_checked_as_flags_are(tmp_path, capsys, argv, entry):
     cfg.write_text(json.dumps(entry))
     assert main(argv + ["--config", str(cfg)]) == 2
     assert f"option {next(iter(entry))!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [
+    {"output": None}, {"output": True}, {"output": False},
+    {"output": {"path": "o.json"}}, {"trials": None}, {"dist": ["u.json"]},
+], ids=["null", "true", "false", "object", "null-int", "list"])
+def test_config_entry_of_a_valued_option_is_a_string_or_a_number(
+        tmp_path, capsys, monkeypatch, entry):
+    # {"output": null} used to write the result to a file named "None"
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    flags = {"channel": write_bsc(tmp_path), "dist": write_uniform(tmp_path),
+             "codebook-size": "4", "threshold": "2", "trials": "100",
+             "seed": "0"}
+    argv = ["simulate", "resolvability", "--config", str(cfg)]
+    for option, value in flags.items():
+        if option not in entry:
+            argv += ["--" + option, value]
+    files = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    assert "must be a string or a number" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == files
+
+
+def test_main_lets_a_key_error_propagate(tmp_path, monkeypatch):
+    # no input path raises KeyError, so one is a bug, not invalid input
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "capacity", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["capacity", "--channel", write_bsc(tmp_path)])
 
 
 def _required_argv(path):

@@ -1,6 +1,6 @@
-"""The count rule: every codebook size, blocklength, trial or retry count,
-budget cap, seed and stream index passes `channel._integer`; and the one
-text of the law-size rule."""
+"""The count rule: every codebook size, blocklength, trial, retry or
+iteration count, budget cap, seed and stream index passes
+`channel._integer`; and the one text of the law-size rule."""
 
 import math
 
@@ -10,6 +10,7 @@ import pytest
 from chanres import (
     EnumerationBudget,
     bsc,
+    capacity,
     phi,
     psi,
     product,
@@ -57,6 +58,16 @@ def _construct(**kw):
     return r.attempts, r.code.codewords.tolist(), r.report.eps_B
 
 
+def _capacity(max_iter):
+    r = capacity(W, max_iter=max_iter)
+    return r.value, r.argmax.probs.tolist(), r.iterations, r.residual
+
+
+def _brute_force(limit):
+    r = brute_force_min(2, W, P, limit=limit)
+    return r.eps_min, r.div_min, r.best_code.codewords
+
+
 def _wiretap_code(M, L):
     code = sample_wiretap_code(P, M, L, W, seed=0)
     return code.codewords.tolist(), code.decoder.tolist()
@@ -87,6 +98,9 @@ ENTRY_POINTS = {
     "mc_expectation-seed": ("seed", lambda v: mc_expectation(
         P, W, 4, 2.0, trials=100, seed=v), 2),
     "brute_force_min": ("M", lambda v: brute_force_min(v, W, P), 2),
+    # 3 multisets of 2 words on 2 letters
+    "brute_force_min-limit": ("limit", _brute_force, 3),
+    "capacity": ("max_iter", _capacity, 2),
     "AdParams": ("M", lambda v: AdParams(v, 0.1, 0.8), 20),
     "SelectionParams": ("M", lambda v: SelectionParams(M=v, **_SELECT), 2),
     "SetFamily": ("subset_size",

@@ -17,9 +17,13 @@ from chanres import (
     product,
     product_dist,
     sample_wiretap_code,
+    secrecy_capacity_lb,
+    secrecy_rate,
     uniform,
     wiretap_bounds,
+    wiretap_exponents,
 )
+from chanres import exponents, wiretap
 
 
 def test_code_validation():
@@ -326,3 +330,30 @@ def test_non_finite_threshold_rejected(C):
     with pytest.raises(ValueError, match="finite"):
         sample_wiretap_code(p, 2, 2, W, seed=0, decoder_kind="threshold",
                             C_prime=C)
+
+
+# a 2-input Bob and a 3-input Eve: every entry point gives the one
+# law-size text, and none runs the Gallager search first
+_EVE3 = constant_channel([0.5, 0.5], 3)
+_SIZE_TEXT = "^distribution size 2 does not match input size 3$"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_wiretap(sample_wiretap_code(uniform(2), 2, 2, bsc(0.1), 0),
+                         bsc(0.1), _EVE3, uniform(2)),
+    lambda: wiretap_bounds(bsc(0.1), _EVE3, uniform(2), 2, 2, math.e, 4.0),
+    lambda: construct_until_bounds(uniform(2), bsc(0.1), _EVE3, 2, 2, math.e,
+                                   4.0, seed=0),
+    lambda: wiretap_exponents(0.1, 0.1, bsc(0.1), _EVE3, uniform(2)),
+    lambda: secrecy_rate(bsc(0.1), _EVE3, uniform(2)),
+    lambda: secrecy_capacity_lb(bsc(0.1), _EVE3),
+], ids=["eval_wiretap", "wiretap_bounds", "construct_until_bounds",
+        "wiretap_exponents", "secrecy_rate", "secrecy_capacity_lb"])
+def test_eve_of_another_input_size_has_the_law_size_text(call, monkeypatch):
+    def search(*args):
+        raise AssertionError("Gallager search before the law-size check")
+
+    monkeypatch.setattr(exponents, "_gallager_max", search)
+    monkeypatch.setattr(wiretap, "_gallager_max", search)
+    with pytest.raises(ValueError, match=_SIZE_TEXT):
+        call()
