@@ -182,11 +182,15 @@ class Channel:
 
 
 def uniform(size: int) -> Distribution:
+    size = _integer(size, "size")
     return Distribution(np.full(size, 1.0 / size))
 
 
 def point_mass(index: int, size: int) -> Distribution:
-    probs = np.zeros(size)
+    probs = np.zeros(_integer(size, "size"))
+    index = _integer(index, "index", 0)
+    if index >= probs.size:
+        raise ValueError(f"index must be below size {probs.size}, got {index}")
     probs[index] = 1.0
     return Distribution(probs)
 
@@ -200,13 +204,13 @@ def bsc(crossover: float) -> Channel:
 
 
 def identity_channel(size: int) -> Channel:
-    return Channel(np.eye(size))
+    return Channel(np.eye(_integer(size, "size")))
 
 
 def constant_channel(row, input_size: int) -> Channel:
     """Channel whose rows are all equal, carrying no input information."""
     row = np.asarray(row, dtype=float)
-    return Channel(np.tile(row, (input_size, 1)))
+    return Channel(np.tile(row, (_integer(input_size, "input_size"), 1)))
 
 
 def _check_inputs(W: Channel, p: Distribution, codewords=()) -> None:

@@ -59,6 +59,16 @@ from .resolvability import expectation_bounds, mc_expectation
 from .wiretap import construct_until_bounds, wiretap_bounds
 
 
+# the five guarantees of a wiretap code and its three leakage metrics
+_BOUNDS = ("error_gallager", "error_threshold", "leak_kl_eta", "leak_kl_phi",
+           "secrecy_vd")
+_METRICS = ("eps_B", "I_E", "d_E")
+
+
+def _fields(obj, names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -179,10 +189,7 @@ def run_simulate_wiretap(args):
     with _open_out(args.output) as out:
         def emit(attempt, report, flags):
             out.write(_dump({
-                "attempt": attempt,
-                "eps_B": report.eps_B,
-                "I_E": report.I_E,
-                "d_E": report.d_E,
+                "attempt": attempt, **_fields(report, _METRICS),
                 "ok_eps": flags[0], "ok_leak": flags[1], "ok_vd": flags[2],
             }) + "\n")
 
@@ -203,23 +210,10 @@ def run_simulate_wiretap(args):
             },
             "seed": args.seed,
             "attempts": result.attempts,
-            "bounds": {
-                "error_gallager": result.bounds.error_gallager,
-                "error_threshold": result.bounds.error_threshold,
-                "leak_kl_eta": result.bounds.leak_kl_eta,
-                "leak_kl_phi": result.bounds.leak_kl_phi,
-                "secrecy_vd": result.bounds.secrecy_vd,
-            },
-            "targets": {
-                "eps_B": result.eps_target,
-                "I_E": result.leak_target,
-                "d_E": result.vd_target,
-            },
-            "metrics": {
-                "eps_B": result.report.eps_B,
-                "I_E": result.report.I_E,
-                "d_E": result.report.d_E,
-            },
+            "bounds": _fields(result.bounds, _BOUNDS),
+            "targets": dict(zip(_METRICS, (
+                result.eps_target, result.leak_target, result.vd_target))),
+            "metrics": _fields(result.report, _METRICS),
             "satisfied_eps": result.satisfied_eps,
             "satisfied_leak": result.satisfied_leak,
             "satisfied_vd": result.satisfied_vd,
@@ -298,16 +292,7 @@ def run_wiretap_bounds(args):
                           load_distribution(args.dist))
     bounds = wiretap_bounds(W_B, W_E, p, args.messages, args.randomization,
                             args.threshold, args.decoder_threshold)
-    doc = {
-        "error_gallager": bounds.error_gallager,
-        "error_threshold": bounds.error_threshold,
-        "leak_kl_eta": bounds.leak_kl_eta,
-        "leak_kl_phi": bounds.leak_kl_phi,
-        "secrecy_vd": bounds.secrecy_vd,
-        "gallager_s": bounds.gallager_s,
-        "phi_t": bounds.phi_t,
-    }
-    _write_doc(args, doc)
+    _write_doc(args, _fields(bounds, _BOUNDS + ("gallager_s", "phi_t")))
 
 
 def _positive_int(text: str) -> int:

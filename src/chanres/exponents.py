@@ -39,6 +39,7 @@ from .channel import (
     mutual_information,
     output_distribution,
 )
+from .rng import stream
 
 GIVEN_FAMILIES = (
     "vd_psi",
@@ -76,7 +77,7 @@ class ConvergenceError(RuntimeError):
 def _params(x, name: str, W: Channel, p: Distribution) -> np.ndarray:
     """The parameter(s) x as an (n, 1, 1) array, after the domain checks."""
     e = np.asarray(x, dtype=float).reshape(-1, 1, 1)
-    if any(v <= -1 for v in e.ravel().tolist()):
+    if not np.all(e > -1):
         raise ValueError(f"{name} must exceed -1")
     _check_inputs(W, p)
     return e
@@ -290,57 +291,46 @@ def _certified_power_max(A: np.ndarray, c: np.ndarray, x: np.ndarray,
     return F_max, P, R
 
 
-def _worst_solve(W: Channel, x: np.ndarray, e: np.ndarray, c: np.ndarray,
-                 name: str):
-    """(log max_p sum_y (p @ W^e_i)_y^c_i, argmax) for each parameter x_i.
+# each worst-case family: its parameter range, as checked and as told
+_RANGES = {"s": (0.0, 1.0, "[0, 1]"), "t": (-0.5, 0.0, "[-1/2, 0]")}
 
-    The stack of powered channels is built and solved in
-    `channel._blocks`, so memory does not grow with the parameter count.
+
+def _worst_solve(x, W: Channel, family: str):
+    """(max_p log sum_y (p @ W^e)_y^c, argmax) for an array of parameters x.
+
+    family "s" is psi's (e = 1 + s, c = 1 - s), "t" phi's (e = 1/(1+t),
+    c = 1 + t).  x = 0 gives 0 and the uniform law; s = 1 counts the
+    outputs reachable from supp(p).  The other powered channels are solved
+    as stacks in `channel._blocks`: memory does not grow with their count.
     """
-    vals, P = np.empty(x.size), np.empty((x.size, W.input_size))
-    for blk in _blocks(x.size, W.rows.size):
-        F, P[blk], _ = _certified_power_max(
-            _power(W.rows, e[blk].reshape(-1, 1, 1)), c[blk], x[blk], name)
-        vals[blk] = np.log(F)
-    return vals, P
-
-
-def _psi_worst_solve(s, W: Channel):
-    """(max_p log sum_y (p @ W^(1+s))_y^(1-s), argmax) for an array of s."""
-    s = np.asarray(s, dtype=float).ravel()
-    if not np.all((s >= 0.0) & (s <= 1.0)):
-        raise ValueError("s must lie in [0, 1]")
+    x = np.asarray(x, dtype=float).ravel()
+    lo, hi, text = _RANGES[family]
+    if not np.all((x >= lo) & (x <= hi)):
+        raise ValueError(f"{family} must lie in {text}")
     K = W.input_size
-    vals, P = np.zeros(s.size), np.full((s.size, K), 1.0 / K)
-    mid = (s > 0.0) & (s < 1.0)
-    vals[mid], P[mid] = _worst_solve(W, s[mid], 1.0 + s[mid], 1.0 - s[mid], "s")
-    # at s = 1 the maximand counts the outputs reachable from supp(p)
-    vals[s == 1.0] = math.log(np.count_nonzero(np.any(W.rows > 0, axis=0)))
-    return vals, P
-
-
-def _phi_worst_solve(t, W: Channel):
-    """(max_p phi(t | W, p), argmax) for an array of t."""
-    t = np.asarray(t, dtype=float).ravel()
-    if not np.all((t >= -0.5) & (t <= 0.0)):
-        raise ValueError("t must lie in [-1/2, 0]")
-    K = W.input_size
-    vals, P = np.zeros(t.size), np.full((t.size, K), 1.0 / K)
-    mid = t != 0.0
-    vals[mid], P[mid] = _worst_solve(W, t[mid], 1.0 / (1.0 + t[mid]),
-                                     1.0 + t[mid], "t")
+    vals, P = np.zeros(x.size), np.full((x.size, K), 1.0 / K)
+    top = x == 1.0
+    if top.any():
+        vals[top] = math.log(np.count_nonzero(np.any(W.rows > 0, axis=0)))
+    mid = np.flatnonzero((x != 0.0) & ~top)
+    v = x[mid]
+    e, c = (1.0 + v, 1.0 - v) if family == "s" else (1.0 / (1.0 + v), 1.0 + v)
+    for blk in _blocks(mid.size, W.rows.size):
+        F, P[mid[blk]], _ = _certified_power_max(
+            _power(W.rows, e[blk].reshape(-1, 1, 1)), c[blk], v[blk], family)
+        vals[mid[blk]] = np.log(F)
     return vals, P
 
 
 def psi_worst(s: float, W: Channel) -> tuple[float, Distribution]:
     """max_p psi-style generating function, with its maximizing input law."""
-    vals, P = _psi_worst_solve(s, W)
+    vals, P = _worst_solve(s, W, "s")
     return float(vals[0]), Distribution(P[0])
 
 
 def phi_worst(t: float, W: Channel) -> tuple[float, Distribution]:
     """max_p phi(t | W, p) over input laws, for t in [-1/2, 0]."""
-    vals, P = _phi_worst_solve(t, W)
+    vals, P = _worst_solve(t, W, "t")
     return float(vals[0]), Distribution(P[0])
 
 
@@ -497,8 +487,8 @@ def _given_family(W: Channel, p: Distribution) -> tuple:
 
 
 def _worst_family(W: Channel) -> tuple:
-    return (lambda s: _psi_worst_solve(s, W)[0],
-            lambda t: _phi_worst_solve(t, W)[0], "_worst")
+    return (lambda s: _worst_solve(s, W, "s")[0],
+            lambda t: _worst_solve(t, W, "t")[0], "_worst")
 
 
 def _gallager_max(W: Channel, p: Distribution, rate: float
@@ -671,9 +661,8 @@ def secrecy_capacity_lb(W_B: Channel, W_E: Channel) -> tuple[float, Distribution
     tangent slope and sits out the round.
     """
     K = W_B.input_size
-    rng = np.random.Generator(np.random.Philox(key=[0x5EC2EC, 0]))
     starts = [np.full(K, 1.0 / K), *(0.9 * np.eye(K)[:8] + 0.1 / K),
-              *rng.dirichlet(np.ones(K), size=12)]
+              *stream(0x5EC2EC, 0).dirichlet(np.ones(K), size=12)]
     best_v, best_p = -math.inf, None
     for p in starts:
         p = p / p.sum()

@@ -434,7 +434,7 @@ def size_ceiling_check(mu: float, lam: float, eps_value: float,
     for name, v in (("mu", mu), ("lambda", lam)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
-    if eps_value < 0:
+    if not eps_value >= 0:
         raise ValueError("eps must be nonnegative")
     holds = (1.0 - mu - lam) > eps_value
     ceiling = input_size ** M if holds else None

@@ -123,6 +123,8 @@ def spectrum_cdf(p: Distribution, W: Channel, a: float, n: int = 1,
     A class counts when its density (see the tie rule of
     ``_type_classes``) is at most n * a.
     """
+    if math.isnan(a):
+        raise ValueError("a must not be NaN")
     dens, log_prob = _type_classes(p, W, n, budget)
     mass = float(np.sum(np.exp(log_prob[dens <= n * a])))
     return min(max(mass, 0.0), 1.0)

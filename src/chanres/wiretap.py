@@ -137,6 +137,9 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     """
     _check_inputs(W_B, p, code.codewords)
     _check_inputs(W_E, p)
+    if code.decoder.size != W_B.output_size:
+        raise ValueError(f"decoder has {code.decoder.size} entries, channel "
+                         f"B has {W_B.output_size} outputs")
     M = code.M
     q_b = W_B.rows[code.codewords].mean(axis=1)     # (M, Y_B)
     q_e = W_E.rows[code.codewords].mean(axis=1)     # (M, Y_E)

@@ -11,7 +11,10 @@ from chanres import (
     EnumerationBudget,
     bsc,
     capacity,
+    constant_channel,
+    identity_channel,
     phi,
+    point_mass,
     psi,
     product,
     product_dist,
@@ -75,6 +78,14 @@ def _wiretap_code(M, L):
 
 # entry point -> (parameter name, call with the count, a valid count)
 ENTRY_POINTS = {
+    "uniform": ("size", lambda v: uniform(v).probs.tolist(), 2),
+    "point_mass-index": ("index", lambda v: point_mass(v, 2).probs.tolist(),
+                         1),
+    "point_mass-size": ("size", lambda v: point_mass(0, v).probs.tolist(), 2),
+    "identity_channel": ("size", lambda v: identity_channel(v).rows.tolist(),
+                         2),
+    "constant_channel": ("input_size", lambda v: constant_channel(
+        [0.3, 0.7], v).rows.tolist(), 2),
     "EnumerationBudget": ("max_joint_states",
                           lambda v: EnumerationBudget(v), 2),
     "product": ("n", lambda v: product(W, v).rows.tolist(), 2),
@@ -154,7 +165,7 @@ def test_integral_counts_give_the_int_results(entry):
 
 
 # the least count each entry point takes; 1 where not named here
-FLOORS = {"stream-seed": 0, "stream-index": 0, "uniforms-seed": 0,
+FLOORS = {"point_mass-index": 0, "stream-seed": 0, "stream-index": 0, "uniforms-seed": 0,
           "uniforms-index": 0, "sample_code-seed": 0, "mc_expectation-seed": 0,
           "sample_wiretap_code-seed": 0, "construct_until_bounds-seed": 0,
           "McEstimate": 2, "mc_expectation-trials": 100}
@@ -167,6 +178,13 @@ def test_counts_below_the_floor_raise(key):
     assert good >= floor
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call(floor - 1)
+
+
+@pytest.mark.parametrize("index", [2, 5])
+def test_point_mass_index_stays_below_the_size(index):
+    with pytest.raises(ValueError,
+                       match=f"^index must be below size 2, got {index}$"):
+        point_mass(index, 2)
 
 
 @pytest.mark.parametrize("call", [

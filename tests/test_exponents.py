@@ -43,9 +43,8 @@ from chanres.exponents import (
     _golden_max,
     _grid_golden_max,
     _kkt_residual,
-    _phi_worst_solve,
     _power,
-    _psi_worst_solve,
+    _worst_solve,
 )
 
 # the 3-ary asymmetric channel and input law of the benchmark
@@ -118,6 +117,11 @@ def test_domain_errors():
         phi(-1.0, W, p)
     with pytest.raises(ValueError):
         psi(0.5, W, uniform(3))
+    # NaN is refused, not carried into the result
+    with pytest.raises(ValueError, match="^s must exceed -1$"):
+        psi(math.nan, W, p)
+    with pytest.raises(ValueError, match="^t must exceed -1$"):
+        phi([0.1, math.nan], W, p)
 
 
 def test_psi_phi_frozen_values():
@@ -267,8 +271,9 @@ def test_exponent_sweep_matches_scalar_reference(W, p, rates):
                          ids=["bsc", "asym", "hard4x2", "dead", "tiny"])
 def test_worst_curves_equal_scalar_calls(W):
     # the whole grid in one call against every third point alone
-    for solve, single, grid in ((_psi_worst_solve, psi_worst, S_GRID),
-                                (_phi_worst_solve, phi_worst, T_GRID)):
+    for solve, single, grid in (
+            (functools.partial(_worst_solve, family="s"), psi_worst, S_GRID),
+            (functools.partial(_worst_solve, family="t"), phi_worst, T_GRID)):
         vals, laws = solve(grid, W)
         for i in range(0, grid.size, 3):
             one, one_law = solve(grid[i], W)
@@ -289,9 +294,9 @@ def test_worst_curves_equal_unstacked_products(W):
         return float(np.log(float(p @ (A @ (p @ A) ** (c - 1.0)))))
 
     s, t = S_GRID[1:-1], T_GRID[:-1]
-    assert _psi_worst_solve(s, W)[0].tolist() == [
+    assert _worst_solve(s, W, "s")[0].tolist() == [
         log_F(W.rows ** (1.0 + x), 1.0 - x) for x in s.tolist()]
-    assert _phi_worst_solve(t, W)[0].tolist() == [
+    assert _worst_solve(t, W, "t")[0].tolist() == [
         log_F(W.rows ** (1.0 / (1.0 + x)), 1.0 + x) for x in t.tolist()]
 
 
@@ -300,7 +305,7 @@ def test_tiny_column_drops_out_where_it_underflows():
     live = np.any(TINY_COLUMN.rows ** (1.0 + S_GRID[:, None, None]) > 0,
                   axis=1)
     assert live[:, 2].any() and not live[:, 2].all()
-    vals, laws = _psi_worst_solve(S_GRID, TINY_COLUMN)
+    vals, laws = _worst_solve(S_GRID, TINY_COLUMN, "s")
     assert np.all(np.isfinite(vals))
     # the symmetric rows make the uniform law optimal at every s
     assert np.all(laws == 0.5)
@@ -312,8 +317,10 @@ def test_groups_of_live_columns_that_take_steps_equal_scalar_calls():
     # solved in two groups; the optimum is not uniform, so both step
     W = Channel(np.array([[0.6, 0.4, 1e-200], [0.1, 0.9, 0.0],
                           [0.5, 0.5, 0.0]]))
-    for solve, xs in ((_psi_worst_solve, [0.05, 0.95]),
-                      (_phi_worst_solve, [-0.05, -0.5])):
+    for solve, xs in ((functools.partial(_worst_solve, family="s"),
+                       [0.05, 0.95]),
+                      (functools.partial(_worst_solve, family="t"),
+                       [-0.05, -0.5])):
         vals, laws = solve(np.array(xs), W)
         assert not np.allclose(laws, 1.0 / 3.0)
         for x, v, law in zip(xs, vals.tolist(), laws):
@@ -330,15 +337,15 @@ def test_overflowing_newton_matrix_is_uncertified(solve, x, name):
 
 
 def test_block_size_does_not_change_curves(monkeypatch):
-    curves = [(_psi_worst_solve(S_GRID, W), _phi_worst_solve(T_GRID, W))
+    curves = [(_worst_solve(S_GRID, W, "s"), _worst_solve(T_GRID, W, "t"))
               for W in (HARD_4X2, TINY_COLUMN)]
     given = psi(S_GRID, ASYM, ASYM_P), phi(T_GRID, ASYM, ASYM_P)
     monkeypatch.setattr(channel, "_BLOCK_FLOATS", 64)
     assert np.array_equal(psi(S_GRID, ASYM, ASYM_P), given[0])
     assert np.array_equal(phi(T_GRID, ASYM, ASYM_P), given[1])
     for W, ((a, A), (b, B)) in zip((HARD_4X2, TINY_COLUMN), curves):
-        (a1, A1), (b1, B1) = (_psi_worst_solve(S_GRID, W),
-                              _phi_worst_solve(T_GRID, W))
+        (a1, A1), (b1, B1) = (_worst_solve(S_GRID, W, "s"),
+                              _worst_solve(T_GRID, W, "t"))
         assert np.array_equal(a, a1) and np.array_equal(A, A1)
         assert np.array_equal(b, b1) and np.array_equal(B, B1)
 
@@ -403,7 +410,7 @@ def test_convergence_error_names_parameter(monkeypatch):
     assert err.value.best_value > 0.0
     # in a stack, the entry that fails is the one named
     with pytest.raises(ConvergenceError, match=r"at t = -0\.002 ") as err:
-        _phi_worst_solve(np.array([0.0, -0.002]), HARD_4X2)
+        _worst_solve(np.array([0.0, -0.002]), HARD_4X2, "t")
     assert err.value.parameter == -0.002
 
 
@@ -508,6 +515,10 @@ def test_worst_case_domain():
         phi_worst(0.1, bsc(0.1))
     with pytest.raises(ValueError):
         phi_worst(-0.6, bsc(0.1))
+    with pytest.raises(ValueError, match=r"^s must lie in \[0, 1\]$"):
+        psi_worst(math.nan, bsc(0.1))
+    with pytest.raises(ValueError, match=r"^t must lie in \[-1/2, 0\]$"):
+        phi_worst(math.nan, bsc(0.1))
 
 
 def worst_psi_maximand(s, W, p):
@@ -770,8 +781,7 @@ def test_taylor_compare_solves_no_worst_case(monkeypatch):
     def refuse(*args):
         raise AssertionError("worst-case solve")
 
-    monkeypatch.setattr(exponents, "_psi_worst_solve", refuse)
-    monkeypatch.setattr(exponents, "_phi_worst_solve", refuse)
+    monkeypatch.setattr(exponents, "_worst_solve", refuse)
     cmp_ = taylor_compare(R, ASYM, ASYM_P)
     assert cmp_.exact_psi_bound == by_family["vd_psi"].bound_value
     assert cmp_.exact_phi_half_bound == by_family["vd_phi_half"].bound_value

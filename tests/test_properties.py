@@ -11,6 +11,7 @@ materialized n-fold product or the scalar call, and the worst-case
 solve and the secrecy bound against a simplex grid.
 """
 
+import functools
 import math
 import sys
 
@@ -44,8 +45,7 @@ from chanres.exponents import (
     _bisect_cell,
     _gallager_max,
     _grid_golden_max,
-    _phi_worst_solve,
-    _psi_worst_solve,
+    _worst_solve,
     wiretap_exponents,
 )
 from chanres.resolvability import PHI_T_GRID
@@ -244,7 +244,8 @@ _T = st.one_of(st.floats(-1e-3, 0.0), st.floats(-0.5, -1e-3))
 @example(DEAD_COLUMN, [0.05, 0.0, 1.0], [-0.05, -0.5])
 @example(NEAR_FLAT, [0.5], [-0.44, -0.1])
 def test_worst_curves_equal_scalar_calls(W, s, t):
-    for solve, xs in ((_psi_worst_solve, s), (_phi_worst_solve, t)):
+    for solve, xs in ((functools.partial(_worst_solve, family="s"), s),
+                      (functools.partial(_worst_solve, family="t"), t)):
         vals, laws = solve(np.array(xs), W)
         for x, v, law in zip(xs, vals.tolist(), laws):
             one, one_law = solve(x, W)

@@ -203,6 +203,8 @@ def test_size_ceiling_check():
         size_ceiling_check(1.2, 0.0, 0.1, 2, 2)
     with pytest.raises(ValueError):
         size_ceiling_check(0.0, 0.0, -0.1, 2, 2)
+    with pytest.raises(ValueError, match="^eps must be nonnegative$"):
+        size_ceiling_check(0.1, 0.1, math.nan, 2, 3)
 
 
 def test_counting_check():

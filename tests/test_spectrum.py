@@ -216,6 +216,8 @@ def test_spectrum_cdf_bsc():
     assert math.isclose(val, 0.1, rel_tol=1e-13)
     assert spectrum_cdf(uniform(2), bsc(0.1), 0.6) == pytest.approx(1.0)
     assert spectrum_cdf(uniform(2), bsc(0.1), -2.0) == 0.0
+    with pytest.raises(ValueError, match="^a must not be NaN$"):
+        spectrum_cdf(uniform(2), bsc(0.1), math.nan, 2)
 
 
 def test_spectrum_cdf_identity_inclusive_edge():

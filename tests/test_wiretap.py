@@ -117,6 +117,15 @@ def test_eval_oracle_by_hand():
         eval_wiretap(bad, W_B, W_E, p)
 
 
+def test_decoder_of_another_output_size_is_refused():
+    # a decoder entry per output of Bob's channel, checked before indexing
+    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1, -1]), 2, 2,
+                       "maximum_likelihood")
+    with pytest.raises(ValueError,
+                       match="^decoder has 3 entries, channel B has 2 outputs$"):
+        eval_wiretap(code, bsc(0.1), bsc(0.3), uniform(2))
+
+
 def test_eval_perfect_secrecy_zeroes():
     # noiseless Bob, constant Eve: zero error and exactly zero leakage
     W_B = identity_channel(4)
