@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,13 @@ def _check_positive(value, name: str) -> None:
     """ValueError naming `name` and `value` unless 0 < value < inf."""
     if value is None or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_fits_float(value, name: str) -> None:
+    """ValueError naming `name` if value is past the largest float."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.3g}, "
+                         "the largest float")
 
 
 def _indices(values, what: str, floor: int = 0) -> np.ndarray:

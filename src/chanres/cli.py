@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from .channel import (
@@ -31,16 +32,14 @@ from .channel import (
     Channel,
     EnumerationBudget,
     _read_json,
-    dispersion_J,
     load_channel,
     load_distribution,
-    mutual_information,
     product,
     product_dist,
 )
 from .exponents import (
     ConvergenceError,
-    _taylor_terms,
+    _taylor_column,
     capacity,
     exponent_sweep,
 )
@@ -74,16 +73,22 @@ def _fmt(x: float) -> str:
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True)
+    """doc as strict JSON: a NaN or an infinity raises ValueError."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
 
 
 @contextlib.contextmanager
 def _open_out(path):
+    """The file `path`, else stdout; a command that fails leaves no file."""
     if path is None:
         yield sys.stdout
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _write_doc(args, doc) -> None:
@@ -107,17 +112,11 @@ def run_bounds(args):
     tp, bound_vd, bound_eta, bound_phi = expectation_bounds(
         p, W, args.codebook_size, args.threshold, args.blocklength,
         EnumerationBudget(args.max_joint_states))
-    doc = {
-        "delta": tp.delta,
-        "delta_prime": tp.delta_prime,
-        "threshold": args.threshold,
-        "blocklength": args.blocklength,
-        "codebook_size": args.codebook_size,
-        "bound_vd": bound_vd,
-        "bound_kl_eta": bound_eta,
-        "bound_kl_phi": bound_phi,
-    }
-    _write_doc(args, doc)
+    _write_doc(args, {
+        **_fields(tp, ("delta", "delta_prime")),
+        **_fields(args, ("threshold", "blocklength", "codebook_size")),
+        "bound_vd": bound_vd, "bound_kl_eta": bound_eta,
+        "bound_kl_phi": bound_phi})
 
 
 def run_exponents(args):
@@ -133,15 +132,8 @@ def run_exponents(args):
         lo + (hi - lo) * i / (steps - 1) for i in range(steps)
     ]
     reports = exponent_sweep(W, rates, p)
-    taylor = {}
-    J = 0.0 if p is None else dispersion_J(p, W)
-    # noiseless channels leave only rounding dust in the variance; the
-    # quadratic columns are meaningless there and are omitted
-    if J > 1e-12:
-        i_val = mutual_information(p, W)
-        for R in rates:
-            _, a_psi, a_half = _taylor_terms(R, i_val, J)
-            taylor[R] = {"vd_psi": a_psi, "kl_phi": a_psi, "vd_phi_half": a_half}
+    # no column with --worst, nor on a noiseless channel
+    taylor = {} if p is None else _taylor_column(rates, W, p)
     with _open_out(args.output) as out:
         header = "R,family,bound_nats,optimizer"
         if taylor:
@@ -151,7 +143,7 @@ def run_exponents(args):
             row = [_fmt(rep.rate_R), rep.family, _fmt(rep.bound_value),
                    _fmt(rep.optimizer)]
             if taylor:
-                approx = taylor[rep.rate_R].get(rep.family)
+                approx = taylor.get((rep.rate_R, rep.family))
                 row.append("" if approx is None else _fmt(approx))
             out.write(",".join(row) + "\n")
 
@@ -163,12 +155,8 @@ def run_simulate_resolvability(args):
         p, W, args.codebook_size, args.threshold, args.trials, args.seed,
         n=args.blocklength, budget=EnumerationBudget(args.max_joint_states),
     )
-    config = {
-        "channel": args.channel, "dist": args.dist,
-        "codebook_size": args.codebook_size,
-        "threshold": args.threshold, "blocklength": args.blocklength,
-        "trials": args.trials, "seed": args.seed,
-    }
+    config = _fields(args, ("channel", "dist", "codebook_size", "threshold",
+                            "blocklength", "trials", "seed"))
     names = ("vd", "kl_eta", "kl_phi")
     with _open_out(args.output) as out:
         for name, est in zip(names, estimates):
@@ -199,15 +187,10 @@ def run_simulate_wiretap(args):
             decoder_kind=args.decoder, on_attempt=emit,
         )
         manifest = {
-            "parameters": {
-                "channel_b": args.channel_b, "channel_e": args.channel_e,
-                "dist": args.dist, "messages": args.messages,
-                "randomization": args.randomization,
-                "threshold": args.threshold,
-                "decoder_threshold": args.decoder_threshold,
-                "blocklength": args.blocklength, "decoder": args.decoder,
-                "max_retries": args.max_retries,
-            },
+            "parameters": _fields(args, (
+                "channel_b", "channel_e", "dist", "messages", "randomization",
+                "threshold", "decoder_threshold", "blocklength", "decoder",
+                "max_retries")),
             "seed": args.seed,
             "attempts": result.attempts,
             "bounds": _fields(result.bounds, _BOUNDS),
@@ -337,8 +320,7 @@ _UNSET = object()
 # default is the value it takes when given neither as a flag nor in a
 # --config file; an option declared without a default is required.
 _OPTIONS = {
-    "output": dict(default=None,
-                   help="write results to this file instead of stdout"),
+    "output": dict(default=None),
     "blocklength": dict(type=_positive_int, default=1,
                         help="memoryless block length n"),
     "max-joint-states": dict(type=int, default=DEFAULT_MAX_JOINT_STATES,
@@ -384,16 +366,20 @@ _WIRETAP = ("channel-b", "channel-e", "dist", "messages", "randomization",
             "threshold", "decoder-threshold")
 
 
-def _command(sub, name, run, help, *options, **defaults):
-    """Add the command `name`, which takes --config, --output and
-    `options`; `defaults` (by option name) replace declared defaults."""
+def _command(sub, name, run, help, *options,
+             output_help="write results to this file instead of stdout",
+             **defaults):
+    """Add the command `name`, which takes --config, --output (with the
+    help `output_help`) and `options`; `defaults` (by option name)
+    replace declared defaults."""
     sp = sub.add_parser(name, help=help)
     sp.add_argument("--config", action="append",
                     help="JSON file of option values; flags override it")
-    options = ("output",) + options
+    sp.add_argument("--output", default=_UNSET, help=output_help)
     for option in options:
         sp.add_argument("--" + option,
                         **{**_OPTIONS[option], "default": _UNSET})
+    options = ("output",) + options
     # dest -> the value it takes when no flag or entry gives one
     sp.set_defaults(run=run, options={
         option.replace("-", "_"):
@@ -433,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
              "screen codewords and build a family",
              *_BLOCK, *_LAW, "alpha", "alpha-prime", "beta", "beta-prime",
              "tau", "kappa", "codewords", "threshold", "seed", "family-seed",
-             "max-retries")
+             "max-retries", output_help="write the identification code to "
+             "this file; the result line always goes to stdout")
     _command(idsub, "eval", run_idcode_eval, "exact errors of a stored code",
              *_BLOCK, *_LAW, "code")
 

@@ -41,16 +41,13 @@ from .channel import (
 )
 from .rng import stream
 
-GIVEN_FAMILIES = (
-    "vd_psi",
-    "kl_phi",
-    "vd_phi_half",
-    "vd_psi_worst",
-    "kl_phi_worst",
-    "vd_phi_half_worst",
-)
+# the exponent families of a sweep, in report order, each with the
+# multiple c of (R - I)^2 / (8 J) that approximates it near I = I(p;W)
+_FAMILIES = {"vd_psi": 2.0, "kl_phi": 2.0, "vd_phi_half": 1.0}
 
-WORST_FAMILIES = ("vd_psi_worst", "kl_phi_worst", "vd_phi_half_worst")
+WORST_FAMILIES = tuple(name + "_worst" for name in _FAMILIES)
+
+GIVEN_FAMILIES = (*_FAMILIES, *WORST_FAMILIES)
 
 GRID_STEP = 1e-3
 
@@ -79,6 +76,8 @@ def _params(x, name: str, W: Channel, p: Distribution) -> np.ndarray:
     e = np.asarray(x, dtype=float).reshape(-1, 1, 1)
     if not np.all(e > -1):
         raise ValueError(f"{name} must exceed -1")
+    if not np.all(e < math.inf):
+        raise ValueError(f"{name} must be finite")
     _check_inputs(W, p)
     return e
 
@@ -367,14 +366,13 @@ def _grid_golden_max(f, xs: np.ndarray, rows):
     """Dense grid scan refined by golden section around the best cell,
     for every objective in lockstep.
 
-    f is as in `_golden_max`; rows yields, for each objective i in
-    turn, its values on the grid xs.  Returns the arrays (argmax, max).
+    f is as in `_golden_max`; row i of rows (an array, or a list of
+    rows) holds objective i on the grid xs.  Returns the arrays
+    (argmax, max).
     """
-    best, best_vals = [], []
-    for v in rows:
-        best.append(int(np.argmax(v)))
-        best_vals.append(float(v[best[-1]]))
-    return _refine_cells(f, xs, np.array(best), np.array(best_vals))
+    rows = np.asarray(rows)
+    best = np.argmax(rows, axis=1)
+    return _refine_cells(f, xs, best, rows[np.arange(best.size), best])
 
 
 def _refine_cells(f, xs: np.ndarray, best: np.ndarray, best_vals: np.ndarray):
@@ -447,38 +445,37 @@ class ExponentReport:
 
 def _family_reports(rates: list[float], psi_fn, phi_fn,
                     suffix: str) -> list[list[ExponentReport]]:
-    """The three reports of one family at each rate, one list per rate.
+    """The reports of the three `_FAMILIES` (names + suffix) at each
+    rate, one list per rate.
 
     psi_fn and phi_fn take arrays of s and t; each is evaluated once on
-    its scan grid (S_GRID, T_GRID).  The golden sections of all rates
-    run in lockstep, so each of their steps is one call of psi_fn or
-    phi_fn.
+    its scan grid (S_GRID, T_GRID), and each objective on the grid once
+    for all rates, as one (rates x grid) array.  The golden sections of
+    all rates run in lockstep, so each of their steps is one call of
+    psi_fn or phi_fn.
     """
     R = np.array(rates)
-    psi_grid, phi_grid = psi_fn(S_GRID), phi_fn(T_GRID)
 
-    def vd(i, s, psi_s):
-        return (s * R[i] - psi_s) / (1.0 + s)
+    def vd(r, s, psi_s):
+        return (s * r - psi_s) / (1.0 + s)
 
-    def kl(i, t, phi_t):
-        return -phi_t - t * R[i]
+    def kl(r, t, phi_t):
+        return -phi_t - t * r
 
     s_star, vd_val = _grid_golden_max(
-        lambda i, s: vd(i, s, psi_fn(s)), S_GRID,
-        (vd(i, S_GRID, psi_grid) for i in range(R.size)))
+        lambda i, s: vd(R[i], s, psi_fn(s)), S_GRID,
+        vd(R[:, None], S_GRID, psi_fn(S_GRID)))
     t_star, kl_val = _grid_golden_max(
-        lambda i, t: kl(i, t, phi_fn(t)), T_GRID,
-        (kl(i, T_GRID, phi_grid) for i in range(R.size)))
+        lambda i, t: kl(R[i], t, phi_fn(t)), T_GRID,
+        kl(R[:, None], T_GRID, phi_fn(T_GRID)))
+    names = [name + suffix for name in _FAMILIES]
     reports = []
     for rate, s, v, t, k in zip(rates, s_star.tolist(), vd_val.tolist(),
                                 t_star.tolist(), kl_val.tolist()):
         # max(0.0, -0.0) is 0.0, where max(-0.0, 0.0) would keep -0.0
         v, k = max(0.0, v), max(0.0, k)
-        reports.append([
-            ExponentReport(rate, v, s, "vd_psi" + suffix),
-            ExponentReport(rate, k, t, "kl_phi" + suffix),
-            ExponentReport(rate, k / 2.0, t, "vd_phi_half" + suffix),
-        ])
+        reports.append([ExponentReport(rate, *pair, name) for pair, name
+                        in zip(((v, s), (k, t), (k / 2.0, t)), names)])
     return reports
 
 
@@ -693,26 +690,31 @@ class TaylorComparison:
     exact_phi_half_bound: float
 
 
-def _taylor_terms(R: float, i_val: float, J: float) -> tuple[float, float, float]:
-    """(Delta, approx_psi, approx_phi_half): the quadratic expansions of
-    the vd_psi and vd_phi_half exponents about i_val = I(p;W), J > 0."""
-    delta = float(R) - i_val
-    approx_phi_half = delta * delta / (8.0 * J)
-    return delta, 2.0 * approx_phi_half, approx_phi_half
+def _taylor_column(rates, W: Channel, p: Distribution) -> dict:
+    """{(R, family): c * (R - I)^2 / (8 J)} for the `_FAMILIES` and their
+    multiples c, with I = I(p;W) and J the information-density variance;
+    empty on a noiseless channel, where J <= 1e-12 is rounding dust."""
+    J = dispersion_J(p, W)
+    if J <= 1e-12:
+        return {}
+    i_val = mutual_information(p, W)
+    return {(R, name): c * (R - i_val) * (R - i_val) / (8.0 * J)
+            for R in rates for name, c in _FAMILIES.items()}
 
 
 def taylor_compare(R: float, W: Channel, p: Distribution) -> TaylorComparison:
     """Compare exact exponents at rate R with their quadratic expansions.
 
-    Requires positive information-density variance; noiseless and
-    constant channels have none, so the expansion is undefined there.
+    Raises ValueError where `_taylor_column` is empty, on noiseless and
+    constant channels: the expansion is undefined there.
     """
-    J = dispersion_J(p, W)
-    if J <= 0.0:
+    _check_rates(R)
+    R = float(R)
+    column = _taylor_column([R], W, p)
+    if not column:
         raise ValueError("zero information-density variance: "
                          "quadratic approximation undefined")
-    _check_rates(R)
-    vd_psi, _, vd_phi_half = _family_reports(
-        [float(R)], *_given_family(W, p))[0]
-    return TaylorComparison(*_taylor_terms(R, mutual_information(p, W), J),
+    vd_psi, _, vd_phi_half = _family_reports([R], *_given_family(W, p))[0]
+    return TaylorComparison(R - mutual_information(p, W),
+                            column[R, "vd_psi"], column[R, "vd_phi_half"],
                             vd_psi.bound_value, vd_phi_half.bound_value)

@@ -26,6 +26,7 @@ from .channel import (
     Channel,
     Distribution,
     EnumerationBudget,
+    _check_fits_float,
     _check_positive,
     _check_inputs,
     _density,
@@ -240,12 +241,14 @@ def _screen_bounds(params: SelectionParams, p: Distribution, W: Channel
     """(level, miss_avg, miss_bound, union_bound, lam_bound): the pairs
     whose ratio exceeds C, E_p W_x(ratio <= C) (clamped at 0 as tail_pair
     clamps delta), the two screening thresholds, and the lam ceiling of a
-    code whose words pass them; miss_bound is its mu ceiling."""
+    code whose words pass them; miss_bound is its mu ceiling.  The union
+    bound must fit a float."""
+    union_bound = (params.alpha_prime * params.beta_prime * params.m_prime
+                   / params.C)
+    _check_fits_float(union_bound, "the union bound alpha'*beta'*m'/C")
     _, dens, joint = _density(W, p)
     level = dens > math.log(params.C)
     miss_avg = max(1.0 - float(np.sum(joint[level])), 0.0)
-    union_bound = (params.alpha_prime * params.beta_prime * params.m_prime
-                   / params.C)
     return (level, miss_avg, params.alpha * params.beta * miss_avg,
             union_bound, params.kappa + union_bound)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .channel import (
     Distribution,
     EnumerationBudget,
     _blocks,
+    _check_fits_float,
     _check_inputs,
     _indices,
     _integer,
@@ -89,26 +89,20 @@ def eval_code(code: ResolvabilityCode, W: Channel, p: Distribution
     return _gaps(mix, wp)
 
 
-def _check_fits_float(size: int, name: str) -> None:
-    if size > sys.float_info.max:
-        raise ValueError(f"{name} must be at most {sys.float_info.max:.3g}, "
-                         "the largest float")
-
-
-def _code_bounds(tp: TailPair, M: int, n: int, Y: int, phi_grid
+def _code_bounds(tp: TailPair, M: int, n: int, W: Channel, p: Distribution
                  ) -> tuple[float, float, float, float]:
-    """(vd, eta, phi bound, its t) for a random code of M words.
+    """(vd, eta, phi bound, its t) for a random code of M words drawn
+    from p^n on W^n.
 
-    tp is the tail pair of the n-fold channel, Y the single-letter
-    output size and phi_grid the values phi(PHI_T_GRID) of one letter.
-    The phi bound is min over the grid of log(1 + e^x) / (-t) with
-    x = t*log M + n*phi(t); for x > 709, where e^x overflows,
+    tp is the tail pair of the n-fold channel; W and p are single-letter.
+    The phi bound is min over PHI_T_GRID of log(1 + e^x) / (-t) with
+    x = t*log M + n*phi(t | W, p); for x > 709, where e^x overflows,
     log(1 + e^x) is x to double precision.  Raises ValueError when M
     does not fit a float, as the bounds divide by it.
     """
     _check_fits_float(M, "M")
     vd = 2.0 * tp.delta + math.sqrt(tp.delta_prime / M)
-    bound_eta = (eta(tp.delta) + tp.delta * n * math.log(Y)
+    bound_eta = (eta(tp.delta) + tp.delta * n * math.log(W.output_size)
                  + tp.delta_prime / M)
     log_m = math.log(M)
 
@@ -120,7 +114,8 @@ def _code_bounds(tp: TailPair, M: int, n: int, Y: int, phi_grid
 
     bound_phi, t = min(
         (log1p_exp(t * log_m + n * v) / (-t), t)
-        for t, v in zip(PHI_T_GRID.tolist(), phi_grid.tolist()))
+        for t, v in zip(PHI_T_GRID.tolist(),
+                        phi(PHI_T_GRID, W, p).tolist()))
     return vd, bound_eta, bound_phi, t
 
 
@@ -136,8 +131,7 @@ def expectation_bounds(p: Distribution, W: Channel, M: int, C: float,
     """
     M = _integer(M, "M")
     tp = product_tail_pair(p, W, C, n, budget)
-    return (tp, *_code_bounds(tp, M, n, W.output_size,
-                              phi(PHI_T_GRID, W, p))[:3])
+    return (tp, *_code_bounds(tp, M, n, W, p)[:3])
 
 
 def mc_expectation(p: Distribution, W: Channel, M: int, C: float,

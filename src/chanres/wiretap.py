@@ -21,6 +21,7 @@ from .channel import (
     Channel,
     Distribution,
     _blocks,
+    _check_fits_float,
     _check_inputs,
     _check_positive,
     _density,
@@ -31,8 +32,8 @@ from .channel import (
     _row_sums,
     output_distribution,
 )
-from .exponents import _gallager_max, phi
-from .resolvability import PHI_T_GRID, _check_fits_float, _code_bounds
+from .exponents import _gallager_max
+from .resolvability import _code_bounds
 from .rng import sample_indices, stream
 from .spectrum import tail_pair
 
@@ -210,8 +211,8 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     pairwise distance), and the error bound is the random-coding bound
     of W_B at rate log(M*L).  C_prime may be None when no
     threshold-decoder guarantee is wanted; the threshold error bound is
-    then reported as inf and the stored C_prime as nan.  M*L must fit a
-    float.
+    then reported as inf and the stored C_prime as nan.  M*L, and the
+    threshold error bound, must fit a float.
     """
     M, L = _integer(M, "M"), _integer(L, "L")
     _check_fits_float(M * L, "M*L")
@@ -227,9 +228,11 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     else:
         miss_b = 1.0 - tail_pair(p, W_B, C_prime).delta
         error_threshold = 3.0 * (miss_b + M * L / C_prime)
+        _check_fits_float(error_threshold, "the threshold error bound "
+                          "3*(miss + M*L/C_prime)")
 
     vd, leak_eta, leak_phi, t_star = _code_bounds(
-        tail_pair(p, W_E, C), L, 1, W_E.output_size, phi(PHI_T_GRID, W_E, p))
+        tail_pair(p, W_E, C), L, 1, W_E, p)
     return WiretapBounds(
         error_gallager=error_gallager, error_threshold=error_threshold,
         leak_kl_eta=3.0 * leak_eta, leak_kl_phi=3.0 * leak_phi,

@@ -366,6 +366,40 @@ def test_exponents_taylor_cells_and_no_negative_zero(tmp_path):
         }
 
 
+_ASYM3 = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2],
+                           [0.2, 0.1, 0.7]]))
+
+
+@pytest.mark.parametrize("W, p, noisy", [
+    (identity_channel(2), uniform(2), False),
+    (identity_channel(3), uniform(3), False),
+    (identity_channel(6), uniform(6), False),
+    (identity_channel(11), uniform(11), False),
+    (constant_channel([0.3, 0.7], 2), uniform(2), False),
+    (bsc(0.1), uniform(2), True),
+    (_ASYM3, Distribution(np.array([0.5, 0.3, 0.2])), True),
+], ids=["id2", "id3", "id6", "id11", "constant", "bsc", "asym3"])
+def test_taylor_compare_refuses_where_the_cli_drops_the_column(tmp_path, W, p,
+                                                              noisy):
+    # identity channels leave a J of rounding dust (2.2e-16 at k = 3),
+    # from which taylor_compare once returned approx_psi of about 1e13
+    chan = write_channel(tmp_path, W, "w.json")
+    dist = tmp_path / "p.json"
+    save_distribution(p, dist)
+    out = tmp_path / "exp.csv"
+    assert main(["exponents", "--channel", chan, "--dist", str(dist),
+                 "--rate-start", "0.3", "--rate-end", "0.3",
+                 "--rate-steps", "1", "--output", str(out)]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert ("taylor_approx" in header) == noisy
+    if noisy:
+        cmp_ = taylor_compare(0.3, W, p)
+        assert math.isfinite(cmp_.approx_psi)
+    else:
+        with pytest.raises(ValueError, match="variance"):
+            taylor_compare(0.3, W, p)
+
+
 def test_simulate_resolvability(tmp_path):
     chan = write_bsc(tmp_path)
     dist = write_uniform(tmp_path)
@@ -543,6 +577,56 @@ def test_code_size_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert f"error: {name} must be at most 1.8e+308" in capsys.readouterr().err
+
+
+_WIRETAP_ARGV = ["--channel-b", "bob.json", "--channel-e", "eve.json",
+                 "--dist", "u2.json", "--messages", "2",
+                 "--randomization", "4", "--threshold", "2"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["wiretap-bounds", *_WIRETAP_ARGV, "--decoder-threshold", "1e-320"],
+     "M*L/C_prime"),
+    # M*L/C_prime = 1.6e308 fits a float; three times it does not
+    (["wiretap-bounds", *_WIRETAP_ARGV, "--decoder-threshold", "5e-308"],
+     "M*L/C_prime"),
+    (["simulate", "wiretap", *_WIRETAP_ARGV, "--decoder-threshold", "1e-320",
+      "--seed", "0"], "M*L/C_prime"),
+    (["idcode", "build", "--channel", "id7.json", "--dist", "u7.json",
+      "--alpha", "2", "--alpha-prime", "4", "--beta", "2", "--beta-prime", "4",
+      "--tau", "0.15", "--kappa", "0.99", "--codewords", "7",
+      "--threshold", "1e-320", "--seed", "2"], "alpha'*beta'*m'/C"),
+], ids=["wiretap-bounds", "wiretap-bounds-tripled", "simulate-wiretap",
+        "idcode-build"])
+def test_a_guarantee_past_the_float_range_exits_2(tmp_path, capsys,
+                                                  monkeypatch, argv, name):
+    # these once exited 0 and printed "Infinity", which is not JSON
+    write_bsc(tmp_path, 0.05, "bob.json")
+    write_bsc(tmp_path, 0.2, "eve.json")
+    write_uniform(tmp_path, name="u2.json")
+    write_channel(tmp_path, identity_channel(7), "id7.json")
+    write_uniform(tmp_path, 7, "u7.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--output", "out.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err and "must be at most 1.8e+308" in captured.err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_json_output_refuses_nan_and_infinity():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._dump({"x": value})
+
+
+def test_a_command_that_fails_leaves_no_output_file(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="refused"):
+        with cli._open_out(str(out)) as fh:
+            fh.write("partial\n")
+            raise ValueError("refused")
+    assert not out.exists()
 
 
 def test_idcode_build_and_eval(tmp_path, capsys):

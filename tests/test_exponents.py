@@ -122,6 +122,14 @@ def test_domain_errors():
         psi(math.nan, W, p)
     with pytest.raises(ValueError, match="^t must exceed -1$"):
         phi([0.1, math.nan], W, p)
+    with pytest.raises(ValueError, match="^s must exceed -1$"):
+        psi(-math.inf, W, p)
+    # +inf is refused, not turned into NaN (psi) or log 2 (phi)
+    for f, name in ((psi, "s"), (phi, "t")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            f(math.inf, W, p)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            f(np.array([0.1, math.inf]), W, p)
 
 
 def test_psi_phi_frozen_values():
@@ -361,6 +369,9 @@ def test_lockstep_golden_section_equals_scalar_search():
     assert int(np.argmax(rows[0])) == 0
     assert int(np.argmax(rows[-1])) == S_GRID.size - 1
     xs, vs = _grid_golden_max(vd, S_GRID, rows)
+    # a (rates x grid) array picks the same cells as the list of its rows
+    xa, va = _grid_golden_max(vd, S_GRID, np.array(rows))
+    assert np.array_equal(xa, xs) and np.array_equal(va, vs)
     for i, R in enumerate(rates.tolist()):
         ref = _reference_grid_golden_max(
             lambda s: (s * R - psi(s, ASYM, ASYM_P)) / (1.0 + s), 0.0, 1.0)
