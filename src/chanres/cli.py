@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 
 from .channel import (
@@ -79,22 +78,22 @@ def _dump(doc) -> str:
 
 @contextlib.contextmanager
 def _open_out(path):
-    """The file `path`, else stdout; a command that fails leaves no file."""
+    """A write function to the file `path`, else to stdout.  The file is
+    opened at the first write, so a command that fails before it writes
+    creates no file and leaves an existing one as it was."""
     if path is None:
-        yield sys.stdout
+        yield sys.stdout.write
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-    except BaseException:
-        os.remove(path)
-        raise
+    with contextlib.ExitStack() as stack:
+        fh = functools.cache(lambda: stack.enter_context(
+            open(path, "w", encoding="utf-8")))
+        yield lambda text: fh().write(text)
 
 
 def _write_doc(args, doc) -> None:
     """Write `doc` as one JSON line to --output, else stdout."""
-    with _open_out(args.output) as out:
-        out.write(_dump(doc) + "\n")
+    with _open_out(args.output) as write:
+        write(_dump(doc) + "\n")
 
 
 def _n_fold(args, *laws):
@@ -134,18 +133,18 @@ def run_exponents(args):
     reports = exponent_sweep(W, rates, p)
     # no column with --worst, nor on a noiseless channel
     taylor = {} if p is None else _taylor_column(rates, W, p)
-    with _open_out(args.output) as out:
+    with _open_out(args.output) as write:
         header = "R,family,bound_nats,optimizer"
         if taylor:
             header += ",taylor_approx"
-        out.write(header + "\n")
+        write(header + "\n")
         for rep in reports:
             row = [_fmt(rep.rate_R), rep.family, _fmt(rep.bound_value),
                    _fmt(rep.optimizer)]
             if taylor:
                 approx = taylor.get((rep.rate_R, rep.family))
                 row.append("" if approx is None else _fmt(approx))
-            out.write(",".join(row) + "\n")
+            write(",".join(row) + "\n")
 
 
 def run_simulate_resolvability(args):
@@ -158,7 +157,7 @@ def run_simulate_resolvability(args):
     config = _fields(args, ("channel", "dist", "codebook_size", "threshold",
                             "blocklength", "trials", "seed"))
     names = ("vd", "kl_eta", "kl_phi")
-    with _open_out(args.output) as out:
+    with _open_out(args.output) as write:
         for name, est in zip(names, estimates):
             rec = {
                 "config": dict(config, estimator=name),
@@ -167,16 +166,16 @@ def run_simulate_resolvability(args):
                 "bound": est.bound,
                 "satisfied": est.mean <= est.bound + 3.0 * est.std_error,
             }
-            out.write(_dump(rec) + "\n")
+            write(_dump(rec) + "\n")
 
 
 def run_simulate_wiretap(args):
     W_B, W_E, p = _n_fold(args, load_channel(args.channel_b),
                           load_channel(args.channel_e),
                           load_distribution(args.dist))
-    with _open_out(args.output) as out:
+    with _open_out(args.output) as write:
         def emit(attempt, report, flags):
-            out.write(_dump({
+            write(_dump({
                 "attempt": attempt, **_fields(report, _METRICS),
                 "ok_eps": flags[0], "ok_leak": flags[1], "ok_vd": flags[2],
             }) + "\n")
@@ -203,7 +202,7 @@ def run_simulate_wiretap(args):
             "satisfied": result.satisfied,
             "codewords": [[int(v) for v in row] for row in result.code.codewords],
         }
-        out.write(_dump({"manifest": manifest}) + "\n")
+        write(_dump({"manifest": manifest}) + "\n")
 
 
 def run_idcode_build(args):

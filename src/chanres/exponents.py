@@ -448,13 +448,13 @@ def _family_reports(rates: list[float], psi_fn, phi_fn,
     """The reports of the three `_FAMILIES` (names + suffix) at each
     rate, one list per rate.
 
-    psi_fn and phi_fn take arrays of s and t; each is evaluated once on
-    its scan grid (S_GRID, T_GRID), and each objective on the grid once
-    for all rates, as one (rates x grid) array.  The golden sections of
-    all rates run in lockstep, so each of their steps is one call of
-    psi_fn or phi_fn.
+    psi_fn and phi_fn take arrays of s and t and are evaluated once on
+    S_GRID and T_GRID.  Per block of rates (`channel._blocks`, so memory
+    does not grow with their count) each objective is one (rates x grid)
+    array, and the golden sections run in lockstep, each step one call
+    of psi_fn or phi_fn.
     """
-    R = np.array(rates)
+    psi_grid, phi_grid = psi_fn(S_GRID), phi_fn(T_GRID)
 
     def vd(r, s, psi_s):
         return (s * r - psi_s) / (1.0 + s)
@@ -462,20 +462,23 @@ def _family_reports(rates: list[float], psi_fn, phi_fn,
     def kl(r, t, phi_t):
         return -phi_t - t * r
 
-    s_star, vd_val = _grid_golden_max(
-        lambda i, s: vd(R[i], s, psi_fn(s)), S_GRID,
-        vd(R[:, None], S_GRID, psi_fn(S_GRID)))
-    t_star, kl_val = _grid_golden_max(
-        lambda i, t: kl(R[i], t, phi_fn(t)), T_GRID,
-        kl(R[:, None], T_GRID, phi_fn(T_GRID)))
-    names = [name + suffix for name in _FAMILIES]
     reports = []
-    for rate, s, v, t, k in zip(rates, s_star.tolist(), vd_val.tolist(),
-                                t_star.tolist(), kl_val.tolist()):
-        # max(0.0, -0.0) is 0.0, where max(-0.0, 0.0) would keep -0.0
-        v, k = max(0.0, v), max(0.0, k)
-        reports.append([ExponentReport(rate, *pair, name) for pair, name
-                        in zip(((v, s), (k, t), (k / 2.0, t)), names)])
+    for blk in _blocks(len(rates), S_GRID.size + T_GRID.size):
+        R = np.array(rates[blk])
+        s_star, vd_val = _grid_golden_max(
+            lambda i, s: vd(R[i], s, psi_fn(s)), S_GRID,
+            vd(R[:, None], S_GRID, psi_grid))
+        t_star, kl_val = _grid_golden_max(
+            lambda i, t: kl(R[i], t, phi_fn(t)), T_GRID,
+            kl(R[:, None], T_GRID, phi_grid))
+        for rate, s, v, t, k in zip(rates[blk], *np.stack(
+                [s_star, vd_val, t_star, kl_val]).tolist()):
+            # max(0.0, -0.0) is 0.0, where max(-0.0, 0.0) would keep -0.0
+            v, k = max(0.0, v), max(0.0, k)
+            reports.append([ExponentReport(rate, *pair, name + suffix)
+                            for pair, name in zip(
+                                ((v, s), (k, t), (k / 2.0, t)), _FAMILIES,
+                                strict=True)])
     return reports
 
 

@@ -612,6 +612,12 @@ def test_a_guarantee_past_the_float_range_exits_2(tmp_path, capsys,
     assert captured.out == ""
     assert name in captured.err and "must be at most 1.8e+308" in captured.err
     assert not (tmp_path / "out.json").exists()
+    # an existing, read-only --output file is left as it was
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    kept.chmod(0o444)
+    assert main(argv + ["--output", "kept.json"]) == 2
+    assert kept.read_text() == "kept\n"
 
 
 def test_json_output_refuses_nan_and_infinity():
@@ -620,13 +626,28 @@ def test_json_output_refuses_nan_and_infinity():
             cli._dump({"x": value})
 
 
-def test_a_command_that_fails_leaves_no_output_file(tmp_path):
+def test_the_output_file_is_opened_at_the_first_write(tmp_path):
     out = tmp_path / "out.json"
+    out.write_text("kept\n")
     with pytest.raises(ValueError, match="refused"):
-        with cli._open_out(str(out)) as fh:
-            fh.write("partial\n")
+        with cli._open_out(str(out)):
             raise ValueError("refused")
-    assert not out.exists()
+    assert out.read_text() == "kept\n"
+    with cli._open_out(str(out)) as write:
+        write("a\n")
+        write("b\n")
+    assert out.read_text() == "a\nb\n"
+
+
+def test_an_output_that_cannot_be_opened_is_left_alone(tmp_path, capsys):
+    # the error is the open's own, and nothing at the path is removed
+    chan = write_bsc(tmp_path)
+    dist = write_uniform(tmp_path)
+    assert main(["bounds", "--channel", chan, "--dist", dist,
+                 "--codebook-size", "4", "--threshold", "1.5",
+                 "--output", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert tmp_path.is_dir() and (tmp_path / "dist.json").exists()
 
 
 def test_idcode_build_and_eval(tmp_path, capsys):

@@ -358,6 +358,16 @@ def test_block_size_does_not_change_curves(monkeypatch):
         assert np.array_equal(b, b1) and np.array_equal(B, B1)
 
 
+def test_sweep_in_rate_blocks_equals_rate_by_rate():
+    # the (rates x grid) scan takes a block of rates at a time, so that
+    # its memory does not grow with the rate count; 23 rates take three
+    rates = [0.05 * i for i in range(23)]
+    assert len(channel._blocks(len(rates), S_GRID.size + T_GRID.size)) == 3
+    for W, p in ((bsc(0.1), uniform(2)), (ASYM, None)):
+        assert exponent_sweep(W, rates, p) == [
+            rep for R in rates for rep in exponent_sweep(W, [R], p)]
+
+
 def test_lockstep_golden_section_equals_scalar_search():
     rates = np.array([0.0, 0.05, 0.25, 0.45, 3.0])
 
