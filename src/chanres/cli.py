@@ -132,16 +132,16 @@ def run_exponents(args):
     ]
     reports = exponent_sweep(W, rates, p)
     # no column with --worst, nor on a noiseless channel
-    taylor = {} if p is None else _taylor_column(rates, W, p)
+    taylor = None if p is None else _taylor_column(rates, W, p)
     with _open_out(args.output) as write:
         header = "R,family,bound_nats,optimizer"
-        if taylor:
+        if taylor is not None:
             header += ",taylor_approx"
         write(header + "\n")
         for rep in reports:
             row = [_fmt(rep.rate_R), rep.family, _fmt(rep.bound_value),
                    _fmt(rep.optimizer)]
-            if taylor:
+            if taylor is not None:
                 approx = taylor.get((rep.rate_R, rep.family))
                 row.append("" if approx is None else _fmt(approx))
             write(",".join(row) + "\n")

@@ -693,30 +693,36 @@ class TaylorComparison:
     exact_phi_half_bound: float
 
 
-def _taylor_column(rates, W: Channel, p: Distribution) -> dict:
+def _taylor_column(rates, W: Channel, p: Distribution) -> dict | None:
     """{(R, family): c * (R - I)^2 / (8 J)} for the `_FAMILIES` and their
     multiples c, with I = I(p;W) and J the information-density variance;
-    empty on a noiseless channel, where J <= 1e-12 is rounding dust."""
+    entries past the float range are left out.  None on a noiseless
+    channel, where J <= 1e-12 is rounding dust."""
     J = dispersion_J(p, W)
     if J <= 1e-12:
-        return {}
+        return None
     i_val = mutual_information(p, W)
-    return {(R, name): c * (R - i_val) * (R - i_val) / (8.0 * J)
-            for R in rates for name, c in _FAMILIES.items()}
+    column = {(R, name): c * (R - i_val) * (R - i_val) / (8.0 * J)
+              for R in rates for name, c in _FAMILIES.items()}
+    return {key: v for key, v in column.items() if math.isfinite(v)}
 
 
 def taylor_compare(R: float, W: Channel, p: Distribution) -> TaylorComparison:
     """Compare exact exponents at rate R with their quadratic expansions.
 
-    Raises ValueError where `_taylor_column` is empty, on noiseless and
-    constant channels: the expansion is undefined there.
+    Raises ValueError where `_taylor_column` is None, on noiseless and
+    constant channels: the expansion is undefined there.  It also raises
+    where the expansion is past the float range.
     """
     _check_rates(R)
     R = float(R)
     column = _taylor_column([R], W, p)
-    if not column:
+    if column is None:
         raise ValueError("zero information-density variance: "
                          "quadratic approximation undefined")
+    if len(column) < len(_FAMILIES):
+        raise ValueError(f"quadratic approximation at R = {R!r} "
+                         "is past the float range")
     vd_psi, _, vd_phi_half = _family_reports([R], *_given_family(W, p))[0]
     return TaylorComparison(R - mutual_information(p, W),
                             column[R, "vd_psi"], column[R, "vd_phi_half"],

@@ -26,6 +26,7 @@ from .channel import (
     Channel,
     Distribution,
     EnumerationBudget,
+    _blocks,
     _check_fits_float,
     _check_positive,
     _check_inputs,
@@ -35,6 +36,7 @@ from .channel import (
     _json_list,
     _json_real,
     _load_fields,
+    _row_sums,
     _write_json,
 )
 from .resolvability import brute_force_min
@@ -117,19 +119,24 @@ class SetFamily:
         elements = _indices([list(s) for s in sets], "subset element")
         subsets = tuple(frozenset(row) for row in elements.tolist())
         object.__setattr__(self, "subsets", subsets)
-        # one 0/1 incidence row per subset over the elements in use; row
-        # i against the later rows gives the counts |S_i & S_j|, exact in
-        # float64 (small integers), which lets the product use BLAS
+        # one 0/1 incidence row per subset over the elements in use; the
+        # counts |S_i & S_j| are small integers, exact in float64, so BLAS
+        # forms them, all rows against a block of rows (this order
+        # touches less BLAS memory).  The first flat index is the least i,
+        # then j
         _, cols = np.unique(elements.ravel(), return_inverse=True)
-        inc = np.zeros((len(subsets), cols.max() + 1))
-        inc[np.repeat(np.arange(len(subsets)), self.subset_size), cols] = 1
-        for i in range(len(subsets) - 1):
-            shared = inc[i + 1:] @ inc[i]
+        F = len(subsets)
+        inc = np.zeros((F, cols.max() + 1))
+        inc[np.repeat(np.arange(F), self.subset_size), cols] = 1
+        for blk in _blocks(F, F):
+            # pairs j <= i are zeroed, and 0 is below the cap
+            shared = np.triu((inc @ inc[blk].T).T, blk.start + 1)
             bad = np.flatnonzero(~(shared < self.overlap_cap))
             if bad.size:
+                r, j = divmod(int(bad[0]), F)
                 raise ValueError(
-                    f"subsets {i} and {i + 1 + bad[0]} share "
-                    f"{int(shared[bad[0]])} elements, "
+                    f"subsets {blk.start + r} and {j} share "
+                    f"{int(shared[r, j])} elements, "
                     f"not below the cap {self.overlap_cap!r}"
                 )
 
@@ -172,17 +179,17 @@ def build_set_family(params: AdParams, seed: int,
                             else max_attempts, "max_attempts")
     gen = stream(seed, 0)
     chosen: list[frozenset] = []
-    # 0/1 incidence rows of the chosen subsets; a page of zeros is not
-    # touched until a row on it is written
-    inc = np.zeros((target, params.M), dtype=bool)
+    # element-major 0/1 incidence, column k for chosen subset k: a draw's
+    # overlaps with the k chosen add `size` contiguous rows of k entries
+    inc = np.zeros((params.M, target), dtype=bool)
     attempts = 0
     while len(chosen) < target and attempts < max_attempts:
         attempts += 1
         draw = gen.choice(params.M, size=size, replace=False)
         k = len(chosen)
-        if (inc[:k, draw].sum(axis=1) < cap).all():
-            inc[k, draw] = True
-            chosen.append(frozenset(int(v) for v in draw))
+        if (inc[draw, :k].sum(axis=0) < cap).all():
+            inc[draw, k] = True
+            chosen.append(frozenset(draw.tolist()))
     family = SetFamily(tuple(chosen), size, cap)
     return FamilyBuild(family, len(chosen) >= target, target, attempts)
 
@@ -253,14 +260,20 @@ def _screen_bounds(params: SelectionParams, p: Distribution, W: Channel
             union_bound, params.kappa + union_bound)
 
 
-def _screens(rows: np.ndarray, level: np.ndarray
+def _screens(W: Channel, level: np.ndarray, words
              ) -> tuple[np.ndarray, np.ndarray]:
     """(miss, union) of each word: its mass off its own level set, and
-    on the level sets of the other words (the rows of `level`)."""
-    # C-contiguous (words x Y) products: each row sums pairwise, the
-    # same bits as a 1-D sum of that row
-    miss = 1.0 - np.sum(rows * level, axis=1)
-    union = np.sum(rows * ((level.sum(axis=0) - level) >= 1), axis=1)
+    on the level sets of the other words (rows of `level`).  The float
+    products run per block of words (`channel._blocks`)."""
+    words = np.asarray(words)
+    others = level[words].sum(axis=0)
+    miss, union = np.empty(words.size), np.empty(words.size)
+    for blk in _blocks(words.size, W.output_size):
+        rows, own = W.rows[words[blk]], level[words[blk]]
+        # C-contiguous (words x Y) products: each row sums pairwise, the
+        # same bits as a 1-D sum of that row
+        miss[blk] = 1.0 - np.sum(rows * own, axis=1)
+        union[blk] = np.sum(rows * ((others - own) >= 1), axis=1)
     return miss, union
 
 
@@ -287,12 +300,12 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
 
     for attempt in range(max_retries):
         xs = sample_indices(p.probs, stream(seed, attempt).random(params.m_prime))
-        miss_i, union_i = _screens(W.rows[xs], level[xs])
+        miss_i, union_i = _screens(W, level, xs)
         good = (miss_i <= miss_bound) & (union_i <= union_bound)
         picked = list(dict.fromkeys(xs[good].tolist()))[:params.M]
         if len(picked) < params.M:
             continue
-        final_miss, final_union = _screens(W.rows[picked], level[picked])
+        final_miss, final_union = _screens(W, level, picked)
         return Selection(
             codewords=tuple(picked),
             miss_values=tuple(final_miss.tolist()),
@@ -371,27 +384,48 @@ def eval_id_code(code: IdCode, W: Channel, p: Distribution) -> IdMetrics:
     mu is the worst acceptance failure of a true message on its own
     region; lam is the worst acceptance of a wrong message's mixture.
     With a single message there is no confusion pair and lam is 0.
+
+    The mass of mixture j on region i is the pairwise sum of
+    mix[j, regions[i]], as a compressed row sums it.  A screen adds the
+    same at most Y nonnegative terms first, by mix @ regions.T (products
+    by 0 and 1 are exact).  Each sum is within gamma = Yu/(1 - Yu) of the
+    real one, relative to it (u = 2^-53).  So with t the largest screened
+    mass, lam >= t(1-gamma)/(1+gamma), and the region holding lam screens
+    at least t((1-gamma)/(1+gamma))^2 >= t - 4 gamma t >= t - 8(Y+2)u
+    max(1, t), the rounding of that threshold included (Yu <= 1/2).  A
+    screened 0 is a sum of zeros.  The exact sums run on the regions left.
     """
     _check_inputs(W, p, code.codewords)
     level = _density(W, p)[1] > math.log(code.C)
     cw = np.array(code.codewords)
-    n = code.messages
-    mix = np.empty((n, W.output_size))
-    regions = np.empty((n, W.output_size), dtype=bool)
-    for k, s in enumerate(code.subsets):
-        idx = cw[list(s)]
-        mix[k] = W.rows[idx].mean(axis=0)
-        regions[k] = np.any(level[idx], axis=0)
-    mu = 0.0
+    n, Y = code.messages, W.output_size
+    mix = np.empty((n, Y))
+    regions = np.empty((n, Y), dtype=bool)
+    sizes = np.array([len(s) for s in code.subsets])
+    # sorted(set()): plain np.unique imports numpy.ma, about 1 MB of RSS
+    for k in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == k)
+        words = cw[[code.subsets[i] for i in members]]
+        for blk in _blocks(members.size, Y):
+            # rows added in position order, as mean(axis=0) adds them
+            acc, region = W.rows[words[blk, 0]], level[words[blk, 0]]
+            for x in words[blk, 1:].T:
+                acc += W.rows[x]
+                region |= level[x]
+            mix[members[blk]], regions[members[blk]] = acc / k, region
+    own = np.concatenate([_row_sums(mix[b], regions[b]) for b in _blocks(n, Y)])
+    mu = max(0.0, float((1.0 - own).max()))
+    best = np.empty(n)
+    for blk in _blocks(n, n + Y):
+        mass = mix @ regions[blk].astype(float).T
+        np.fill_diagonal(mass[blk], 0.0)    # lam excludes j = i
+        best[blk] = mass.max(axis=0)
+    top = float(best.max())
     lam = 0.0
-    for i in range(n):
-        # acc[j] = mass of message j's mixture on region i.  compress
-        # yields a C-contiguous copy, whose rows numpy sums pairwise,
-        # as it sums one row's masked entries in 1-D; a fancy index
-        # mix[:, regions[i]] would sum them sequentially instead
+    margin = 8 * (Y + 2) * 2.0 ** -53 * max(1.0, top)
+    for i in np.flatnonzero((best > 0) & (best >= top - margin)).tolist():
         acc = mix.compress(regions[i], axis=1).sum(axis=1)
-        mu = max(mu, float(1.0 - acc[i]))
-        acc[i] = 0.0  # lam excludes j = i; every mass is >= 0
+        acc[i] = 0.0
         lam = max(lam, float(acc.max()))
     return IdMetrics(mu=mu, lam=lam)
 

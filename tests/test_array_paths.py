@@ -3,8 +3,10 @@
 `rng.uniforms` draws what one `rng.stream` per index draws,
 `channel._kl_rows` returns what `_kl` returns row by row,
 `eval_wiretap` adds its sums over messages and pairs as explicit loops
-would, and `phi`, which gathers the powers of each distinct entry
-through `Channel.levels`, returns what powers of the full matrix give.
+would, `phi`, which gathers the powers of each distinct entry through
+`Channel.levels`, returns what powers of the full matrix give, and
+`eval_id_code`, `SetFamily` and `build_set_family`, which work on
+blocks of messages or subsets, give what their per-message loops give.
 Every comparison is exact (`np.array_equal`, `==`, or equal int64
 views): the printed outputs of `chanres` depend on it.
 """
@@ -26,10 +28,19 @@ from chanres import (
     product,
     product_dist,
 )
-from chanres.channel import _blocks, _kl, _kl_rows
+from chanres import channel, identification
+from chanres.channel import _blocks, _density, _kl, _kl_rows
 from chanres.exponents import S_GRID, T_GRID, _params, _power, _shaped
+from chanres.identification import (
+    AdParams,
+    IdCode,
+    SetFamily,
+    build_set_family,
+    eval_id_code,
+)
 from chanres.rng import stream, uniforms
 from chanres.wiretap import WiretapCode, eval_wiretap
+from test_identification import CrowdedStream, build_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -269,3 +280,143 @@ def test_levels_computed_once_per_channel(monkeypatch):
     assert len(sorts) == 1
     phi(0.5, product(bsc(0.1), 4), p)
     assert len(sorts) == 2
+
+
+def _eval_id_loop(code, W, p):
+    """(mu, lam) of `eval_id_code` one message at a time, as it was
+    written before the blocked mixtures and the lam screen."""
+    level = _density(W, p)[1] > math.log(code.C)
+    cw = np.array(code.codewords)
+    n = code.messages
+    mix = np.empty((n, W.output_size))
+    regions = np.empty((n, W.output_size), dtype=bool)
+    for k, s in enumerate(code.subsets):
+        idx = cw[list(s)]
+        mix[k] = W.rows[idx].mean(axis=0)
+        regions[k] = np.any(level[idx], axis=0)
+    mu = 0.0
+    lam = 0.0
+    for i in range(n):
+        acc = mix.compress(regions[i], axis=1).sum(axis=1)
+        mu = max(mu, float(1.0 - acc[i]))
+        acc[i] = 0.0
+        lam = max(lam, float(acc.max()))
+    return mu, lam
+
+
+def _assert_eval_equals_loop(code, W, p):
+    expected = _eval_id_loop(code, W, p)
+    # one region or one message per block, then the default blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "_BLOCK_FLOATS", 1)
+        got = eval_id_code(code, W, p)
+    assert (got.mu, got.lam) == expected
+    got = eval_id_code(code, W, p)
+    assert (got.mu, got.lam) == expected
+    return got
+
+
+@st.composite
+def id_code_case(draw):
+    """A random channel and code: unequal subset sizes up to 16 words."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = draw(st.integers(1, 20))
+    Y = draw(st.integers(1, 40))
+    spread = draw(st.sampled_from([0.05, 0.5, 3.0]))
+    W = Channel(rng.dirichlet(np.full(Y, spread), size=X))
+    p = Distribution(rng.dirichlet(np.ones(X)))
+    m = draw(st.integers(1, X))
+    codewords = rng.permutation(X)[:m].tolist()
+    subsets = [rng.choice(m, size=int(rng.integers(1, min(m, 16) + 1)),
+                          replace=False).tolist()
+               for _ in range(draw(st.integers(1, 30)))]
+    C = draw(st.sampled_from([0.3, 1.0, 1.5, 4.0]))
+    return IdCode(tuple(codewords), tuple(subsets), C), W, p
+
+
+@PROPERTY
+@given(id_code_case())
+def test_eval_id_code_equals_the_message_loop(case):
+    code, W, p = case
+    got = _assert_eval_equals_loop(code, W, p)
+    if code.messages == 1:
+        assert got.lam == 0.0
+
+
+def _windows(m, k, step=1):
+    return tuple(tuple((s + d) % m for d in range(k))
+                 for s in range(0, m, step))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 12])
+def test_eval_id_code_ties_on_identity_channels(k):
+    # on the identity channel every mass is a count over k: many pairs
+    # tie at the largest, and the screen must keep every tied region
+    W, p = identity_channel(16), Distribution(np.full(16, 1 / 16))
+    code = IdCode(tuple(range(16)), _windows(16, k), 2.0)
+    got = _assert_eval_equals_loop(code, W, p)
+    assert math.isclose(got.lam, (k - 1) / k)
+    single = IdCode(tuple(range(16)), _windows(16, k)[:1], 2.0)
+    assert _assert_eval_equals_loop(single, W, p).lam == 0.0
+
+
+@pytest.mark.parametrize("k, step", [(3, 1), (9, 1), (10, 3)])
+def test_eval_id_code_near_ties_on_circulant_channels(k, step):
+    # rows are cyclic shifts of one law and the subsets cyclic windows:
+    # a shift maps each pair of messages to another with the same real
+    # mass, summed in another order, so the masses differ in last bits
+    rng = np.random.default_rng(k)
+    Y = 40
+    law = rng.dirichlet(np.ones(Y))
+    W = Channel(np.array([np.roll(law, x) for x in range(Y)]))
+    p = Distribution(np.full(Y, 1 / Y))
+    for C in (0.5, 1.0, 1.3):
+        code = IdCode(tuple(range(Y)), _windows(Y, k, step), C)
+        _assert_eval_equals_loop(code, W, p)
+
+
+def _first_pair_loop(subsets, cap):
+    for i in range(len(subsets)):
+        for j in range(i + 1, len(subsets)):
+            inter = len(subsets[i] & subsets[j])
+            if not inter < cap:
+                return (f"subsets {i} and {j} share {inter} elements, "
+                        f"not below the cap {cap!r}")
+    return None
+
+
+@pytest.mark.parametrize("block_floats", [1, 40, 2 ** 14])
+def test_set_family_error_names_the_loops_first_pair(monkeypatch,
+                                                     block_floats):
+    monkeypatch.setattr(channel, "_BLOCK_FLOATS", block_floats)
+    rng = np.random.default_rng(block_floats)
+    raised = 0
+    for _ in range(150):
+        size = int(rng.integers(1, 5))
+        subsets = tuple(frozenset(rng.choice(14, size=size,
+                                             replace=False).tolist())
+                        for _ in range(int(rng.integers(1, 30))))
+        cap = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        expected = _first_pair_loop(subsets, cap)
+        if expected is None:
+            assert SetFamily(subsets, size, cap).subsets == subsets
+            continue
+        raised += 1
+        with pytest.raises(ValueError) as info:
+            SetFamily(subsets, size, cap)
+        assert str(info.value) == expected
+    assert raised > 50
+
+
+@pytest.mark.parametrize("crowded", [False, True])
+def test_build_set_family_equals_the_subset_loop(monkeypatch, crowded):
+    # with SetFamily's overlap check in blocks of a few subsets
+    if crowded:
+        monkeypatch.setattr(identification, "stream", CrowdedStream)
+    monkeypatch.setattr(channel, "_BLOCK_FLOATS", 64)
+    params = AdParams(M=100, tau=0.1, kappa=0.8)
+    for seed, max_attempts in ((0, 300), (1, 1000), (2, 40)):
+        built = build_set_family(params, seed, max_attempts)
+        ref = build_reference(params, seed, max_attempts)
+        assert (built.family.subsets, built.attempts, built.complete) == ref
+        assert built.family.size > 1

@@ -366,6 +366,24 @@ def test_exponents_taylor_cells_and_no_negative_zero(tmp_path):
         }
 
 
+def test_exponents_taylor_past_the_float_range_prints_empty_cells(tmp_path):
+    # (R - I)^2 overflows at R = 1e200, which once printed inf in all
+    # three given-p cells; the finite cells of R = 0.5 keep their bytes
+    chan = write_bsc(tmp_path)
+    dist = write_uniform(tmp_path)
+    out = tmp_path / "exp.csv"
+    assert main(["exponents", "--channel", chan, "--dist", dist,
+                 "--rate-start", "0.5", "--rate-end", "1e200",
+                 "--rate-steps", "2", "--output", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["taylor_approx"] for row in rows[6:]] == [""] * 6
+    cmp_ = taylor_compare(0.5, bsc(0.1), uniform(2))
+    assert [row["taylor_approx"] for row in rows[:3]] == [
+        _fmt(cmp_.approx_psi), _fmt(cmp_.approx_psi),
+        _fmt(cmp_.approx_phi_half)]
+
+
 _ASYM3 = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2],
                            [0.2, 0.1, 0.7]]))
 

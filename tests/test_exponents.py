@@ -795,6 +795,11 @@ def test_taylor_compare():
         taylor_compare(1.0, identity_channel(2), uniform(2))
 
 
+def test_taylor_compare_refuses_past_the_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        taylor_compare(1e200, bsc(0.1), uniform(2))
+
+
 def test_taylor_compare_solves_no_worst_case(monkeypatch):
     R = 0.4
     by_family = {r.family: r for r in resolvability_exponents(R, ASYM, ASYM_P)}
