@@ -13,7 +13,7 @@ bounds built from the tail pair and generating functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,44 +274,32 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
     positive probability per draw and retrying terminates quickly in
     practice.  Attempts run one at a time in index order, attempt k
     sampling on the (seed, k) stream, so the result is a pure function
-    of the arguments.  Exhaustion returns the best attempt with
-    per-metric flags instead of raising.
+    of the arguments.  Exhaustion returns, with per-metric flags instead
+    of raising, the attempt that met the most guarantees, then the one
+    whose largest excess over a target, relative to that target, is
+    smallest, and the first of those on ties.
     """
     max_retries = _integer(max_retries, "max_retries")
     bounds = wiretap_bounds(W_B, W_E, p, M, L, C, C_prime)
-    eps_target = (bounds.error_threshold if decoder_kind == "threshold"
-                  else bounds.error_gallager)
-    leak_target = min(bounds.leak_kl_eta, bounds.leak_kl_phi)
-    vd_target = bounds.secrecy_vd
-
+    targets = (bounds.error_threshold if decoder_kind == "threshold"
+               else bounds.error_gallager,
+               min(bounds.leak_kl_eta, bounds.leak_kl_phi), bounds.secrecy_vd)
     best = None
-    best_key = None
     for attempt in range(max_retries):
         code = sample_wiretap_code(
             p, M, L, W_B, seed, index=attempt, decoder_kind=decoder_kind,
             C_prime=C_prime if decoder_kind == "threshold" else None)
         report = eval_wiretap(code, W_B, W_E, p)
-        ok_eps = report.eps_B <= eps_target
-        ok_leak = report.I_E <= leak_target
-        ok_vd = report.d_E <= vd_target
+        outcomes = (report.eps_B, report.I_E, report.d_E)
+        flags = tuple(o <= t for o, t in zip(outcomes, targets))
         if on_attempt is not None:
-            on_attempt(attempt, report, (ok_eps, ok_leak, ok_vd))
-        result = ConstructionResult(
-            code=code, report=report, bounds=bounds,
-            eps_target=eps_target, leak_target=leak_target,
-            vd_target=vd_target, satisfied_eps=ok_eps,
-            satisfied_leak=ok_leak, satisfied_vd=ok_vd,
-            attempts=attempt + 1,
-        )
-        if ok_eps and ok_leak and ok_vd:
-            return result
-        excess = max(
-            (report.eps_B - eps_target) / max(eps_target, 1e-300),
-            (report.I_E - leak_target) / max(leak_target, 1e-300),
-            (report.d_E - vd_target) / max(vd_target, 1e-300),
-        )
-        key = (-(ok_eps + ok_leak + ok_vd), excess)
-        if best is None or key < best_key:
-            best = result
-            best_key = key
-    return replace(best, attempts=max_retries)
+            on_attempt(attempt, report, flags)
+        key = (-sum(flags), max((o - t) / max(t, 1e-300)
+                                for o, t in zip(outcomes, targets)))
+        if best is None or key < best[0]:
+            best = (key, code, report, flags)
+        if all(flags):
+            break
+    _, code, report, flags = best
+    return ConstructionResult(code, report, bounds, *targets, *flags,
+                              attempts=attempt + 1)

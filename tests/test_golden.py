@@ -70,6 +70,7 @@ RUNS = [argv for seed in (0, 5) for argv in (
     _resolvability("z.json", 8, seed, "--max-joint-states", "10000"),
     _wiretap(200, seed, "--max-retries", "3"),
     _wiretap(2, seed),
+    _wiretap(2, seed, "--decoder", "threshold"),
 )]
 
 

@@ -1,5 +1,6 @@
 """Wiretap code sampling, exact leakage evaluation, guarantee screening."""
 
+import dataclasses
 import math
 import threading
 
@@ -292,6 +293,80 @@ def test_construct_attempt_callback():
                            on_attempt=lambda k, r, ok: log.append((k, ok)))
     assert log[0] == (0, (False, True, True))
     assert log[1] == (1, (True, True, True))
+
+
+def _construct_reference(p, W_B, W_E, M, L, C, C_prime, seed, max_retries,
+                         decoder_kind="maximum_likelihood", on_attempt=None):
+    # the retry loop as it was written before it kept one best-attempt
+    # record: a full result per attempt, patched on exhaustion
+    bounds = wiretap_bounds(W_B, W_E, p, M, L, C, C_prime)
+    eps_target = (bounds.error_threshold if decoder_kind == "threshold"
+                  else bounds.error_gallager)
+    leak_target = min(bounds.leak_kl_eta, bounds.leak_kl_phi)
+    vd_target = bounds.secrecy_vd
+
+    best = None
+    best_key = None
+    for attempt in range(max_retries):
+        code = sample_wiretap_code(
+            p, M, L, W_B, seed, index=attempt, decoder_kind=decoder_kind,
+            C_prime=C_prime if decoder_kind == "threshold" else None)
+        report = eval_wiretap(code, W_B, W_E, p)
+        ok_eps = report.eps_B <= eps_target
+        ok_leak = report.I_E <= leak_target
+        ok_vd = report.d_E <= vd_target
+        if on_attempt is not None:
+            on_attempt(attempt, report, (ok_eps, ok_leak, ok_vd))
+        result = wiretap.ConstructionResult(
+            code=code, report=report, bounds=bounds,
+            eps_target=eps_target, leak_target=leak_target,
+            vd_target=vd_target, satisfied_eps=ok_eps,
+            satisfied_leak=ok_leak, satisfied_vd=ok_vd,
+            attempts=attempt + 1,
+        )
+        if ok_eps and ok_leak and ok_vd:
+            return result
+        excess = max(
+            (report.eps_B - eps_target) / max(eps_target, 1e-300),
+            (report.I_E - leak_target) / max(leak_target, 1e-300),
+            (report.d_E - vd_target) / max(vd_target, 1e-300),
+        )
+        key = (-(ok_eps + ok_leak + ok_vd), excess)
+        if best is None or key < best_key:
+            best = result
+            best_key = key
+    return dataclasses.replace(best, attempts=max_retries)
+
+
+@pytest.mark.parametrize("seed, satisfied, codewords", [
+    # three colliding draws, all with the key (-2, 1/3): the first wins
+    (1886, False, [[2], [2]]),
+    (2954, False, None),
+    # two colliding draws, then a collision-free one
+    (222, True, None),
+    (265, True, None),
+])
+def test_construct_exhaustion_matches_reference(seed, satisfied, codewords):
+    K = 16
+    args = (uniform(K), identity_channel(K), constant_channel([1.0], K),
+            2, 1, math.e, None, seed, 3)
+    got_log, want_log = [], []
+    got = construct_until_bounds(
+        *args, on_attempt=lambda k, r, ok: got_log.append((k, r, ok)))
+    want = _construct_reference(
+        *args, on_attempt=lambda k, r, ok: want_log.append((k, r, ok)))
+    assert got.satisfied == satisfied
+    assert got.attempts == want.attempts == 3
+    if codewords is not None:
+        assert got.code.codewords.tolist() == codewords
+    assert np.array_equal(got.code.codewords, want.code.codewords)
+    assert np.array_equal(got.code.decoder, want.code.decoder)
+    assert got.code.decoder_kind == want.code.decoder_kind
+    assert got.report == want.report
+    assert got.bounds == want.bounds
+    assert dataclasses.astuple(got)[3:] == dataclasses.astuple(want)[3:]
+    assert got_log == want_log
+    assert all(type(flag) is bool for _, _, ok in got_log for flag in ok)
 
 
 def test_construct_runs_without_threads(monkeypatch):
