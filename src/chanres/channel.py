@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * all logarithms are natural, so divergences, rates and exponents are
   in nats;
 * ``0 * log(0) == 0`` and ``0 * log(0/0) == 0``;
-* probability vectors are validated on construction (finite,
-  nonnegative entries, total within 1e-12 of one) and then renormalized exactly
-  once, so downstream code can rely on exact unit totals.
+* every probability law, a distribution or a channel row, is checked by
+  one function, `_laws` (finite, nonnegative entries, total within 1e-12
+  of one), and renormalized exactly once, so totals are exact downstream.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ def _integer(value, name: str, floor: int = 1, bits: int = 0) -> int:
             or bits and int(value) >= 2 ** bits:
         rule = "a nonnegative integer" if floor == 0 else f"an integer >= {floor}"
         cap = f" below 2^{bits}" if bits else ""
-        raise ValueError(f"{name} must be {rule}{cap}, got {value!r}")
+        raise ValueError(f"{name} must be {rule}{cap}, got " + repr(
+            value.item() if isinstance(value, np.generic) else value))
     return int(value)
 
 
@@ -112,6 +113,30 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
+def _laws(values, ndim: int) -> np.ndarray:
+    """values as read-only laws along the last axis (ndim 1: a distribution,
+    2: a channel's rows), each divided once by its total; a ValueError unless
+    non-empty, finite and nonnegative, each total within SUM_TOL of one."""
+    what, shape, entry, sums = (
+        ("distribution", "vector", "probability", "probabilities sum to"),
+        ("channel", "matrix", "channel", "channel row {} sums to"))[ndim - 1]
+    laws = np.asarray(values, dtype=float)
+    if laws.ndim != ndim or laws.size == 0:
+        raise ValueError(f"{what} must be a non-empty {shape}")
+    if not np.all(np.isfinite(laws)):
+        raise ValueError(f"non-finite {entry} entry")
+    if np.any(laws < 0):
+        raise ValueError(f"negative {entry} entry")
+    totals = laws.sum(axis=-1, keepdims=ndim > 1)  # ndim 1: a scalar, cheaper
+    off = np.abs(totals - 1.0) > SUM_TOL
+    if np.count_nonzero(off):
+        i = off.argmax()    # the first law whose total is off
+        raise ValueError(f"{sums.format(i)} {totals.item(i)!r}, not 1")
+    laws = laws / totals
+    laws.flags.writeable = False
+    return laws
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability vector on a finite alphabet."""
@@ -119,19 +144,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("distribution must be a non-empty vector")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("non-finite probability entry")
-        if np.any(probs < 0):
-            raise ValueError("negative probability entry")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        probs = probs / total
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _laws(self.probs, 1))
 
     @property
     def size(self) -> int:
@@ -148,22 +161,7 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.size == 0:
-            raise ValueError("channel must be a non-empty matrix")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("non-finite channel entry")
-        if np.any(rows < 0):
-            raise ValueError("negative channel entry")
-        totals = rows.sum(axis=1)
-        bad = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
-        if bad.size:
-            raise ValueError(
-                f"channel row {bad[0]} sums to {totals[bad[0]]!r}, not 1"
-            )
-        rows = rows / totals[:, None]
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _laws(self.rows, 2))
 
     @property
     def input_size(self) -> int:
@@ -448,14 +446,15 @@ def _json_list(value) -> list:
 
 def load_channel(path) -> Channel:
     doc = _load_fields(path, "channel", input_size=_json_int,
-                       output_size=_json_int, rows=_json_numbers)
-    rows, shape = doc["rows"], (doc["input_size"], doc["output_size"])
-    if rows.shape != shape:
+                       output_size=_json_int,
+                       rows=lambda rows: Channel(_json_numbers(rows)))
+    W, shape = doc["rows"], (doc["input_size"], doc["output_size"])
+    if W.rows.shape != shape:
         raise ValueError(
-            f"channel file {path}: field 'rows' has shape {rows.shape}, "
+            f"channel file {path}: field 'rows' has shape {W.rows.shape}, "
             f"expected {shape}"
         )
-    return Channel(rows)
+    return W
 
 
 def save_channel(W: Channel, path) -> None:
@@ -464,8 +463,8 @@ def save_channel(W: Channel, path) -> None:
 
 
 def load_distribution(path) -> Distribution:
-    return Distribution(
-        _load_fields(path, "distribution", probs=_json_numbers)["probs"])
+    return _load_fields(path, "distribution", probs=lambda probs: Distribution(
+        _json_numbers(probs)))["probs"]
 
 
 def save_distribution(p: Distribution, path) -> None:

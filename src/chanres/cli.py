@@ -222,7 +222,7 @@ def run_idcode_build(args):
         return
     ad = AdParams(M=params.M, tau=params.tau, kappa=params.kappa)
     build = build_set_family(
-        ad, args.seed + 1 if args.family_seed is None else args.family_seed,
+        ad, (args.seed + 1) % 2 ** 64 if args.family_seed is None else args.family_seed,
         budget=EnumerationBudget(args.max_joint_states))
     code = assemble_id_code(selection.codewords, build.family, W, p, params.C)
     metrics = eval_id_code(code, W, p)

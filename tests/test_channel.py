@@ -42,7 +42,7 @@ from chanres import (
     uniform,
     variational_distance,
 )
-from chanres.channel import _word_rows
+from chanres.channel import _laws, _word_rows
 
 
 def binary_entropy(w: float) -> float:
@@ -150,6 +150,8 @@ def test_kl_divergence():
     assert kl_divergence(q, point_mass(0, 2)) == math.inf
     # mass escaping the support only matters on p's support
     assert kl_divergence(point_mass(0, 2), q) == math.log(2.0)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        kl_divergence(p, uniform(3))
 
 
 def test_mutual_information_closed_forms():
@@ -301,6 +303,43 @@ def test_non_finite_entries_rejected():
             Distribution(np.array([bad, 1.0]))
         with pytest.raises(ValueError, match="non-finite"):
             Channel(np.array([[bad, 1.0], [0.5, 0.5]]))
+
+
+def test_laws_divide_as_distribution_and_channel_did():
+    # bit for bit v / float(v.sum()) and R / R.sum(axis=1)[:, None], the
+    # divisions of Distribution and Channel; totals a few 1e-13 off one
+    # make every division count
+    gen = np.random.default_rng(23)
+    for n in (1, 2, 3, 2 ** 16, *gen.integers(1, 2 ** 16, 24)):
+        v = gen.random(n) * (gen.random(n) < 0.8)
+        v[0] += 1.0
+        v = v / v.sum() * (1.0 + gen.uniform(-5e-13, 5e-13))
+        old = v / float(v.sum())
+        assert np.array_equal(_laws(v, 1).view(np.int64), old.view(np.int64))
+    for shape in ((1, 1), (256, 256), *gen.integers(1, 257, (24, 2))):
+        R = gen.random(shape) * (gen.random(shape) < 0.8)
+        R[:, 0] += 1.0
+        R = R / R.sum(axis=1)[:, None] * (
+            1.0 + gen.uniform(-5e-13, 5e-13, (shape[0], 1)))
+        old = R / R.sum(axis=1)[:, None]
+        assert np.array_equal(_laws(R, 2).view(np.int64), old.view(np.int64))
+
+
+@pytest.mark.parametrize("build, values, text", [
+    (Distribution, [], "distribution must be a non-empty vector"),
+    (Distribution, [[0.5, 0.5]], "distribution must be a non-empty vector"),
+    (Distribution, [math.nan, 1.0], "non-finite probability entry"),
+    (Distribution, [-0.5, 1.5], "negative probability entry"),
+    (Distribution, [0.5, 0.6], "probabilities sum to 1.1, not 1"),
+    (Channel, [[]], "channel must be a non-empty matrix"),
+    (Channel, [0.5, 0.5], "channel must be a non-empty matrix"),
+    (Channel, [[1.0, 0.0], [math.inf, 1.0]], "non-finite channel entry"),
+    (Channel, [[1.0, 0.0], [-0.5, 1.5]], "negative channel entry"),
+    (Channel, [[1.0, 0.0], [0.5, 0.6]], "channel row 1 sums to 1.1, not 1"),
+])
+def test_law_errors_keep_their_texts(build, values, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build(np.array(values))
 
 
 @pytest.mark.parametrize("rows", [

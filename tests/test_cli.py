@@ -27,7 +27,7 @@ from chanres import (
     taylor_compare,
     uniform,
 )
-from chanres import channel, cli, exponents
+from chanres import channel, cli, exponents, wiretap
 from chanres.cli import _fmt, main
 from chanres.resolvability import PHI_T_GRID
 
@@ -93,6 +93,11 @@ def test_missing_option_exits_2(tmp_path, capsys):
                "--threshold", "1.5"])
     assert rc == 2
     assert "--dist" in capsys.readouterr().err
+    # exponents takes --dist or --worst, and needs one of them
+    assert main(["exponents", "--channel", chan, "--rate-start", "0.1",
+                 "--rate-end", "0.2", "--rate-steps", "2"]) == 2
+    assert capsys.readouterr().err == ("error: missing required option(s): "
+                                       "--dist\n")
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -120,6 +125,7 @@ def test_missing_file_exits_2(tmp_path, capsys):
      "field 'codewords': 5 is not a list"),
     ("code", '{"codewords": [0, 1], "subsets": [0, 1], "C": 2}',
      "field 'subsets': 0 is not a list"),
+    ("dist", '{"probs": [NaN, 1.0]}', "field 'probs': non-finite probability entry"),
 ])
 def test_malformed_json_exits_2(tmp_path, capsys, kind, text, message):
     files = {"channel": write_channel(tmp_path, identity_channel(2), "id2.json"),
@@ -486,6 +492,21 @@ def test_simulate_wiretap_success(tmp_path):
     assert manifest["parameters"]["decoder"] == "maximum_likelihood"
 
 
+def test_simulate_wiretap_decomposition_residual_exits_4(tmp_path, capsys,
+                                                        monkeypatch):
+    # D(Phi || W_p) off by 1e-6 breaks the identity that eval_wiretap checks
+    kl = wiretap._kl
+    monkeypatch.setattr(wiretap, "_kl", lambda a, b: kl(a, b) + 1e-6)
+    rc = main(["simulate", "wiretap",
+               "--channel-b", write_bsc(tmp_path, 0.1, "b.json"),
+               "--channel-e", write_bsc(tmp_path, 0.3, "e.json"),
+               "--dist", write_uniform(tmp_path), "--messages", "2",
+               "--randomization", "4", "--threshold", str(math.e),
+               "--decoder-threshold", str(math.e), "--seed", "42"])
+    assert rc == 4
+    assert "error: divergence decomposition residual" in capsys.readouterr().err
+
+
 def test_simulate_wiretap_unsatisfied_exits_0(tmp_path):
     chan_b = write_channel(tmp_path, identity_channel(16), "b.json")
     chan_e = write_channel(tmp_path, constant_channel([1.0], 16), "e.json")
@@ -638,6 +659,25 @@ def test_a_guarantee_past_the_float_range_exits_2(tmp_path, capsys,
     assert kept.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("flag, rows, message", [
+    ("--channel-e", [[0.5, 0.6], [0.2, 0.8]], "channel row 0 sums to 1.1, not 1"),
+    ("--channel-b", [[math.nan, 1.0], [0.1, 0.9]], "non-finite channel entry"),
+], ids=["row-total", "non-finite"])
+def test_a_law_error_names_its_file_and_field(tmp_path, capsys, monkeypatch,
+                                              flag, rows, message):
+    write_bsc(tmp_path, 0.05, "bob.json")
+    write_bsc(tmp_path, 0.2, "eve.json")
+    write_uniform(tmp_path, name="u2.json")
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"input_size": 2, "output_size": 2, "rows": rows}))
+    monkeypatch.chdir(tmp_path)
+    argv = ["wiretap-bounds", *_WIRETAP_ARGV, "--decoder-threshold", "4"]
+    argv[argv.index(flag) + 1] = "bad.json"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: channel file bad.json: field 'rows': {message}\n")
+
+
 def test_json_output_refuses_nan_and_infinity():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -693,6 +733,26 @@ def test_idcode_build_and_eval(tmp_path, capsys):
     assert rc == 0
     ev = json.loads(out.read_text())
     assert ev == {"mu": 0.0, "lam": 0.0, "messages": 1}
+
+
+def test_idcode_build_top_seed_wraps_the_family_seed(tmp_path, capsys,
+                                                     monkeypatch):
+    # the default family seed is --seed + 1 taken modulo 2^64, so the
+    # largest seed builds the family of --family-seed 0
+    write_channel(tmp_path, identity_channel(7), "id7.json")
+    write_uniform(tmp_path, 7, "u7.json")
+    monkeypatch.chdir(tmp_path)
+    argv = ["idcode", "build", "--channel", "id7.json", "--dist", "u7.json",
+            "--alpha", "2", "--alpha-prime", "4", "--beta", "2",
+            "--beta-prime", "4", "--tau", "0.15", "--kappa", "0.99",
+            "--codewords", "7", "--threshold", "2", "--seed", str(2 ** 64 - 1),
+            "--output", "code.json"]
+    runs = []
+    for extra in ([], ["--family-seed", "0"]):
+        assert main(argv + extra) == 0
+        runs.append((capsys.readouterr(), (tmp_path / "code.json").read_text()))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0].out)["satisfied"]
 
 
 def test_idcode_build_forms_the_density_twice(tmp_path, capsys, monkeypatch):

@@ -608,7 +608,7 @@ def test_worst_case_symmetric_channel_uniform():
         assert np.allclose(arg.probs, 0.5, atol=1e-4)
 
 
-def test_exponent_sweep_structure():
+def test_exponent_sweep_structure(monkeypatch):
     W, p = bsc(0.1), uniform(2)
     reports = exponent_sweep(W, [0.5, 0.8], p)
     assert [r.family for r in reports[:6]] == list(GIVEN_FAMILIES)
@@ -617,6 +617,14 @@ def test_exponent_sweep_structure():
     assert [r.family for r in worst_only] == list(WORST_FAMILIES)
     with pytest.raises(ValueError):
         exponent_sweep(W, [-0.1], p)
+
+    def evaluated(*args):
+        raise AssertionError("an empty sweep evaluated psi or phi")
+
+    for name in ("psi", "phi", "_worst_solve"):
+        monkeypatch.setattr(exponents, name, evaluated)
+    assert exponent_sweep(W, [], p) == []
+    assert exponent_sweep(W, [], None) == []
 
 
 def test_exponents_zero_at_and_below_capacity():

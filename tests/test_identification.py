@@ -107,6 +107,13 @@ def test_build_set_family_budget():
     # 13.1e9 guaranteed subsets of 300 elements: refused before sampling
     with pytest.raises(BudgetError):
         build_set_family(AdParams(M=300, tau=0.1, kappa=0.8), seed=0)
+    # e^(tau*M - 1) past the float range: no size to compare with a cap
+    past = AdParams(M=8000, tau=0.1, kappa=0.99)
+    text = "^family size exceeds the representable range$"
+    with pytest.raises(BudgetError, match=text):
+        past.family_size
+    with pytest.raises(BudgetError, match=text):
+        build_set_family(past, seed=0)
 
 
 def test_selection_params():
@@ -210,6 +217,8 @@ def test_id_code_validation():
         IdCode((-1, 0), ((0,), (1,)), 2.0)
     with pytest.raises(ValueError, match="repeats"):
         IdCode((0, 1, 2), ((0, 0, 1), (2,)), 2.0)
+    with pytest.raises(ValueError, match="^subset 1 is empty$"):
+        IdCode((0, 1), ((0,), ()), 2.0)
     with pytest.raises(ValueError):
         assemble_id_code((0, 9), SetFamily((frozenset({0}),), 1, 0.5),
                          identity_channel(4), uniform(4), 2.0)

@@ -39,6 +39,10 @@ def test_code_validation():
                     "maximum_likelihood")
     with pytest.raises(ValueError):
         WiretapCode(np.array([[0], [1]]), np.array([0, 1]), 2, 1, "viterbi")
+    with pytest.raises(ValueError,
+                       match="^decoder must map outputs to messages$"):
+        WiretapCode(np.array([[0], [1]]), np.array([[0, 1]]), 2, 1,
+                    "maximum_likelihood")
 
 
 def test_sample_determinism_and_shape():
