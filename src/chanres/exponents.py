@@ -12,8 +12,9 @@ blocklength exponents directly.  Worst-case variants maximize over the
 input distribution; the inner maximand is concave in p, so a Newton
 ascent on the simplex solves it, certified by its stationarity (KKT)
 residual.  An array of parameters is solved as one stack.  A sweep
-over rates evaluates each family's curves once on the scan grids and
-refines the optima of all rates by one golden section in lockstep.
+over rates evaluates its curves once on the scan grids and refines the
+s and t optima of all rates by one golden section in lockstep: both
+families share each step's one call, a Newton stack in the worst case.
 The random-coding (Gallager) search finds its grid cell by bisection,
 as its objective is concave.
 The same Newton step maximizes the mutual information for `capacity`,
@@ -40,6 +41,7 @@ from .channel import (
     output_distribution,
 )
 from .rng import stream
+from .search import _bisect_cell, _cells, _grid_golden_max, _refine_cells
 
 # the exponent families of a sweep, in report order, each with the
 # multiple c of (R - I)^2 / (8 J) that approximates it near I = I(p;W)
@@ -106,6 +108,35 @@ def _shaped(vals: np.ndarray, x):
     return vals.reshape(np.shape(x))
 
 
+def _psi_values(W: Channel, p: Distribution):
+    """psi(. | W, p) at an (n, 1, 1) array of s, with W_p, its live
+    columns and the support rows formed once."""
+    wp = output_distribution(W, p).probs
+    live = wp > 0
+    sup = p.support()
+    rows, wp, ps = W.rows[np.ix_(sup, live)], wp[live], p.probs[sup]
+
+    def values(e):
+        vals = np.empty(e.shape[0])
+        for blk in _blocks(e.shape[0], W.rows.size):
+            inner = np.sum(_power(rows, 1.0 + e[blk]) * _power(wp, -e[blk]),
+                           axis=2)
+            vals[blk] = np.log(np.matmul(ps, inner[:, :, None])[:, 0])
+        return vals
+    return values
+
+
+def _phi_values(W: Channel, p: Distribution, e: np.ndarray) -> np.ndarray:
+    """phi(. | W, p) at an (n, 1, 1) array of t."""
+    vals = np.empty(e.shape[0])
+    values, index = W.levels
+    for blk in _blocks(e.shape[0], W.rows.size):
+        powers = np.take(_power(values, 1.0 / (1.0 + e[blk, 0])), index, axis=1)
+        g = np.matmul(p.probs, powers)
+        vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
+    return vals
+
+
 def psi(s, W: Channel, p: Distribution):
     """log E_p sum_y W_x(y)^(1+s) W_p(y)^(-s); psi(0) == 0 exactly.
 
@@ -114,16 +145,7 @@ def psi(s, W: Channel, p: Distribution):
     `channel._blocks` of |X| * |Y| floats per parameter.
     """
     e = _params(s, "s", W, p)
-    wp = output_distribution(W, p).probs
-    live = wp > 0
-    sup = p.support()
-    rows = W.rows[np.ix_(sup, live)]
-    vals = np.empty(e.shape[0])
-    for blk in _blocks(e.shape[0], W.rows.size):
-        inner = np.sum(_power(rows, 1.0 + e[blk]) * _power(wp[live], -e[blk]),
-                       axis=2)
-        vals[blk] = np.log(np.matmul(p.probs[sup], inner[:, :, None])[:, 0])
-    return _shaped(vals, s)
+    return _shaped(_psi_values(W, p)(e), s)
 
 
 def phi(t, W: Channel, p: Distribution):
@@ -133,14 +155,7 @@ def phi(t, W: Channel, p: Distribution):
     entry (`Channel.levels`) is raised to the power once and gathered
     into place: the same floats as powers of the full matrix.
     """
-    e = _params(t, "t", W, p)
-    vals = np.empty(e.shape[0])
-    values, index = W.levels
-    for blk in _blocks(e.shape[0], W.rows.size):
-        powers = np.take(_power(values, 1.0 / (1.0 + e[blk, 0])), index, axis=1)
-        g = np.matmul(p.probs, powers)
-        vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
-    return _shaped(vals, t)
+    return _shaped(_phi_values(W, p, _params(t, "t", W, p)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +232,23 @@ def _newton_step(p, D, F, resid, neg_hess, value):
     return None
 
 
-def _uncertified(name: str, x: float, F: float, resid: float):
+def _uncertified(x: float, is_t: bool, F: float, resid: float):
     return ConvergenceError(
         f"input-distribution maximization failed to certify at "
-        f"{name} = {x!r} (best value {F!r}, stationarity residual {resid!r})",
+        f"{'t' if is_t else 's'} = {x!r} (best value {F!r}, "
+        f"stationarity residual {resid!r})",
         best_value=F, residual=resid, parameter=x,
     )
 
 
 def _certified_power_max(A: np.ndarray, c: np.ndarray, x: np.ndarray,
-                         name: str):
+                         is_t: np.ndarray):
     """Maximizes sum_y (p @ A_i)_y^c_i over input laws p, for each slice i.
 
     A has shape (G, K, Y); c holds one power per slice and x the
-    parameter a ConvergenceError names (as `name`).  Returns the arrays
-    (F_max, argmax laws, KKT residuals), each certified.
+    parameter a ConvergenceError names, as t where is_t is set, else as
+    s.  Returns the arrays (F_max, argmax laws, KKT residuals), each
+    certified.
 
     Newton ascent from the uniform law, constrained to sum(p) == 1 on
     the active set: the support, plus the letters with D_x > F, minus
@@ -280,13 +297,13 @@ def _certified_power_max(A: np.ndarray, c: np.ndarray, x: np.ndarray,
                     lambda S: (1.0 - ci) * (Ai[S] * gi ** (ci - 2.0)) @ Ai[S].T,
                     lambda u: _power_sum(u @ Ai, ci))
                 if q is None:
-                    raise _uncertified(name, float(x[todo[i]]),
+                    raise _uncertified(float(x[todo[i]]), is_t[todo[i]],
                                        float(F[i]), float(resid[i]))
                 p[i] = q
             todo, As, cs, p = todo[left], _f_slices(As[left]), cs[left], p[left]
         else:
-            raise _uncertified(name, float(x[todo[0]]), float(F[left[0]]),
-                               float(resid[left[0]]))
+            raise _uncertified(float(x[todo[0]]), is_t[todo[0]],
+                               float(F[left[0]]), float(resid[left[0]]))
     return F_max, P, R
 
 
@@ -294,143 +311,48 @@ def _certified_power_max(A: np.ndarray, c: np.ndarray, x: np.ndarray,
 _RANGES = {"s": (0.0, 1.0, "[0, 1]"), "t": (-0.5, 0.0, "[-1/2, 0]")}
 
 
-def _worst_solve(x, W: Channel, family: str):
+def _worst_solve(x, W: Channel, is_t):
     """(max_p log sum_y (p @ W^e)_y^c, argmax) for an array of parameters x.
 
-    family "s" is psi's (e = 1 + s, c = 1 - s), "t" phi's (e = 1/(1+t),
-    c = 1 + t).  x = 0 gives 0 and the uniform law; s = 1 counts the
-    outputs reachable from supp(p).  The other powered channels are solved
-    as stacks in `channel._blocks`: memory does not grow with their count.
+    is_t (a bool, or one per parameter) marks phi's t (e = 1/(1+t),
+    c = 1 + t); the others are psi's s (e = 1 + s, c = 1 - s), so one
+    call serves both families of a sweep step.  x = 0 gives 0 and the
+    uniform law; s = 1 counts the outputs reachable from supp(p).  The
+    other powered channels are solved as one Newton stack, s slices
+    before t, in `channel._blocks`: memory does not grow with their count.
     """
     x = np.asarray(x, dtype=float).ravel()
-    lo, hi, text = _RANGES[family]
-    if not np.all((x >= lo) & (x <= hi)):
-        raise ValueError(f"{family} must lie in {text}")
+    is_t = np.broadcast_to(is_t, x.shape)
+    for name, side in (("s", ~is_t), ("t", is_t)):
+        lo, hi, text = _RANGES[name]
+        if not np.all((x[side] >= lo) & (x[side] <= hi)):
+            raise ValueError(f"{name} must lie in {text}")
     K = W.input_size
     vals, P = np.zeros(x.size), np.full((x.size, K), 1.0 / K)
-    top = x == 1.0
+    top = (x == 1.0) & ~is_t
     if top.any():
         vals[top] = math.log(np.count_nonzero(np.any(W.rows > 0, axis=0)))
     mid = np.flatnonzero((x != 0.0) & ~top)
-    v = x[mid]
-    e, c = (1.0 + v, 1.0 - v) if family == "s" else (1.0 / (1.0 + v), 1.0 + v)
+    mid = np.concatenate([mid[~is_t[mid]], mid[is_t[mid]]])
+    v, t = x[mid], is_t[mid]
+    e, c = np.where(t, 1.0 / (1.0 + v), 1.0 + v), np.where(t, 1.0 + v, 1.0 - v)
     for blk in _blocks(mid.size, W.rows.size):
         F, P[mid[blk]], _ = _certified_power_max(
-            _power(W.rows, e[blk].reshape(-1, 1, 1)), c[blk], v[blk], family)
+            _power(W.rows, e[blk].reshape(-1, 1, 1)), c[blk], v[blk], t[blk])
         vals[mid[blk]] = np.log(F)
     return vals, P
 
 
 def psi_worst(s: float, W: Channel) -> tuple[float, Distribution]:
     """max_p psi-style generating function, with its maximizing input law."""
-    vals, P = _worst_solve(s, W, "s")
+    vals, P = _worst_solve(s, W, False)
     return float(vals[0]), Distribution(P[0])
 
 
 def phi_worst(t: float, W: Channel) -> tuple[float, Distribution]:
     """max_p phi(t | W, p) over input laws, for t in [-1/2, 0]."""
-    vals, P = _worst_solve(t, W, "t")
+    vals, P = _worst_solve(t, W, True)
     return float(vals[0]), Distribution(P[0])
-
-
-def _golden_max(f, lo, hi, tol: float = 1e-12):
-    """Golden-section maxima of objectives i on [lo_i, hi_i], in lockstep.
-
-    f(i, x) returns the values of the objectives i (an index array) at
-    the points x.  Each interval takes exactly the steps of a search of
-    its objective alone, and each step evaluates every unfinished
-    objective in one call of f.  Returns the arrays (argmax, max).
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    every = np.arange(a.size)
-    fc, fd = np.split(f(np.tile(every, 2), np.concatenate([c, d])), 2)
-    run = every[(b - a) > tol]
-    while run.size:
-        left = fc[run] >= fd[run]
-        lt, rt = run[left], run[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
-        new = f(run, np.where(left, c[run], d[run]))
-        fc[lt], fd[rt] = new[left], new[~left]
-        run = run[(b[run] - a[run]) > tol]
-    x = 0.5 * (a + b)
-    return x, f(every, x)
-
-
-def _grid_golden_max(f, xs: np.ndarray, rows):
-    """Dense grid scan refined by golden section around the best cell,
-    for every objective in lockstep.
-
-    f is as in `_golden_max`; row i of rows (an array, or a list of
-    rows) holds objective i on the grid xs.  Returns the arrays
-    (argmax, max).
-    """
-    rows = np.asarray(rows)
-    best = np.argmax(rows, axis=1)
-    return _refine_cells(f, xs, best, rows[np.arange(best.size), best])
-
-
-def _refine_cells(f, xs: np.ndarray, best: np.ndarray, best_vals: np.ndarray):
-    """Golden section on [xs[b - 1], xs[b + 1]] around each grid argmax b,
-    in lockstep, keeping the grid point where the section ends below it.
-
-    f is as in `_golden_max`; best_vals holds f at the grid points
-    xs[best].  Returns the arrays (argmax, max).
-    """
-    xg, vg = _golden_max(f, xs[np.maximum(best - 1, 0)],
-                         xs[np.minimum(best + 1, len(xs) - 1)])
-    keep = vg >= best_vals
-    return np.where(keep, xg, xs[best]), np.where(keep, vg, best_vals)
-
-
-# A computed value f of a concave objective is taken to lie within
-# _CELL_TOL * max(1, |f|) of its exact value.  Even on a 256 x 256
-# product, phi is the log of sums of a few hundred rounded terms, so its
-# error is far below 1e-12 relative; adjacent grid values at a peak of
-# ordinary curvature differ by about f'' * GRID_STEP^2 / 2, some 1e-7 to
-# 1e-6.  1e-9 is far from both.
-_CELL_TOL = 1e-9
-
-
-def _bisect_cell(f, xs: np.ndarray):
-    """(b, f at xs[b]) for the grid argmax b of a concave objective, or
-    None when b cannot be certified.
-
-    f is as in `_golden_max`, for one objective.  The increments of a
-    concave function fall along the grid, so the first b with
-    f(xs[b]) >= f(xs[b + 1]) (else the last point) is found by
-    bisection, each step evaluating its two points in one call of f.
-    b is certified when f(xs[b]) exceeds each grid neighbour by more
-    than twice the rounding bound _CELL_TOL: the exact values then rise
-    strictly into b and fall strictly out of it, so by concavity every
-    other computed grid value lies below f(xs[b]), and b is the
-    `np.argmax` of the full scan.
-    """
-    vals = {}
-
-    def at(*idx):
-        new = sorted({i for i in idx if 0 <= i < xs.size} - vals.keys())
-        if new:
-            vals.update(zip(new, f(None, xs[new]).tolist()))
-
-    lo, hi = 0, xs.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        at(mid, mid + 1)
-        if vals[mid] >= vals[mid + 1]:
-            hi = mid
-        else:
-            lo = mid + 1
-    at(lo - 1, lo + 1)
-    gap = 2.0 * _CELL_TOL * max(1.0, abs(vals[lo]))
-    if all(vals[lo] - vals[j] > gap for j in (lo - 1, lo + 1) if j in vals):
-        return lo, vals[lo]
-    return None
 
 
 @dataclass(frozen=True)
@@ -443,18 +365,20 @@ class ExponentReport:
     family: str
 
 
-def _family_reports(rates: list[float], psi_fn, phi_fn,
+def _family_reports(rates: list[float], curve,
                     suffix: str) -> list[list[ExponentReport]]:
     """The reports of the three `_FAMILIES` (names + suffix) at each
     rate, one list per rate.
 
-    psi_fn and phi_fn take arrays of s and t and are evaluated once on
-    S_GRID and T_GRID.  Per block of rates (`channel._blocks`, so memory
-    does not grow with their count) each objective is one (rates x grid)
-    array, and the golden sections run in lockstep, each step one call
-    of psi_fn or phi_fn.
+    curve(x, is_t) gives psi at the s and phi at the t (where is_t is
+    set) of the array x, or their worst cases; it is evaluated once on
+    S_GRID and once on T_GRID.  Per block of rates (`channel._blocks`, so
+    memory does not grow with their count) the s and t optima of every rate,
+    each in its own grid cell, share one golden section in lockstep, each
+    step one call of curve: for the worst case, one Newton stack.
     """
-    psi_grid, phi_grid = psi_fn(S_GRID), phi_fn(T_GRID)
+    psi_grid = curve(S_GRID, np.zeros(S_GRID.size, bool))
+    phi_grid = curve(T_GRID, np.ones(T_GRID.size, bool))
 
     def vd(r, s, psi_s):
         return (s * r - psi_s) / (1.0 + s)
@@ -465,14 +389,23 @@ def _family_reports(rates: list[float], psi_fn, phi_fn,
     reports = []
     for blk in _blocks(len(rates), S_GRID.size + T_GRID.size):
         R = np.array(rates[blk])
-        s_star, vd_val = _grid_golden_max(
-            lambda i, s: vd(R[i], s, psi_fn(s)), S_GRID,
-            vd(R[:, None], S_GRID, psi_grid))
-        t_star, kl_val = _grid_golden_max(
-            lambda i, t: kl(R[i], t, phi_fn(t)), T_GRID,
-            kl(R[:, None], T_GRID, phi_grid))
+        n = R.size
+        r, is_t = np.tile(R, 2), np.repeat([False, True], n)
+
+        def f(i, x):
+            v = curve(x, is_t[i])
+            return np.where(is_t[i], kl(r[i], x, v), vd(r[i], x, v))
+
+        vd_rows, kl_rows = (vd(R[:, None], S_GRID, psi_grid),
+                            kl(R[:, None], T_GRID, phi_grid))
+        s_best, t_best = np.argmax(vd_rows, axis=1), np.argmax(kl_rows, axis=1)
+        x, val = _refine_cells(
+            f, [np.concatenate(pair) for pair in
+                zip(_cells(S_GRID, s_best), _cells(T_GRID, t_best))],
+            np.concatenate([vd_rows[np.arange(n), s_best],
+                            kl_rows[np.arange(n), t_best]]))
         for rate, s, v, t, k in zip(rates[blk], *np.stack(
-                [s_star, vd_val, t_star, kl_val]).tolist()):
+                [x[:n], val[:n], x[n:], val[n:]]).tolist()):
             # max(0.0, -0.0) is 0.0, where max(-0.0, 0.0) would keep -0.0
             v, k = max(0.0, v), max(0.0, k)
             reports.append([ExponentReport(rate, *pair, name + suffix)
@@ -483,12 +416,18 @@ def _family_reports(rates: list[float], psi_fn, phi_fn,
 
 
 def _given_family(W: Channel, p: Distribution) -> tuple:
-    return lambda s: psi(s, W, p), lambda t: phi(t, W, p), ""
+    psi_at = _psi_values(W, p)
+
+    def curve(x, is_t):
+        e, vals = x.reshape(-1, 1, 1), np.empty(x.size)
+        vals[~is_t], vals[is_t] = psi_at(e[~is_t]), _phi_values(W, p, e[is_t])
+        vals[x == 0] = 0.0
+        return vals
+    return curve, ""
 
 
 def _worst_family(W: Channel) -> tuple:
-    return (lambda s: _worst_solve(s, W, "s")[0],
-            lambda t: _worst_solve(t, W, "t")[0], "_worst")
+    return lambda x, is_t: _worst_solve(x, W, is_t)[0], "_worst"
 
 
 def _gallager_max(W: Channel, p: Distribution, rate: float
@@ -512,7 +451,7 @@ def _gallager_max(W: Channel, p: Distribution, rate: float
     if cell is None:
         s, v = _grid_golden_max(f, S_GRID, [f(None, S_GRID)])
     else:
-        s, v = _refine_cells(f, S_GRID, np.array([cell[0]]),
+        s, v = _refine_cells(f, _cells(S_GRID, np.array([cell[0]])),
                              np.array([cell[1]]))
     return float(s[0]), float(v[0])
 

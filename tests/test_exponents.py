@@ -40,12 +40,11 @@ from chanres.exponents import (
     T_GRID,
     ExponentReport,
     _KKT_TOL,
-    _golden_max,
-    _grid_golden_max,
     _kkt_residual,
     _power,
     _worst_solve,
 )
+from chanres.search import _golden_max, _grid_golden_max
 
 # the 3-ary asymmetric channel and input law of the benchmark
 ASYM = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
@@ -264,14 +263,38 @@ def _reference_sweep(W, rates, p):
     return reports
 
 
+# psi(0) and phi(0) compute as -1.1e-16 here, before they are set to 0
+RANDOM_4X3 = Channel(np.random.default_rng(31).dirichlet(np.ones(3), size=4))
+
+
 @pytest.mark.parametrize("W, p, rates", [
     (bsc(0.1), uniform(2), [0.3, 0.8, 1.2]),
     (ASYM, ASYM_P, [0.05, 0.25, 0.45]),
     (ASYM, None, [0.1, 0.4]),
     (HARD_4X2, None, [0.0, 0.01, 0.2]),
+    (DEAD_COLUMN, uniform(3), [0.05, 0.4, 0.9]),
+    (TINY_COLUMN, Distribution(np.array([1.0, 0.0])), [0.0, 0.3, 1.0]),
+    (bsc(0.1), Distribution(np.array([0.0, 1.0])), [0.0, 0.2, 0.6]),
+    (RANDOM_4X3, Distribution(np.random.default_rng(32).dirichlet(np.ones(4))),
+     [0.0, 0.1, 0.5]),
 ])
 def test_exponent_sweep_matches_scalar_reference(W, p, rates):
     assert exponent_sweep(W, rates, p) == _reference_sweep(W, rates, p)
+
+
+def test_leak_and_taylor_fields_match_scalar_reference():
+    R = 0.45
+    ref = {r.family: r for r in _reference_sweep(ASYM, [R], ASYM_P)}
+    vd, kl, half = ref["vd_psi"], ref["kl_phi"], ref["vd_phi_half"]
+    rep = wiretap_exponents(0.05, R, identity_channel(3), ASYM, ASYM_P)
+    assert (rep.leak_vd_exponent_psi, rep.leak_vd_psi_s) == (
+        vd.bound_value, vd.optimizer)
+    assert (rep.leak_kl_exponent, rep.leak_kl_t) == (kl.bound_value,
+                                                     kl.optimizer)
+    assert rep.leak_vd_exponent_phi == half.bound_value
+    cmp_ = taylor_compare(R, ASYM, ASYM_P)
+    assert cmp_.exact_psi_bound == vd.bound_value
+    assert cmp_.exact_phi_half_bound == half.bound_value
 
 
 @pytest.mark.parametrize("W", [bsc(0.1), ASYM, HARD_4X2, DEAD_COLUMN,
@@ -279,14 +302,23 @@ def test_exponent_sweep_matches_scalar_reference(W, p, rates):
                          ids=["bsc", "asym", "hard4x2", "dead", "tiny"])
 def test_worst_curves_equal_scalar_calls(W):
     # the whole grid in one call against every third point alone
+    curves = []
     for solve, single, grid in (
-            (functools.partial(_worst_solve, family="s"), psi_worst, S_GRID),
-            (functools.partial(_worst_solve, family="t"), phi_worst, T_GRID)):
+            (functools.partial(_worst_solve, is_t=False), psi_worst, S_GRID),
+            (functools.partial(_worst_solve, is_t=True), phi_worst, T_GRID)):
         vals, laws = solve(grid, W)
         for i in range(0, grid.size, 3):
             one, one_law = solve(grid[i], W)
             assert one[0] == vals[i] and np.array_equal(one_law[0], laws[i])
         assert single(float(grid[1]), W)[0] == vals[1]
+        curves.append((vals, laws))
+    # both grids in one shuffled stack give the single-family values and laws
+    x = np.concatenate([S_GRID, T_GRID])
+    is_t = np.arange(x.size) >= S_GRID.size
+    order = np.random.default_rng(7).permutation(x.size)
+    vals, laws = _worst_solve(x[order], W, is_t[order])
+    assert np.array_equal(vals, np.concatenate([c[0] for c in curves])[order])
+    assert np.array_equal(laws, np.concatenate([c[1] for c in curves])[order])
 
 
 @pytest.mark.parametrize("W", [bsc(0.1), ASYM], ids=["bsc", "asym"])
@@ -302,9 +334,9 @@ def test_worst_curves_equal_unstacked_products(W):
         return float(np.log(float(p @ (A @ (p @ A) ** (c - 1.0)))))
 
     s, t = S_GRID[1:-1], T_GRID[:-1]
-    assert _worst_solve(s, W, "s")[0].tolist() == [
+    assert _worst_solve(s, W, False)[0].tolist() == [
         log_F(W.rows ** (1.0 + x), 1.0 - x) for x in s.tolist()]
-    assert _worst_solve(t, W, "t")[0].tolist() == [
+    assert _worst_solve(t, W, True)[0].tolist() == [
         log_F(W.rows ** (1.0 / (1.0 + x)), 1.0 + x) for x in t.tolist()]
 
 
@@ -313,7 +345,7 @@ def test_tiny_column_drops_out_where_it_underflows():
     live = np.any(TINY_COLUMN.rows ** (1.0 + S_GRID[:, None, None]) > 0,
                   axis=1)
     assert live[:, 2].any() and not live[:, 2].all()
-    vals, laws = _worst_solve(S_GRID, TINY_COLUMN, "s")
+    vals, laws = _worst_solve(S_GRID, TINY_COLUMN, False)
     assert np.all(np.isfinite(vals))
     # the symmetric rows make the uniform law optimal at every s
     assert np.all(laws == 0.5)
@@ -325,9 +357,9 @@ def test_groups_of_live_columns_that_take_steps_equal_scalar_calls():
     # solved in two groups; the optimum is not uniform, so both step
     W = Channel(np.array([[0.6, 0.4, 1e-200], [0.1, 0.9, 0.0],
                           [0.5, 0.5, 0.0]]))
-    for solve, xs in ((functools.partial(_worst_solve, family="s"),
+    for solve, xs in ((functools.partial(_worst_solve, is_t=False),
                        [0.05, 0.95]),
-                      (functools.partial(_worst_solve, family="t"),
+                      (functools.partial(_worst_solve, is_t=True),
                        [-0.05, -0.5])):
         vals, laws = solve(np.array(xs), W)
         assert not np.allclose(laws, 1.0 / 3.0)
@@ -345,15 +377,15 @@ def test_overflowing_newton_matrix_is_uncertified(solve, x, name):
 
 
 def test_block_size_does_not_change_curves(monkeypatch):
-    curves = [(_worst_solve(S_GRID, W, "s"), _worst_solve(T_GRID, W, "t"))
+    curves = [(_worst_solve(S_GRID, W, False), _worst_solve(T_GRID, W, True))
               for W in (HARD_4X2, TINY_COLUMN)]
     given = psi(S_GRID, ASYM, ASYM_P), phi(T_GRID, ASYM, ASYM_P)
     monkeypatch.setattr(channel, "_BLOCK_FLOATS", 64)
     assert np.array_equal(psi(S_GRID, ASYM, ASYM_P), given[0])
     assert np.array_equal(phi(T_GRID, ASYM, ASYM_P), given[1])
     for W, ((a, A), (b, B)) in zip((HARD_4X2, TINY_COLUMN), curves):
-        (a1, A1), (b1, B1) = (_worst_solve(S_GRID, W, "s"),
-                              _worst_solve(T_GRID, W, "t"))
+        (a1, A1), (b1, B1) = (_worst_solve(S_GRID, W, False),
+                              _worst_solve(T_GRID, W, True))
         assert np.array_equal(a, a1) and np.array_equal(A, A1)
         assert np.array_equal(b, b1) and np.array_equal(B, B1)
 
@@ -396,18 +428,25 @@ def test_lockstep_golden_section_equals_scalar_search():
 
 
 def test_sweep_solver_calls_bounded(monkeypatch):
-    # one call per lockstep golden-section step and per grid curve; one
-    # call per grid point and per rate and step would be 2,351
-    calls = []
-    solve = exponents._certified_power_max
+    # one solve per grid and one per lockstep golden-section step of both
+    # families: 49 here; a solve per family and step was 96, and one per
+    # grid point and per rate and step would be 2,351
+    calls = {}
 
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        return solve(*args)
+    def counter(name, solve):
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return solve(*args)
+        return counted
 
-    monkeypatch.setattr(exponents, "_certified_power_max", counted)
-    exponent_sweep(bsc(0.1), np.linspace(0.8, 1.2, 9), uniform(2))
-    assert len(calls) <= 100
+    for name in ("_worst_solve", "_certified_power_max"):
+        monkeypatch.setattr(exponents, name,
+                            counter(name, getattr(exponents, name)))
+    for p in (None, uniform(2)):
+        calls.clear()
+        exponent_sweep(bsc(0.1), np.linspace(0.8, 1.2, 9), p)
+        assert 0 < calls["_worst_solve"] <= 50
+        assert calls["_certified_power_max"] <= 50
 
 
 @pytest.mark.parametrize("p", [None, uniform(64)], ids=["worst", "given"])
@@ -431,8 +470,17 @@ def test_convergence_error_names_parameter(monkeypatch):
     assert err.value.best_value > 0.0
     # in a stack, the entry that fails is the one named
     with pytest.raises(ConvergenceError, match=r"at t = -0\.002 ") as err:
-        _worst_solve(np.array([0.0, -0.002]), HARD_4X2, "t")
+        _worst_solve(np.array([0.0, -0.002]), HARD_4X2, True)
     assert err.value.parameter == -0.002
+    # in a stack of both families, with its own letter; 1e-9 from the
+    # origin the uniform law certifies at once, and s goes before t
+    for x, is_t, name, bad in (([1e-9, -0.002], [False, True], "t", -0.002),
+                               ([-1e-9, 0.001], [True, False], "s", 0.001),
+                               ([-0.002, 0.001], [True, False], "s", 0.001)):
+        with pytest.raises(ConvergenceError, match=f"at {name} = {bad} "
+                           ) as err:
+            _worst_solve(np.array(x), HARD_4X2, np.array(is_t))
+        assert err.value.parameter == bad
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -540,6 +588,11 @@ def test_worst_case_domain():
         psi_worst(math.nan, bsc(0.1))
     with pytest.raises(ValueError, match=r"^t must lie in \[-1/2, 0\]$"):
         phi_worst(math.nan, bsc(0.1))
+    # a stack of both families checks each parameter against its own range
+    with pytest.raises(ValueError, match=r"^t must lie in \[-1/2, 0\]$"):
+        _worst_solve([0.5, 0.5], bsc(0.1), [False, True])
+    with pytest.raises(ValueError, match=r"^s must lie in \[0, 1\]$"):
+        _worst_solve([-0.25, -0.25], bsc(0.1), [True, False])
 
 
 def worst_psi_maximand(s, W, p):
@@ -621,7 +674,7 @@ def test_exponent_sweep_structure(monkeypatch):
     def evaluated(*args):
         raise AssertionError("an empty sweep evaluated psi or phi")
 
-    for name in ("psi", "phi", "_worst_solve"):
+    for name in ("psi", "phi", "_psi_values", "_phi_values", "_worst_solve"):
         monkeypatch.setattr(exponents, name, evaluated)
     assert exponent_sweep(W, [], p) == []
     assert exponent_sweep(W, [], None) == []

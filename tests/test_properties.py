@@ -42,13 +42,12 @@ from chanres.exponents import (
     GRID_STEP,
     S_GRID,
     T_GRID,
-    _bisect_cell,
     _gallager_max,
-    _grid_golden_max,
     _worst_solve,
     wiretap_exponents,
 )
 from chanres.resolvability import PHI_T_GRID
+from chanres.search import _bisect_cell, _grid_golden_max
 from chanres.spectrum import eta
 from chanres.wiretap import (
     _DECOMP_TOL,
@@ -244,8 +243,8 @@ _T = st.one_of(st.floats(-1e-3, 0.0), st.floats(-0.5, -1e-3))
 @example(DEAD_COLUMN, [0.05, 0.0, 1.0], [-0.05, -0.5])
 @example(NEAR_FLAT, [0.5], [-0.44, -0.1])
 def test_worst_curves_equal_scalar_calls(W, s, t):
-    for solve, xs in ((functools.partial(_worst_solve, family="s"), s),
-                      (functools.partial(_worst_solve, family="t"), t)):
+    for solve, xs in ((functools.partial(_worst_solve, is_t=False), s),
+                      (functools.partial(_worst_solve, is_t=True), t)):
         vals, laws = solve(np.array(xs), W)
         for x, v, law in zip(xs, vals.tolist(), laws):
             one, one_law = solve(x, W)
