@@ -290,14 +290,6 @@ def variational_distance(p: Distribution, q: Distribution) -> float:
     return float(np.abs(p.probs - q.probs).sum())
 
 
-def _kl(a: np.ndarray, b: np.ndarray) -> float:
-    """D(a||b) of two probability vectors; +inf when a has mass outside supp(b)."""
-    mask = a > 0
-    if np.any(b[mask] == 0):
-        return math.inf
-    return max(float(np.sum(a[mask] * (np.log(a[mask]) - np.log(b[mask])))), 0.0)
-
-
 def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``np.sum(values[r][mask[r]])`` for each row r, bit for bit.
 
@@ -314,14 +306,17 @@ def _row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _kl_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[_kl(row, b) for row in A]``, bit for bit, as one array.
-
-    Mass outside supp(b) meets log 0 = -inf, so its term, and the row's
-    sum, is +inf, as `_kl` returns.
-    """
+    """D(a||b) of each row a of A, at least 0, summed over supp(a) as
+    ``np.sum`` sums a 1-D array.  Mass outside supp(b) meets log 0 =
+    -inf, so its term, and the row's sum, is +inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = A * (np.log(A) - np.log(b))
     return np.maximum(_row_sums(terms, A > 0), 0.0)
+
+
+def _kl(a: np.ndarray, b: np.ndarray) -> float:
+    """D(a||b) of two probability vectors: `_kl_rows` of the row a."""
+    return float(_kl_rows(a[None], b)[0])
 
 
 def _density(W: Channel, p: Distribution) -> tuple[np.ndarray, ...]:

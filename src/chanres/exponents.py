@@ -41,7 +41,7 @@ from .channel import (
     output_distribution,
 )
 from .rng import stream
-from .search import _bisect_cell, _cells, _grid_golden_max, _refine_cells
+from .search import _bisect_cell, _cells, _refine_cells
 
 # the exponent families of a sweep, in report order, each with the
 # multiple c of (R - I)^2 / (8 J) that approximates it near I = I(p;W)
@@ -441,18 +441,19 @@ def _gallager_max(W: Channel, p: Distribution, rate: float
     certificate makes that cell the one the scan would pick.  A flat
     objective (a useless channel or a point-mass law at rate 0, a
     noiseless channel at rate log|Y|) cannot be certified and is scanned
-    in full.  Either way the result is bit for bit that of
-    `_grid_golden_max` on the scan.
+    in full.  Either way the argmax cell and its value go to one
+    `_refine_cells` call.
     """
     def f(_, s):
         return -phi(s, W, p) - s * rate
 
     cell = _bisect_cell(f, S_GRID)
     if cell is None:
-        s, v = _grid_golden_max(f, S_GRID, [f(None, S_GRID)])
-    else:
-        s, v = _refine_cells(f, _cells(S_GRID, np.array([cell[0]])),
-                             np.array([cell[1]]))
+        vals = f(None, S_GRID)
+        b = int(np.argmax(vals))
+        cell = b, vals[b]
+    s, v = _refine_cells(f, _cells(S_GRID, np.array([cell[0]])),
+                         np.array([cell[1]]))
     return float(s[0]), float(v[0])
 
 

@@ -443,12 +443,26 @@ def save_id_code(code: IdCode, path) -> None:
                  "C": code.C}, path)
 
 
+def _json_positions(value) -> list:
+    """value, a JSON list of numbers; true, false and lists are not.
+    The types are gathered by `map`, not by a call per entry, because a
+    code file holds thousands of entries."""
+    bad = set(map(type, _json_list(value))) - {int, float}
+    if bad:
+        raise TypeError(f"{next(v for v in value if type(v) in bad)!r} "
+                        "is not a number")
+    return value
+
+
 def load_id_code(path) -> IdCode:
     doc = _load_fields(
-        path, "id code", codewords=_json_list,
-        subsets=lambda v: [tuple(_json_list(s)) for s in _json_list(v)],
+        path, "id code", codewords=_json_positions,
+        subsets=lambda v: [_json_positions(s) for s in _json_list(v)],
         C=_json_real)
-    return IdCode(tuple(doc["codewords"]), tuple(doc["subsets"]), doc["C"])
+    try:
+        return IdCode(**doc)
+    except ValueError as exc:
+        raise ValueError(f"id code file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)

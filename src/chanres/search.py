@@ -38,19 +38,6 @@ def _golden_max(f, lo, hi, tol: float = 1e-12):
     return x, f(every, x)
 
 
-def _grid_golden_max(f, xs: np.ndarray, rows):
-    """Dense grid scan refined by golden section around the best cell,
-    for every objective in lockstep.
-
-    f is as in `_golden_max`; row i of rows (an array, or a list of
-    rows) holds objective i on the grid xs.  Returns the arrays
-    (argmax, max).
-    """
-    rows = np.asarray(rows)
-    best = np.argmax(rows, axis=1)
-    return _refine_cells(f, _cells(xs, best), rows[np.arange(best.size), best])
-
-
 def _cells(xs: np.ndarray, best: np.ndarray) -> tuple:
     """(xs[b - 1], xs[b], xs[b + 1]) for each grid index b of best,
     clipped to the grid."""

@@ -126,6 +126,24 @@ def test_missing_file_exits_2(tmp_path, capsys):
     ("code", '{"codewords": [0, 1], "subsets": [0, 1], "C": 2}',
      "field 'subsets': 0 is not a list"),
     ("dist", '{"probs": [NaN, 1.0]}', "field 'probs': non-finite probability entry"),
+    # a code file that holds no valid code, or booleans or lists where
+    # its numbers belong
+    ("code", '{"codewords": [0, 0], "subsets": [[0]], "C": 2}',
+     ": codewords must be distinct"),
+    ("code", '{"codewords": [0, 1.5], "subsets": [[0]], "C": 2}',
+     ": codeword 1.5 is not an integer"),
+    ("code", '{"codewords": [0, 1], "subsets": [[0], [2]], "C": 2}',
+     ": subset 1 references positions outside the codeword list"),
+    ("code", '{"codewords": [0, 1], "subsets": [[0]], "C": -2}',
+     ": C must be positive and finite, got -2.0"),
+    ("code", '{"codewords": [true, false], "subsets": [[1]], "C": 2}',
+     "field 'codewords': True is not a number"),
+    ("code", '{"codewords": [0, 1], "subsets": [[true]], "C": 2}',
+     "field 'subsets': True is not a number"),
+    ("code", '{"codewords": [[0], [1]], "subsets": [[0]], "C": 2}',
+     "field 'codewords': [0] is not a number"),
+    ("code", '{"codewords": [0, 1], "subsets": [[[0]]], "C": 2}',
+     "field 'subsets': [0] is not a number"),
 ])
 def test_malformed_json_exits_2(tmp_path, capsys, kind, text, message):
     files = {"channel": write_channel(tmp_path, identity_channel(2), "id2.json"),
@@ -140,7 +158,8 @@ def test_malformed_json_exits_2(tmp_path, capsys, kind, text, message):
                "--dist", files["dist"], "--code", files["code"]])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and message in err
+    what = {"channel": "channel", "dist": "distribution", "code": "id code"}
+    assert err.startswith(f"error: {what[kind]} file {bad}") and message in err
 
 
 def test_bounds_at_a_threshold_above_1e7(tmp_path, capsys):

@@ -41,10 +41,11 @@ from chanres.exponents import (
     ExponentReport,
     _KKT_TOL,
     _kkt_residual,
+    _newton_step,
     _power,
     _worst_solve,
 )
-from chanres.search import _golden_max, _grid_golden_max
+from chanres.search import _cells, _golden_max, _refine_cells
 
 # the 3-ary asymmetric channel and input law of the benchmark
 ASYM = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
@@ -406,14 +407,12 @@ def test_lockstep_golden_section_equals_scalar_search():
     def vd(i, s):
         return (s * rates[i] - psi(s, ASYM, ASYM_P)) / (1.0 + s)
 
-    rows = [vd(i, S_GRID) for i in range(rates.size)]
+    rows = np.array([vd(i, S_GRID) for i in range(rates.size)])
+    best = np.argmax(rows, axis=1)
     # rate 0 peaks at s = 0 and rate 3 at s = 1: cells GRID_STEP wide
-    assert int(np.argmax(rows[0])) == 0
-    assert int(np.argmax(rows[-1])) == S_GRID.size - 1
-    xs, vs = _grid_golden_max(vd, S_GRID, rows)
-    # a (rates x grid) array picks the same cells as the list of its rows
-    xa, va = _grid_golden_max(vd, S_GRID, np.array(rows))
-    assert np.array_equal(xa, xs) and np.array_equal(va, vs)
+    assert best[0] == 0 and best[-1] == S_GRID.size - 1
+    xs, vs = _refine_cells(vd, _cells(S_GRID, best),
+                           rows[np.arange(rates.size), best])
     for i, R in enumerate(rates.tolist()):
         ref = _reference_grid_golden_max(
             lambda s: (s * R - psi(s, ASYM, ASYM_P)) / (1.0 + s), 0.0, 1.0)
@@ -481,6 +480,23 @@ def test_convergence_error_names_parameter(monkeypatch):
                            ) as err:
             _worst_solve(np.array(x), HARD_4X2, np.array(is_t))
         assert err.value.parameter == bad
+
+
+@pytest.mark.parametrize("falls", [None, -1.0], ids=["empties", "falls"])
+def test_newton_step_that_never_rises_is_no_step(falls):
+    # the step toward letter 0 is halved 60 times, until it is lost in
+    # rounding, and then given up
+    tried = []
+
+    def value(q):
+        tried.append(q)
+        return falls
+
+    p, D = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+    assert _newton_step(p, D, p @ D, 0.1, lambda S: np.eye(S.size),
+                        value) is None
+    assert len(tried) == 60
+    assert tried[0][0] > 0.5 and np.array_equal(tried[-1], p)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -47,7 +47,7 @@ from chanres.exponents import (
     wiretap_exponents,
 )
 from chanres.resolvability import PHI_T_GRID
-from chanres.search import _bisect_cell, _grid_golden_max
+from chanres.search import _bisect_cell, _cells, _refine_cells
 from chanres.spectrum import eta
 from chanres.wiretap import (
     _DECOMP_TOL,
@@ -299,6 +299,15 @@ def test_divergence_decomposition_residual(case):
     assert residual <= _DECOMP_TOL * max(1.0, abs(rhs))
 
 
+def _scan_and_refine(f, xs):
+    """One objective f, as in `search._golden_max`, scanned on the grid
+    xs and refined by golden section on its best cell: arrays (argmax,
+    max) of one entry."""
+    vals = np.asarray(f(None, xs))
+    best = np.array([np.argmax(vals)])
+    return _refine_cells(f, _cells(xs, best), vals[best])
+
+
 def _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime):
     """The fields of `wiretap_bounds`, each formula written out for the
     wiretap code alone, with one scalar phi call per grid point."""
@@ -307,8 +316,7 @@ def _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime):
     def gallager(s):
         return -(s * log_ml + phi(s, W_B, p))
 
-    s_star, neg = _grid_golden_max(lambda _, s: gallager(s), S_GRID,
-                                   [gallager(S_GRID)])
+    s_star, neg = _scan_and_refine(lambda _, s: gallager(s), S_GRID)
     if C_prime is None:
         error_threshold = math.inf
     else:
@@ -335,7 +343,7 @@ def _spelled_out_wiretap_exponents(R, R_prime, W_B, W_E, p):
     """The fields of `wiretap_exponents`, one grid-and-golden search per
     exponent."""
     def best(f, xs):
-        x, v = _grid_golden_max(f, xs, [f(None, xs)])
+        x, v = _scan_and_refine(f, xs)
         return float(x[0]), max(0.0, float(v[0]))
 
     s_err, e_err = best(
@@ -390,7 +398,7 @@ def _scanned_gallager_max(W, p, rate):
     """The Gallager search as a scan of every S_GRID point, then the
     golden section around the best one."""
     f = _gallager_objective(W, p, rate)
-    s, v = _grid_golden_max(f, S_GRID, [f(None, S_GRID)])
+    s, v = _scan_and_refine(f, S_GRID)
     return float(s[0]), float(v[0])
 
 
