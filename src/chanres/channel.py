@@ -58,10 +58,10 @@ def _check_fits_float(value, name: str) -> None:
                          "the largest float")
 
 
-def _indices(values, what: str, floor: int = 0) -> np.ndarray:
+def _indices(values, what: str, floor: int = 0, below=None) -> np.ndarray:
     """values as an int64 array; a ValueError names the first entry that is
     not an integer of int64 range (2.0 and True are; 1.5, nan and "1" not),
-    else, in `_integer`'s words, the least entry if it is below floor."""
+    else, in `_integer`'s words, the first outside [floor, below)."""
     arr = num = np.asarray(values)
     if arr.dtype.kind not in "biuf":    # str, None or ints past 64 bits
         arr = np.asarray(values, dtype=object)
@@ -73,19 +73,21 @@ def _indices(values, what: str, floor: int = 0) -> np.ndarray:
     bad = np.flatnonzero(ints != num)
     if bad.size:
         raise ValueError(f"{what} {arr.item(bad[0])!r} is not an integer")
-    _integer(int(ints.min(initial=floor)), what, floor)
+    out = ints < floor if below is None else (ints < floor) | (ints >= below)
+    if out.any():
+        _integer(ints.item(out.argmax()), what, floor, below)
     return ints
 
 
-def _integer(value, name: str, floor: int = 1, bits: int = 0) -> int:
-    """value as an int >= floor (and < 2**bits if bits), else a ValueError
+def _integer(value, name: str, floor: int = 1, below=None) -> int:
+    """value as an int >= floor (and < below if given), else a ValueError
     naming `name` and value; integers are `_indices`'s, with no int64 cap."""
     if isinstance(value, (float, np.floating)) and value.is_integer():
         value = int(value)
     if not isinstance(value, (int, np.integer)) or value < floor \
-            or bits and int(value) >= 2 ** bits:
+            or below is not None and int(value) >= below:
         rule = "a nonnegative integer" if floor == 0 else f"an integer >= {floor}"
-        cap = f" below 2^{bits}" if bits else ""
+        cap = "" if below is None else f" below {'2^64' if below == 2 ** 64 else below}"
         raise ValueError(f"{name} must be {rule}{cap}, got " + repr(
             value.item() if isinstance(value, np.generic) else value))
     return int(value)
@@ -194,10 +196,7 @@ def uniform(size: int) -> Distribution:
 
 def point_mass(index: int, size: int) -> Distribution:
     probs = np.zeros(_integer(size, "size"))
-    index = _integer(index, "index", 0)
-    if index >= probs.size:
-        raise ValueError(f"index must be below size {probs.size}, got {index}")
-    probs[index] = 1.0
+    probs[_integer(index, "index", 0, probs.size)] = 1.0
     return Distribution(probs)
 
 
@@ -220,12 +219,12 @@ def constant_channel(row, input_size: int) -> Channel:
 
 
 def _check_inputs(W: Channel, p: Distribution, codewords=()) -> None:
-    """ValueError unless p and each codeword are on the input alphabet of W."""
-    if len(codewords) and np.max(codewords) >= W.input_size:
-        raise ValueError("codeword index outside the input alphabet")
+    """ValueError unless p, then each codeword, is on the input alphabet of W."""
     if p.size != W.input_size:
         raise ValueError(f"distribution size {p.size} does not match "
                          f"input size {W.input_size}")
+    if len(codewords):
+        _indices(codewords, "codeword", below=W.input_size)
 
 
 def output_distribution(W: Channel, p: Distribution) -> Distribution:

@@ -30,6 +30,7 @@ from .channel import (
     BudgetError,
     Channel,
     EnumerationBudget,
+    _check_inputs,
     _read_json,
     load_channel,
     load_distribution,
@@ -252,7 +253,11 @@ def run_idcode_eval(args):
     W, p = _n_fold(args, load_channel(args.channel),
                    load_distribution(args.dist))
     code = load_id_code(args.code)
-    metrics = eval_id_code(code, W, p)
+    _check_inputs(W, p)     # first, so a law of the wrong size is the law's error
+    try:    # past the law, eval_id_code refuses only what the code file holds
+        metrics = eval_id_code(code, W, p)
+    except ValueError as exc:
+        raise ValueError(f"id code file {args.code}: {exc}") from None
     _write_doc(args, {"mu": metrics.mu, "lam": metrics.lam,
                       "messages": code.messages})
 

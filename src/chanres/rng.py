@@ -8,8 +8,8 @@ from .channel import _integer
 
 
 def _key(seed: int, index: int) -> np.ndarray:
-    return np.array([_integer(seed, "seed", 0, 64),
-                     _integer(index, "stream index", 0, 64)], dtype=np.uint64)
+    return np.array([_integer(seed, "seed", 0, 2 ** 64),
+                     _integer(index, "stream index", 0, 2 ** 64)], dtype=np.uint64)
 
 
 def stream(seed: int, index: int) -> np.random.Generator:

@@ -58,15 +58,12 @@ class WiretapCode:
         object.__setattr__(self, "L", _integer(self.L, "L"))
         if cw.shape != (self.M, self.L):
             raise ValueError("codewords must form an M x L index array")
-        dec = _indices(self.decoder, "decoder entry", -1)
+        dec = _indices(self.decoder, "decoder entry", -1, self.M)
         if dec.ndim != 1:
             raise ValueError("decoder must map outputs to messages")
-        if np.any(dec >= self.M):
-            raise ValueError("decoder entries must be -1 or a message index")
         if self.decoder_kind not in DECODER_KINDS:
             raise ValueError(f"unknown decoder kind {self.decoder_kind!r}")
-        cw.flags.writeable = False
-        dec.flags.writeable = False
+        cw.flags.writeable = dec.flags.writeable = False
         object.__setattr__(self, "codewords", cw)
         object.__setattr__(self, "decoder", dec)
 

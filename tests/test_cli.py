@@ -133,7 +133,10 @@ def test_missing_file_exits_2(tmp_path, capsys):
     ("code", '{"codewords": [0, 1.5], "subsets": [[0]], "C": 2}',
      ": codeword 1.5 is not an integer"),
     ("code", '{"codewords": [0, 1], "subsets": [[0], [2]], "C": 2}',
-     ": subset 1 references positions outside the codeword list"),
+     ": subset position must be a nonnegative integer below 2, got 2"),
+    # a codeword past the channel's input alphabet
+    ("code", '{"codewords": [0, 5], "subsets": [[0], [1]], "C": 2}',
+     ": codeword must be a nonnegative integer below 2, got 5"),
     ("code", '{"codewords": [0, 1], "subsets": [[0]], "C": -2}',
      ": C must be positive and finite, got -2.0"),
     ("code", '{"codewords": [true, false], "subsets": [[1]], "C": 2}',
@@ -955,6 +958,20 @@ def test_every_law_size_error_has_one_text(tmp_path, capsys, command):
     assert rc == 2
     assert ("distribution size 3 does not match input size 2"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("codewords", ["[0, 1]", "[0, 5]"])
+def test_idcode_eval_reports_a_law_of_the_wrong_size_as_the_law(
+        tmp_path, capsys, codewords):
+    # the law is checked against the channel before the code file is
+    code = tmp_path / "code.json"
+    code.write_text(f'{{"codewords": {codewords}, "subsets": [[0], [1]], '
+                    '"C": 2}')
+    rc = main(["idcode", "eval", "--channel", write_bsc(tmp_path),
+               "--dist", write_uniform(tmp_path, 3), "--code", str(code)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: distribution size 3 does not match input size 2\n")
 
 
 @pytest.mark.parametrize("command", [["wiretap-bounds"],

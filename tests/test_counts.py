@@ -1,6 +1,8 @@
 """The count rule: every codebook size, blocklength, trial, retry or
 iteration count, budget cap, seed and stream index passes
-`channel._integer`; and the one text of the law-size rule."""
+`channel._integer`; the index rule `channel._indices`, which checks every
+code entry in the count rule's words; and the one text of the law-size
+rule."""
 
 import math
 
@@ -23,10 +25,12 @@ from chanres import (
 )
 from chanres.identification import (
     AdParams,
+    IdCode,
     SelectionParams,
     SetFamily,
     assemble_id_code,
     build_set_family,
+    eval_id_code,
     select_codewords,
     size_ceiling_check,
 )
@@ -34,6 +38,7 @@ from chanres.resolvability import (
     McEstimate,
     ResolvabilityCode,
     brute_force_min,
+    eval_code,
     expectation_bounds,
     mc_expectation,
     sample_code,
@@ -43,6 +48,7 @@ from chanres.spectrum import product_tail_pair
 from chanres.wiretap import (
     WiretapCode,
     construct_until_bounds,
+    eval_wiretap,
     sample_wiretap_code,
     wiretap_bounds,
 )
@@ -186,8 +192,42 @@ def test_counts_below_the_floor_raise(key):
 @pytest.mark.parametrize("index", [2, 5])
 def test_point_mass_index_stays_below_the_size(index):
     with pytest.raises(ValueError,
-                       match=f"^index must be below size 2, got {index}$"):
+                       match="^index must be a nonnegative integer below 2, "
+                             f"got {index}$"):
         point_mass(index, 2)
+
+
+_ID3, _U3 = identity_channel(3), uniform(3)
+
+# each upper bound on an index: the call with the entry v, the bound and
+# the entry's name
+_INDEX_BOUNDS = {
+    "eval_code": (lambda v: eval_code(
+        ResolvabilityCode((0, v), 2), _ID3, _U3), 3, "codeword"),
+    "eval_wiretap": (lambda v: eval_wiretap(WiretapCode(
+        [[0], [v]], [0, 1, -1], 2, 1, "maximum_likelihood"), _ID3, _ID3, _U3),
+        3, "codeword"),
+    "assemble_id_code": (lambda v: assemble_id_code(
+        (0, v), SetFamily((frozenset({0}),), 1, 0.5), _ID3, _U3, 2.0),
+        3, "codeword"),
+    "eval_id_code": (lambda v: eval_id_code(
+        IdCode((0, v), ((0,), (1,)), 2.0), _ID3, _U3), 3, "codeword"),
+    "decoder": (lambda v: WiretapCode(
+        [[0], [1]], [0, v], 2, 1, "maximum_likelihood"), 2, "decoder entry"),
+    "subset_position": (lambda v: IdCode(
+        (0, 1, 2, 3), ((0,), (v,)), 2.0), 4, "subset position"),
+    "point_mass": (lambda v: point_mass(v, 5), 5, "index"),
+}
+
+
+@pytest.mark.parametrize("key", _INDEX_BOUNDS)
+def test_every_index_bound_is_the_one_rule(key):
+    call, bound, name = _INDEX_BOUNDS[key]
+    call(bound - 1)
+    for entry in (bound, bound + 3):
+        with pytest.raises(ValueError, match=f"^{name} must be .* below "
+                                             f"{bound}, got {entry}$"):
+            call(entry)
 
 
 @pytest.mark.parametrize("call", [
@@ -230,7 +270,7 @@ def test_counts_are_stored_as_ints():
     (lambda: WiretapCode([[-1], [0]], [0, 1], 2, 1, "maximum_likelihood"),
      "codeword must be a nonnegative integer, got -1"),
     (lambda: WiretapCode([[0], [1]], [0, -2], 2, 1, "maximum_likelihood"),
-     "decoder entry must be an integer >= -1, got -2"),
+     "decoder entry must be an integer >= -1 below 2, got -2"),
     (lambda: SetFamily((frozenset({-1, 0}),), 2, 1.5),
      "subset element must be a nonnegative integer, got -1"),
 ])
