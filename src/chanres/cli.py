@@ -293,7 +293,7 @@ def _read_config(path: str, options) -> dict:
     """The entries of a --config file by dest, each a dest in `options`,
     converted and checked as its flag would be."""
     entries = {}
-    for key, value in _read_json(path, "config").items():
+    for key, value in _read_json(path, "config")[0].items():
         dest = key.replace("-", "_")
         if dest not in options:
             raise ValueError(f"config file {path}: unknown option {key!r}")

@@ -34,7 +34,7 @@ from .channel import (
     _indices,
     _integer,
     _json_list,
-    _json_real,
+    _json_numbers,
     _load_fields,
     _row_sums,
     _write_json,
@@ -440,22 +440,12 @@ def save_id_code(code: IdCode, path) -> None:
                  "C": code.C}, path)
 
 
-def _json_positions(value) -> list:
-    """value, a JSON list of numbers; true, false and lists are not.
-    The types are gathered by `map`, not by a call per entry, because a
-    code file holds thousands of entries."""
-    bad = set(map(type, _json_list(value))) - {int, float}
-    if bad:
-        raise TypeError(f"{next(v for v in value if type(v) in bad)!r} "
-                        "is not a number")
-    return value
-
-
 def load_id_code(path) -> IdCode:
     doc = _load_fields(
-        path, "id code", codewords=_json_positions,
-        subsets=lambda v: [_json_positions(s) for s in _json_list(v)],
-        C=_json_real)
+        path, "id code", codewords=lambda v, walk: _json_numbers(v, 1, walk),
+        subsets=lambda v, walk: [_json_numbers(s, 1, walk).tolist()
+                                 for s in _json_list(v)],
+        C=lambda v, walk: float(_json_numbers(v, 0, walk)))
     try:
         return IdCode(**doc)
     except ValueError as exc:

@@ -2,12 +2,12 @@
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -112,12 +112,22 @@ def test_missing_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("kind, text, message", [
     ("channel", "5", "must hold a JSON object"),
     ("channel", '{"input_size": "2", "output_size": 2, "rows": [[1, 0], [0, 1]]}',
-     "field 'input_size': '2' is not an integer"),
+     "field 'input_size': '2' is not a number"),
     ("channel", '{"input_size": 2, "output_size": 2, "rows": [[1, 0], [0, "x"]]}',
-     "field 'rows': must hold numbers"),
+     "field 'rows': 'x' is not a number"),
     ("channel", '{"input_size": 2, "output_size": 2, "rows": [[1, 0], [0]]}',
      "field 'rows': must hold numbers, in lists of equal length"),
-    ("dist", '{"probs": {"a": 1}}', "field 'probs': must hold numbers"),
+    ("dist", '{"probs": {"a": 1}}', "field 'probs': {'a': 1} is not a list"),
+    # booleans and nulls among the numbers, and a size the count rule refuses
+    ("channel", '{"input_size": 2, "output_size": 2, '
+                '"rows": [[0.9, 0.1], [false, true]]}',
+     "field 'rows': False is not a number"),
+    ("dist", '{"probs": [true, 0.0]}', "field 'probs': True is not a number"),
+    ("dist", '{"probs": [null, 1.0]}', "field 'probs': None is not a number"),
+    ("channel", '{"input_size": true, "output_size": 2, "rows": [[1, 0], [0, 1]]}',
+     "field 'input_size': True is not a number"),
+    ("channel", '{"input_size": 0, "output_size": 2, "rows": [[1, 0], [0, 1]]}',
+     "field 'input_size': input_size must be an integer >= 1, got 0"),
     ("dist", "[0.5, 0.5]", "must hold a JSON object"),
     ("code", '{"codewords": [0, 1], "subsets": [[0], [1]], "C": [2]}',
      "field 'C': [2] is not a number"),
@@ -163,6 +173,46 @@ def test_malformed_json_exits_2(tmp_path, capsys, kind, text, message):
     err = capsys.readouterr().err
     what = {"channel": "channel", "dist": "distribution", "code": "id code"}
     assert err.startswith(f"error: {what[kind]} file {bad}") and message in err
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("channel", '{"input_size": 2, "output_size": 2, '
+                '"rows": [[0.9, 0.1], [false, true]]}',
+     "field 'rows': False is not a number"),
+    ("distribution", '{"probs": [true, 0.0]}',
+     "field 'probs': True is not a number"),
+])
+def test_bounds_refuses_booleans_among_the_numbers(tmp_path, capsys, kind,
+                                                   text, message):
+    files = {"channel": write_bsc(tmp_path), "distribution": write_uniform(tmp_path)}
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files[kind] = str(bad)
+    rc = main(["bounds", "--channel", files["channel"], "--dist",
+               files["distribution"], "--codebook-size", "4", "--threshold", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {kind} file {bad}: {message}\n"
+
+
+def test_a_boolean_outside_the_numbers_is_read_as_before(tmp_path, capsys):
+    # `true` or `false` in an ignored key or a string value sends each field
+    # through the entry-by-entry check, which finds nothing to refuse
+    extra = '"note": "true or false", "flag": true, '
+    chan = '"input_size": 2, "output_size": 2, "rows": [[0.9, 0.1], [0.2, 0.8]]'
+    dist = '"probs": [0.4, 0.6]'
+    code = '"codewords": [0, 1], "subsets": [[0], [1]], "C": 1.5'
+    outputs = []
+    for prefix in ("", extra):
+        files = []
+        for name, body in (("chan", chan), ("dist", dist), ("code", code)):
+            files.append(tmp_path / f"{name}{len(prefix)}.json")
+            files[-1].write_text("{" + prefix + body + "}")
+        for argv in (["bounds", "--codebook-size", "4", "--threshold", "2"],
+                     ["idcode", "eval", "--code", str(files[2])]):
+            rc = main(argv + ["--channel", str(files[0]), "--dist", str(files[1])])
+            assert rc == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
 
 
 def test_bounds_at_a_threshold_above_1e7(tmp_path, capsys):
@@ -258,13 +308,28 @@ def test_capacity_invalid_tol_exits_2(tmp_path, capsys, tol):
 
 def test_capacity_iteration_cap_exits_4(tmp_path, capsys, monkeypatch):
     # the Z channel reaches tol 1e-15 in 5 iterations; cap it at 3
-    monkeypatch.setattr(cli, "capacity",
-                        functools.partial(cli.capacity, max_iter=3))
+    monkeypatch.setattr(exponents, "_CAPACITY_ITER", 3)
     W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
     chan = write_channel(tmp_path, W, "z.json")
     rc = main(["capacity", "--channel", chan, "--tol", "1e-15"])
     assert rc == 4
-    assert "iteration cap 3" in capsys.readouterr().err
+    assert "capacity not certified after 3 iterations" in capsys.readouterr().err
+
+
+def test_capacity_stall_exits_4_within_the_cap(tmp_path, capsys):
+    # the Newton ascent stalls at residual 5.78e-4 with letter 2's mass
+    # near 4e-18 (Blahut-Arimoto certifies 0.71227545 in 42 steps); it
+    # used to spin for minutes before it gave up
+    W = Channel(np.array([[0.252, 0.746, 0.002, 0.0], [1.0, 0.0, 0.0, 0.0],
+                          [0.758, 0.021, 0.215, 0.006], [0.17, 0.0, 0.83, 0.0]]))
+    chan = write_channel(tmp_path, W, "stall.json")
+    start = time.perf_counter()
+    rc = main(["capacity", "--channel", chan])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"not certified after {exponents._CAPACITY_ITER} iterations" in err
+    assert "residual 0.000578" in err
 
 
 def test_exponents_csv(tmp_path):

@@ -12,7 +12,6 @@ import pytest
 from chanres import (
     EnumerationBudget,
     bsc,
-    capacity,
     constant_channel,
     identity_channel,
     phi,
@@ -67,11 +66,6 @@ def _construct(**kw):
     return r.attempts, r.code.codewords.tolist(), r.report.eps_B
 
 
-def _capacity(max_iter):
-    r = capacity(W, max_iter=max_iter)
-    return r.value, r.argmax.probs.tolist(), r.iterations, r.residual
-
-
 def _brute_force(limit):
     r = brute_force_min(2, W, P, limit=limit)
     return r.eps_min, r.div_min, r.best_code.codewords
@@ -117,7 +111,6 @@ ENTRY_POINTS = {
     "brute_force_min": ("M", lambda v: brute_force_min(v, W, P), 2),
     # 3 multisets of 2 words on 2 letters
     "brute_force_min-limit": ("limit", _brute_force, 3),
-    "capacity": ("max_iter", _capacity, 2),
     "AdParams": ("M", lambda v: AdParams(v, 0.1, 0.8), 20),
     "SelectionParams": ("M", lambda v: SelectionParams(M=v, **_SELECT), 2),
     "SetFamily": ("subset_size",

@@ -768,22 +768,24 @@ def test_capacity_closed_forms():
     assert capacity(constant_channel([0.3, 0.7], 3)).value == 0.0
 
 
-def test_capacity_convergence_error():
+def test_capacity_convergence_error(monkeypatch):
     W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    # reachable in 5 iterations
+    assert capacity(W, tol=1e-15).iterations == 5
+    monkeypatch.setattr(exponents, "_CAPACITY_ITER", 3)
     with pytest.raises(ConvergenceError) as err:
-        capacity(W, tol=1e-30, max_iter=3)
+        capacity(W, tol=1e-30)
     assert err.value.best_value is not None
     assert err.value.residual is not None
-    # reachable in 5 iterations, stopped by the cap
-    assert capacity(W, tol=1e-15).iterations == 5
-    with pytest.raises(ConvergenceError):
-        capacity(W, tol=1e-15, max_iter=3)
+    # stopped by the cap
+    with pytest.raises(ConvergenceError, match="not certified after 3 "):
+        capacity(W, tol=1e-15)
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, 0.0, math.inf])
 def test_capacity_rejects_invalid_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        capacity(bsc(0.1), tol=tol, max_iter=3)
+        capacity(bsc(0.1), tol=tol)
 
 
 def _alternating_capacity(W: Channel, tol: float = 1e-8,
