@@ -23,6 +23,7 @@ and the secrecy rate of `secrecy_capacity_lb` in convex-concave rounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,17 +75,6 @@ class ConvergenceError(RuntimeError):
         self.parameter = parameter
 
 
-def _params(x, name: str, W: Channel, p: Distribution) -> np.ndarray:
-    """The parameter(s) x as an (n, 1, 1) array, after the domain checks."""
-    e = np.asarray(x, dtype=float).reshape(-1, 1, 1)
-    if not np.all(e > -1):
-        raise ValueError(f"{name} must exceed -1")
-    if not np.all(e < math.inf):
-        raise ValueError(f"{name} must be finite")
-    _check_inputs(W, p)
-    return e
-
-
 def _power(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """x ** e for e of shape (n, 1, ...); slice i equals x_i ** float(e_i).
 
@@ -101,62 +91,77 @@ def _power(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shaped(vals: np.ndarray, x):
-    """vals in the shape of the parameter(s) x, exactly 0 where x is 0."""
-    if np.ndim(x) == 0:
-        return 0.0 if x == 0 else float(vals[0])
-    vals[np.ravel(x) == 0] = 0.0
-    return vals.reshape(np.shape(x))
+def _powers(W: Channel, e: np.ndarray, index=None) -> np.ndarray:
+    """W ** e for e of shape (n, 1, 1), or its entries at `index`, a part of
+    the `Channel.levels` index: each distinct entry is powered once and
+    gathered into place, the same floats as powers of the full matrix."""
+    values, full = W.levels
+    return np.take(_power(values, e[:, 0]), full if index is None else index,
+                   axis=1)
 
 
-def _psi_values(W: Channel, p: Distribution):
-    """psi(. | W, p) at an (n, 1, 1) array of s, with W_p, its live
-    columns and the support rows formed once."""
-    wp = output_distribution(W, p).probs
-    live = wp > 0
-    sup = p.support()
-    rows, wp, ps = W.rows[np.ix_(sup, live)], wp[live], p.probs[sup]
+def _curve(W: Channel, p: Distribution | None):
+    """f(x, is_t): psi(. | W, p) at the s and phi at the t (where is_t is
+    set) of the array x in `channel._blocks`, exactly 0 at 0; for p = None,
+    their worst cases.  psi's W_p, live columns and support rows are formed
+    at its first s, which phi-only callers skip."""
+    if p is None:
+        return lambda x, is_t: _worst_solve(x, W, is_t)[0]
 
-    def values(e):
-        vals = np.empty(e.shape[0])
-        for blk in _blocks(e.shape[0], W.rows.size):
-            inner = np.sum(_power(rows, 1.0 + e[blk]) * _power(wp, -e[blk]),
-                           axis=2)
-            vals[blk] = np.log(np.matmul(ps, inner[:, :, None])[:, 0])
+    @functools.cache
+    def psi_state():
+        wp = output_distribution(W, p).probs
+        live, sup = wp > 0, p.support()
+        return W.levels[1][np.ix_(sup, live)], wp[live], p.probs[sup]
+
+    def psi_at(e):
+        index, wp, ps = psi_state()
+        inner = np.sum(_powers(W, 1.0 + e, index) * _power(wp, -e), axis=2)
+        return np.log(np.matmul(ps, inner[:, :, None])[:, 0])
+
+    def phi_at(e):
+        g = np.matmul(p.probs, _powers(W, 1.0 / (1.0 + e)))
+        return np.log(np.sum(_power(g, 1.0 + e[:, 0]), axis=1))
+
+    def f(x, is_t):
+        vals = np.empty(x.size)
+        for side, at in ((~is_t, psi_at), (is_t, phi_at)):
+            e = x[side].reshape(-1, 1, 1)
+            part = np.empty(e.shape[0])
+            for blk in _blocks(part.size, W.rows.size):
+                part[blk] = at(e[blk])
+            vals[side] = part
+        vals[x == 0] = 0.0
         return vals
-    return values
+    return f
 
 
-def _phi_values(W: Channel, p: Distribution, e: np.ndarray) -> np.ndarray:
-    """phi(. | W, p) at an (n, 1, 1) array of t."""
-    vals = np.empty(e.shape[0])
-    values, index = W.levels
-    for blk in _blocks(e.shape[0], W.rows.size):
-        powers = np.take(_power(values, 1.0 / (1.0 + e[blk, 0])), index, axis=1)
-        g = np.matmul(p.probs, powers)
-        vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
-    return vals
+def _given(x, is_t: bool, W: Channel, p: Distribution):
+    """`_curve(W, p)` at the checked s or t of x, in the shape of x."""
+    name, e = "t" if is_t else "s", np.asarray(x, dtype=float).ravel()
+    if not np.all(e > -1):
+        raise ValueError(f"{name} must exceed -1")
+    if not np.all(e < math.inf):
+        raise ValueError(f"{name} must be finite")
+    _check_inputs(W, p)
+    vals = _curve(W, p)(e, np.full(e.size, is_t))
+    return float(vals[0]) if np.ndim(x) == 0 else vals.reshape(np.shape(x))
 
 
 def psi(s, W: Channel, p: Distribution):
     """log E_p sum_y W_x(y)^(1+s) W_p(y)^(-s); psi(0) == 0 exactly.
 
     s may be an array of any shape: the result then has that shape and
-    each entry equals the scalar call.  An array call works through
-    `channel._blocks` of |X| * |Y| floats per parameter.
+    each entry equals the scalar call.  Both this and `phi` read `_curve`.
     """
-    e = _params(s, "s", W, p)
-    return _shaped(_psi_values(W, p)(e), s)
+    return _given(s, False, W, p)
 
 
 def phi(t, W: Channel, p: Distribution):
     """log sum_y (E_p W_x(y)^(1/(1+t)))^(1+t); phi(0) == 0 exactly.
 
-    t may be an array, as the argument s of `psi`.  Each distinct channel
-    entry (`Channel.levels`) is raised to the power once and gathered
-    into place: the same floats as powers of the full matrix.
-    """
-    return _shaped(_phi_values(W, p, _params(t, "t", W, p)), t)
+    t may be an array, as the argument s of `psi`."""
+    return _given(t, True, W, p)
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +344,28 @@ def _worst_solve(x, W: Channel, is_t):
     e, c = np.where(t, 1.0 / (1.0 + v), 1.0 + v), np.where(t, 1.0 + v, 1.0 - v)
     for blk in _blocks(mid.size, W.rows.size):
         F, P[mid[blk]], _ = _certified_power_max(
-            _power(W.rows, e[blk].reshape(-1, 1, 1)), c[blk], v[blk], t[blk])
+            _powers(W, e[blk].reshape(-1, 1, 1)), c[blk], v[blk], t[blk])
         vals[mid[blk]] = np.log(F)
     return vals, P
 
 
+def _worst_at(x, W: Channel, is_t: bool) -> tuple[float, Distribution]:
+    """`_worst_solve` at the one parameter x, which must be a scalar."""
+    if np.ndim(x):
+        raise ValueError(f"{'t' if is_t else 's'} must be a scalar, got "
+                         f"shape {np.shape(x)}")
+    vals, P = _worst_solve(x, W, is_t)
+    return float(vals[0]), Distribution(P[0])
+
+
 def psi_worst(s: float, W: Channel) -> tuple[float, Distribution]:
     """max_p psi-style generating function, with its maximizing input law."""
-    vals, P = _worst_solve(s, W, False)
-    return float(vals[0]), Distribution(P[0])
+    return _worst_at(s, W, False)
 
 
 def phi_worst(t: float, W: Channel) -> tuple[float, Distribution]:
     """max_p phi(t | W, p) over input laws, for t in [-1/2, 0]."""
-    vals, P = _worst_solve(t, W, True)
-    return float(vals[0]), Distribution(P[0])
+    return _worst_at(t, W, True)
 
 
 @dataclass(frozen=True)
@@ -366,18 +378,18 @@ class ExponentReport:
     family: str
 
 
-def _family_reports(rates: list[float], curve,
-                    suffix: str) -> list[list[ExponentReport]]:
-    """The reports of the three `_FAMILIES` (names + suffix) at each
-    rate, one list per rate.
+def _family_reports(rates: list[float], W: Channel, p: Distribution | None
+                    ) -> list[list[ExponentReport]]:
+    """The reports of the three `_FAMILIES` at each rate, one list per
+    rate, for the law p, or their worst cases (+ "_worst") for p = None.
 
-    curve(x, is_t) gives psi at the s and phi at the t (where is_t is
-    set) of the array x, or their worst cases; it is evaluated once on
-    S_GRID and once on T_GRID.  Per block of rates (`channel._blocks`, so
-    memory does not grow with their count) the s and t optima of every rate,
-    each in its own grid cell, share one golden section in lockstep, each
-    step one call of curve: for the worst case, one Newton stack.
+    The curve `_curve(W, p)` is evaluated once on S_GRID and once on
+    T_GRID.  Per block of rates (`channel._blocks`, so memory does not
+    grow with their count) the s and t optima of every rate, each in its
+    own grid cell, share one golden section in lockstep, each step one
+    call of the curve: for the worst case, one Newton stack.
     """
+    curve, suffix = _curve(W, p), "_worst" if p is None else ""
     psi_grid = curve(S_GRID, np.zeros(S_GRID.size, bool))
     phi_grid = curve(T_GRID, np.ones(T_GRID.size, bool))
 
@@ -414,21 +426,6 @@ def _family_reports(rates: list[float], curve,
                                 ((v, s), (k, t), (k / 2.0, t)), _FAMILIES,
                                 strict=True)])
     return reports
-
-
-def _given_family(W: Channel, p: Distribution) -> tuple:
-    psi_at = _psi_values(W, p)
-
-    def curve(x, is_t):
-        e, vals = x.reshape(-1, 1, 1), np.empty(x.size)
-        vals[~is_t], vals[is_t] = psi_at(e[~is_t]), _phi_values(W, p, e[is_t])
-        vals[x == 0] = 0.0
-        return vals
-    return curve, ""
-
-
-def _worst_family(W: Channel) -> tuple:
-    return lambda x, is_t: _worst_solve(x, W, is_t)[0], "_worst"
 
 
 def _gallager_max(W: Channel, p: Distribution, rate: float
@@ -475,8 +472,8 @@ def exponent_sweep(W: Channel, rates, p: Distribution | None = None
     _check_rates(*rates)
     if not rates:
         return []
-    families = ([] if p is None else [_given_family(W, p)]) + [_worst_family(W)]
-    per_family = [_family_reports(rates, *fam) for fam in families]
+    laws = [None] if p is None else [p, None]
+    per_family = [_family_reports(rates, W, law) for law in laws]
     return [rep for per_rate in zip(*per_family) for reps in per_rate
             for rep in reps]
 
@@ -516,7 +513,7 @@ def wiretap_exponents(R: float, R_prime: float, W_B: Channel, W_E: Channel,
     _check_rates(R, R_prime)
     _check_inputs(W_E, p)
     s_err, e_err = _gallager_max(W_B, p, R + R_prime)
-    vd, kl, half = _family_reports([R_prime], *_given_family(W_E, p))[0]
+    vd, kl, half = _family_reports([R_prime], W_E, p)[0]
     edge = 2.0 * GRID_STEP
     return WiretapExponentReport(
         R=float(R), R_prime=float(R_prime),
@@ -662,7 +659,7 @@ def taylor_compare(R: float, W: Channel, p: Distribution) -> TaylorComparison:
     if len(column) < len(_FAMILIES):
         raise ValueError(f"quadratic approximation at R = {R!r} "
                          "is past the float range")
-    vd_psi, _, vd_phi_half = _family_reports([R], *_given_family(W, p))[0]
+    vd_psi, _, vd_phi_half = _family_reports([R], W, p)[0]
     return TaylorComparison(R - mutual_information(p, W),
                             column[R, "vd_psi"], column[R, "vd_phi_half"],
                             vd_psi.bound_value, vd_phi_half.bound_value)

@@ -155,6 +155,7 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
 
     _, bound_vd, bound_eta, bound_phi = expectation_bounds(
         p, W, M, C, n, budget)
+    budget.check(_integer(M, "M") * n, f"one trial's {M} words of {n} letters")
 
     wpn = _kron_chain([output_distribution(W, p).probs] * n)
 

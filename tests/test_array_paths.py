@@ -3,8 +3,9 @@
 `rng.uniforms` draws what one `rng.stream` per index draws,
 `channel._kl_rows` returns what the masked formula gives row by row,
 `eval_wiretap` adds its sums over messages and pairs as explicit loops
-would, `phi`, which gathers the powers of each distinct entry through
-`Channel.levels`, returns what powers of the full matrix give, and
+would, `psi`, `phi` and the worst-case solve, which gather the powers
+of each distinct entry through `Channel.levels`, return what powers of
+the full matrix give, and
 `eval_id_code`, `SetFamily` and `build_set_family`, which work on
 blocks of messages or subsets, give what their per-message loops give.
 Every comparison is exact (`np.array_equal`, `==`, or equal int64
@@ -28,9 +29,9 @@ from chanres import (
     product,
     product_dist,
 )
-from chanres import channel, identification
+from chanres import ConvergenceError, channel, exponents, identification, psi
 from chanres.channel import _blocks, _density, _kl, _kl_rows
-from chanres.exponents import S_GRID, T_GRID, _params, _power, _shaped
+from chanres.exponents import S_GRID, T_GRID, _power, _worst_solve
 from chanres.identification import (
     AdParams,
     IdCode,
@@ -191,15 +192,46 @@ def test_eval_wiretap_equals_explicit_loops(case):
     assert report.pairwise_bound == bound
 
 
+def _shaped(vals, x):
+    """vals in the shape of the parameter(s) x, exactly 0 where x is 0."""
+    if np.ndim(x) == 0:
+        return 0.0 if x == 0 else float(vals[0])
+    vals[np.ravel(x) == 0] = 0.0
+    return vals.reshape(np.shape(x))
+
+
 def _full_matrix_phi(t, W, p):
     """`phi` as it was before `Channel.levels`: every entry of W raised
     to the power."""
-    e = _params(t, "t", W, p)
+    e = np.asarray(t, dtype=float).reshape(-1, 1, 1)
     vals = np.empty(e.shape[0])
     for blk in _blocks(e.shape[0], W.rows.size):
         g = np.matmul(p.probs, _power(W.rows, 1.0 / (1.0 + e[blk])))
         vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
     return _shaped(vals, t)
+
+
+def _full_matrix_psi(s, W, p):
+    """`psi` as it was before it gathered through `Channel.levels`: every
+    entry of the support rows and live columns of W raised to the power."""
+    wp = output_distribution(W, p).probs
+    live, sup = wp > 0, p.support()
+    rows, wp, ps = W.rows[np.ix_(sup, live)], wp[live], p.probs[sup]
+    e = np.asarray(s, dtype=float).reshape(-1, 1, 1)
+    vals = np.empty(e.shape[0])
+    for blk in _blocks(e.shape[0], W.rows.size):
+        inner = np.sum(_power(rows, 1.0 + e[blk]) * _power(wp, -e[blk]),
+                       axis=2)
+        vals[blk] = np.log(np.matmul(ps, inner[:, :, None])[:, 0])
+    return _shaped(vals, s)
+
+
+def _full_matrix_worst(x, W, is_t):
+    """`_worst_solve` as it was before it gathered through `Channel.levels`:
+    its Newton stacks on every entry of W raised to the power."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exponents, "_powers", lambda W, e: _power(W.rows, e))
+        return _worst_solve(x, W, is_t)
 
 
 def _bits(x):
@@ -220,6 +252,33 @@ def _assert_phi_bits(W, p, scalars):
                               _bits(_full_matrix_phi(ts, W, p)))
     for t in scalars:
         assert _bits(phi(t, W, p)) == _bits(_full_matrix_phi(t, W, p))
+
+
+def _assert_psi_bits(W, p, scalars):
+    for ss in (S_GRID, T_GRID, _SPECIAL_T):
+        assert np.array_equal(_bits(psi(ss, W, p)),
+                              _bits(_full_matrix_psi(ss, W, p)))
+    for s in scalars:
+        assert _bits(psi(s, W, p)) == _bits(_full_matrix_psi(s, W, p))
+
+
+def _assert_worst_bits(W, x, is_t):
+    """The values and laws of one stack, or the same ConvergenceError."""
+    try:
+        expected = _full_matrix_worst(x, W, is_t)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as info:
+            _worst_solve(x, W, is_t)
+        assert str(info.value) == str(exc)
+        return
+    for got, want in zip(_worst_solve(x, W, is_t), expected, strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+# a stack of both families: every 100th s and every 50th t of the grids,
+# with the ends, 0 and s = 1, which skip the Newton stack
+_WORST_X = np.concatenate([S_GRID[::100], T_GRID[::50]])
+_WORST_T = np.repeat([False, True], [S_GRID[::100].size, T_GRID[::50].size])
 
 
 @st.composite
@@ -245,6 +304,39 @@ def test_phi_gather_equals_full_matrix_powers(case, n, scalars):
     # the products keep a -0.0 entry (-0.0 times a positive entry)
     assert np.signbit(Wn.rows).any() == np.signbit(W.rows).any()
     _assert_phi_bits(Wn, pn, scalars)
+
+
+@PROPERTY
+@given(channel_with_negative_zero(), st.integers(1, 3),
+       st.lists(st.sampled_from(_ALL_T.tolist()), min_size=1, max_size=6))
+def test_psi_gather_equals_full_matrix_powers(case, n, scalars):
+    W, p = case
+    _assert_psi_bits(product(W, n), product_dist(p, n), scalars)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(channel_with_negative_zero(), st.integers(1, 2))
+def test_worst_gather_equals_full_matrix_powers(case, n):
+    _assert_worst_bits(product(case[0], n), _WORST_X, _WORST_T)
+
+
+# the column of 1e-170 entries: its powers underflow to 0 at some
+# parameters only (W^(1+s) for s above about 0.9), and the 3-input
+# channel does not certify at every parameter
+_TINY = Channel(np.array([[0.7, 0.3, 1e-170], [0.3, 0.7, 1e-170]]))
+_TINY_3X3 = Channel(np.array([[0.7, 0.3, 1e-170], [0.2, 0.8, 1e-170],
+                              [0.5, 0.5, 1e-170]]))
+
+
+@pytest.mark.parametrize("W", [_TINY, _TINY_3X3, product(_TINY, 2)])
+def test_tiny_column_gathers_equal_full_matrix_powers(W):
+    p = Distribution(_random_rows(np.random.default_rng(2), 1,
+                                  W.input_size)[0])
+    _assert_psi_bits(W, p, [0.95, 1.0, -0.5])
+    _assert_phi_bits(W, p, [-0.3, 1.0])
+    for grid, is_t in ((S_GRID, False), (T_GRID, True)):
+        _assert_worst_bits(W, grid, is_t)
+    _assert_worst_bits(W, _WORST_X, _WORST_T)
 
 
 def _random_rows(rng, X, Y):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import time
 import tracemalloc
 
@@ -611,6 +612,26 @@ def test_worst_case_domain():
         _worst_solve([-0.25, -0.25], bsc(0.1), [True, False])
 
 
+@pytest.mark.parametrize("solve, name, x", [
+    (psi_worst, "s", np.array([0.1, 0.5])),
+    (psi_worst, "s", [0.1]),
+    (phi_worst, "t", np.array([[-0.2]])),
+    (phi_worst, "t", (-0.1, -0.3)),
+])
+def test_worst_case_refuses_an_array_parameter(solve, name, x):
+    # it solved the whole array and returned the first value alone
+    text = f"{name} must be a scalar, got shape {np.shape(x)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        solve(x, bsc(0.1))
+
+
+def test_worst_case_takes_numpy_scalars():
+    W = bsc(0.1)
+    for x in (np.float64(0.3), np.array(0.3)):
+        assert psi_worst(x, W)[0] == psi_worst(0.3, W)[0]
+        assert phi_worst(-x, W)[0] == phi_worst(-0.3, W)[0]
+
+
 def worst_psi_maximand(s, W, p):
     # p sits inside the power here, unlike the fixed-law psi
     return math.log(float(np.sum((p.probs @ W.rows ** (1.0 + s)) ** (1.0 - s))))
@@ -690,7 +711,7 @@ def test_exponent_sweep_structure(monkeypatch):
     def evaluated(*args):
         raise AssertionError("an empty sweep evaluated psi or phi")
 
-    for name in ("psi", "phi", "_psi_values", "_phi_values", "_worst_solve"):
+    for name in ("psi", "phi", "_curve", "_powers", "_worst_solve"):
         monkeypatch.setattr(exponents, name, evaluated)
     assert exponent_sweep(W, [], p) == []
     assert exponent_sweep(W, [], None) == []

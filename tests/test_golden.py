@@ -11,8 +11,13 @@ figure, down to the last printed digit, fails this test.  Re-record
 only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+The benchmark also relies on names: every function that
+`perfbench/spans.py` traces (`TRACED`) must exist in its module.
 """
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -180,6 +185,24 @@ def test_help_matches_golden(monkeypatch, capsys):
         golden = fh.read()
     got = help_transcript(lambda: capsys.readouterr().out).encode("utf-8")
     assert got == golden
+
+
+def test_every_traced_name_exists():
+    # a traced benchmark run fails on a missing name; the table is read
+    # from the source, so perfbench need not be importable here
+    path = os.path.join(os.path.dirname(DATA), os.pardir, "perfbench",
+                        "spans.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "TRACED")
+    assert "exponents" in traced
+    for layer, names in traced.items():
+        module = importlib.import_module(f"chanres.{layer}")
+        missing = [name for name in names
+                   if not callable(getattr(module, name, None))]
+        assert not missing, f"chanres.{layer} lacks {missing}"
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
