@@ -14,7 +14,7 @@ whatever the order of the flags.
 
 Exit codes: 0 success (including constructions that report
 satisfied=false after exhausting retries), 2 invalid input, 3
-enumeration budget exceeded, 4 numerical failure.
+enumeration budget exceeded or memory exhausted, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -209,10 +209,11 @@ def run_simulate_wiretap(args):
 def run_idcode_build(args):
     W, p = _n_fold(args, load_channel(args.channel),
                    load_distribution(args.dist))
+    family = AdParams(M=args.codewords, tau=args.tau, kappa=args.kappa)
     params = SelectionParams(
         alpha=args.alpha, alpha_prime=args.alpha_prime,
         beta=args.beta, beta_prime=args.beta_prime,
-        tau=args.tau, kappa=args.kappa, M=args.codewords, C=args.threshold,
+        family=family, C=args.threshold,
     )
     try:
         selection = select_codewords(W, p, params, args.seed,
@@ -221,10 +222,9 @@ def run_idcode_build(args):
         sys.stdout.write(_dump({"satisfied": False, "attempts": exc.attempts,
                                 "reason": str(exc)}) + "\n")
         return
-    ad = AdParams(M=params.M, tau=params.tau, kappa=params.kappa)
     build = build_set_family(
-        ad, (args.seed + 1) % 2 ** 64 if args.family_seed is None else args.family_seed,
-        budget=EnumerationBudget(args.max_joint_states))
+        family, (args.seed + 1) % 2 ** 64 if args.family_seed is None
+        else args.family_seed, budget=EnumerationBudget(args.max_joint_states))
     code = assemble_id_code(selection.codewords, build.family, W, p, params.C)
     metrics = eval_id_code(code, W, p)
     if args.output is not None:
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         args.run(args)
         return 0
-    except BudgetError as exc:
+    except (BudgetError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ConvergenceError, ArithmeticError) as exc:

@@ -62,6 +62,8 @@ _KKT_TOL = 1e-9
 _NEWTON_ITER = 100
 # 5,969 of 6,000 random channels certify within 387 iterations, 2 later
 _CAPACITY_ITER = 1000
+# Newton steps in a row that may leave `_info_max`'s best value unraised
+_STALL_ITER = 20
 
 
 class ConvergenceError(RuntimeError):
@@ -543,7 +545,9 @@ def _info_max(W, cost, p, tol, max_iter):
     is D(W_x || W_p) - cost_x, minus the Hessian sum_y W_xy W_x'y / W_p(y).
     Returns (law, value, iterations, residual); the residual
     max_x (D_x - cost_x) - value bounds the distance to the maximum.
-    Stops at residual <= tol, a step that cannot move, or max_iter.
+    Stops at residual <= tol, a step that cannot move, or max_iter, or
+    once _STALL_ITER steps in a row leave the best value unraised; it
+    then returns the best law.
     """
     rows = W[:, p @ W > 0]
 
@@ -551,11 +555,18 @@ def _info_max(W, cost, p, tol, max_iter):
         wq = q @ rows
         return None if np.any(wq <= 0) else q @ (_kl_rows(rows, wq) - cost)
 
+    best, stalled = None, 0
     for it in range(1, max_iter + 1):
         wp = p @ rows
         D = _kl_rows(rows, wp) - cost
         F = float(p @ D)
         resid = float(np.max(D)) - F
+        if best is None or F > best[1]:
+            best, stalled = (p, F, resid), 0
+        else:
+            stalled += 1
+        if resid > tol and stalled == _STALL_ITER:
+            return best[0], best[1], it, best[2]
         q = None if resid <= tol or it == max_iter else _newton_step(
             p, D, F, resid, lambda S: (rows[S] / wp) @ rows[S].T, value)
         if q is None:

@@ -57,17 +57,6 @@ class RetriesExhausted(RuntimeError):
         self.attempts = attempts
 
 
-def _check_growth(tau: float, kappa: float) -> None:
-    if not 0.0 < tau < 1.0 / 3.0:
-        raise ValueError("tau must lie in (0, 1/3)")
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("kappa must lie in (0, 1)")
-    if kappa * math.log(1.0 / tau - 1.0) <= _LOG2P1:
-        raise ValueError(
-            "need kappa * log(1/tau - 1) > log(2) + 1 for the family count"
-        )
-
-
 @dataclass(frozen=True)
 class AdParams:
     """Growth parameters for a nearly-disjoint subset family."""
@@ -78,7 +67,14 @@ class AdParams:
 
     def __post_init__(self):
         object.__setattr__(self, "M", _integer(self.M, "M"))
-        _check_growth(self.tau, self.kappa)
+        if not 0.0 < self.tau < 1.0 / 3.0:
+            raise ValueError("tau must lie in (0, 1/3)")
+        if not 0.0 < self.kappa < 1.0:
+            raise ValueError("kappa must lie in (0, 1)")
+        if self.kappa * math.log(1.0 / self.tau - 1.0) <= _LOG2P1:
+            raise ValueError(
+                "need kappa * log(1/tau - 1) > log(2) + 1 for the family count"
+            )
 
     @property
     def subset_size(self) -> int:
@@ -100,21 +96,18 @@ class SetFamily:
     """Subsets of equal size with pairwise intersections below a cap."""
 
     subsets: tuple[frozenset, ...]
-    subset_size: int
     overlap_cap: float
 
     def __post_init__(self):
         sets = [frozenset(s) for s in self.subsets]
         if not sets:
             raise ValueError("family must contain at least one subset")
-        object.__setattr__(self, "subset_size",
-                           _integer(self.subset_size, "subset_size"))
+        size = _integer(len(sets[0]), "subset_size")
         _check_positive(self.overlap_cap, "overlap_cap")
         for i, s in enumerate(sets):
-            if len(s) != self.subset_size:
+            if len(s) != size:
                 raise ValueError(
-                    f"subset {i} has size {len(s)}, expected {self.subset_size}"
-                )
+                    f"subset {i} has size {len(s)}, expected {size}")
         # integral floats equal their ints, so each set keeps its size
         elements = _indices([list(s) for s in sets], "subset element")
         subsets = tuple(frozenset(row) for row in elements.tolist())
@@ -127,7 +120,7 @@ class SetFamily:
         _, cols = np.unique(elements.ravel(), return_inverse=True)
         F = len(subsets)
         inc = np.zeros((F, cols.max() + 1))
-        inc[np.repeat(np.arange(F), self.subset_size), cols] = 1
+        inc[np.repeat(np.arange(F), size), cols] = 1
         for blk in _blocks(F, F):
             # pairs j <= i are zeroed, and 0 is below the cap
             shared = np.triu((inc @ inc[blk].T).T, blk.start + 1)
@@ -190,21 +183,20 @@ def build_set_family(params: AdParams, seed: int,
         if (inc[draw, :k].sum(axis=0) < cap).all():
             inc[draw, k] = True
             chosen.append(frozenset(draw.tolist()))
-    family = SetFamily(tuple(chosen), size, cap)
+    family = SetFamily(tuple(chosen), cap)
     return FamilyBuild(family, len(chosen) >= target, target, attempts)
 
 
 @dataclass(frozen=True)
 class SelectionParams:
-    """Screening parameters for the codeword selection step."""
+    """Screening parameters for the codeword selection step; the family
+    fixes the code size M and the overlap fraction kappa."""
 
     alpha: float
     alpha_prime: float
     beta: float
     beta_prime: float
-    tau: float
-    kappa: float
-    M: int
+    family: AdParams
     C: float
 
     def __post_init__(self):
@@ -215,8 +207,6 @@ class SelectionParams:
             raise ValueError("need 1/alpha + 1/alpha_prime < 1")
         if self.gamma <= 0.0:
             raise ValueError("need 1 - 1/beta - 1/beta_prime > 0")
-        _check_growth(self.tau, self.kappa)
-        object.__setattr__(self, "M", _integer(self.M, "M"))
         _check_positive(self.C, "C")
 
     @property
@@ -225,7 +215,7 @@ class SelectionParams:
 
     @property
     def m_prime(self) -> int:
-        return int(math.ceil(self.M / self.gamma))
+        return int(math.ceil(self.family.M / self.gamma))
 
 
 @dataclass(frozen=True)
@@ -257,7 +247,7 @@ def _screen_bounds(params: SelectionParams, p: Distribution, W: Channel
     level = dens > math.log(params.C)
     miss_avg = max(1.0 - float(np.sum(joint[level])), 0.0)
     return (level, miss_avg, params.alpha * params.beta * miss_avg,
-            union_bound, params.kappa + union_bound)
+            union_bound, params.family.kappa + union_bound)
 
 
 def _screens(W: Channel, level: np.ndarray, words
@@ -302,8 +292,8 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
         xs = sample_indices(p.probs, stream(seed, attempt).random(params.m_prime))
         miss_i, union_i = _screens(W, level, xs)
         good = (miss_i <= miss_bound) & (union_i <= union_bound)
-        picked = list(dict.fromkeys(xs[good].tolist()))[:params.M]
-        if len(picked) < params.M:
+        picked = list(dict.fromkeys(xs[good].tolist()))[:params.family.M]
+        if len(picked) < params.family.M:
             continue
         final_miss, final_union = _screens(W, level, picked)
         return Selection(
@@ -318,7 +308,7 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
             attempts=attempt + 1,
         )
     raise RetriesExhausted(
-        f"no attempt out of {max_retries} yielded {params.M} distinct "
+        f"no attempt out of {max_retries} yielded {params.family.M} distinct "
         "codewords passing both screens", max_retries)
 
 

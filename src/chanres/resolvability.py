@@ -45,14 +45,11 @@ class ResolvabilityCode:
     """Multiset of input symbols, one per codeword slot."""
 
     codewords: tuple[int, ...]
-    M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "codewords", tuple(
-            _indices(self.codewords, "codeword").tolist()))
-        object.__setattr__(self, "M", _integer(self.M, "M"))
-        if self.M != len(self.codewords):
-            raise ValueError("M must equal the number of codewords")
+        codewords = _indices(self.codewords, "codeword")
+        _integer(codewords.size, "M")
+        object.__setattr__(self, "codewords", tuple(codewords.tolist()))
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ def sample_code(p: Distribution, M: int, seed: int) -> ResolvabilityCode:
     """Draw M codewords i.i.d. from p; draw j uses the (seed, j) stream."""
     M = _integer(M, "M")
     idx = sample_indices(p.probs, uniforms(seed, range(M)))
-    return ResolvabilityCode(idx, M)
+    return ResolvabilityCode(idx)
 
 
 def _gaps(mix: np.ndarray, wp: np.ndarray) -> tuple[float, float]:
@@ -220,6 +217,6 @@ def brute_force_min(M: int, W: Channel, p: Distribution,
         if div < best_div:
             best_div, arg_div = div, combo
     return BruteForceResult(
-        eps_min=best_eps, best_code=ResolvabilityCode(arg_eps, M),
-        div_min=best_div, best_code_div=ResolvabilityCode(arg_div, M),
+        eps_min=best_eps, best_code=ResolvabilityCode(arg_eps),
+        div_min=best_div, best_code_div=ResolvabilityCode(arg_div),
     )

@@ -48,17 +48,15 @@ class WiretapCode:
 
     codewords: np.ndarray          # (M, L) input indices
     decoder: np.ndarray            # per-output message, -1 for erasure
-    M: int
-    L: int
     decoder_kind: str
 
     def __post_init__(self):
         cw = _indices(self.codewords, "codeword")
-        object.__setattr__(self, "M", _integer(self.M, "M"))
-        object.__setattr__(self, "L", _integer(self.L, "L"))
-        if cw.shape != (self.M, self.L):
+        if cw.ndim != 2:
             raise ValueError("codewords must form an M x L index array")
-        dec = _indices(self.decoder, "decoder entry", -1, self.M)
+        M = _integer(cw.shape[0], "M")
+        _integer(cw.shape[1], "L")
+        dec = _indices(self.decoder, "decoder entry", -1, M)
         if dec.ndim != 1:
             raise ValueError("decoder must map outputs to messages")
         if self.decoder_kind not in DECODER_KINDS:
@@ -99,7 +97,7 @@ def sample_wiretap_code(p: Distribution, M: int, L: int, W_B: Channel,
         dec = _threshold_decoder(cw, W_B, p, C_prime)
     else:
         dec = _ml_decoder(cw, W_B)
-    return WiretapCode(cw, dec, M, L, decoder_kind)
+    return WiretapCode(cw, dec, decoder_kind)
 
 
 def _sequential_sum(terms: np.ndarray, start: float = 0.0) -> float:
@@ -138,7 +136,7 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     if code.decoder.size != W_B.output_size:
         raise ValueError(f"decoder has {code.decoder.size} entries, channel "
                          f"B has {W_B.output_size} outputs")
-    M = code.M
+    M = code.codewords.shape[0]
     q_b = W_B.rows[code.codewords].mean(axis=1)     # (M, Y_B)
     q_e = W_E.rows[code.codewords].mean(axis=1)     # (M, Y_E)
     phi_row = q_e.mean(axis=0)

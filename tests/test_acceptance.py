@@ -164,7 +164,7 @@ def test_criterion_06_nearly_disjoint_family():
             assert len(a & b) <= 7
     # a family whose pairwise intersection reaches the cap is refused
     try:
-        SetFamily((frozenset(range(10)), frozenset(range(2, 12))), 10, 8.0)
+        SetFamily((frozenset(range(10)), frozenset(range(2, 12))), 8.0)
         refused = False
     except ValueError:
         refused = True
@@ -176,11 +176,12 @@ def test_criterion_07_identification_end_to_end():
     W = product(bsc(0.05), 3)
     p = product_dist(uniform(2), 3)
     params = SelectionParams(alpha=1.5, alpha_prime=4.0, beta=1.5,
-                             beta_prime=4.0, tau=0.1, kappa=0.8, M=2, C=2.0)
+                             beta_prime=4.0, family=AdParams(2, 0.1, 0.8),
+                             C=2.0)
     sel = select_codewords(W, p, params, seed=1)
     # floor(tau*M) = 0 leaves no admissible subset size at M = 2, so
     # the family is the two singleton messages
-    fam = SetFamily((frozenset({0}), frozenset({1})), 1, 0.8)
+    fam = SetFamily((frozenset({0}), frozenset({1})), 0.8)
     code = assemble_id_code(sel.codewords, fam, W, p, params.C)
     metrics = eval_id_code(code, W, p)
     mu_bound, lam_bound = id_error_bounds(params, p, W)
@@ -189,7 +190,7 @@ def test_criterion_07_identification_end_to_end():
                         rel_tol=1e-12)
     assert math.isclose(
         lam_bound,
-        params.kappa + params.alpha_prime * params.beta_prime
+        params.family.kappa + params.alpha_prime * params.beta_prime
         * params.m_prime / params.C, rel_tol=1e-12)
     assert metrics.mu <= mu_bound
     assert metrics.lam <= lam_bound
@@ -202,7 +203,7 @@ def test_criterion_08_wiretap_end_to_end():
     W_E = constant_channel([0.5, 0.5], 4)
     p4 = uniform(4)
     code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]),
-                       2, 2, "maximum_likelihood")
+                       "maximum_likelihood")
     report = eval_wiretap(code, W_B, W_E, p4)
     assert report.eps_B == 0.0
     assert report.I_E == 0.0

@@ -144,8 +144,7 @@ def test_d_E_equals_double_loop_for_M_1_to_80():
     p = Distribution(np.full(3, 1.0 / 3.0))
     for M in range(1, 81):
         cw = rnd.integers(0, 3, (M, 2))
-        code = WiretapCode(cw, np.zeros(4, dtype=int), M, 2,
-                           "maximum_likelihood")
+        code = WiretapCode(cw, np.zeros(4, dtype=int), "maximum_likelihood")
         q_e = W_E.rows[cw].mean(axis=1)
         assert eval_wiretap(code, W_B, W_E, p).d_E == _pairwise_loop(q_e), M
 
@@ -167,14 +166,14 @@ def wiretap_case(draw):
     rnd = np.random.default_rng(seed)
     cw = rnd.integers(0, K, (M, L))
     dec = rnd.integers(-1, M, Y_B)
-    return WiretapCode(cw, dec, M, L, "maximum_likelihood"), W_B, W_E, p
+    return WiretapCode(cw, dec, "maximum_likelihood"), W_B, W_E, p
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(wiretap_case())
 def test_eval_wiretap_equals_explicit_loops(case):
     code, W_B, W_E, p = case
-    M = code.M
+    M = code.codewords.shape[0]
     q_b = W_B.rows[code.codewords].mean(axis=1)
     q_e = W_E.rows[code.codewords].mean(axis=1)
     correct = 0.0
@@ -502,11 +501,11 @@ def test_set_family_error_names_the_loops_first_pair(monkeypatch,
         cap = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         expected = _first_pair_loop(subsets, cap)
         if expected is None:
-            assert SetFamily(subsets, size, cap).subsets == subsets
+            assert SetFamily(subsets, cap).subsets == subsets
             continue
         raised += 1
         with pytest.raises(ValueError) as info:
-            SetFamily(subsets, size, cap)
+            SetFamily(subsets, cap)
         assert str(info.value) == expected
     assert raised > 50
 

@@ -398,15 +398,15 @@ def test_law_of_the_wrong_size_is_named(call):
 # one index rule for the four code types: each builder takes three
 # entries and returns what the code stores of them
 _CODE_TYPES = {
-    "resolvability": lambda e: ResolvabilityCode(tuple(e), 3).codewords,
+    "resolvability": lambda e: ResolvabilityCode(tuple(e)).codewords,
     "wiretap_codewords": lambda e: WiretapCode(
-        [[v] for v in e], [0, 1, -1], 3, 1,
+        [[v] for v in e], [0, 1, -1],
         "maximum_likelihood").codewords.ravel().tolist(),
     "wiretap_decoder": lambda e: WiretapCode(
-        [[0], [1], [2]], list(e), 3, 1, "maximum_likelihood").decoder.tolist(),
+        [[0], [1], [2]], list(e), "maximum_likelihood").decoder.tolist(),
     "id_code": lambda e: IdCode(tuple(e), ((0,), (1, 2)), 2.0).codewords,
     "set_family": lambda e: sorted(
-        SetFamily((frozenset(e),), 3, 1.5).subsets[0]),
+        SetFamily((frozenset(e),), 1.5).subsets[0]),
 }
 
 

@@ -343,8 +343,10 @@ def test_capacity_iteration_cap_exits_4(tmp_path, capsys, monkeypatch):
 def test_capacity_stall_exits_4_within_the_cap(tmp_path, capsys):
     # the Newton ascent stalls at residual 5.78e-4 with letter 2's mass
     # near 4e-18 (Blahut-Arimoto certifies 0.71227545 in 42 steps); it
-    # used to spin for minutes before it gave up; its CPU time is bounded,
-    # as wall time also counts the other processes of a shared machine
+    # used to spin for minutes before it gave up, then ran to the 1,000
+    # step cap, and now stops once its best value stops rising; its CPU
+    # time is bounded, as wall time also counts the other processes of a
+    # shared machine
     W = Channel(np.array([[0.252, 0.746, 0.002, 0.0], [1.0, 0.0, 0.0, 0.0],
                           [0.758, 0.021, 0.215, 0.006], [0.17, 0.0, 0.83, 0.0]]))
     chan = write_channel(tmp_path, W, "stall.json")
@@ -353,7 +355,8 @@ def test_capacity_stall_exits_4_within_the_cap(tmp_path, capsys):
     assert time.process_time() - start < 2.0
     assert rc == 4
     err = capsys.readouterr().err
-    assert f"not certified after {exponents._CAPACITY_ITER} iterations" in err
+    # the best value stops rising near step 154, 20 steps before the stop
+    assert "not certified after 174 iterations" in err
     assert "residual 0.000578" in err
 
 
@@ -730,6 +733,30 @@ def test_code_size_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch,
     assert f"error: {name} must be at most 1.8e+308" in capsys.readouterr().err
 
 
+def test_a_code_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch):
+    # 10^6 x 10^6 uniforms would take 7.28 TiB; the draw is patched to
+    # raise as numpy does, so nothing is allocated
+    class Draw:
+        def random(self, shape):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                              f"shape {shape} and data type float64")
+
+    monkeypatch.setattr(wiretap, "stream", lambda seed, index: Draw())
+    write_bsc(tmp_path, 0.05, "bob.json")
+    write_bsc(tmp_path, 0.2, "eve.json")
+    write_uniform(tmp_path, name="u2.json")
+    monkeypatch.chdir(tmp_path)
+    rc = main(["simulate", "wiretap", "--channel-b", "bob.json",
+               "--channel-e", "eve.json", "--dist", "u2.json",
+               "--messages", "1000000", "--randomization", "1000000",
+               "--threshold", str(math.e), "--decoder-threshold", str(math.e),
+               "--seed", "0"])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "error: Unable to allocate 7.28 TiB "
+                                   "for an array with shape (1000000, "
+                                   "1000000) and data type float64\n")
+
+
 _WIRETAP_ARGV = ["--channel-b", "bob.json", "--channel-e", "eve.json",
                  "--dist", "u2.json", "--messages", "2",
                  "--randomization", "4", "--threshold", "2"]
@@ -925,6 +952,42 @@ def test_idcode_build_non_finite_screen_parameter_exits_2(tmp_path, capsys,
     assert captured.out == ""
     name = flag[2:].replace("-", "_")
     assert f"{name} must exceed 1 and be finite" in captured.err
+
+
+_IDCODE_BUILD = {"--alpha": "2", "--alpha-prime": "4", "--beta": "2",
+                 "--beta-prime": "4", "--tau": "0.15", "--kappa": "0.99",
+                 "--codewords": "7", "--threshold": "2", "--seed": "2"}
+
+
+# one invalid parameter per case, with the text it has always printed;
+# the family's parameters are checked first, so with two invalid ones
+# the family's error wins
+@pytest.mark.parametrize("flag, value, text", [
+    ("--alpha", "1", "alpha must exceed 1 and be finite"),
+    ("--alpha-prime", "1.5", "need 1/alpha + 1/alpha_prime < 1"),
+    ("--beta-prime", "1.5", "need 1 - 1/beta - 1/beta_prime > 0"),
+    ("--tau", "0.4", "tau must lie in (0, 1/3)"),
+    ("--tau", "0.01",
+     "floor(tau*M) at M=7, tau=0.01 must be an integer >= 1, got 0"),
+    ("--kappa", "1", "kappa must lie in (0, 1)"),
+    ("--kappa", "0.5",
+     "need kappa * log(1/tau - 1) > log(2) + 1 for the family count"),
+    ("--codewords", "0", "M must be an integer >= 1, got 0"),
+    ("--threshold", "0", "C must be positive and finite, got 0.0"),
+    ("--seed", "-1", "seed must be a nonnegative integer below 2^64, got -1"),
+    ("--family-seed", "-1",
+     "seed must be a nonnegative integer below 2^64, got -1"),
+])
+def test_idcode_build_invalid_parameter_exits_2(tmp_path, capsys, monkeypatch,
+                                                flag, value, text):
+    write_channel(tmp_path, identity_channel(7), "id7.json")
+    write_uniform(tmp_path, 7, "u7.json")
+    monkeypatch.chdir(tmp_path)
+    params = {**_IDCODE_BUILD, flag: value}
+    rc = main(["idcode", "build", "--channel", "id7.json", "--dist", "u7.json",
+               *(x for kv in params.items() for x in kv)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")
 
 
 def test_idcode_build_family_budget_exits_3(tmp_path, capsys):

@@ -54,8 +54,7 @@ from chanres.wiretap import (
 
 W, P = bsc(0.1), uniform(2)
 W_E = bsc(0.3)
-_SELECT = dict(alpha=1.5, alpha_prime=4.0, beta=1.5, beta_prime=4.0,
-               tau=0.1, kappa=0.8, C=2.0)
+_SELECT = dict(alpha=1.5, alpha_prime=4.0, beta=1.5, beta_prime=4.0, C=2.0)
 
 
 def _construct(**kw):
@@ -100,7 +99,6 @@ ENTRY_POINTS = {
                        lambda v: uniforms(0, [0, v]).tolist(), 2),
     "sample_code-M": ("M", lambda v: sample_code(P, v, 0), 2),
     "sample_code-seed": ("seed", lambda v: sample_code(P, 4, v), 7),
-    "ResolvabilityCode": ("M", lambda v: ResolvabilityCode((0, 1), v), 2),
     "McEstimate": ("trials", lambda v: McEstimate(0.1, 0.0, v, 0.2, 0), 2),
     "expectation_bounds": ("M", lambda v: expectation_bounds(P, W, v, 2.0),
                            2),
@@ -112,14 +110,14 @@ ENTRY_POINTS = {
     # 3 multisets of 2 words on 2 letters
     "brute_force_min-limit": ("limit", _brute_force, 3),
     "AdParams": ("M", lambda v: AdParams(v, 0.1, 0.8), 20),
-    "SelectionParams": ("M", lambda v: SelectionParams(M=v, **_SELECT), 2),
-    "SetFamily": ("subset_size",
-                  lambda v: SetFamily((frozenset({0, 1}),), v, 1.5), 2),
+    "SelectionParams": ("M", lambda v: SelectionParams(
+        family=AdParams(v, 0.1, 0.8), **_SELECT), 2),
     "build_set_family": ("max_attempts", lambda v: build_set_family(
         AdParams(20, 0.1, 0.8), 0, max_attempts=v), 50),
     "select_codewords": ("max_retries", lambda v: select_codewords(
         product(bsc(0.05), 3), product_dist(P, 3),
-        SelectionParams(M=2, **_SELECT), 1, max_retries=v), 100),
+        SelectionParams(family=AdParams(2, 0.1, 0.8), **_SELECT), 1,
+        max_retries=v), 100),
     "size_ceiling_check-M": ("M", lambda v: size_ceiling_check(
         0.1, 0.1, 0.1, 2, v), 2),
     "size_ceiling_check-input_size": ("input_size", lambda v: (
@@ -128,9 +126,6 @@ ENTRY_POINTS = {
     "sample_wiretap_code-L": ("L", lambda v: _wiretap_code(2, v), 2),
     "sample_wiretap_code-seed": ("seed", lambda v: sample_wiretap_code(
         P, 2, 2, W, seed=v).codewords.tolist(), 2),
-    "WiretapCode": ("M", lambda v: WiretapCode(
-        [[0], [1]], [0, 1], v, 1, "maximum_likelihood").codewords.tolist(),
-        2),
     "wiretap_bounds-M": ("M", lambda v: wiretap_bounds(
         W, W_E, P, v, 2, math.e, 4.0), 2),
     "wiretap_bounds-L": ("L", lambda v: wiretap_bounds(
@@ -196,17 +191,17 @@ _ID3, _U3 = identity_channel(3), uniform(3)
 # the entry's name
 _INDEX_BOUNDS = {
     "eval_code": (lambda v: eval_code(
-        ResolvabilityCode((0, v), 2), _ID3, _U3), 3, "codeword"),
+        ResolvabilityCode((0, v)), _ID3, _U3), 3, "codeword"),
     "eval_wiretap": (lambda v: eval_wiretap(WiretapCode(
-        [[0], [v]], [0, 1, -1], 2, 1, "maximum_likelihood"), _ID3, _ID3, _U3),
+        [[0], [v]], [0, 1, -1], "maximum_likelihood"), _ID3, _ID3, _U3),
         3, "codeword"),
     "assemble_id_code": (lambda v: assemble_id_code(
-        (0, v), SetFamily((frozenset({0}),), 1, 0.5), _ID3, _U3, 2.0),
+        (0, v), SetFamily((frozenset({0}),), 0.5), _ID3, _U3, 2.0),
         3, "codeword"),
     "eval_id_code": (lambda v: eval_id_code(
         IdCode((0, v), ((0,), (1,)), 2.0), _ID3, _U3), 3, "codeword"),
     "decoder": (lambda v: WiretapCode(
-        [[0], [1]], [0, v], 2, 1, "maximum_likelihood"), 2, "decoder entry"),
+        [[0], [1]], [0, v], "maximum_likelihood"), 2, "decoder entry"),
     "subset_position": (lambda v: IdCode(
         (0, 1, 2, 3), ((0,), (v,)), 2.0), 4, "subset position"),
     "point_mass": (lambda v: point_mass(v, 5), 5, "index"),
@@ -249,22 +244,47 @@ def test_count_rule_has_no_int64_cap():
 def test_counts_are_stored_as_ints():
     assert type(EnumerationBudget(2.0).max_joint_states) is int
     assert type(AdParams(np.int64(20), 0.1, 0.8).M) is int
-    assert type(SelectionParams(M=2.0, **_SELECT).M) is int
-    assert type(SetFamily((frozenset({0, 1}),), 2.0, 1.5).subset_size) is int
-    assert type(ResolvabilityCode((0, 1), 2.0).M) is int
-    code = WiretapCode([[0], [1]], [0, 1], np.int64(2), 1.0,
-                       "maximum_likelihood")
-    assert type(code.M) is int and type(code.L) is int
+    params = SelectionParams(family=AdParams(2.0, 0.1, 0.8), **_SELECT)
+    assert type(params.family.M) is int
+    assert type(params.m_prime) is int
+
+
+# a code type takes no size: M, L and the subset size are read from the
+# arrays, which keep them; each case reads back the sizes it was built with
+@pytest.mark.parametrize("read, sizes", [
+    (lambda: len(ResolvabilityCode((0, 1, 1)).codewords), 3),
+    (lambda: WiretapCode(np.zeros((2, 3), dtype=int), [0, 1],
+                         "maximum_likelihood").codewords.shape, (2, 3)),
+    (lambda: [len(s) for s in SetFamily(
+        (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})),
+        1.5).subsets], [2, 2, 2]),
+], ids=["ResolvabilityCode", "WiretapCode", "SetFamily"])
+def test_every_code_type_reports_the_sizes_of_its_arrays(read, sizes):
+    assert read() == sizes
+
+
+# an empty array fails the count rule in the words of the size it sets
+@pytest.mark.parametrize("build, name", [
+    (lambda: ResolvabilityCode(()), "M"),
+    (lambda: WiretapCode(np.zeros((0, 2), dtype=int), [],
+                         "maximum_likelihood"), "M"),
+    (lambda: WiretapCode([[], []], [0], "maximum_likelihood"), "L"),
+    (lambda: SetFamily((frozenset(),), 1.5), "subset_size"),
+], ids=["ResolvabilityCode", "WiretapCode-M", "WiretapCode-L", "SetFamily"])
+def test_an_empty_code_array_fails_the_count_rule(build, name):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be an integer >= 1, got 0$"):
+        build()
 
 
 @pytest.mark.parametrize("build, text", [
-    (lambda: ResolvabilityCode((-1, 0), 2),
+    (lambda: ResolvabilityCode((-1, 0)),
      "codeword must be a nonnegative integer, got -1"),
-    (lambda: WiretapCode([[-1], [0]], [0, 1], 2, 1, "maximum_likelihood"),
+    (lambda: WiretapCode([[-1], [0]], [0, 1], "maximum_likelihood"),
      "codeword must be a nonnegative integer, got -1"),
-    (lambda: WiretapCode([[0], [1]], [0, -2], 2, 1, "maximum_likelihood"),
+    (lambda: WiretapCode([[0], [1]], [0, -2], "maximum_likelihood"),
      "decoder entry must be an integer >= -1 below 2, got -2"),
-    (lambda: SetFamily((frozenset({-1, 0}),), 2, 1.5),
+    (lambda: SetFamily((frozenset({-1, 0}),), 1.5),
      "subset element must be a nonnegative integer, got -1"),
 ])
 def test_negative_indices_are_refused_in_the_count_rule_words(build, text):
@@ -274,7 +294,7 @@ def test_negative_indices_are_refused_in_the_count_rule_words(build, text):
 
 @pytest.mark.parametrize("call", [
     lambda: psi(0.5, W, uniform(3)), lambda: phi(-0.2, W, uniform(3)),
-    lambda: assemble_id_code((0, 1), SetFamily((frozenset({0}),), 1, 0.5),
+    lambda: assemble_id_code((0, 1), SetFamily((frozenset({0}),), 0.5),
                              W, uniform(3), 2.0),
 ], ids=["psi", "phi", "assemble_id_code"])
 def test_law_of_the_wrong_size_has_one_text(call):

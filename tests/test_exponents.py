@@ -803,6 +803,62 @@ def test_capacity_convergence_error(monkeypatch):
         capacity(W, tol=1e-15)
 
 
+def _rounded_channels(seed, count, sizes):
+    """Channels of Dirichlet(0.1) rows rounded to 3 decimals, each size
+    drawn from the range `sizes`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        K, Y = (int(rng.integers(*sizes)) for _ in range(2))
+        rows = rng.dirichlet(np.full(Y, 0.1), size=K).round(3)
+        yield Channel(rows / rows.sum(axis=1, keepdims=True))
+
+
+def test_capacity_stall_stop_keeps_every_certified_result(monkeypatch):
+    # the first channels of two random families, one of which stalls
+    channels = [*_rounded_channels(5, 60, (2, 5)),
+                *_rounded_channels(6, 10, (5, 17))]
+
+    def run():
+        out = []
+        for W in channels:
+            try:
+                r = capacity(W)
+                out.append((r.value, r.argmax.probs.tolist(), r.iterations,
+                            r.residual))
+            except ConvergenceError as exc:
+                out.append(str(exc))
+        return out
+
+    fast = run()
+    monkeypatch.setattr(exponents, "_STALL_ITER", exponents._CAPACITY_ITER)
+    full = run()
+    failed = [i for i, r in enumerate(full) if isinstance(r, str)]
+    assert failed and all(isinstance(fast[i], str) for i in failed)
+    assert [r for r in fast if not isinstance(r, str)] == [
+        r for r in full if not isinstance(r, str)]
+    assert all("after 1000 iterations" not in fast[i] for i in failed)
+
+
+def test_info_max_stall_returns_the_best_law(monkeypatch):
+    # the stall channel of tests/test_cli.py: its best value comes at
+    # step 154, and 20 steps that do not raise it end the ascent
+    W = np.array([[0.252, 0.746, 0.002, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.758, 0.021, 0.215, 0.006], [0.17, 0.0, 0.83, 0.0]])
+    values, step = [], exponents._newton_step
+
+    def newton_step(p, D, F, *args):
+        values.append(F)
+        return step(p, D, F, *args)
+
+    monkeypatch.setattr(exponents, "_newton_step", newton_step)
+    p, F, it, resid = exponents._info_max(W, np.zeros(4), np.full(4, 0.25),
+                                          1e-8, exponents._CAPACITY_ITER)
+    assert it == 174 and len(values) == 173
+    assert F == max(values) == values[153]
+    assert F == float(p @ channel._kl_rows(W, p @ W))
+    assert resid == float(np.max(channel._kl_rows(W, p @ W))) - F > 1e-8
+
+
 @pytest.mark.parametrize("tol", [-1.0, math.nan, 0.0, math.inf])
 def test_capacity_rejects_invalid_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):

@@ -55,25 +55,25 @@ def test_ad_params():
 
 
 def test_set_family_validation():
-    fam = SetFamily((frozenset({0, 1, 2}), frozenset({3, 4, 5})), 3, 2.0)
+    fam = SetFamily((frozenset({0, 1, 2}), frozenset({3, 4, 5})), 2.0)
     assert fam.size == 2
     # sharing exactly the cap is refused, strictly below is required
     with pytest.raises(ValueError):
-        SetFamily((frozenset({0, 1, 2}), frozenset({0, 1, 3})), 3, 2.0)
+        SetFamily((frozenset({0, 1, 2}), frozenset({0, 1, 3})), 2.0)
     with pytest.raises(ValueError):
-        SetFamily((frozenset({0, 1, 2}), frozenset({0, 1, 2})), 3, 2.0)
+        SetFamily((frozenset({0, 1, 2}), frozenset({0, 1, 2})), 2.0)
+    with pytest.raises(ValueError, match="^subset 1 has size 2, expected 3$"):
+        SetFamily((frozenset({0, 1, 2}), frozenset({3, 4})), 2.0)
     with pytest.raises(ValueError):
-        SetFamily((frozenset({0, 1}),), 3, 2.0)
+        SetFamily((), 2.0)
     with pytest.raises(ValueError):
-        SetFamily((), 3, 2.0)
-    with pytest.raises(ValueError):
-        SetFamily((frozenset({0, 1, 2}),), 3, 0.0)
-    singles = SetFamily((frozenset({0}), frozenset({1})), 1, 0.8)
+        SetFamily((frozenset({0, 1, 2}),), 0.0)
+    singles = SetFamily((frozenset({0}), frozenset({1})), 0.8)
     assert singles.size == 2
     # fractional elements are refused, not truncated to {0, 1}
     with pytest.raises(ValueError, match="not an integer"):
-        SetFamily((frozenset({0.5, 1.7}),), 2, 1.5)
-    integral = SetFamily((frozenset({0.0, 1.0}),), 2, 1.5)
+        SetFamily((frozenset({0.5, 1.7}),), 1.5)
+    integral = SetFamily((frozenset({0.0, 1.0}),), 1.5)
     assert integral.subsets == (frozenset({0, 1}),)
     assert all(type(v) is int for v in integral.subsets[0])
 
@@ -118,25 +118,24 @@ def test_build_set_family_budget():
 
 def test_selection_params():
     params = SelectionParams(alpha=1.5, alpha_prime=4.0, beta=1.5,
-                             beta_prime=4.0, tau=0.1, kappa=0.8, M=2, C=2.0)
+                             beta_prime=4.0, family=AdParams(2, 0.1, 0.8),
+                             C=2.0)
     assert math.isclose(params.gamma, 1.0 / 12.0, rel_tol=1e-12)
     assert params.m_prime == 24
     with pytest.raises(ValueError):
-        SelectionParams(1.0, 4.0, 1.5, 4.0, 0.1, 0.8, 2, 2.0)
+        SelectionParams(1.0, 4.0, 1.5, 4.0, AdParams(2, 0.1, 0.8), 2.0)
     with pytest.raises(ValueError):
-        SelectionParams(1.5, 2.5, 1.5, 4.0, 0.1, 0.8, 2, 2.0)
+        SelectionParams(1.5, 2.5, 1.5, 4.0, AdParams(2, 0.1, 0.8), 2.0)
     with pytest.raises(ValueError):
-        SelectionParams(1.5, 4.0, 1.5, 1.2, 0.1, 0.8, 2, 2.0)
+        SelectionParams(1.5, 4.0, 1.5, 1.2, AdParams(2, 0.1, 0.8), 2.0)
     with pytest.raises(ValueError):
-        SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, 0.0)
-    with pytest.raises(ValueError):
-        SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 0, 2.0)
+        SelectionParams(1.5, 4.0, 1.5, 4.0, AdParams(2, 0.1, 0.8), 0.0)
 
 
 def test_select_codewords_fixture():
     W = product(bsc(0.05), 3)
     p = product_dist(uniform(2), 3)
-    params = SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, 2.0)
+    params = SelectionParams(1.5, 4.0, 1.5, 4.0, AdParams(2, 0.1, 0.8), 2.0)
     sel = select_codewords(W, p, params, seed=1)
     assert sel.codewords == (2, 6)
     assert sel.attempts == 1
@@ -166,7 +165,7 @@ def test_select_codewords_fixture():
 def test_select_codewords_deterministic():
     W = product(bsc(0.05), 3)
     p = product_dist(uniform(2), 3)
-    params = SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, 2.0)
+    params = SelectionParams(1.5, 4.0, 1.5, 4.0, AdParams(2, 0.1, 0.8), 2.0)
     a = select_codewords(W, p, params, seed=1)
     b = select_codewords(W, p, params, seed=1)
     assert a.codewords == b.codewords
@@ -176,7 +175,7 @@ def test_select_codewords_deterministic():
 def test_select_infeasible():
     # every density ratio sits at or below C = 10, so the average miss
     # mass is 1 and beta times it can never stay below 1
-    params = SelectionParams(1.2, 8.0, 1.2, 8.0, 0.1, 0.8, 2, 10.0)
+    params = SelectionParams(1.2, 8.0, 1.2, 8.0, AdParams(2, 0.1, 0.8), 10.0)
     with pytest.raises(InfeasibleParams):
         select_codewords(z_channel(), uniform(2), params, seed=0)
 
@@ -184,7 +183,7 @@ def test_select_infeasible():
 def test_select_retries_exhausted():
     # symbol 1 always fails the miss screen and two distinct survivors
     # are required, so every attempt falls short
-    params = SelectionParams(1.2, 8.0, 1.2, 8.0, 0.1, 0.8, 2, 1.2)
+    params = SelectionParams(1.2, 8.0, 1.2, 8.0, AdParams(2, 0.1, 0.8), 1.2)
     with pytest.raises(RetriesExhausted) as info:
         select_codewords(z_channel(), uniform(2), params, seed=0,
                          max_retries=5)
@@ -193,7 +192,7 @@ def test_select_retries_exhausted():
 
 @pytest.mark.parametrize("max_retries", [0, -1])
 def test_select_needs_a_retry(max_retries):
-    params = SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, 2.0)
+    params = SelectionParams(1.5, 4.0, 1.5, 4.0, AdParams(2, 0.1, 0.8), 2.0)
     with pytest.raises(ValueError, match="max_retries"):
         select_codewords(product(bsc(0.05), 3), product_dist(uniform(2), 3),
                          params, seed=1, max_retries=max_retries)
@@ -220,7 +219,7 @@ def test_id_code_validation():
     with pytest.raises(ValueError, match="^subset 1 is empty$"):
         IdCode((0, 1), ((0,), ()), 2.0)
     with pytest.raises(ValueError):
-        assemble_id_code((0, 9), SetFamily((frozenset({0}),), 1, 0.5),
+        assemble_id_code((0, 9), SetFamily((frozenset({0}),), 0.5),
                          identity_channel(4), uniform(4), 2.0)
 
 
@@ -254,7 +253,7 @@ def test_load_id_code_rejects_fractional_entries(tmp_path):
 def test_eval_identity_two_messages():
     # disjoint level sets on a noiseless channel identify perfectly
     W, p = identity_channel(4), uniform(4)
-    fam = SetFamily((frozenset({0, 1}), frozenset({2, 3})), 2, 1.5)
+    fam = SetFamily((frozenset({0, 1}), frozenset({2, 3})), 1.5)
     code = assemble_id_code((0, 1, 2, 3), fam, W, p, 2.0)
     metrics = eval_id_code(code, W, p)
     assert metrics.mu == 0.0 and metrics.lam == 0.0
@@ -266,9 +265,9 @@ def test_eval_oracle_two_messages():
     # hand evaluation: mixtures and acceptance unions spelled out
     W = product(bsc(0.05), 3)
     p = product_dist(uniform(2), 3)
-    params = SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, 2.0)
+    params = SelectionParams(1.5, 4.0, 1.5, 4.0, AdParams(2, 0.1, 0.8), 2.0)
     sel = select_codewords(W, p, params, seed=1)
-    fam = SetFamily((frozenset({0}), frozenset({1})), 1, 0.8)
+    fam = SetFamily((frozenset({0}), frozenset({1})), 0.8)
     code = assemble_id_code(sel.codewords, fam, W, p, params.C)
     metrics = eval_id_code(code, W, p)
     assert math.isclose(metrics.mu, 0.142625, rel_tol=1e-13)
@@ -292,12 +291,12 @@ def test_eval_oracle_two_messages():
 def test_full_pipeline_small_alphabet():
     # smallest alphabet where floor(tau*M) >= 1 coexists with the
     # growth condition; everything resolves exactly on the identity
-    params = SelectionParams(2.0, 4.0, 2.0, 4.0, 0.15, 0.99, 7, 2.0)
+    params = SelectionParams(2.0, 4.0, 2.0, 4.0, AdParams(7, 0.15, 0.99), 2.0)
     W, p = identity_channel(7), uniform(7)
     sel = select_codewords(W, p, params, seed=2)
     assert sel.codewords == (3, 2, 6, 5, 1, 0, 4)
     assert sel.attempts == 1
-    built = build_set_family(AdParams(M=7, tau=0.15, kappa=0.99), seed=3)
+    built = build_set_family(params.family, seed=3)
     assert built.family.subsets == (frozenset({6}),)
     code = assemble_id_code(sel.codewords, built.family, W, p, params.C)
     metrics = eval_id_code(code, W, p)
@@ -324,7 +323,7 @@ def test_id_code_json_round_trip(tmp_path):
 @pytest.mark.parametrize("C", [math.nan, math.inf])
 def test_non_finite_threshold_rejected(C):
     with pytest.raises(ValueError, match="finite"):
-        SelectionParams(1.5, 4.0, 1.5, 4.0, 0.1, 0.8, 2, C)
+        SelectionParams(1.5, 4.0, 1.5, 4.0, AdParams(2, 0.1, 0.8), C)
     with pytest.raises(ValueError, match="finite"):
         IdCode((3, 1, 2), ((1, 0), (2,)), C)
 
@@ -454,11 +453,11 @@ def test_set_family_error_names_first_pair():
                     expected = (f"subsets {i} and {j} share {inter} elements, "
                                 f"not below the cap {cap!r}")
         if expected is None:
-            assert SetFamily(subsets, size, cap).subsets == subsets
+            assert SetFamily(subsets, cap).subsets == subsets
             continue
         raised += 1
         with pytest.raises(ValueError) as info:
-            SetFamily(subsets, size, cap)
+            SetFamily(subsets, cap)
         assert str(info.value) == expected
     assert raised > 50
 
@@ -486,9 +485,10 @@ def select_reference(W, p, params, seed, max_retries=100):
             union = float(np.sum(rows[x] * ((counts - over[i]) >= 1)))
             union_refused += miss <= miss_bound and union > union_bound
             if (miss <= miss_bound and union <= union_bound
-                    and int(x) not in picked and len(picked) < params.M):
+                    and int(x) not in picked
+                    and len(picked) < params.family.M):
                 picked.append(int(x))
-        if len(picked) < params.M:
+        if len(picked) < params.family.M:
             continue
         sel_level = level[picked]
         sel_counts = sel_level.sum(axis=0)
@@ -507,8 +507,8 @@ def test_select_codewords_equals_candidate_loop():
         K, Y = int(rng.integers(4, 30)), int(rng.integers(4, 300))
         W = random_channel(rng, K, Y, 0.05)
         p = Distribution(rng.dirichlet(np.full(K, 3.0)))
-        params = SelectionParams(2.0, 4.0, 2.0, 4.0, 0.1, 0.8,
-                                 int(rng.integers(1, 4)), 2.0)
+        family = AdParams(int(rng.integers(1, 4)), 0.1, 0.8)
+        params = SelectionParams(2.0, 4.0, 2.0, 4.0, family, 2.0)
         sel = select_codewords(W, p, params, seed=trial, max_retries=20)
         ref, _ = select_reference(W, p, params, trial, max_retries=20)
         assert (sel.codewords, sel.miss_values, sel.union_values,
@@ -523,8 +523,8 @@ def test_select_codewords_equals_candidate_loop():
         W = Channel(0.97 * np.eye(K)
                     + 0.03 * rng.dirichlet(np.full(K, 0.5), size=K))
         p = Distribution(rng.dirichlet(np.full(K, 50.0)))
-        params = SelectionParams(6.0, 1.25, 5.0, 1.5, 0.1, 0.8,
-                                 int(rng.integers(1, 3)), 40.0)
+        family = AdParams(int(rng.integers(1, 3)), 0.1, 0.8)
+        params = SelectionParams(6.0, 1.25, 5.0, 1.5, family, 40.0)
         sel = select_codewords(W, p, params, seed=trial, max_retries=20)
         ref, refused = select_reference(W, p, params, trial, max_retries=20)
         assert (sel.codewords, sel.miss_values, sel.union_values,
@@ -538,14 +538,14 @@ def test_selection_carries_the_id_error_bounds():
     # equals 1 - tail_pair(...).delta bit for bit, the clamp included
     # (the seven masses 1/7 of the identity channel sum past 1)
     rng = np.random.default_rng(8)
-    cases = [(identity_channel(7), uniform(7),
-              SelectionParams(2.0, 4.0, 2.0, 4.0, 0.15, 0.99, 7, 2.0))]
+    cases = [(identity_channel(7), uniform(7), SelectionParams(
+        2.0, 4.0, 2.0, 4.0, AdParams(7, 0.15, 0.99), 2.0))]
     for _ in range(10):
         K = int(rng.integers(4, 30))
         cases.append((random_channel(rng, K, int(rng.integers(4, 300)), 0.05),
                       Distribution(rng.dirichlet(np.full(K, 3.0))),
-                      SelectionParams(2.0, 4.0, 2.0, 4.0, 0.1, 0.8,
-                                      int(rng.integers(1, 4)), 2.0)))
+                      SelectionParams(2.0, 4.0, 2.0, 4.0, AdParams(
+                          int(rng.integers(1, 4)), 0.1, 0.8), 2.0)))
     checked = 0
     for W, p, params in cases:
         try:
@@ -558,6 +558,6 @@ def test_selection_carries_the_id_error_bounds():
                        * params.m_prime / params.C)
         assert sel.miss_bound == params.alpha * params.beta * miss_avg
         assert sel.union_bound == union_bound
-        assert sel.lam_bound == params.kappa + union_bound
+        assert sel.lam_bound == params.family.kappa + union_bound
         assert id_error_bounds(params, p, W) == (sel.miss_bound, sel.lam_bound)
     assert checked >= 6

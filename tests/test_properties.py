@@ -275,8 +275,7 @@ def wiretap_code_and_channels(draw):
                        max_size=M * L))
     dec = draw(st.lists(st.integers(-1, M - 1), min_size=W_B.output_size,
                         max_size=W_B.output_size))
-    code = WiretapCode(np.reshape(cw, (M, L)), dec, M, L,
-                       "maximum_likelihood")
+    code = WiretapCode(np.reshape(cw, (M, L)), dec, "maximum_likelihood")
     return code, W_B, W_E, p
 
 

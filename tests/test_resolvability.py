@@ -35,11 +35,11 @@ from chanres.rng import sample_indices, stream
 
 
 def test_code_validation():
+    with pytest.raises(ValueError, match="^M must be an integer >= 1, got 0$"):
+        ResolvabilityCode(())
     with pytest.raises(ValueError):
-        ResolvabilityCode((0, 1), 3)
-    with pytest.raises(ValueError):
-        ResolvabilityCode((-1,), 1)
-    code = ResolvabilityCode((1, 1, 0), 3)
+        ResolvabilityCode((-1,))
+    code = ResolvabilityCode((1, 1, 0))
     assert code.codewords == (1, 1, 0)
 
 
@@ -64,19 +64,19 @@ def test_sample_code_frequencies():
 
 def test_eval_code_oracle():
     W, p = bsc(0.1), uniform(2)
-    eps, div = eval_code(ResolvabilityCode((0,), 1), W, p)
+    eps, div = eval_code(ResolvabilityCode((0,)), W, p)
     assert math.isclose(eps, 0.8, rel_tol=1e-14)
     assert math.isclose(div, 0.36806420716849714, rel_tol=1e-14)
-    eps, div = eval_code(ResolvabilityCode((0, 1), 2), W, p)
+    eps, div = eval_code(ResolvabilityCode((0, 1)), W, p)
     assert eps == 0.0 and div == 0.0
     with pytest.raises(ValueError):
-        eval_code(ResolvabilityCode((2,), 1), W, p)
+        eval_code(ResolvabilityCode((2,)), W, p)
 
 
 def test_eval_code_infinite_divergence():
     W = identity_channel(2)
     p = point_mass(0, 2)
-    eps, div = eval_code(ResolvabilityCode((1,), 1), W, p)
+    eps, div = eval_code(ResolvabilityCode((1,)), W, p)
     assert eps == 2.0
     assert div == math.inf
 

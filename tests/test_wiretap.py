@@ -29,19 +29,19 @@ from chanres import exponents, wiretap
 
 def test_code_validation():
     code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]),
-                       2, 2, "maximum_likelihood")
+                       "maximum_likelihood")
     assert code.codewords.shape == (2, 2)
+    with pytest.raises(ValueError,
+                       match="^codewords must form an M x L index array$"):
+        WiretapCode(np.array([0, 1]), np.array([0, 0]), "maximum_likelihood")
     with pytest.raises(ValueError):
-        WiretapCode(np.array([[0, 1]]), np.array([0, 0]), 2, 2,
+        WiretapCode(np.array([[0], [1]]), np.array([0, 2]),
                     "maximum_likelihood")
     with pytest.raises(ValueError):
-        WiretapCode(np.array([[0], [1]]), np.array([0, 2]), 2, 1,
-                    "maximum_likelihood")
-    with pytest.raises(ValueError):
-        WiretapCode(np.array([[0], [1]]), np.array([0, 1]), 2, 1, "viterbi")
+        WiretapCode(np.array([[0], [1]]), np.array([0, 1]), "viterbi")
     with pytest.raises(ValueError,
                        match="^decoder must map outputs to messages$"):
-        WiretapCode(np.array([[0], [1]]), np.array([[0, 1]]), 2, 1,
+        WiretapCode(np.array([[0], [1]]), np.array([[0, 1]]),
                     "maximum_likelihood")
 
 
@@ -64,10 +64,10 @@ def test_ml_decoder_and_tie_order():
     W = bsc(0.1)
     code = sample_wiretap_code(uniform(2), 2, 1, W, seed=0)
     # overwrite codewords is impossible (frozen), build directly
-    code = WiretapCode(np.array([[0], [1]]), code.decoder, 2, 1,
+    code = WiretapCode(np.array([[0], [1]]), code.decoder,
                        "maximum_likelihood")
     built = WiretapCode(np.array([[0], [1]]),
-                        np.array([0, 1]), 2, 1, "maximum_likelihood")
+                        np.array([0, 1]), "maximum_likelihood")
     report = eval_wiretap(built, W, W, uniform(2))
     assert math.isclose(report.eps_B, 0.1, rel_tol=1e-13)
     # equal likelihoods: the first (l, m) pair in scan order wins
@@ -77,7 +77,7 @@ def test_ml_decoder_and_tie_order():
     # a (l=0, m=1) claim precedes (l=1, m=0) in the flattened order
     W3 = identity_channel(3)
     tie = sample_wiretap_code(uniform(3), 2, 2, W3, seed=5)
-    tie = WiretapCode(np.array([[2, 1], [1, 0]]), tie.decoder, 2, 2,
+    tie = WiretapCode(np.array([[2, 1], [1, 0]]), tie.decoder,
                       "maximum_likelihood")
     from chanres.wiretap import _ml_decoder
     dec = _ml_decoder(tie.codewords, W3)
@@ -100,7 +100,7 @@ def test_threshold_decoder():
 
 def test_eval_oracle_by_hand():
     W_B, W_E, p = bsc(0.1), bsc(0.3), uniform(2)
-    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1]), 2, 2,
+    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1]),
                        "maximum_likelihood")
     report = eval_wiretap(code, W_B, W_E, p)
     # Bob: message 0 mixes both rows, message 1 sits on row 1
@@ -116,7 +116,7 @@ def test_eval_oracle_by_hand():
     assert report.d_E <= report.pairwise_bound + 1e-12
     with pytest.raises(ValueError):
         eval_wiretap(code, W_B, identity_channel(3), p)
-    bad = WiretapCode(np.array([[5, 1], [1, 1]]), np.array([0, 1]), 2, 2,
+    bad = WiretapCode(np.array([[5, 1], [1, 1]]), np.array([0, 1]),
                       "maximum_likelihood")
     with pytest.raises(ValueError):
         eval_wiretap(bad, W_B, W_E, p)
@@ -124,7 +124,7 @@ def test_eval_oracle_by_hand():
 
 def test_decoder_of_another_output_size_is_refused():
     # a decoder entry per output of Bob's channel, checked before indexing
-    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1, -1]), 2, 2,
+    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1, -1]),
                        "maximum_likelihood")
     with pytest.raises(ValueError,
                        match="^decoder has 3 entries, channel B has 2 outputs$"):
@@ -137,7 +137,7 @@ def test_eval_perfect_secrecy_zeroes():
     W_E = constant_channel([0.5, 0.5], 4)
     p = uniform(4)
     code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]),
-                       2, 2, "maximum_likelihood")
+                       "maximum_likelihood")
     report = eval_wiretap(code, W_B, W_E, p)
     assert report.eps_B == 0.0
     assert report.I_E == 0.0
@@ -147,7 +147,7 @@ def test_eval_perfect_secrecy_zeroes():
 def test_eval_full_exposure():
     # Eve sees the message perfectly: both leakage measures peak
     W = identity_channel(2)
-    code = WiretapCode(np.array([[0], [1]]), np.array([0, 1]), 2, 1,
+    code = WiretapCode(np.array([[0], [1]]), np.array([0, 1]),
                        "maximum_likelihood")
     report = eval_wiretap(code, W, W, uniform(2))
     assert report.eps_B == 0.0
@@ -159,7 +159,7 @@ def test_eval_disjoint_reference_support():
     # codeword mass outside p's support: the decomposition check is
     # skipped (nan) and the leakage numbers stay finite
     W = identity_channel(2)
-    code = WiretapCode(np.array([[1], [0]]), np.array([1, 0]), 2, 1,
+    code = WiretapCode(np.array([[1], [0]]), np.array([1, 0]),
                        "maximum_likelihood")
     report = eval_wiretap(code, W, W, point_mass(0, 2))
     assert math.isnan(report.decomposition_residual)
