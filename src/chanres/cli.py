@@ -62,6 +62,7 @@ from .wiretap import construct_until_bounds, wiretap_bounds
 _BOUNDS = ("error_gallager", "error_threshold", "leak_kl_eta", "leak_kl_phi",
            "secrecy_vd")
 _METRICS = ("eps_B", "I_E", "d_E")
+_SATISFIED = ("satisfied_eps", "satisfied_leak", "satisfied_vd")
 
 
 def _fields(obj, names) -> dict:
@@ -194,12 +195,9 @@ def run_simulate_wiretap(args):
             "seed": args.seed,
             "attempts": result.attempts,
             "bounds": _fields(result.bounds, _BOUNDS),
-            "targets": dict(zip(_METRICS, (
-                result.eps_target, result.leak_target, result.vd_target))),
+            "targets": dict(zip(_METRICS, result.targets)),
             "metrics": _fields(result.report, _METRICS),
-            "satisfied_eps": result.satisfied_eps,
-            "satisfied_leak": result.satisfied_leak,
-            "satisfied_vd": result.satisfied_vd,
+            **dict(zip(_SATISFIED, result.flags)),
             "satisfied": result.satisfied,
             "codewords": [[int(v) for v in row] for row in result.code.codewords],
         }

@@ -491,8 +491,6 @@ def resolvability_exponents(R: float, W: Channel,
 class WiretapExponentReport:
     """Joint error/leakage exponents for rate pair (R, R')."""
 
-    R: float
-    R_prime: float
     error_exponent: float
     leak_kl_exponent: float
     leak_vd_exponent_psi: float
@@ -518,7 +516,6 @@ def wiretap_exponents(R: float, R_prime: float, W_B: Channel, W_E: Channel,
     vd, kl, half = _family_reports([R_prime], W_E, p)[0]
     edge = 2.0 * GRID_STEP
     return WiretapExponentReport(
-        R=float(R), R_prime=float(R_prime),
         error_exponent=max(0.0, e_err), leak_kl_exponent=kl.bound_value,
         leak_vd_exponent_psi=vd.bound_value,
         leak_vd_exponent_phi=half.bound_value,

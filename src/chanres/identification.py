@@ -274,9 +274,10 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
     Attempt k draws ceil(M/gamma) candidates i.i.d. from p on the
     (seed, k) stream and keeps those whose own miss mass and whose
     overlap with the other candidates' level sets clear the
-    alpha*beta / alpha_prime*beta_prime thresholds.  Refused up front
-    when beta times the average miss mass reaches 1, since screening
-    can then never succeed.
+    alpha*beta / alpha_prime*beta_prime thresholds.  Refused up front,
+    since screening can then never succeed, when beta times the average
+    miss mass reaches 1 or when p gives positive mass to fewer than M
+    input words.
     """
     max_retries = _integer(max_retries, "max_retries")
     level, miss_avg, miss_bound, union_bound, lam_bound = _screen_bounds(
@@ -286,6 +287,11 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
             f"beta * E_p W_x(ratio <= C) = {params.beta * miss_avg!r} >= 1: "
             "screening cannot succeed"
         )
+    support = int(np.count_nonzero(p.probs))
+    if params.family.M > support:
+        raise InfeasibleParams(
+            f"M = {params.family.M} distinct codewords, but p gives positive "
+            f"mass to {support} input words: screening cannot succeed")
     feasibility_lhs = params.beta * miss_avg + union_bound
 
     for attempt in range(max_retries):

@@ -60,7 +60,6 @@ class McEstimate:
     std_error: float
     trials: int
     bound: float
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "trials", _integer(self.trials, "trials", 2))
@@ -177,8 +176,7 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
         return McEstimate(
             mean=float(np.mean(samples)),
             std_error=float(np.std(samples, ddof=1) / math.sqrt(trials)),
-            trials=trials, bound=float(bound), seed=seed,
-        )
+            trials=trials, bound=float(bound))
 
     return (estimate(eps_s, bound_vd),
             estimate(div_s, bound_eta),

@@ -180,7 +180,7 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
 
 @dataclass(frozen=True)
 class WiretapBounds:
-    """The five analytic random-coding guarantees for (M, L, C, C_prime)."""
+    """The five analytic random-coding guarantees and their optimizers."""
 
     error_gallager: float
     error_threshold: float
@@ -189,10 +189,6 @@ class WiretapBounds:
     secrecy_vd: float
     gallager_s: float
     phi_t: float
-    M: int
-    L: int
-    C: float
-    C_prime: float
 
 
 def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
@@ -206,8 +202,8 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     pairwise distance), and the error bound is the random-coding bound
     of W_B at rate log(M*L).  C_prime may be None when no
     threshold-decoder guarantee is wanted; the threshold error bound is
-    then reported as inf and the stored C_prime as nan.  M*L, and the
-    threshold error bound, must fit a float.
+    then reported as inf.  M*L, and the threshold error bound, must fit
+    a float.
     """
     M, L = _integer(M, "M"), _integer(L, "L")
     _check_fits_float(M * L, "M*L")
@@ -231,10 +227,7 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     return WiretapBounds(
         error_gallager=error_gallager, error_threshold=error_threshold,
         leak_kl_eta=3.0 * leak_eta, leak_kl_phi=3.0 * leak_phi,
-        secrecy_vd=6.0 * vd, gallager_s=s_star, phi_t=t_star,
-        M=M, L=L, C=float(C),
-        C_prime=math.nan if C_prime is None else float(C_prime),
-    )
+        secrecy_vd=6.0 * vd, gallager_s=s_star, phi_t=t_star)
 
 
 @dataclass(frozen=True)
@@ -244,17 +237,13 @@ class ConstructionResult:
     code: WiretapCode
     report: LeakageReport
     bounds: WiretapBounds
-    eps_target: float
-    leak_target: float
-    vd_target: float
-    satisfied_eps: bool
-    satisfied_leak: bool
-    satisfied_vd: bool
+    targets: tuple[float, float, float]     # for (eps_B, I_E, d_E)
+    flags: tuple[bool, bool, bool]          # each metric within its target
     attempts: int
 
     @property
     def satisfied(self) -> bool:
-        return self.satisfied_eps and self.satisfied_leak and self.satisfied_vd
+        return all(self.flags)
 
 
 def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
@@ -296,5 +285,5 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
         if all(flags):
             break
     _, code, report, flags = best
-    return ConstructionResult(code, report, bounds, *targets, *flags,
+    return ConstructionResult(code, report, bounds, targets, flags,
                               attempts=attempt + 1)

@@ -215,9 +215,10 @@ def test_criterion_08_wiretap_end_to_end():
     p = product_dist(uniform(2), 4)
     res = construct_until_bounds(p, W_B, W_E, 2, 4, math.e, math.e, seed=42)
     assert res.satisfied
-    assert res.report.eps_B <= res.eps_target
-    assert res.report.I_E <= res.leak_target
-    assert res.report.d_E <= res.vd_target
+    eps_target, leak_target, vd_target = res.targets
+    assert res.report.eps_B <= eps_target
+    assert res.report.I_E <= leak_target
+    assert res.report.d_E <= vd_target
     assert res.report.decomposition_residual <= 1e-9
     print("criterion 8 (wiretap end to end): PASS")
 

@@ -136,6 +136,8 @@ def test_missing_file_exits_2(tmp_path, capsys):
      "field 'codewords': 5 is not a list"),
     ("code", '{"codewords": [0, 1], "subsets": [0, 1], "C": 2}',
      "field 'subsets': 0 is not a list"),
+    ("code", '{"codewords": [0, 1], "subsets": 5, "C": 2}',
+     "field 'subsets': 5 is not a list"),
     ("dist", '{"probs": [NaN, 1.0]}', "field 'probs': non-finite probability entry"),
     # a code file that holds no valid code, or booleans or lists where
     # its numbers belong
@@ -959,7 +961,7 @@ _IDCODE_BUILD = {"--alpha": "2", "--alpha-prime": "4", "--beta": "2",
                  "--codewords": "7", "--threshold": "2", "--seed": "2"}
 
 
-# one invalid parameter per case, with the text it has always printed;
+# one invalid parameter per case, with the text it prints;
 # the family's parameters are checked first, so with two invalid ones
 # the family's error wins
 @pytest.mark.parametrize("flag, value, text", [
@@ -973,6 +975,10 @@ _IDCODE_BUILD = {"--alpha": "2", "--alpha-prime": "4", "--beta": "2",
     ("--kappa", "0.5",
      "need kappa * log(1/tau - 1) > log(2) + 1 for the family count"),
     ("--codewords", "0", "M must be an integer >= 1, got 0"),
+    # more distinct codewords than the 7 words the law reaches: refused
+    # before any draw, where every retry used to run and exit 0
+    ("--codewords", "100000", "M = 100000 distinct codewords, but p gives "
+     "positive mass to 7 input words: screening cannot succeed"),
     ("--threshold", "0", "C must be positive and finite, got 0.0"),
     ("--seed", "-1", "seed must be a nonnegative integer below 2^64, got -1"),
     ("--family-seed", "-1",

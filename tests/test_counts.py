@@ -99,7 +99,7 @@ ENTRY_POINTS = {
                        lambda v: uniforms(0, [0, v]).tolist(), 2),
     "sample_code-M": ("M", lambda v: sample_code(P, v, 0), 2),
     "sample_code-seed": ("seed", lambda v: sample_code(P, 4, v), 7),
-    "McEstimate": ("trials", lambda v: McEstimate(0.1, 0.0, v, 0.2, 0), 2),
+    "McEstimate": ("trials", lambda v: McEstimate(0.1, 0.0, v, 0.2), 2),
     "expectation_bounds": ("M", lambda v: expectation_bounds(P, W, v, 2.0),
                            2),
     "mc_expectation-trials": ("trials", lambda v: mc_expectation(

@@ -180,6 +180,27 @@ def test_select_infeasible():
         select_codewords(z_channel(), uniform(2), params, seed=0)
 
 
+@pytest.mark.parametrize("probs, M, support", [
+    ((0.5, 0.5, 0, 0, 0, 0, 0), 7, 2),
+    ((1 / 7,) * 7, 8, 7),
+    ((1 / 7,) * 7, 100000, 7),
+])
+def test_select_needs_as_many_words_as_the_law_reaches(monkeypatch, probs, M,
+                                                      support):
+    # M distinct codewords can never be drawn from fewer words, so the
+    # call is refused before its first draw
+    def draw(seed, index):
+        raise AssertionError("drew candidates")
+
+    monkeypatch.setattr(identification, "stream", draw)
+    params = SelectionParams(2.0, 4.0, 2.0, 4.0, AdParams(M, 0.15, 0.99), 1.5)
+    with pytest.raises(InfeasibleParams, match=(
+            f"^M = {M} distinct codewords, but p gives positive mass to "
+            f"{support} input words: screening cannot succeed$")):
+        select_codewords(identity_channel(7), Distribution(probs), params,
+                         seed=0)
+
+
 def test_select_retries_exhausted():
     # symbol 1 always fails the miss screen and two distinct survivors
     # are required, so every attempt falls short

@@ -118,7 +118,7 @@ def test_mc_expectation_validation():
     with pytest.raises(ValueError):
         mc_expectation(p, W, 0, 1.5, trials=100, seed=1)
     with pytest.raises(ValueError):
-        McEstimate(mean=0.1, std_error=0.0, trials=1, bound=1.0, seed=0)
+        McEstimate(mean=0.1, std_error=0.0, trials=1, bound=1.0)
 
 
 def test_mc_expectation_dense_and_streamed_paths_agree():

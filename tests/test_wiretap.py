@@ -194,7 +194,6 @@ def test_bounds_closed_forms():
     b = wiretap_bounds(W_B, W_E, p, 2, 1, math.e, None)
     assert math.isclose(b.error_gallager, 3.0 * 2.0 / K, rel_tol=1e-9)
     assert b.error_threshold == math.inf
-    assert math.isnan(b.C_prime)
     # constant Eve: delta = 0 and delta_prime = 1, so the corner bound
     # is 3/L and the distance bound is 6/sqrt(L)
     assert b.leak_kl_eta == 3.0
@@ -217,7 +216,6 @@ def test_threshold_error_bound_value():
     # ratio 4 > 2 on the diagonal, so the miss mass is 0
     assert math.isclose(b.error_threshold, 3.0 * (0.0 + 2.0 / 2.0),
                         rel_tol=1e-13)
-    assert b.C_prime == 2.0
 
 
 def test_mean_error_within_expectation_bound():
@@ -247,9 +245,10 @@ def test_construct_fixture():
     assert math.isclose(res.report.eps_B, 0.3056000000000001, rel_tol=1e-12)
     assert math.isclose(res.report.I_E, 0.03513050227474507, rel_tol=1e-12)
     assert math.isclose(res.report.d_E, 0.42400000000000004, rel_tol=1e-12)
-    assert res.eps_target == 3.0
-    assert math.isclose(res.leak_target, 3.086993214793721, rel_tol=1e-12)
-    assert math.isclose(res.vd_target, 5.708644216956366, rel_tol=1e-12)
+    eps_target, leak_target, vd_target = res.targets
+    assert eps_target == 3.0
+    assert math.isclose(leak_target, 3.086993214793721, rel_tol=1e-12)
+    assert math.isclose(vd_target, 5.708644216956366, rel_tol=1e-12)
     assert res.code.codewords.tolist() == [[13, 3, 13, 6], [5, 6, 3, 0]]
     assert res.report.decomposition_residual <= 1e-9
 
@@ -265,11 +264,10 @@ def test_construct_unsatisfied_collision():
     res = construct_until_bounds(p, W_B, W_E, 2, 1, math.e, None, seed=14,
                                  max_retries=1)
     assert not res.satisfied
-    assert not res.satisfied_eps
-    assert res.satisfied_leak and res.satisfied_vd
+    assert res.flags == (False, True, True)
     assert res.code.codewords.tolist() == [[12], [12]]
     assert res.report.eps_B == 0.5
-    assert math.isclose(res.eps_target, 0.375, rel_tol=1e-12)
+    assert math.isclose(res.targets[0], 0.375, rel_tol=1e-12)
     assert res.attempts == 1
     # more retries recover: the second draw is collision free
     res = construct_until_bounds(p, W_B, W_E, 2, 1, math.e, None, seed=14,
@@ -323,10 +321,8 @@ def _construct_reference(p, W_B, W_E, M, L, C, C_prime, seed, max_retries,
             on_attempt(attempt, report, (ok_eps, ok_leak, ok_vd))
         result = wiretap.ConstructionResult(
             code=code, report=report, bounds=bounds,
-            eps_target=eps_target, leak_target=leak_target,
-            vd_target=vd_target, satisfied_eps=ok_eps,
-            satisfied_leak=ok_leak, satisfied_vd=ok_vd,
-            attempts=attempt + 1,
+            targets=(eps_target, leak_target, vd_target),
+            flags=(ok_eps, ok_leak, ok_vd), attempts=attempt + 1,
         )
         if ok_eps and ok_leak and ok_vd:
             return result
