@@ -27,8 +27,6 @@ from .channel import (
     variational_distance,
 )
 from .exponents import (
-    GIVEN_FAMILIES,
-    WORST_FAMILIES,
     CapacityResult,
     ConvergenceError,
     ExponentReport,
@@ -40,7 +38,6 @@ from .exponents import (
     phi_worst,
     psi,
     psi_worst,
-    resolvability_exponents,
     secrecy_capacity_lb,
     secrecy_rate,
     taylor_compare,

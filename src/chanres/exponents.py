@@ -47,10 +47,6 @@ from .search import _bisect_cell, _cells, _refine_cells
 # multiple c of (R - I)^2 / (8 J) that approximates it near I = I(p;W)
 _FAMILIES = {"vd_psi": 2.0, "kl_phi": 2.0, "vd_phi_half": 1.0}
 
-WORST_FAMILIES = tuple(name + "_worst" for name in _FAMILIES)
-
-GIVEN_FAMILIES = (*_FAMILIES, *WORST_FAMILIES)
-
 GRID_STEP = 1e-3
 
 # the parameter grids every exponent optimization scans; they do not
@@ -478,13 +474,6 @@ def exponent_sweep(W: Channel, rates, p: Distribution | None = None
     per_family = [_family_reports(rates, W, law) for law in laws]
     return [rep for per_rate in zip(*per_family) for reps in per_rate
             for rep in reps]
-
-
-def resolvability_exponents(R: float, W: Channel,
-                            p: Distribution | None = None
-                            ) -> list[ExponentReport]:
-    """Exponent bounds on approximation error decay at rate R."""
-    return exponent_sweep(W, [R], p)
 
 
 @dataclass(frozen=True)

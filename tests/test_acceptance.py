@@ -4,15 +4,11 @@ Each test prints one pass line; tolerances appear inline next to the
 assertions they govern.
 """
 
-import itertools
-import json
 import math
 
 import numpy as np
 
 from chanres import (
-    Channel,
-    Distribution,
     SelectionParams,
     SetFamily,
     WiretapCode,
@@ -48,20 +44,8 @@ from chanres import (
 )
 from chanres.identification import AdParams
 from chanres.cli import main
-
-
-def binary_entropy(w):
-    return -w * math.log(w) - (1.0 - w) * math.log(1.0 - w)
-
-
-def random_channel(gen, k, l):
-    rows = gen.random((k, l)) + 0.01
-    return Channel(rows / rows.sum(axis=1, keepdims=True))
-
-
-def random_dist(gen, k):
-    v = gen.random(k) + 0.01
-    return Distribution(v / v.sum())
+from corpus import random_channel, random_dist
+from oracles import _compositions, binary_entropy
 
 
 def test_criterion_01_capacity_oracle():
@@ -120,23 +104,11 @@ def test_criterion_04_derivative_checks():
     print("criterion 4 (derivative checks): PASS")
 
 
-def simplex_grid(dim, step_count):
-    pts = []
-    for cuts in itertools.combinations(range(step_count + dim - 1), dim - 1):
-        prev = -1
-        parts = []
-        for c in cuts + (step_count + dim - 1,):
-            parts.append(c - prev - 1)
-            prev = c
-        pts.append(parts)
-    return np.array(pts, dtype=float) / step_count
-
-
 def test_criterion_05_single_letterization():
     # two-block grid maximum (step 0.02) vs twice the one-letter value,
     # tolerance 1e-3
     gen = np.random.default_rng(77)
-    grid = simplex_grid(4, 50)
+    grid = _compositions(50, 4) / 50
     for _ in range(5):
         W = random_channel(gen, 2, 2)
         W2 = product(W, 2)

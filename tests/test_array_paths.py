@@ -29,9 +29,9 @@ from chanres import (
     product,
     product_dist,
 )
-from chanres import ConvergenceError, channel, exponents, identification, psi
-from chanres.channel import _blocks, _density, _kl, _kl_rows
-from chanres.exponents import S_GRID, T_GRID, _power, _worst_solve
+from chanres import ConvergenceError, channel, identification, psi
+from chanres.channel import _kl, _kl_rows
+from chanres.exponents import S_GRID, T_GRID, _worst_solve
 from chanres.identification import (
     AdParams,
     IdCode,
@@ -41,9 +41,11 @@ from chanres.identification import (
 )
 from chanres.rng import stream, uniforms
 from chanres.wiretap import WiretapCode, eval_wiretap
-from test_identification import CrowdedStream, build_reference
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+from corpus import (PROPERTY, TINY_COLUMN as _TINY,
+                    TINY_COLUMN_3X3 as _TINY_3X3, _normalized, _random_rows)
+from oracles import (CrowdedStream, _eval_id_loop, _first_pair_loop,
+                     _full_matrix_phi, _full_matrix_psi, _full_matrix_worst,
+                     _masked_kl, _pairwise_loop, build_reference)
 
 _SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 16)),
                     st.tuples(st.integers(1, 16), st.integers(1, 5)))
@@ -70,16 +72,6 @@ def test_uniforms_rejects_negative_keys(seed, indices):
         stream(seed, min(indices))
 
 
-# zero, or a weight bounded away from zero before normalization
-_WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
-
-
-def _normalized(draw, size):
-    w = draw(st.lists(_WEIGHT, min_size=size, max_size=size)
-             .filter(lambda v: sum(v) > 0))
-    return np.array(w) / sum(w)
-
-
 @st.composite
 def rows_and_law(draw):
     """(A, b): probability rows with zeros, and a law b with zeros, so
@@ -88,16 +80,6 @@ def rows_and_law(draw):
     R = draw(st.integers(1, 12))
     A = np.array([_normalized(draw, Y) for _ in range(R)])
     return A, _normalized(draw, Y)
-
-
-def _masked_kl(a, b):
-    """D(a||b) summed over supp(a) alone; +inf when a has mass outside
-    supp(b)."""
-    mask = a > 0
-    if np.any(b[mask] == 0):
-        return math.inf
-    return max(float(np.sum(a[mask] * (np.log(a[mask]) - np.log(b[mask])))),
-               0.0)
 
 
 @PROPERTY
@@ -121,19 +103,6 @@ def test_kl_rows_edge_cases():
     assert got[2] == got[3] == math.inf
     # a single row
     assert np.array_equal(_kl_rows(A[1:2], b), [math.log(2.0)])
-
-
-def _pairwise_loop(q_e):
-    """Mean distance over ordered pairs (i, j), i != j, one add per pair."""
-    M = len(q_e)
-    if M == 1:
-        return 0.0
-    total = 0.0
-    for i in range(M):
-        for j in range(M):
-            if i != j:
-                total += float(np.abs(q_e[i] - q_e[j]).sum())
-    return total / (M * (M - 1))
 
 
 def test_d_E_equals_double_loop_for_M_1_to_80():
@@ -189,48 +158,6 @@ def test_eval_wiretap_equals_explicit_loops(case):
     assert report.I_E == float(np.mean(
         [_masked_kl(q_e[m], q_e.mean(axis=0)) for m in range(M)]))
     assert report.pairwise_bound == bound
-
-
-def _shaped(vals, x):
-    """vals in the shape of the parameter(s) x, exactly 0 where x is 0."""
-    if np.ndim(x) == 0:
-        return 0.0 if x == 0 else float(vals[0])
-    vals[np.ravel(x) == 0] = 0.0
-    return vals.reshape(np.shape(x))
-
-
-def _full_matrix_phi(t, W, p):
-    """`phi` as it was before `Channel.levels`: every entry of W raised
-    to the power."""
-    e = np.asarray(t, dtype=float).reshape(-1, 1, 1)
-    vals = np.empty(e.shape[0])
-    for blk in _blocks(e.shape[0], W.rows.size):
-        g = np.matmul(p.probs, _power(W.rows, 1.0 / (1.0 + e[blk])))
-        vals[blk] = np.log(np.sum(_power(g, 1.0 + e[blk, 0]), axis=1))
-    return _shaped(vals, t)
-
-
-def _full_matrix_psi(s, W, p):
-    """`psi` as it was before it gathered through `Channel.levels`: every
-    entry of the support rows and live columns of W raised to the power."""
-    wp = output_distribution(W, p).probs
-    live, sup = wp > 0, p.support()
-    rows, wp, ps = W.rows[np.ix_(sup, live)], wp[live], p.probs[sup]
-    e = np.asarray(s, dtype=float).reshape(-1, 1, 1)
-    vals = np.empty(e.shape[0])
-    for blk in _blocks(e.shape[0], W.rows.size):
-        inner = np.sum(_power(rows, 1.0 + e[blk]) * _power(wp, -e[blk]),
-                       axis=2)
-        vals[blk] = np.log(np.matmul(ps, inner[:, :, None])[:, 0])
-    return _shaped(vals, s)
-
-
-def _full_matrix_worst(x, W, is_t):
-    """`_worst_solve` as it was before it gathered through `Channel.levels`:
-    its Newton stacks on every entry of W raised to the power."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exponents, "_powers", lambda W, e: _power(W.rows, e))
-        return _worst_solve(x, W, is_t)
 
 
 def _bits(x):
@@ -319,14 +246,6 @@ def test_worst_gather_equals_full_matrix_powers(case, n):
     _assert_worst_bits(product(case[0], n), _WORST_X, _WORST_T)
 
 
-# the column of 1e-170 entries: its powers underflow to 0 at some
-# parameters only (W^(1+s) for s above about 0.9), and the 3-input
-# channel does not certify at every parameter
-_TINY = Channel(np.array([[0.7, 0.3, 1e-170], [0.3, 0.7, 1e-170]]))
-_TINY_3X3 = Channel(np.array([[0.7, 0.3, 1e-170], [0.2, 0.8, 1e-170],
-                              [0.5, 0.5, 1e-170]]))
-
-
 @pytest.mark.parametrize("W", [_TINY, _TINY_3X3, product(_TINY, 2)])
 def test_tiny_column_gathers_equal_full_matrix_powers(W):
     p = Distribution(_random_rows(np.random.default_rng(2), 1,
@@ -336,11 +255,6 @@ def test_tiny_column_gathers_equal_full_matrix_powers(W):
     for grid, is_t in ((S_GRID, False), (T_GRID, True)):
         _assert_worst_bits(W, grid, is_t)
     _assert_worst_bits(W, _WORST_X, _WORST_T)
-
-
-def _random_rows(rng, X, Y):
-    rows = rng.random((X, Y))
-    return rows / rows.sum(axis=1, keepdims=True)
 
 
 # few: at most half the entries are distinct; channels of both kinds
@@ -382,28 +296,6 @@ def test_levels_computed_once_per_channel(monkeypatch):
     assert len(sorts) == 1
     phi(0.5, product(bsc(0.1), 4), p)
     assert len(sorts) == 2
-
-
-def _eval_id_loop(code, W, p):
-    """(mu, lam) of `eval_id_code` one message at a time, as it was
-    written before the blocked mixtures and the lam screen."""
-    level = _density(W, p)[1] > math.log(code.C)
-    cw = np.array(code.codewords)
-    n = code.messages
-    mix = np.empty((n, W.output_size))
-    regions = np.empty((n, W.output_size), dtype=bool)
-    for k, s in enumerate(code.subsets):
-        idx = cw[list(s)]
-        mix[k] = W.rows[idx].mean(axis=0)
-        regions[k] = np.any(level[idx], axis=0)
-    mu = 0.0
-    lam = 0.0
-    for i in range(n):
-        acc = mix.compress(regions[i], axis=1).sum(axis=1)
-        mu = max(mu, float(1.0 - acc[i]))
-        acc[i] = 0.0
-        lam = max(lam, float(acc.max()))
-    return mu, lam
 
 
 def _assert_eval_equals_loop(code, W, p):
@@ -475,16 +367,6 @@ def test_eval_id_code_near_ties_on_circulant_channels(k, step):
     for C in (0.5, 1.0, 1.3):
         code = IdCode(tuple(range(Y)), _windows(Y, k, step), C)
         _assert_eval_equals_loop(code, W, p)
-
-
-def _first_pair_loop(subsets, cap):
-    for i in range(len(subsets)):
-        for j in range(i + 1, len(subsets)):
-            inter = len(subsets[i] & subsets[j])
-            if not inter < cap:
-                return (f"subsets {i} and {j} share {inter} elements, "
-                        f"not below the cap {cap!r}")
-    return None
 
 
 @pytest.mark.parametrize("block_floats", [1, 40, 2 ** 14])

@@ -43,10 +43,8 @@ from chanres import (
     variational_distance,
 )
 from chanres.channel import _laws, _word_rows
-
-
-def binary_entropy(w: float) -> float:
-    return -w * math.log(w) - (1.0 - w) * math.log(1.0 - w)
+from corpus import dirichlet_law
+from oracles import binary_entropy
 
 
 def test_distribution_validation():
@@ -167,10 +165,7 @@ def test_mutual_information_closed_forms():
 def test_mutual_information_additive_over_products():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        K = int(rng.integers(2, 4))
-        L = int(rng.integers(2, 4))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 4))
         base = mutual_information(p, W)
         for n in (2, 3):
             val = mutual_information(product_dist(p, n), product(W, n))

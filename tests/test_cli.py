@@ -15,14 +15,11 @@ import pytest
 
 from chanres import (
     Channel,
-    Distribution,
     bsc,
     constant_channel,
     exponent_sweep,
     identity_channel,
     phi,
-    product,
-    product_dist,
     save_channel,
     save_distribution,
     taylor_compare,
@@ -31,6 +28,8 @@ from chanres import (
 from chanres import channel, cli, exponents, resolvability, wiretap
 from chanres.cli import _fmt, main
 from chanres.resolvability import PHI_T_GRID
+from corpus import (ASYM, ASYM_P, STALL_4X4_ROWS, TINY_COLUMN_3X3, Z_ROWS,
+                    z_channel)
 
 
 def write_bsc(tmp_path, w=0.1, name="chan.json"):
@@ -335,7 +334,7 @@ def test_capacity_invalid_tol_exits_2(tmp_path, capsys, tol):
 def test_capacity_iteration_cap_exits_4(tmp_path, capsys, monkeypatch):
     # the Z channel reaches tol 1e-15 in 5 iterations; cap it at 3
     monkeypatch.setattr(exponents, "_CAPACITY_ITER", 3)
-    W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    W = Channel(np.array(Z_ROWS))
     chan = write_channel(tmp_path, W, "z.json")
     rc = main(["capacity", "--channel", chan, "--tol", "1e-15"])
     assert rc == 4
@@ -349,8 +348,7 @@ def test_capacity_stall_exits_4_within_the_cap(tmp_path, capsys):
     # step cap, and now stops once its best value stops rising; its CPU
     # time is bounded, as wall time also counts the other processes of a
     # shared machine
-    W = Channel(np.array([[0.252, 0.746, 0.002, 0.0], [1.0, 0.0, 0.0, 0.0],
-                          [0.758, 0.021, 0.215, 0.006], [0.17, 0.0, 0.83, 0.0]]))
+    W = Channel(np.array(STALL_4X4_ROWS))
     chan = write_channel(tmp_path, W, "stall.json")
     start = time.process_time()
     rc = main(["capacity", "--channel", chan])
@@ -439,9 +437,7 @@ def test_exponents_uncertified_exits_4_naming_parameter(tmp_path, capsys,
 
 def test_exponents_overflowing_newton_matrix_exits_4(tmp_path, capsys):
     # g^(c-2) overflows at the tiny column; the solve is uncertified
-    W = Channel(np.array([[0.7, 0.3, 1e-170], [0.2, 0.8, 1e-170],
-                          [0.5, 0.5, 1e-170]]))
-    chan = write_channel(tmp_path, W, "tiny.json")
+    chan = write_channel(tmp_path, TINY_COLUMN_3X3, "tiny.json")
     rc = main(["exponents", "--channel", chan, "--worst", "--rate-start",
                "0.1", "--rate-end", "0.5", "--rate-steps", "3"])
     assert rc == 4
@@ -460,8 +456,7 @@ def test_exponents_noiseless_channel_drops_taylor(tmp_path):
 
 
 def test_exponents_taylor_cells_and_no_negative_zero(tmp_path):
-    W = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
-    p = Distribution(np.array([0.5, 0.3, 0.2]))
+    W, p = ASYM, ASYM_P
     chan = write_channel(tmp_path, W, "asym.json")
     dist = tmp_path / "p3.json"
     save_distribution(p, dist)
@@ -507,10 +502,6 @@ def test_exponents_taylor_past_the_float_range_prints_empty_cells(tmp_path):
         _fmt(cmp_.approx_phi_half)]
 
 
-_ASYM3 = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2],
-                           [0.2, 0.1, 0.7]]))
-
-
 @pytest.mark.parametrize("W, p, noisy", [
     (identity_channel(2), uniform(2), False),
     (identity_channel(3), uniform(3), False),
@@ -518,7 +509,7 @@ _ASYM3 = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2],
     (identity_channel(11), uniform(11), False),
     (constant_channel([0.3, 0.7], 2), uniform(2), False),
     (bsc(0.1), uniform(2), True),
-    (_ASYM3, Distribution(np.array([0.5, 0.3, 0.2])), True),
+    (ASYM, ASYM_P, True),
 ], ids=["id2", "id3", "id6", "id11", "constant", "bsc", "asym3"])
 def test_taylor_compare_refuses_where_the_cli_drops_the_column(tmp_path, W, p,
                                                               noisy):
@@ -1010,8 +1001,7 @@ def test_idcode_build_family_budget_exits_3(tmp_path, capsys):
 
 
 def test_idcode_build_retries_exhausted_exits_0(tmp_path, capsys):
-    W = Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
-    chan = write_channel(tmp_path, W, "z.json")
+    chan = write_channel(tmp_path, z_channel(), "z.json")
     dist = write_uniform(tmp_path)
     rc = main(["idcode", "build", "--channel", chan, "--dist", dist,
                "--alpha", "1.2", "--alpha-prime", "8", "--beta", "1.2",

@@ -23,6 +23,7 @@ from chanres import (
 )
 from chanres.channel import _density
 from chanres.wiretap import _threshold_decoder
+from corpus import dirichlet_law
 
 
 def _symmetric(k, diagonal):
@@ -37,10 +38,7 @@ def _tie_cases():
     cases = [(uniform(2), bsc(0.1), 0.2), (uniform(5), _symmetric(5, 0.6), 3.0)]
     rng = np.random.default_rng(20)
     for _ in range(40):
-        K = int(rng.integers(2, 5))
-        L = int(rng.integers(2, 5))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 5))
         ratios = _density(W, p)[0]
         cases += [(p, W, float(C)) for C in np.unique(ratios[ratios > 0])]
         cases.append((p, W, float(rng.uniform(0.05, 4.0))))
@@ -126,10 +124,7 @@ def test_moments_equal_the_letter_loop():
     # rounding near 1e-16 even where I or J itself is tiny
     rng = np.random.default_rng(22)
     for _ in range(1000):
-        K = int(rng.integers(2, 7))
-        L = int(rng.integers(2, 7))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 7))
         i_val, j_val = _moments_by_letter(p, W)
         assert math.isclose(mutual_information(p, W), i_val,
                             rel_tol=1e-12, abs_tol=1e-15)

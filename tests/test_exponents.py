@@ -13,8 +13,6 @@ from chanres import (
     Channel,
     ConvergenceError,
     Distribution,
-    GIVEN_FAMILIES,
-    WORST_FAMILIES,
     bsc,
     capacity,
     constant_channel,
@@ -26,7 +24,6 @@ from chanres import (
     product_dist,
     psi,
     psi_worst,
-    resolvability_exponents,
     exponent_sweep,
     secrecy_capacity_lb,
     secrecy_rate,
@@ -36,10 +33,8 @@ from chanres import (
 )
 from chanres import channel, exponents
 from chanres.exponents import (
-    GRID_STEP,
     S_GRID,
     T_GRID,
-    ExponentReport,
     _KKT_TOL,
     _kkt_residual,
     _newton_step,
@@ -47,10 +42,13 @@ from chanres.exponents import (
     _worst_solve,
 )
 from chanres.search import _cells, _golden_max, _refine_cells
+from corpus import (ASYM, ASYM_P, CHANNEL_3X5_ROWS, DEAD_COLUMN,
+                    STALL_4X4_ROWS, TINY_COLUMN, TINY_COLUMN_3X3, Z_ROWS,
+                    _rounded_channels, dirichlet_law)
+from oracles import (_alternating_capacity, _reference_grid_golden_max,
+                     _reference_sweep, _scalar_golden_max, binary_entropy,
+                     phi_oracle, psi_oracle)
 
-# the 3-ary asymmetric channel and input law of the benchmark
-ASYM = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
-ASYM_P = Distribution(np.array([0.5, 0.3, 0.2]))
 # no input reaches output 2, so W_p has a zero entry
 DEAD_OUTPUT = Channel(np.array([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0]]))
 # four inputs on two outputs: near s = 0 and t = 0 the maximand is
@@ -60,52 +58,12 @@ HARD_4X2 = Channel(np.array([[0.42190983, 0.57809017],
                              [0.75488368, 0.24511632],
                              [0.38190314, 0.61809686],
                              [0.79701893, 0.20298107]]))
-# a full Newton step at s = 0.05 would empty output 1
-DEAD_COLUMN = Channel(np.array([[1.0, 0.0, 0.0],
-                                [0.6782, 0.1515, 0.1703],
-                                [0.1301, 0.0, 0.8699]]))
-# W^(1+s) underflows to 0 in column 2 for s above about 0.9, and
-# W^(1/(1+t)) for t below about -0.47
-TINY_COLUMN = Channel(np.array([[0.7, 0.3, 1e-170], [0.3, 0.7, 1e-170]]))
-# the uniform law is not optimal here, and g^(c-2) overflows at the tiny
-# column once a step leaves it
-TINY_COLUMN_3X3 = Channel(np.array([[0.7, 0.3, 1e-170], [0.2, 0.8, 1e-170],
-                                    [0.5, 0.5, 1e-170]]))
-
-
-def binary_entropy(w: float) -> float:
-    return -w * math.log(w) - (1.0 - w) * math.log(1.0 - w)
-
-
-def psi_oracle(s, W, p):
-    wp = p.probs @ W.rows
-    total = 0.0
-    for x in range(W.input_size):
-        inner = 0.0
-        for y in range(W.output_size):
-            if wp[y] > 0:
-                inner += W.rows[x, y] ** (1.0 + s) * wp[y] ** (-s)
-        total += p.probs[x] * inner
-    return math.log(total)
-
-
-def phi_oracle(t, W, p):
-    total = 0.0
-    for y in range(W.output_size):
-        g = 0.0
-        for x in range(W.input_size):
-            g += p.probs[x] * W.rows[x, y] ** (1.0 / (1.0 + t))
-        total += g ** (1.0 + t)
-    return math.log(total)
 
 
 def test_origin_values_are_exact_zero():
     rng = np.random.default_rng(21)
     for _ in range(20):
-        K = int(rng.integers(2, 5))
-        L = int(rng.integers(2, 5))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 5))
         assert psi(0.0, W, p) == 0.0
         assert phi(0.0, W, p) == 0.0
 
@@ -156,10 +114,7 @@ def test_identity_channel_closed_forms():
 def test_psi_phi_match_oracle_random():
     rng = np.random.default_rng(22)
     for _ in range(50):
-        K = int(rng.integers(2, 6))
-        L = int(rng.integers(2, 6))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 6))
         s = float(rng.uniform(0.05, 1.0))
         t = float(rng.uniform(-0.5, -0.05))
         assert math.isclose(psi(s, W, p), psi_oracle(s, W, p),
@@ -201,68 +156,6 @@ def test_array_origin_and_domain():
         psi(np.array([0.5, -1.0, 0.2]), W, p)
     with pytest.raises(ValueError):
         phi(np.array([[-0.2], [-1.5]]), W, p)
-
-
-def _scalar_golden_max(f, lo, hi, tol=1e-12):
-    """The golden section of one objective, one point per call of f."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _reference_grid_golden_max(f, lo, hi):
-    npts = int(round((hi - lo) / GRID_STEP)) + 1
-    xs = np.linspace(lo, hi, npts)
-    vals = [f(float(x)) for x in xs]
-    i = int(np.argmax(vals))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, npts - 1)])
-    xg, vg = _scalar_golden_max(f, a, b)
-    if vg >= vals[i]:
-        return float(xg), float(vg)
-    return float(xs[i]), float(vals[i])
-
-
-def _reference_sweep(W, rates, p):
-    """The sweep with one scalar call per grid point and rate."""
-    @functools.lru_cache(maxsize=None)
-    def psi_curve(s):
-        return psi_worst(s, W)[0]
-
-    @functools.lru_cache(maxsize=None)
-    def phi_curve(t):
-        return phi_worst(t, W)[0]
-
-    reports = []
-    for R in rates:
-        families = [] if p is None else [
-            (lambda s: psi(s, W, p), lambda t: phi(t, W, p), "")]
-        families.append((psi_curve, phi_curve, "_worst"))
-        for psi_fn, phi_fn, suffix in families:
-            s_star, vd_val = _reference_grid_golden_max(
-                lambda s: (s * R - psi_fn(s)) / (1.0 + s), 0.0, 1.0)
-            t_star, kl_val = _reference_grid_golden_max(
-                lambda t: -phi_fn(t) - t * R, -0.5, 0.0)
-            reports += [
-                ExponentReport(R, max(vd_val, 0.0), s_star, "vd_psi" + suffix),
-                ExponentReport(R, max(kl_val, 0.0), t_star, "kl_phi" + suffix),
-                ExponentReport(R, max(kl_val, 0.0) / 2.0, t_star,
-                               "vd_phi_half" + suffix),
-            ]
-    return reports
 
 
 # psi(0) and phi(0) compute as -1.1e-16 here, before they are set to 0
@@ -518,10 +411,7 @@ def test_non_finite_rates_rejected(bad):
 def test_convexity_and_tangent_lower_bounds():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        K = int(rng.integers(2, 5))
-        L = int(rng.integers(2, 5))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 5))
         i_val = mutual_information(p, W)
         a, b = sorted(rng.uniform(0.01, 1.0, size=2))
         mid = 0.5 * (a + b)
@@ -540,10 +430,7 @@ def test_slopes_at_origin_equal_mutual_information():
     rng = np.random.default_rng(24)
     h = 1e-5
     for _ in range(10):
-        K = int(rng.integers(2, 5))
-        L = int(rng.integers(2, 5))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 5))
         i_val = mutual_information(p, W)
         fd_psi = psi(h, W, p) / h
         fd_phi = phi(-h, W, p) / (-h)
@@ -625,6 +512,17 @@ def test_worst_case_refuses_an_array_parameter(solve, name, x):
         solve(x, bsc(0.1))
 
 
+def test_worst_case_values_where_the_3x5_channel_certifies():
+    # the solves fail near the origin here (s up to 0.02, t down to
+    # -0.1); a mend for those must keep these values
+    W = Channel(np.array(CHANNEL_3X5_ROWS))
+    for solve, x, value in ((psi_worst, 0.1, 0.07397726534423418),
+                            (psi_worst, 0.5, 0.4777672811646211),
+                            (phi_worst, -0.3, 0.20757114519753342),
+                            (phi_worst, -0.5, 0.34683846046772326)):
+        assert math.isclose(solve(x, W)[0], value, rel_tol=1e-12)
+
+
 def test_worst_case_takes_numpy_scalars():
     W = bsc(0.1)
     for x in (np.float64(0.3), np.array(0.3)):
@@ -701,10 +599,13 @@ def test_worst_case_symmetric_channel_uniform():
 def test_exponent_sweep_structure(monkeypatch):
     W, p = bsc(0.1), uniform(2)
     reports = exponent_sweep(W, [0.5, 0.8], p)
-    assert [r.family for r in reports[:6]] == list(GIVEN_FAMILIES)
+    assert [r.family for r in reports[:6]] == [
+        "vd_psi", "kl_phi", "vd_phi_half", "vd_psi_worst", "kl_phi_worst",
+        "vd_phi_half_worst"]
     assert len(reports) == 12
     worst_only = exponent_sweep(W, [0.5], None)
-    assert [r.family for r in worst_only] == list(WORST_FAMILIES)
+    assert [r.family for r in worst_only] == [
+        "vd_psi_worst", "kl_phi_worst", "vd_phi_half_worst"]
     with pytest.raises(ValueError):
         exponent_sweep(W, [-0.1], p)
 
@@ -721,7 +622,7 @@ def test_exponents_zero_at_and_below_capacity():
     W, p = bsc(0.1), uniform(2)
     i_val = mutual_information(p, W)
     for R in (0.0, 0.5 * i_val, i_val):
-        for rep in resolvability_exponents(R, W, p):
+        for rep in exponent_sweep(W, [R], p):
             if rep.family.endswith("_worst") and R == i_val:
                 # exactly at capacity the optimizer sits at s = 0 and
                 # the certified solver can leave rounding dust behind
@@ -746,7 +647,7 @@ def test_identity_rate_closed_forms():
     # shares its optimizer with the kl bound
     W, p = identity_channel(2), uniform(2)
     R = 1.0
-    reports = {r.family: r for r in resolvability_exponents(R, W, p)}
+    reports = {r.family: r for r in exponent_sweep(W, [R], p)}
     expected = (R - math.log(2.0)) / 2.0
     assert reports["vd_psi"].bound_value == expected
     assert math.isclose(reports["kl_phi"].bound_value, expected, rel_tol=1e-12)
@@ -790,7 +691,7 @@ def test_capacity_closed_forms():
 
 
 def test_capacity_convergence_error(monkeypatch):
-    W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    W = Channel(np.array(Z_ROWS))
     # reachable in 5 iterations
     assert capacity(W, tol=1e-15).iterations == 5
     monkeypatch.setattr(exponents, "_CAPACITY_ITER", 3)
@@ -801,16 +702,6 @@ def test_capacity_convergence_error(monkeypatch):
     # stopped by the cap
     with pytest.raises(ConvergenceError, match="not certified after 3 "):
         capacity(W, tol=1e-15)
-
-
-def _rounded_channels(seed, count, sizes):
-    """Channels of Dirichlet(0.1) rows rounded to 3 decimals, each size
-    drawn from the range `sizes`."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        K, Y = (int(rng.integers(*sizes)) for _ in range(2))
-        rows = rng.dirichlet(np.full(Y, 0.1), size=K).round(3)
-        yield Channel(rows / rows.sum(axis=1, keepdims=True))
 
 
 def test_capacity_stall_stop_keeps_every_certified_result(monkeypatch):
@@ -840,10 +731,9 @@ def test_capacity_stall_stop_keeps_every_certified_result(monkeypatch):
 
 
 def test_info_max_stall_returns_the_best_law(monkeypatch):
-    # the stall channel of tests/test_cli.py: its best value comes at
-    # step 154, and 20 steps that do not raise it end the ascent
-    W = np.array([[0.252, 0.746, 0.002, 0.0], [1.0, 0.0, 0.0, 0.0],
-                  [0.758, 0.021, 0.215, 0.006], [0.17, 0.0, 0.83, 0.0]])
+    # 20 steps that do not raise the best value (step 154's) end the
+    # ascent
+    W = np.array(STALL_4X4_ROWS)
     values, step = [], exponents._newton_step
 
     def newton_step(p, D, F, *args):
@@ -863,26 +753,6 @@ def test_info_max_stall_returns_the_best_law(monkeypatch):
 def test_capacity_rejects_invalid_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         capacity(bsc(0.1), tol=tol)
-
-
-def _alternating_capacity(W: Channel, tol: float = 1e-8,
-                          max_iter: int = 200_000) -> float:
-    """Capacity by Blahut-Arimoto alternation, the loop the Newton ascent
-    replaced, with the same certificate max_x D(W_x || W_p) - I <= tol."""
-    rows = W.rows
-    logrows = np.where(rows > 0, np.log(np.where(rows > 0, rows, 1.0)), 0.0)
-    p = np.full(rows.shape[0], 1.0 / rows.shape[0])
-    for _ in range(max_iter):
-        wp = p @ rows
-        lwp = np.where(wp > 0, np.log(np.where(wp > 0, wp, 1.0)), 0.0)
-        D = np.sum(np.where(rows > 0, rows * (logrows - lwp), 0.0), axis=1)
-        i_val = float(p @ D)
-        if float(np.max(D) - i_val) <= tol:
-            return max(i_val, 0.0)
-        p = p * np.exp(D - np.max(D))
-        p = np.maximum(p, 1e-300)
-        p = p / p.sum()
-    raise AssertionError("the alternation did not converge")
 
 
 def _capacity_cases() -> dict:
@@ -958,7 +828,7 @@ def test_taylor_compare_refuses_past_the_float_range():
 
 def test_taylor_compare_solves_no_worst_case(monkeypatch):
     R = 0.4
-    by_family = {r.family: r for r in resolvability_exponents(R, ASYM, ASYM_P)}
+    by_family = {r.family: r for r in exponent_sweep(ASYM, [R], ASYM_P)}
 
     def refuse(*args):
         raise AssertionError("worst-case solve")

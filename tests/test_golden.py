@@ -26,6 +26,7 @@ import sys
 import pytest
 
 from chanres.cli import main
+from corpus import ASYM_ROWS, Z_ROWS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden_simulate.txt")
@@ -42,11 +43,10 @@ def _channel(rows):
 
 INPUTS = {
     "bsc01.json": _channel([[0.9, 0.1], [0.1, 0.9]]),
-    "z.json": _channel([[1.0, 0.0], [0.3, 0.7]]),
+    "z.json": _channel(Z_ROWS),
     "bob.json": _channel([[0.95, 0.05], [0.05, 0.95]]),
     "eve.json": _channel([[0.8, 0.2], [0.2, 0.8]]),
-    "asym3.json": _channel([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2],
-                            [0.2, 0.1, 0.7]]),
+    "asym3.json": _channel(ASYM_ROWS),
     "sym4.json": _channel([[0.95 if x == y else 0.05 / 3 for y in range(4)]
                            for x in range(4)]),
     "u2.json": {"probs": [0.5, 0.5]},

@@ -23,7 +23,6 @@ from chanres import (
     id_error_bounds,
     identity_channel,
     load_id_code,
-    output_distribution,
     product,
     product_dist,
     save_id_code,
@@ -32,11 +31,9 @@ from chanres import (
     uniform,
 )
 from chanres import identification
-from chanres.rng import sample_indices, stream
-
-
-def z_channel():
-    return Channel(np.array([[1.0, 0.0], [0.5, 0.5]]))
+from corpus import dirichlet_channel as random_channel, z_channel
+from oracles import (CrowdedStream, _first_pair_loop, build_reference,
+                     eval_reference, select_reference)
 
 
 def test_ad_params():
@@ -349,27 +346,6 @@ def test_non_finite_threshold_rejected(C):
         IdCode((3, 1, 2), ((1, 0), (2,)), C)
 
 
-def random_channel(rng, K, Y, concentration):
-    return Channel(rng.dirichlet(np.full(Y, concentration), size=K))
-
-
-def eval_reference(code, W, p):
-    """Double loop over (i, j): one masked 1-D sum per pair."""
-    level = W.rows > code.C * output_distribution(W, p).probs
-    mixtures, regions = [], []
-    for s in code.subsets:
-        idx = [code.codewords[k] for k in s]
-        mixtures.append(W.rows[idx].mean(axis=0))
-        regions.append(np.any(level[idx], axis=0))
-    mu = lam = 0.0
-    for i, region in enumerate(regions):
-        mu = max(mu, float(1.0 - mixtures[i][region].sum()))
-        for j, mixture in enumerate(mixtures):
-            if j != i:
-                lam = max(lam, float(mixture[region].sum()))
-    return mu, lam, [int(r.sum()) for r in regions]
-
-
 # numpy sums fewer than 8 entries one by one, unrolls by 8 up to 128,
 # and splits pairwise above that: one output count per regime
 @pytest.mark.parametrize("Y, C, lo, hi", [
@@ -398,35 +374,6 @@ def test_eval_id_code_equals_pair_loop(Y, C, lo, hi):
         metrics = eval_id_code(single, W, p)
         assert metrics.lam == 0.0
         assert (metrics.mu, metrics.lam) == eval_reference(single, W, p)[:2]
-
-
-def build_reference(params, seed, max_attempts=None):
-    """The pair loop: each candidate against every chosen frozenset."""
-    size = params.subset_size
-    target = max(params.family_size, 1)
-    cap = params.kappa * size
-    if max_attempts is None:
-        max_attempts = 200 * target + 1000
-    gen = identification.stream(seed, 0)
-    chosen = []
-    attempts = 0
-    while len(chosen) < target and attempts < max_attempts:
-        attempts += 1
-        cand = frozenset(int(v) for v in
-                         gen.choice(params.M, size=size, replace=False))
-        if all(len(cand & s) < cap for s in chosen):
-            chosen.append(cand)
-    return tuple(chosen), attempts, len(chosen) >= target
-
-
-class CrowdedStream:
-    """Draws confined to the first size + 6 elements, so many overlap."""
-
-    def __init__(self, seed, index):
-        self.gen = np.random.default_rng([seed, index])
-
-    def choice(self, M, size, replace):
-        return self.gen.choice(size + 6, size=size, replace=replace)
 
 
 @pytest.mark.parametrize("M, tau, kappa", [
@@ -466,13 +413,7 @@ def test_set_family_error_names_first_pair():
                                   rng.choice(9, size=size, replace=False))
                         for _ in range(int(rng.integers(2, 9))))
         cap = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
-        expected = None
-        for i in range(len(subsets)):
-            for j in range(i + 1, len(subsets)):
-                inter = len(subsets[i] & subsets[j])
-                if expected is None and not inter < cap:
-                    expected = (f"subsets {i} and {j} share {inter} elements, "
-                                f"not below the cap {cap!r}")
+        expected = _first_pair_loop(subsets, cap)
         if expected is None:
             assert SetFamily(subsets, cap).subsets == subsets
             continue
@@ -481,44 +422,6 @@ def test_set_family_error_names_first_pair():
             SetFamily(subsets, cap)
         assert str(info.value) == expected
     assert raised > 50
-
-
-def select_reference(W, p, params, seed, max_retries=100):
-    """The screening loop with one masked 1-D sum per candidate.
-
-    Returns the selection fields and how many candidates the union
-    screen alone refused.
-    """
-    miss_avg = 1.0 - tail_pair(p, W, params.C).delta
-    m_prime = params.m_prime
-    miss_bound = params.alpha * params.beta * miss_avg
-    union_bound = params.alpha_prime * params.beta_prime * m_prime / params.C
-    level = W.rows > params.C * output_distribution(W, p).probs
-    rows = W.rows
-    union_refused = 0
-    for attempt in range(max_retries):
-        xs = sample_indices(p.probs, stream(seed, attempt).random(m_prime))
-        over = level[xs]
-        counts = over.sum(axis=0)
-        picked = []
-        for i, x in enumerate(xs):
-            miss = 1.0 - np.sum(rows[x] * over[i])
-            union = float(np.sum(rows[x] * ((counts - over[i]) >= 1)))
-            union_refused += miss <= miss_bound and union > union_bound
-            if (miss <= miss_bound and union <= union_bound
-                    and int(x) not in picked
-                    and len(picked) < params.family.M):
-                picked.append(int(x))
-        if len(picked) < params.family.M:
-            continue
-        sel_level = level[picked]
-        sel_counts = sel_level.sum(axis=0)
-        union = tuple(float(np.sum(rows[x] * ((sel_counts - sel_level[i]) >= 1)))
-                      for i, x in enumerate(picked))
-        miss = tuple(float(1.0 - np.sum(rows[x] * sel_level[i]))
-                     for i, x in enumerate(picked))
-        return (tuple(picked), miss, union, attempt + 1), union_refused
-    return None, union_refused
 
 
 def test_select_codewords_equals_candidate_loop():

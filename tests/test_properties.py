@@ -38,52 +38,20 @@ from chanres import (
     tail_pair,
 )
 from chanres.channel import _kl
-from chanres.exponents import (
-    GRID_STEP,
-    S_GRID,
-    T_GRID,
-    _gallager_max,
-    _worst_solve,
-    wiretap_exponents,
-)
-from chanres.resolvability import PHI_T_GRID
-from chanres.search import _bisect_cell, _cells, _refine_cells
-from chanres.spectrum import eta
+from chanres.exponents import (S_GRID, _gallager_max, _worst_solve,
+                               wiretap_exponents)
+from chanres.search import _bisect_cell
 from chanres.wiretap import (
     _DECOMP_TOL,
     WiretapCode,
     eval_wiretap,
     wiretap_bounds,
 )
-
-# zero, or a weight bounded away from zero before normalization
-_WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
-
-
-def _normalized(draw, size):
-    w = draw(st.lists(_WEIGHT, min_size=size, max_size=size)
-             .filter(lambda v: sum(v) > 0))
-    return np.array(w) / sum(w)
-
-
-@st.composite
-def channel_and_law(draw):
-    K = draw(st.integers(1, 3))
-    L = draw(st.integers(2, 3))
-    W = Channel(np.array([_normalized(draw, L) for _ in range(K)]))
-    return W, Distribution(_normalized(draw, K))
-
-
-def _product_densities(p, W, n):
-    """log(W^n_x(y)/W^n_p(y)) and the joint mass of every product atom."""
-    pn, Wn = product_dist(p, n), product(W, n)
-    joint = pn.probs[:, None] * Wn.rows
-    wpn = pn.probs @ Wn.rows
-    live = joint > 0
-    ratio = Wn.rows[live] / np.broadcast_to(wpn, Wn.rows.shape)[live]
-    return np.log(ratio), joint[live]
+from corpus import (DEAD_COLUMN, PROPERTY, _normalized, _seeded_law,
+                    channel_and_law, small_channel)
+from oracles import (_compositions, _gallager_objective, _product_densities,
+                     _scanned_gallager_max, _spelled_out_wiretap_bounds,
+                     _spelled_out_wiretap_exponents)
 
 
 def _away_from_atoms(dens, thr):
@@ -129,44 +97,13 @@ def test_psi_phi_additive_over_products(law, n, s, t):
                         rel_tol=1e-9, abs_tol=1e-12)
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """Every vector of `parts` nonnegative integers summing to `total`.
-
-    One row each, in lexicographic order; built one column at a time,
-    each row of the first j columns repeated once per value the next
-    column can take.
-    """
-    rows = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([total])
-    for _ in range(parts - 1):
-        reps = left + 1
-        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.column_stack([np.repeat(rows, reps, axis=0), k])
-        left = np.repeat(left, reps) - k
-    return np.column_stack([rows, left])
-
-
 # a step-0.02 grid on the simplex of up to 4 inputs (23,426 points)
 _GRID_STEPS = 50
-
-# a full Newton step here at s = 0.05 empties output 1; a solve that
-# took it and read that output's gain as 0 would certify F = 1.025861,
-# below the step-0.02 grid's best, 1.026166
-DEAD_COLUMN = Channel(np.array([[1.0, 0.0, 0.0],
-                                [0.6782, 0.1515, 0.1703],
-                                [0.1301, 0.0, 0.8699]]))
 
 # without the rounding slack in the line search, the last Newton step
 # here at t = -0.44 is refused and the solve stops at residual 4.2e-9
 NEAR_FLAT = Channel(np.array([[0.623, 0.377], [0.715, 0.285],
                               [0.543, 0.457]]))
-
-
-@st.composite
-def small_channel(draw):
-    K = draw(st.integers(1, 4))
-    L = draw(st.integers(2, 3))
-    return Channel(np.array([_normalized(draw, L) for _ in range(K)]))
 
 
 def _power_sums(A, c, P):
@@ -298,67 +235,6 @@ def test_divergence_decomposition_residual(case):
     assert residual <= _DECOMP_TOL * max(1.0, abs(rhs))
 
 
-def _scan_and_refine(f, xs):
-    """One objective f, as in `search._golden_max`, scanned on the grid
-    xs and refined by golden section on its best cell: arrays (argmax,
-    max) of one entry."""
-    vals = np.asarray(f(None, xs))
-    best = np.array([np.argmax(vals)])
-    return _refine_cells(f, _cells(xs, best), vals[best])
-
-
-def _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime):
-    """The fields of `wiretap_bounds`, each formula written out for the
-    wiretap code alone, with one scalar phi call per grid point."""
-    log_ml = math.log(M) + math.log(L)
-
-    def gallager(s):
-        return -(s * log_ml + phi(s, W_B, p))
-
-    s_star, neg = _scan_and_refine(lambda _, s: gallager(s), S_GRID)
-    if C_prime is None:
-        error_threshold = math.inf
-    else:
-        miss_b = 1.0 - tail_pair(p, W_B, C_prime).delta
-        error_threshold = 3.0 * (miss_b + M * L / C_prime)
-    tp_e = tail_pair(p, W_E, C)
-    leak_eta = 3.0 * (eta(tp_e.delta)
-                      + tp_e.delta * math.log(W_E.output_size)
-                      + tp_e.delta_prime / L)
-    log_l = math.log(L)
-    best_phi, t_star = min(
-        (math.log1p(math.exp(t * log_l + phi(t, W_E, p))) / (-t), t)
-        for t in PHI_T_GRID)
-    return dict(
-        error_gallager=3.0 * math.exp(-float(neg[0])),
-        error_threshold=error_threshold, leak_kl_eta=leak_eta,
-        leak_kl_phi=3.0 * float(best_phi),
-        secrecy_vd=6.0 * (2.0 * tp_e.delta + math.sqrt(tp_e.delta_prime / L)),
-        gallager_s=float(s_star[0]), phi_t=float(t_star))
-
-
-def _spelled_out_wiretap_exponents(R, R_prime, W_B, W_E, p):
-    """The fields of `wiretap_exponents`, one grid-and-golden search per
-    exponent."""
-    def best(f, xs):
-        x, v = _scan_and_refine(f, xs)
-        return float(x[0]), max(0.0, float(v[0]))
-
-    s_err, e_err = best(
-        lambda _, s: -phi(s, W_B, p) - s * (R + R_prime), S_GRID)
-    t_kl, e_kl = best(lambda _, t: -phi(t, W_E, p) - t * R_prime, T_GRID)
-    s_vd, e_vd = best(
-        lambda _, s: (s * R_prime - psi(s, W_E, p)) / (1.0 + s), S_GRID)
-    edge = 2.0 * GRID_STEP
-    return dict(
-        error_exponent=e_err,
-        leak_kl_exponent=e_kl, leak_vd_exponent_psi=e_vd,
-        leak_vd_exponent_phi=e_kl / 2.0, error_s=s_err, leak_kl_t=t_kl,
-        leak_vd_psi_s=s_vd, error_saturated=(1.0 - s_err) <= edge,
-        leak_kl_saturated=(t_kl + 0.5) <= edge,
-        leak_vd_psi_saturated=(1.0 - s_vd) <= edge)
-
-
 def _fields_equal(report, expected):
     assert list(vars(report)) == list(expected)
     for name, want in expected.items():
@@ -386,20 +262,6 @@ def test_wiretap_reuse_equals_spelled_out_formulas(law, Y_E, n, M, L, log_C,
                   _spelled_out_wiretap_exponents(R, R_prime, W_B, W_E, p))
 
 
-def _gallager_objective(W, p, rate):
-    def f(_, s):
-        return -phi(s, W, p) - s * rate
-    return f
-
-
-def _scanned_gallager_max(W, p, rate):
-    """The Gallager search as a scan of every S_GRID point, then the
-    golden section around the best one."""
-    f = _gallager_objective(W, p, rate)
-    s, v = _scan_and_refine(f, S_GRID)
-    return float(s[0]), float(v[0])
-
-
 @PROPERTY
 @given(channel_and_law(), st.integers(1, 3),
        st.one_of(st.just(0.0),
@@ -411,12 +273,6 @@ def test_bisected_gallager_search_equals_full_scan(law, n, rate):
     W, p = product(W, n), product_dist(p, n)
     assert (repr(_gallager_max(W, p, rate))
             == repr(_scanned_gallager_max(W, p, rate)))
-
-
-def _seeded_law(seed, K, Y):
-    rng = np.random.default_rng(seed)
-    return (Channel(rng.dirichlet(np.ones(Y), size=K)),
-            Distribution(rng.dirichlet(np.ones(K))))
 
 
 # flat objectives: no information at rate 0, or E_0(s) = s * rate

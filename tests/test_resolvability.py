@@ -32,6 +32,7 @@ from chanres.channel import _kron_chain
 from chanres.exponents import phi
 from chanres.resolvability import PHI_T_GRID
 from chanres.rng import sample_indices, stream
+from corpus import ASYM, ASYM_P, Z_ROWS
 
 
 def test_code_validation():
@@ -125,7 +126,7 @@ def test_mc_expectation_dense_and_streamed_paths_agree():
     # a zero channel entry keeps the tail enumeration at 9 atoms while
     # the dense product would need 16 states, so a cap of 9 forces the
     # per-word path; the numbers must not depend on which path ran
-    W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    W = Channel(np.array(Z_ROWS))
     p = uniform(2)
     kwargs = dict(trials=100, seed=7, n=2)
     dense = mc_expectation(p, W, 3, 1.5, **kwargs)
@@ -216,6 +217,15 @@ def test_counting_check():
     v = counting_check(0.0, 0.0, 1, W, [uniform(2)])
     assert v.eps_estimate == 1.0
     assert not v.hypothesis_holds
+    # an estimate, not a certified floor: a grid without (1/4, 3/4)
+    # misses its eps 0.5, above 1 - mu - lam = 0.4
+    v = counting_check(0.3, 0.3, 2, W, [uniform(2)])
+    assert v.eps_estimate == 0.0
+    assert v.hypothesis_holds and v.size_ceiling == 4
+    v = counting_check(0.3, 0.3, 2, W,
+                       [uniform(2), Distribution([0.25, 0.75])])
+    assert v.eps_estimate == 0.5
+    assert not v.hypothesis_holds
     with pytest.raises(ValueError):
         counting_check(0.0, 0.0, 2, W, [])
 
@@ -223,7 +233,7 @@ def test_counting_check():
 def test_mc_expectation_does_not_depend_on_the_budget():
     # a cap of 10000 states is below the 2^16-state W^8, which must not
     # change a single bit of the estimates
-    W = Channel(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    W = Channel(np.array(Z_ROWS))
     p = uniform(2)
     kwargs = dict(trials=300, seed=0, n=8)
     lean = mc_expectation(p, W, 16, math.e, budget=EnumerationBudget(10000),
@@ -248,8 +258,7 @@ def test_mc_expectation_runs_without_threads(monkeypatch):
 def test_mc_expectation_words_spanning_blocks():
     # M * |Y|^n above one block: each trial's rows are summed over
     # several blocks and must equal the mean over the materialized rows
-    W = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
-    p = Distribution(np.array([0.5, 0.3, 0.2]))
+    W, p = ASYM, ASYM_P
     M, n, trials, seed = 50, 6, 100, 3
     rows = product(W, n).rows
     wpn = _kron_chain([output_distribution(W, p).probs] * n)

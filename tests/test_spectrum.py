@@ -22,24 +22,8 @@ from chanres import (
     product_tail_pair,
     uniform,
 )
-
-
-def tail_oracle(p, W, C):
-    # direct sum over all (x, y) cells with W_p(y) > 0
-    wp = p.probs @ W.rows
-    delta = 0.0
-    delta_prime = 0.0
-    for x in range(W.input_size):
-        for y in range(W.output_size):
-            if wp[y] == 0:
-                continue
-            ratio = W.rows[x, y] / wp[y]
-            mass = p.probs[x] * W.rows[x, y]
-            if ratio > C:
-                delta += mass
-            else:
-                delta_prime += mass * ratio
-    return delta, delta_prime
+from corpus import ASYM, ASYM_P, dirichlet_law
+from oracles import tail_oracle
 
 
 def test_tail_pair_bsc():
@@ -80,10 +64,7 @@ def test_tail_pair_dead_output_column():
 def test_tail_pair_matches_oracle_random():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        K = int(rng.integers(2, 7))
-        L = int(rng.integers(2, 7))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 7))
         C = float(rng.uniform(0.05, 4.0))
         d0, dp0 = tail_oracle(p, W, C)
         tp = tail_pair(p, W, C)
@@ -94,10 +75,7 @@ def test_tail_pair_matches_oracle_random():
 def test_delta_prime_never_exceeds_threshold():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        K = int(rng.integers(2, 7))
-        L = int(rng.integers(2, 7))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 7))
         C = float(rng.uniform(0.05, 5.0))
         tp = tail_pair(p, W, C)
         assert tp.delta_prime <= C
@@ -127,10 +105,7 @@ def test_tail_pair_validation():
 def test_product_tail_equals_single_letter_at_n1():
     rng = np.random.default_rng(14)
     for _ in range(50):
-        K = int(rng.integers(2, 5))
-        L = int(rng.integers(2, 5))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 5))
         C = float(rng.uniform(0.3, 3.0))
         a = tail_pair(p, W, C)
         b = product_tail_pair(p, W, C, 1)
@@ -154,10 +129,7 @@ def test_product_tail_many_letter_densities():
 def test_product_tail_matches_materialized_product():
     rng = np.random.default_rng(15)
     for _ in range(20):
-        K = int(rng.integers(2, 4))
-        L = int(rng.integers(2, 4))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 4))
         C = float(rng.uniform(0.3, 3.0))
         fast = product_tail_pair(p, W, C, 3)
         slow = tail_pair(product_dist(p, 3), product(W, 3), C)
@@ -182,8 +154,7 @@ def test_product_tail_binomial_closed_form():
 def test_product_tail_budget():
     # the budget counts type classes: nine distinct letter densities give
     # C(38, 8) = 48,903,492 classes at n = 30
-    W = Channel(np.array([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]))
-    p = Distribution(np.array([0.5, 0.3, 0.2]))
+    W, p = ASYM, ASYM_P
     with pytest.raises(BudgetError, match="needs 48903492 "):
         product_tail_pair(p, W, 1.5, 30, EnumerationBudget(10 ** 6))
     with pytest.raises(BudgetError, match="needs 48903492 "):
@@ -253,10 +224,7 @@ def test_spectrum_cdf_partitions_with_delta():
     # the cdf is inclusive and delta is strict on the same atoms
     rng = np.random.default_rng(16)
     for _ in range(40):
-        K = int(rng.integers(2, 5))
-        L = int(rng.integers(2, 5))
-        W = Channel(rng.dirichlet(np.ones(L), size=K))
-        p = Distribution(rng.dirichlet(np.ones(K)))
+        W, p = dirichlet_law(rng, (2, 5))
         a = float(rng.uniform(-1.0, 1.0))
         for n in (1, 2):
             cdf = spectrum_cdf(p, W, a, n)

@@ -25,6 +25,7 @@ from chanres import (
     wiretap_exponents,
 )
 from chanres import exponents, wiretap
+from oracles import _construct_reference, _pairwise_loop
 
 
 def test_code_validation():
@@ -297,47 +298,6 @@ def test_construct_attempt_callback():
     assert log[1] == (1, (True, True, True))
 
 
-def _construct_reference(p, W_B, W_E, M, L, C, C_prime, seed, max_retries,
-                         decoder_kind="maximum_likelihood", on_attempt=None):
-    # the retry loop as it was written before it kept one best-attempt
-    # record: a full result per attempt, patched on exhaustion
-    bounds = wiretap_bounds(W_B, W_E, p, M, L, C, C_prime)
-    eps_target = (bounds.error_threshold if decoder_kind == "threshold"
-                  else bounds.error_gallager)
-    leak_target = min(bounds.leak_kl_eta, bounds.leak_kl_phi)
-    vd_target = bounds.secrecy_vd
-
-    best = None
-    best_key = None
-    for attempt in range(max_retries):
-        code = sample_wiretap_code(
-            p, M, L, W_B, seed, index=attempt, decoder_kind=decoder_kind,
-            C_prime=C_prime if decoder_kind == "threshold" else None)
-        report = eval_wiretap(code, W_B, W_E, p)
-        ok_eps = report.eps_B <= eps_target
-        ok_leak = report.I_E <= leak_target
-        ok_vd = report.d_E <= vd_target
-        if on_attempt is not None:
-            on_attempt(attempt, report, (ok_eps, ok_leak, ok_vd))
-        result = wiretap.ConstructionResult(
-            code=code, report=report, bounds=bounds,
-            targets=(eps_target, leak_target, vd_target),
-            flags=(ok_eps, ok_leak, ok_vd), attempts=attempt + 1,
-        )
-        if ok_eps and ok_leak and ok_vd:
-            return result
-        excess = max(
-            (report.eps_B - eps_target) / max(eps_target, 1e-300),
-            (report.I_E - leak_target) / max(leak_target, 1e-300),
-            (report.d_E - vd_target) / max(vd_target, 1e-300),
-        )
-        key = (-(ok_eps + ok_leak + ok_vd), excess)
-        if best is None or key < best_key:
-            best = result
-            best_key = key
-    return dataclasses.replace(best, attempts=max_retries)
-
-
 @pytest.mark.parametrize("seed, satisfied, codewords", [
     # three colliding draws, all with the key (-2, 1/3): the first wins
     (1886, False, [[2], [2]]),
@@ -395,13 +355,7 @@ def test_pairwise_distance_matches_double_loop():
         W_E = _normalize(gen.random((3, 16)) + 0.01)
         code = sample_wiretap_code(p, M, 3, W_B, seed=M)
         q_e = W_E.rows[code.codewords].mean(axis=1)
-        total = 0.0
-        for i in range(M):
-            for j in range(M):
-                if i != j:
-                    total += float(np.abs(q_e[i] - q_e[j]).sum())
-        expected = total / (M * (M - 1)) if M > 1 else 0.0
-        assert eval_wiretap(code, W_B, W_E, p).d_E == expected
+        assert eval_wiretap(code, W_B, W_E, p).d_E == _pairwise_loop(q_e)
 
 
 @pytest.mark.parametrize("C", [math.nan, math.inf])
