@@ -35,8 +35,6 @@ from chanres import (
     psi,
     psi_worst,
     sample_code,
-    save_channel,
-    save_distribution,
     select_codewords,
     tail_pair,
     taylor_compare,
@@ -44,6 +42,7 @@ from chanres import (
 )
 from chanres.identification import AdParams
 from chanres.cli import main
+from commands import argv_of, write_inputs
 from corpus import random_channel, random_dist
 from oracles import _compositions, binary_entropy
 
@@ -253,37 +252,22 @@ def test_criterion_11_brute_force_consistency():
     print("criterion 11 (brute force consistency): PASS")
 
 
-def test_criterion_12_worker_count_determinism(tmp_path):
-    chan_b = tmp_path / "b.json"
-    chan_e = tmp_path / "e.json"
-    dist = tmp_path / "p.json"
-    save_channel(bsc(0.1), chan_b)
-    save_channel(bsc(0.3), chan_e)
-    save_distribution(uniform(2), dist)
-
-    blobs = []
-    for name, workers in (("r1.jsonl", "1"), ("r4.jsonl", "4")):
-        out = tmp_path / name
-        rc = main(["simulate", "resolvability", "--channel", str(chan_b),
-                   "--dist", str(dist), "--codebook-size", "8",
-                   "--threshold", str(math.e), "--blocklength", "3",
-                   "--trials", "200", "--seed", "77",
-                   "--workers", workers, "--output", str(out)])
-        assert rc == 0
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
-
-    blobs = []
-    for name, workers in (("w1.jsonl", "1"), ("w4.jsonl", "4")):
-        out = tmp_path / name
-        rc = main(["simulate", "wiretap", "--channel-b", str(chan_b),
-                   "--channel-e", str(chan_e), "--dist", str(dist),
-                   "--messages", "2", "--randomization", "4",
-                   "--threshold", str(math.e),
-                   "--decoder-threshold", str(math.e),
-                   "--blocklength", "4", "--seed", "42",
-                   "--workers", workers, "--output", str(out)])
-        assert rc == 0
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
+def test_criterion_12_worker_count_determinism(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs()
+    # BSC(0.1), and BSC(0.3) as the eavesdropper's channel
+    for command, options in (
+            ("simulate resolvability", dict(
+                codebook_size=8, threshold=math.e, blocklength=3, trials=200,
+                seed=77)),
+            ("simulate wiretap", dict(
+                channel_b="bsc01.json", channel_e="bsc03.json",
+                threshold=math.e, decoder_threshold=math.e, blocklength=4,
+                seed=42))):
+        blobs = []
+        for workers in (1, 4):
+            assert main(argv_of(command, workers=workers, output="out.jsonl",
+                                **options)) == 0
+            blobs.append((tmp_path / "out.jsonl").read_bytes())
+        assert blobs[0] == blobs[1]
     print("criterion 12 (worker count determinism): PASS")

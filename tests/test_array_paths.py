@@ -28,6 +28,7 @@ from chanres import (
     phi,
     product,
     product_dist,
+    uniform,
 )
 from chanres import ConvergenceError, channel, identification, psi
 from chanres.channel import _kl, _kl_rows
@@ -40,7 +41,7 @@ from chanres.identification import (
     eval_id_code,
 )
 from chanres.rng import stream, uniforms
-from chanres.wiretap import WiretapCode, eval_wiretap
+from chanres.wiretap import WiretapCode, eval_wiretap, sample_wiretap_code
 from corpus import (PROPERTY, TINY_COLUMN as _TINY,
                     TINY_COLUMN_3X3 as _TINY_3X3, _normalized, _random_rows)
 from oracles import (CrowdedStream, _eval_id_loop, _first_pair_loop,
@@ -105,16 +106,36 @@ def test_kl_rows_edge_cases():
     assert np.array_equal(_kl_rows(A[1:2], b), [math.log(2.0)])
 
 
-def test_d_E_equals_double_loop_for_M_1_to_80():
+def _sampled_codes():
+    """Codes sampled on one Bob, each M against a new Eve of 16 outputs."""
+    gen = np.random.default_rng(8)
+    rows = np.eye(3) + 0.1
+    W_B = Channel(rows / rows.sum(axis=1, keepdims=True))
+    for M in (1, 2, 7, 40):
+        rows = gen.random((3, 16)) + 0.01
+        W_E = Channel(rows / rows.sum(axis=1, keepdims=True))
+        yield sample_wiretap_code(uniform(3), M, 3, W_B, seed=M), W_B, W_E
+
+
+def _index_codes():
+    """Arbitrary codewords, M = 1 to 80, against one sparse Eve."""
     rnd = np.random.default_rng(7)
     rows = rnd.random((3, 96)) * (rnd.random((3, 96)) < 0.7)
     W_E = Channel(rows / rows.sum(axis=1, keepdims=True))
     W_B = Channel(np.full((3, 4), 0.25))
-    p = Distribution(np.full(3, 1.0 / 3.0))
     for M in range(1, 81):
         cw = rnd.integers(0, 3, (M, 2))
-        code = WiretapCode(cw, np.zeros(4, dtype=int), "maximum_likelihood")
-        q_e = W_E.rows[cw].mean(axis=1)
+        yield (WiretapCode(cw, np.zeros(4, dtype=int), "maximum_likelihood"),
+               W_B, W_E)
+
+
+@pytest.mark.parametrize("codes", [_sampled_codes, _index_codes],
+                         ids=["sampled", "M-1-to-80"])
+def test_d_E_equals_the_double_loop(codes):
+    p = uniform(3)
+    for code, W_B, W_E in codes():
+        q_e = W_E.rows[code.codewords].mean(axis=1)
+        M = len(code.codewords)
         assert eval_wiretap(code, W_B, W_E, p).d_E == _pairwise_loop(q_e), M
 
 
@@ -257,22 +278,22 @@ def test_tiny_column_gathers_equal_full_matrix_powers(W):
     _assert_worst_bits(W, _WORST_X, _WORST_T)
 
 
-# few: at most half the entries are distinct; channels of both kinds
-# gather, and give the bits of the full matrix
-@pytest.mark.parametrize("rows, few", [
-    (_random_rows(np.random.default_rng(0), 6, 6), False),     # 36 of 36
-    (np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]), True),  # 2 of 6
-    (np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]), True),      # 3 of 6
-    (np.array([[0.5, 0.3, 0.2], [0.1, 0.5, 0.4]]), False),     # 5 of 6
-    (np.array([[0.6, 0.4]]), False),                            # 2 of 2
-    (bsc(0.1).rows, True),
-    (identity_channel(5).rows, True),
-    (product(bsc(0.2), 3).rows, True),
+# phi's gather gives the bits of full-matrix powers on channels whose
+# entries repeat and on channels whose entries are all or mostly
+# distinct (comments: distinct entries of all entries)
+@pytest.mark.parametrize("rows", [
+    _random_rows(np.random.default_rng(0), 6, 6),     # 36 of 36
+    np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]),  # 2 of 6
+    np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]),      # 3 of 6
+    np.array([[0.5, 0.3, 0.2], [0.1, 0.5, 0.4]]),      # 5 of 6
+    np.array([[0.6, 0.4]]),                            # 2 of 2
+    bsc(0.1).rows,
+    identity_channel(5).rows,
+    product(bsc(0.2), 3).rows,
 ])
-def test_phi_on_both_sides_of_the_half_rule(rows, few):
+def test_phi_gather_on_repeated_and_distinct_entries(rows):
     W = Channel(rows)
     assert isinstance(W.levels, tuple)
-    assert (W.levels[0].size <= W.rows.size // 2) == few
     p = Distribution(_random_rows(np.random.default_rng(1), 1, W.input_size)[0])
     _assert_phi_bits(W, p, _SPECIAL_T.tolist() + [0.3, -0.2])
 
@@ -369,18 +390,25 @@ def test_eval_id_code_near_ties_on_circulant_channels(k, step):
         _assert_eval_equals_loop(code, W, p)
 
 
-@pytest.mark.parametrize("block_floats", [1, 40, 2 ** 14])
-def test_set_family_error_names_the_loops_first_pair(monkeypatch,
-                                                     block_floats):
-    monkeypatch.setattr(channel, "_BLOCK_FLOATS", block_floats)
-    rng = np.random.default_rng(block_floats)
+# 9 elements and caps from 0.5 at the default block size, and 14
+# elements in blocks of 1, 40 and 2^14 floats
+@pytest.mark.parametrize("seed, draws, elements, sizes, caps, block_floats", [
+    (11, 200, 9, (2, 9), [0.5, 1.0, 1.5, 2.0, 3.0], None),
+    *[(b, 150, 14, (1, 30), [1.0, 1.5, 2.0, 3.0], b)
+      for b in (1, 40, 2 ** 14)],
+], ids=["9-elements", "1", "40", "16384"])
+def test_set_family_error_names_the_loops_first_pair(
+        monkeypatch, seed, draws, elements, sizes, caps, block_floats):
+    if block_floats is not None:
+        monkeypatch.setattr(channel, "_BLOCK_FLOATS", block_floats)
+    rng = np.random.default_rng(seed)
     raised = 0
-    for _ in range(150):
+    for _ in range(draws):
         size = int(rng.integers(1, 5))
-        subsets = tuple(frozenset(rng.choice(14, size=size,
+        subsets = tuple(frozenset(rng.choice(elements, size=size,
                                              replace=False).tolist())
-                        for _ in range(int(rng.integers(1, 30))))
-        cap = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+                        for _ in range(int(rng.integers(*sizes))))
+        cap = float(rng.choice(caps))
         expected = _first_pair_loop(subsets, cap)
         if expected is None:
             assert SetFamily(subsets, cap).subsets == subsets

@@ -18,7 +18,6 @@ The benchmark also relies on names: every function that
 
 import ast
 import importlib
-import json
 import math
 import os
 import sys
@@ -26,6 +25,7 @@ import sys
 import pytest
 
 from chanres.cli import main
+from commands import INPUTS, argv_of, channel_file, write_inputs
 from corpus import ASYM_ROWS, Z_ROWS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -35,88 +35,70 @@ GOLDEN_HELP = os.path.join(DATA, "golden_help.txt")
 
 E = repr(math.e)
 
-
-def _channel(rows):
-    return {"input_size": len(rows), "output_size": len(rows[0]),
-            "rows": rows}
-
-
-INPUTS = {
-    "bsc01.json": _channel([[0.9, 0.1], [0.1, 0.9]]),
-    "z.json": _channel(Z_ROWS),
-    "bob.json": _channel([[0.95, 0.05], [0.05, 0.95]]),
-    "eve.json": _channel([[0.8, 0.2], [0.2, 0.8]]),
-    "asym3.json": _channel(ASYM_ROWS),
-    "sym4.json": _channel([[0.95 if x == y else 0.05 / 3 for y in range(4)]
-                           for x in range(4)]),
-    "u2.json": {"probs": [0.5, 0.5]},
+GOLDEN_INPUTS = {
+    **INPUTS,
+    "z.json": channel_file(Z_ROWS),
+    "asym3.json": channel_file(ASYM_ROWS),
+    "sym4.json": channel_file([[0.95 if x == y else 0.05 / 3
+                                for y in range(4)] for x in range(4)]),
     "p3.json": {"probs": [0.5, 0.3, 0.2]},
     "u4.json": {"probs": [0.25] * 4},
 }
 
 
-def _resolvability(channel, n, seed, *extra):
-    return ["simulate", "resolvability", "--channel", channel,
-            "--dist", "u2.json", "--codebook-size", "16", "--threshold", E,
-            "--blocklength", str(n), "--trials", "200",
-            "--seed", str(seed), *extra]
+def _resolvability(channel, n, seed, **extra):
+    return argv_of("simulate resolvability", channel=channel, codebook_size=16,
+                   threshold=E, blocklength=n, trials=200, seed=seed, **extra)
 
 
-def _wiretap(messages, seed, *extra):
-    return ["simulate", "wiretap", "--channel-b", "bob.json",
-            "--channel-e", "eve.json", "--dist", "u2.json",
-            "--messages", str(messages), "--randomization", "4",
-            "--threshold", E, "--decoder-threshold", E,
-            "--blocklength", "4", "--seed", str(seed), *extra]
+def _wiretap(messages, seed, **extra):
+    return argv_of("simulate wiretap", messages=messages, threshold=E,
+                   decoder_threshold=E, blocklength=4, seed=seed, **extra)
 
 
 RUNS = [argv for seed in (0, 5) for argv in (
     _resolvability("bsc01.json", 4, seed),
-    _resolvability("z.json", 8, seed, "--max-joint-states", "10000"),
-    _wiretap(200, seed, "--max-retries", "3"),
+    _resolvability("z.json", 8, seed, max_joint_states=10000),
+    _wiretap(200, seed, max_retries=3),
     _wiretap(2, seed),
-    _wiretap(2, seed, "--decoder", "threshold"),
+    _wiretap(2, seed, decoder="threshold"),
 )]
 
 
 def _bounds(channel, dist, n):
-    return ["bounds", "--channel", channel, "--dist", dist,
-            "--codebook-size", "16", "--threshold", E, "--blocklength", str(n)]
+    return argv_of("bounds", channel=channel, dist=dist, codebook_size=16,
+                   threshold=E, blocklength=n)
 
 
-def _exponents(channel, law, lo, hi):
-    return ["exponents", "--channel", channel, *law, "--rate-start", lo,
-            "--rate-end", hi, "--rate-steps", "9"]
+def _exponents(channel, lo, hi, **law):
+    return argv_of("exponents", channel=channel, rate_start=lo, rate_end=hi,
+                   rate_steps=9, **law)
 
 
 def _wiretap_bounds(messages, randomization, n):
-    return ["wiretap-bounds", "--channel-b", "bob.json", "--channel-e",
-            "eve.json", "--dist", "u2.json", "--messages", messages,
-            "--randomization", randomization, "--threshold", E,
-            "--decoder-threshold", "4", "--blocklength", str(n)]
+    return argv_of("wiretap-bounds", messages=messages,
+                   randomization=randomization, threshold=E, blocklength=n)
 
 
-_IDCODE = ["--channel", "sym4.json", "--dist", "u4.json", "--blocklength", "4"]
+_IDCODE = dict(channel="sym4.json", dist="u4.json", blocklength=4)
 
 COMMAND_RUNS = [
     _bounds("bsc01.json", "u2.json", 4),
     _bounds("bsc01.json", "u2.json", 12),
     _bounds("asym3.json", "p3.json", 5),
-    _exponents("bsc01.json", ["--dist", "u2.json"], "0.8", "1.2"),
-    _exponents("bsc01.json", ["--worst"], "0.8", "1.2"),
-    _exponents("asym3.json", ["--dist", "p3.json"], "0.05", "0.45"),
-    _exponents("asym3.json", ["--worst"], "0.05", "0.45"),
-    _wiretap_bounds("2", "4", 4),
-    _wiretap_bounds("1", "2", 4),
-    ["idcode", "build", *_IDCODE, "--alpha", "2", "--alpha-prime", "4",
-     "--beta", "2", "--beta-prime", "4", "--tau", "0.1", "--kappa", "0.8",
-     "--codewords", "100", "--threshold", "2", "--seed", "0",
-     "--output", "code.json"],
-    ["idcode", "eval", *_IDCODE, "--code", "code.json"],
-    ["capacity", "--channel", "z.json"],
-    ["capacity", "--channel", "asym3.json"],
+    _exponents("bsc01.json", "0.8", "1.2"),
+    _exponents("bsc01.json", "0.8", "1.2", dist=None, worst=True),
+    _exponents("asym3.json", "0.05", "0.45", dist="p3.json"),
+    _exponents("asym3.json", "0.05", "0.45", dist=None, worst=True),
+    _wiretap_bounds(2, 4, 4),
+    _wiretap_bounds(1, 2, 4),
+    argv_of("idcode build", **_IDCODE, tau=0.1, kappa=0.8, codewords=100,
+            seed=0, output="code.json"),
+    argv_of("idcode eval", **_IDCODE),
+    argv_of("capacity", channel="z.json"),
+    argv_of("capacity", channel="asym3.json"),
     # the benchmark's wiretap-bounds job: phi on 256x256 products
-    _wiretap_bounds("2", "4", 8),
+    _wiretap_bounds(2, 4, 8),
 ]
 
 
@@ -145,9 +127,7 @@ def transcript(runs, capture) -> str:
     """Every run's command line and stdout, then the file it wrote with
     --output; `capture()` returns the stdout written since its last
     call.  Runs in the current directory."""
-    for name, doc in INPUTS.items():
-        with open(name, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+    write_inputs(files=GOLDEN_INPUTS)
     parts = []
     for argv in runs:
         assert main(argv) == 0, argv

@@ -32,8 +32,8 @@ from chanres import (
 )
 from chanres import identification
 from corpus import dirichlet_channel as random_channel, z_channel
-from oracles import (CrowdedStream, _first_pair_loop, build_reference,
-                     eval_reference, select_reference)
+from oracles import (CrowdedStream, build_reference, eval_reference,
+                     select_reference)
 
 
 def test_ad_params():
@@ -402,26 +402,6 @@ def test_build_set_family_rejections_equal_pair_loop(monkeypatch):
         ref = build_reference(params, seed, max_attempts)
         assert (built.family.subsets, built.attempts, built.complete) == ref
         assert built.attempts > built.family.size > 1
-
-
-def test_set_family_error_names_first_pair():
-    rng = np.random.default_rng(11)
-    raised = 0
-    for _ in range(200):
-        size = int(rng.integers(1, 5))
-        subsets = tuple(frozenset(int(v) for v in
-                                  rng.choice(9, size=size, replace=False))
-                        for _ in range(int(rng.integers(2, 9))))
-        cap = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
-        expected = _first_pair_loop(subsets, cap)
-        if expected is None:
-            assert SetFamily(subsets, cap).subsets == subsets
-            continue
-        raised += 1
-        with pytest.raises(ValueError) as info:
-            SetFamily(subsets, cap)
-        assert str(info.value) == expected
-    assert raised > 50
 
 
 def test_select_codewords_equals_candidate_loop():

@@ -25,7 +25,7 @@ from chanres import (
     wiretap_exponents,
 )
 from chanres import exponents, wiretap
-from oracles import _construct_reference, _pairwise_loop
+from oracles import _construct_reference
 
 
 def test_code_validation():
@@ -345,17 +345,6 @@ def test_construct_runs_without_threads(monkeypatch):
     assert np.array_equal(base.code.codewords, again.code.codewords)
     assert base.report == again.report
     assert base.attempts == again.attempts
-
-
-def test_pairwise_distance_matches_double_loop():
-    gen = np.random.default_rng(8)
-    p = uniform(3)
-    W_B = _normalize(np.eye(3) + 0.1)
-    for M in (1, 2, 7, 40):
-        W_E = _normalize(gen.random((3, 16)) + 0.01)
-        code = sample_wiretap_code(p, M, 3, W_B, seed=M)
-        q_e = W_E.rows[code.codewords].mean(axis=1)
-        assert eval_wiretap(code, W_B, W_E, p).d_E == _pairwise_loop(q_e)
 
 
 @pytest.mark.parametrize("C", [math.nan, math.inf])
