@@ -141,13 +141,19 @@ class SetFamily:
 @dataclass(frozen=True)
 class FamilyBuild:
     family: SetFamily
-    complete: bool
     target_size: int
     attempts: int
 
+    @property
+    def complete(self) -> bool:
+        return self.family.size >= self.target_size
+
+
+_DRAWS_PER_SUBSET = 200
+_EXTRA_DRAWS = 1000
+
 
 def build_set_family(params: AdParams, seed: int,
-                     max_attempts: int | None = None,
                      budget: EnumerationBudget = DEFAULT_BUDGET
                      ) -> FamilyBuild:
     """Rejection-sample a nearly-disjoint family of the guaranteed size.
@@ -159,8 +165,10 @@ def build_set_family(params: AdParams, seed: int,
     but rejection sampling is only expected to find it.  For small M
     that guaranteed count can be zero even though admissible subsets
     exist, so at least one subset is always requested; the first draw
-    overlaps nothing and is always kept.  The budget caps the incidence
-    entries of the target family, target * M, before any sampling.
+    overlaps nothing and is always kept.  Sampling stops after
+    _DRAWS_PER_SUBSET * target + _EXTRA_DRAWS draws.  The budget caps the
+    incidence entries of the target family, target * M, before any
+    sampling.
     """
     size = _integer(params.subset_size,
                     f"floor(tau*M) at M={params.M}, tau={params.tau}")
@@ -168,8 +176,7 @@ def build_set_family(params: AdParams, seed: int,
     budget.check(target * params.M,
                  f"the {target} x {params.M} subset incidence matrix")
     cap = float(params.kappa) * size
-    max_attempts = _integer(200 * target + 1000 if max_attempts is None
-                            else max_attempts, "max_attempts")
+    max_attempts = _DRAWS_PER_SUBSET * target + _EXTRA_DRAWS
     gen = stream(seed, 0)
     chosen: list[frozenset] = []
     # element-major 0/1 incidence, column k for chosen subset k: a draw's
@@ -184,7 +191,7 @@ def build_set_family(params: AdParams, seed: int,
             inc[draw, k] = True
             chosen.append(frozenset(draw.tolist()))
     family = SetFamily(tuple(chosen), cap)
-    return FamilyBuild(family, len(chosen) >= target, target, attempts)
+    return FamilyBuild(family, target, attempts)
 
 
 @dataclass(frozen=True)
@@ -229,8 +236,11 @@ class Selection:
     union_bound: float
     lam_bound: float
     feasibility_lhs: float
-    feasible: bool
     attempts: int
+
+    @property
+    def feasible(self) -> bool:
+        return self.feasibility_lhs < 1.0
 
 
 def _screen_bounds(params: SelectionParams, p: Distribution, W: Channel
@@ -310,7 +320,6 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
             union_bound=union_bound,
             lam_bound=lam_bound,
             feasibility_lhs=feasibility_lhs,
-            feasible=feasibility_lhs < 1.0,
             attempts=attempt + 1,
         )
     raise RetriesExhausted(

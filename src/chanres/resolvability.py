@@ -193,16 +193,18 @@ class BruteForceResult:
     best_code_div: ResolvabilityCode
 
 
-def brute_force_min(M: int, W: Channel, p: Distribution,
-                    limit: int = 10 ** 6) -> BruteForceResult:
-    """Exhaustive minimization over codeword multisets of size M."""
-    M, limit = _integer(M, "M"), _integer(limit, "limit")
+_BRUTE_FORCE_LIMIT = 10 ** 6
+
+
+def brute_force_min(M: int, W: Channel, p: Distribution) -> BruteForceResult:
+    """Exhaustive minimization over codeword multisets of size M; raises
+    BudgetError past _BRUTE_FORCE_LIMIT multisets."""
+    M = _integer(M, "M")
     K = W.input_size
     count = math.comb(K + M - 1, M)
-    if count > limit:
-        raise BudgetError(
-            f"brute force would scan {count} multisets, over the cap of {limit}"
-        )
+    if count > _BRUTE_FORCE_LIMIT:
+        raise BudgetError(f"brute force would scan {count} multisets, "
+                          f"over the cap of {_BRUTE_FORCE_LIMIT}")
     wp = output_distribution(W, p).probs
     best_eps = math.inf
     best_div = math.inf

@@ -9,8 +9,12 @@ import math
 import numpy as np
 
 
-def _golden_max(f, lo, hi, tol: float = 1e-12):
-    """Golden-section maxima of objectives i on [lo_i, hi_i], in lockstep.
+_GOLDEN_TOL = 1e-12
+
+
+def _golden_max(f, lo, hi):
+    """Golden-section maxima of objectives i on [lo_i, hi_i], in lockstep,
+    each narrowed until its interval is at most _GOLDEN_TOL long.
 
     f(i, x) returns the values of the objectives i (an index array) at
     the points x.  Each interval takes exactly the steps of a search of
@@ -23,7 +27,7 @@ def _golden_max(f, lo, hi, tol: float = 1e-12):
     d = a + invphi * (b - a)
     every = np.arange(a.size)
     fc, fd = np.split(f(np.tile(every, 2), np.concatenate([c, d])), 2)
-    run = every[(b - a) > tol]
+    run = every[(b - a) > _GOLDEN_TOL]
     while run.size:
         left = fc[run] >= fd[run]
         lt, rt = run[left], run[~left]
@@ -33,7 +37,7 @@ def _golden_max(f, lo, hi, tol: float = 1e-12):
         d[rt] = a[rt] + invphi * (b[rt] - a[rt])
         new = f(run, np.where(left, c[run], d[run]))
         fc[lt], fd[rt] = new[left], new[~left]
-        run = run[(b[run] - a[run]) > tol]
+        run = run[(b[run] - a[run]) > _GOLDEN_TOL]
     x = 0.5 * (a + b)
     return x, f(every, x)
 

@@ -3,8 +3,9 @@ scalar call per point, explicit loops, the materialized n-fold product,
 a full grid scan, a formula written out, or the loop that a blocked or
 vectorized path replaced.  A test of a fast path imports its slow path
 from here.  Module attributes that tests monkeypatch
-(`identification.stream`, `exponents._powers`) are read at call time,
-so a reference follows the patch as the code under test does.
+(`identification.stream` and its draw cap, `exponents._powers`) are
+read at call time, so a reference follows the patch as the code under
+test does.
 """
 
 import dataclasses
@@ -362,8 +363,10 @@ def _construct_reference(p, W_B, W_E, M, L, C, C_prime, seed, max_retries,
 
 
 def eval_reference(code, W, p):
-    """Double loop over (i, j): one masked 1-D sum per pair."""
-    level = W.rows > code.C * output_distribution(W, p).probs
+    """(mu, lam, region sizes) of `eval_id_code` by a double loop over
+    (i, j), one masked 1-D sum per pair, one message at a time.  A pair
+    is over C as `channel._density` decides it."""
+    level = _density(W, p)[1] > math.log(code.C)
     mixtures, regions = [], []
     for s in code.subsets:
         idx = [code.codewords[k] for k in s]
@@ -378,35 +381,19 @@ def eval_reference(code, W, p):
     return mu, lam, [int(r.sum()) for r in regions]
 
 
-def _eval_id_loop(code, W, p):
-    """(mu, lam) of `eval_id_code` one message at a time, as it was
-    written before the blocked mixtures and the lam screen."""
-    level = _density(W, p)[1] > math.log(code.C)
-    cw = np.array(code.codewords)
-    n = code.messages
-    mix = np.empty((n, W.output_size))
-    regions = np.empty((n, W.output_size), dtype=bool)
-    for k, s in enumerate(code.subsets):
-        idx = cw[list(s)]
-        mix[k] = W.rows[idx].mean(axis=0)
-        regions[k] = np.any(level[idx], axis=0)
-    mu = 0.0
-    lam = 0.0
-    for i in range(n):
-        acc = mix.compress(regions[i], axis=1).sum(axis=1)
-        mu = max(mu, float(1.0 - acc[i]))
-        acc[i] = 0.0
-        lam = max(lam, float(acc.max()))
-    return mu, lam
+def cap_attempts(monkeypatch, max_attempts):
+    """Make `build_set_family` stop after max_attempts draws."""
+    monkeypatch.setattr(identification, "_DRAWS_PER_SUBSET", 0)
+    monkeypatch.setattr(identification, "_EXTRA_DRAWS", max_attempts)
 
 
-def build_reference(params, seed, max_attempts=None):
+def build_reference(params, seed):
     """The pair loop: each candidate against every chosen frozenset."""
     size = params.subset_size
     target = max(params.family_size, 1)
     cap = params.kappa * size
-    if max_attempts is None:
-        max_attempts = 200 * target + 1000
+    max_attempts = (identification._DRAWS_PER_SUBSET * target
+                    + identification._EXTRA_DRAWS)
     gen = identification.stream(seed, 0)
     chosen = []
     attempts = 0
@@ -449,7 +436,7 @@ def select_reference(W, p, params, seed, max_retries=100):
     m_prime = params.m_prime
     miss_bound = params.alpha * params.beta * miss_avg
     union_bound = params.alpha_prime * params.beta_prime * m_prime / params.C
-    level = W.rows > params.C * output_distribution(W, p).probs
+    level = _density(W, p)[1] > math.log(params.C)
     rows = W.rows
     union_refused = 0
     for attempt in range(max_retries):

@@ -44,9 +44,10 @@ from chanres.rng import stream, uniforms
 from chanres.wiretap import WiretapCode, eval_wiretap, sample_wiretap_code
 from corpus import (PROPERTY, TINY_COLUMN as _TINY,
                     TINY_COLUMN_3X3 as _TINY_3X3, _normalized, _random_rows)
-from oracles import (CrowdedStream, _eval_id_loop, _first_pair_loop,
-                     _full_matrix_phi, _full_matrix_psi, _full_matrix_worst,
-                     _masked_kl, _pairwise_loop, build_reference)
+from oracles import (CrowdedStream, _first_pair_loop, _full_matrix_phi,
+                     _full_matrix_psi, _full_matrix_worst, _masked_kl,
+                     _pairwise_loop, build_reference, cap_attempts,
+                     eval_reference)
 
 _SHAPES = st.one_of(st.just(()), st.tuples(st.integers(1, 16)),
                     st.tuples(st.integers(1, 16), st.integers(1, 5)))
@@ -320,7 +321,7 @@ def test_levels_computed_once_per_channel(monkeypatch):
 
 
 def _assert_eval_equals_loop(code, W, p):
-    expected = _eval_id_loop(code, W, p)
+    expected = eval_reference(code, W, p)[:2]
     # one region or one message per block, then the default blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(channel, "_BLOCK_FLOATS", 1)
@@ -428,7 +429,8 @@ def test_build_set_family_equals_the_subset_loop(monkeypatch, crowded):
     monkeypatch.setattr(channel, "_BLOCK_FLOATS", 64)
     params = AdParams(M=100, tau=0.1, kappa=0.8)
     for seed, max_attempts in ((0, 300), (1, 1000), (2, 40)):
-        built = build_set_family(params, seed, max_attempts)
-        ref = build_reference(params, seed, max_attempts)
+        cap_attempts(monkeypatch, max_attempts)
+        built = build_set_family(params, seed)
+        ref = build_reference(params, seed)
         assert (built.family.subsets, built.attempts, built.complete) == ref
         assert built.family.size > 1

@@ -65,11 +65,6 @@ def _construct(**kw):
     return r.attempts, r.code.codewords.tolist(), r.report.eps_B
 
 
-def _brute_force(limit):
-    r = brute_force_min(2, W, P, limit=limit)
-    return r.eps_min, r.div_min, r.best_code.codewords
-
-
 def _wiretap_code(M, L):
     code = sample_wiretap_code(P, M, L, W, seed=0)
     return code.codewords.tolist(), code.decoder.tolist()
@@ -107,13 +102,11 @@ ENTRY_POINTS = {
     "mc_expectation-seed": ("seed", lambda v: mc_expectation(
         P, W, 4, 2.0, trials=100, seed=v), 2),
     "brute_force_min": ("M", lambda v: brute_force_min(v, W, P), 2),
-    # 3 multisets of 2 words on 2 letters
-    "brute_force_min-limit": ("limit", _brute_force, 3),
     "AdParams": ("M", lambda v: AdParams(v, 0.1, 0.8), 20),
     "SelectionParams": ("M", lambda v: SelectionParams(
         family=AdParams(v, 0.1, 0.8), **_SELECT), 2),
-    "build_set_family": ("max_attempts", lambda v: build_set_family(
-        AdParams(20, 0.1, 0.8), 0, max_attempts=v), 50),
+    "build_set_family": ("seed", lambda v: build_set_family(
+        AdParams(20, 0.1, 0.8), v), 2),
     "select_codewords": ("max_retries", lambda v: select_codewords(
         product(bsc(0.05), 3), product_dist(P, 3),
         SelectionParams(family=AdParams(2, 0.1, 0.8), **_SELECT), 1,
@@ -137,11 +130,9 @@ ENTRY_POINTS = {
 }
 
 
-# max_attempts=None asks build_set_family for its default count
 @pytest.mark.parametrize("key, bad", [
     (key, bad) for key in ENTRY_POINTS
-    for bad in (2.5, math.nan, math.inf, "2", None)
-    if not (bad is None and key == "build_set_family")])
+    for bad in (2.5, math.nan, math.inf, "2", None)])
 def test_non_integral_counts_raise_naming_the_parameter(key, bad):
     name, call, _ = ENTRY_POINTS[key]
     with pytest.raises(ValueError) as exc:
@@ -161,8 +152,9 @@ def test_integral_counts_give_the_int_results(entry):
 # the least count each entry point takes; 1 where not named here
 FLOORS = {"point_mass-index": 0, "stream-seed": 0, "stream-index": 0, "uniforms-seed": 0,
           "uniforms-index": 0, "sample_code-seed": 0, "mc_expectation-seed": 0,
-          "sample_wiretap_code-seed": 0, "construct_until_bounds-seed": 0,
-          "McEstimate": 2, "mc_expectation-trials": 100}
+          "build_set_family": 0, "sample_wiretap_code-seed": 0,
+          "construct_until_bounds-seed": 0, "McEstimate": 2,
+          "mc_expectation-trials": 100}
 
 
 @pytest.mark.parametrize("key", ENTRY_POINTS)

@@ -23,6 +23,7 @@ from chanres import (
     id_error_bounds,
     identity_channel,
     load_id_code,
+    output_distribution,
     product,
     product_dist,
     save_id_code,
@@ -32,8 +33,8 @@ from chanres import (
 )
 from chanres import identification
 from corpus import dirichlet_channel as random_channel, z_channel
-from oracles import (CrowdedStream, build_reference, eval_reference,
-                     select_reference)
+from oracles import (CrowdedStream, build_reference, cap_attempts,
+                     eval_reference, select_reference)
 
 
 def test_ad_params():
@@ -376,20 +377,34 @@ def test_eval_id_code_equals_pair_loop(Y, C, lo, hi):
         assert (metrics.mu, metrics.lam) == eval_reference(single, W, p)[:2]
 
 
+def test_eval_id_code_at_a_computed_tie():
+    # C is the computed ratio W_0(0)/W_p(0), 4.999999999999999, and
+    # C * W_p(0) rounds below W_0(0); by the density rule the pair is not
+    # over C, so both regions are empty, mu is 1 and lam 0
+    W, p = bsc(0.1), Distribution([0.1, 0.9])
+    wp = output_distribution(W, p).probs
+    code = IdCode((0, 1), ((0,), (1,)), float(W.rows[0, 0] / wp[0]))
+    assert W.rows[0, 0] > code.C * wp[0]
+    metrics = eval_id_code(code, W, p)
+    assert (metrics.mu, metrics.lam, [0, 0]) == eval_reference(code, W, p)
+    assert (metrics.mu, metrics.lam) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("M, tau, kappa", [
     (100, 0.1, 0.8), (120, 0.1, 0.8), (60, 0.15, 0.98), (200, 0.05, 0.6),
 ])
-def test_build_set_family_equals_pair_loop(M, tau, kappa):
+def test_build_set_family_equals_pair_loop(monkeypatch, M, tau, kappa):
     params = AdParams(M=M, tau=tau, kappa=kappa)
     for seed in range(4):
         built = build_set_family(params, seed)
         assert (built.family.subsets, built.attempts, built.complete) \
             == build_reference(params, seed)
-    # stopped by the attempt cap before the target
-    built = build_set_family(params, 0, max_attempts=5)
+    # stopped by an attempt cap of 5 before the target
+    cap_attempts(monkeypatch, 5)
+    built = build_set_family(params, 0)
     assert not built.complete and built.attempts == 5
     assert (built.family.subsets, built.attempts, built.complete) \
-        == build_reference(params, 0, max_attempts=5)
+        == build_reference(params, 0)
 
 
 def test_build_set_family_rejections_equal_pair_loop(monkeypatch):
@@ -398,8 +413,9 @@ def test_build_set_family_rejections_equal_pair_loop(monkeypatch):
     monkeypatch.setattr(identification, "stream", CrowdedStream)
     params = AdParams(M=100, tau=0.1, kappa=0.8)
     for seed, max_attempts in ((0, 300), (1, 300), (2, 40)):
-        built = build_set_family(params, seed, max_attempts)
-        ref = build_reference(params, seed, max_attempts)
+        cap_attempts(monkeypatch, max_attempts)
+        built = build_set_family(params, seed)
+        ref = build_reference(params, seed)
         assert (built.family.subsets, built.attempts, built.complete) == ref
         assert built.attempts > built.family.size > 1
 

@@ -189,8 +189,9 @@ def test_brute_force_min():
     assert eps == res.eps_min and div == res.div_min
     res = brute_force_min(2, bsc(0.1), uniform(2))
     assert res.eps_min == 0.0
-    with pytest.raises(BudgetError):
-        brute_force_min(5, identity_channel(30), uniform(30), limit=100)
+    with pytest.raises(BudgetError, match="^brute force would scan 1623160 "
+                       "multisets, over the cap of 1000000$"):
+        brute_force_min(6, identity_channel(30), uniform(30))
     with pytest.raises(ValueError):
         brute_force_min(0, W, p)
 
