@@ -56,7 +56,6 @@ from .identification import (
     SetFamily,
     assemble_id_code,
     build_set_family,
-    counting_check,
     eval_id_code,
     id_error_bounds,
     load_id_code,

@@ -55,7 +55,7 @@ from .identification import (
     select_codewords,
 )
 from .resolvability import expectation_bounds, mc_expectation
-from .wiretap import construct_until_bounds, wiretap_bounds
+from .wiretap import DECODER_KINDS, construct_until_bounds, wiretap_bounds
 
 
 # the five guarantees of a wiretap code and its three leakage metrics
@@ -345,8 +345,7 @@ _OPTIONS = {
     "messages": dict(type=int),
     "randomization": dict(type=int),
     "decoder-threshold": dict(type=float),
-    "decoder": dict(choices=("maximum_likelihood", "threshold"),
-                    default="maximum_likelihood"),
+    "decoder": dict(choices=DECODER_KINDS, default="maximum_likelihood"),
     "max-retries": dict(type=_positive_int, default=100),
     "alpha": dict(type=float),
     "alpha-prime": dict(type=float),

@@ -48,6 +48,8 @@ from .search import _bisect_cell, _cells, _refine_cells
 _FAMILIES = {"vd_psi": 2.0, "kl_phi": 2.0, "vd_phi_half": 1.0}
 
 GRID_STEP = 1e-3
+# an optimizer this close to its range's edge is reported as saturated
+_EDGE = 2.0 * GRID_STEP
 
 # the parameter grids every exponent optimization scans; they do not
 # depend on the rate, so a sweep evaluates psi and phi on them once
@@ -487,9 +489,20 @@ class WiretapExponentReport:
     error_s: float
     leak_kl_t: float
     leak_vd_psi_s: float
-    error_saturated: bool
-    leak_kl_saturated: bool
-    leak_vd_psi_saturated: bool
+
+    # each optimizer within _EDGE of its range's edge: s = 1 for the
+    # error and psi searches, t = -1/2 for the divergence search
+    @property
+    def error_saturated(self) -> bool:
+        return 1.0 - self.error_s <= _EDGE
+
+    @property
+    def leak_kl_saturated(self) -> bool:
+        return self.leak_kl_t + 0.5 <= _EDGE
+
+    @property
+    def leak_vd_psi_saturated(self) -> bool:
+        return 1.0 - self.leak_vd_psi_s <= _EDGE
 
 
 def wiretap_exponents(R: float, R_prime: float, W_B: Channel, W_E: Channel,
@@ -500,19 +513,15 @@ def wiretap_exponents(R: float, R_prime: float, W_B: Channel, W_E: Channel,
     channel at the randomization rate R'.
     """
     _check_rates(R, R_prime)
+    _check_inputs(W_B, p)
     _check_inputs(W_E, p)
     s_err, e_err = _gallager_max(W_B, p, R + R_prime)
     vd, kl, half = _family_reports([R_prime], W_E, p)[0]
-    edge = 2.0 * GRID_STEP
     return WiretapExponentReport(
         error_exponent=max(0.0, e_err), leak_kl_exponent=kl.bound_value,
         leak_vd_exponent_psi=vd.bound_value,
         leak_vd_exponent_phi=half.bound_value,
-        error_s=s_err, leak_kl_t=kl.optimizer, leak_vd_psi_s=vd.optimizer,
-        error_saturated=(1.0 - s_err) <= edge,
-        leak_kl_saturated=(kl.optimizer + 0.5) <= edge,
-        leak_vd_psi_saturated=(1.0 - vd.optimizer) <= edge,
-    )
+        error_s=s_err, leak_kl_t=kl.optimizer, leak_vd_psi_s=vd.optimizer)
 
 
 @dataclass(frozen=True)

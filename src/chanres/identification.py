@@ -10,7 +10,7 @@ i.i.d. candidates from p are screened against explicit miss and
 union thresholds.  Message i is the uniform mixture over the codewords
 picked out by subset i, decoded by the union of their level sets.
 The counting argument that caps the number of distinguishable message
-sets (`size_ceiling_check`, `counting_check`) closes the module.
+sets (`size_ceiling_check`) closes the module.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .channel import (
     _row_sums,
     _write_json,
 )
-from .resolvability import brute_force_min
 from .rng import sample_indices, stream
 
 _LOG2P1 = math.log(2.0) + 1.0
@@ -227,13 +226,11 @@ class SelectionParams:
 
 @dataclass(frozen=True)
 class Selection:
-    """Screened codewords with their measured tail masses."""
+    """Screened codewords with the (mu, lam) ceilings their screens
+    guarantee; miss_bound is the mu ceiling."""
 
     codewords: tuple[int, ...]
-    miss_values: tuple[float, ...]
-    union_values: tuple[float, ...]
     miss_bound: float
-    union_bound: float
     lam_bound: float
     feasibility_lhs: float
     attempts: int
@@ -311,13 +308,9 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
         picked = list(dict.fromkeys(xs[good].tolist()))[:params.family.M]
         if len(picked) < params.family.M:
             continue
-        final_miss, final_union = _screens(W, level, picked)
         return Selection(
             codewords=tuple(picked),
-            miss_values=tuple(final_miss.tolist()),
-            union_values=tuple(final_union.tolist()),
             miss_bound=miss_bound,
-            union_bound=union_bound,
             lam_bound=lam_bound,
             feasibility_lhs=feasibility_lhs,
             attempts=attempt + 1,
@@ -461,7 +454,6 @@ def load_id_code(path) -> IdCode:
 class CountingVerdict:
     """Outcome of the identification counting argument."""
 
-    eps_estimate: float
     hypothesis_holds: bool
     size_ceiling: int | None
 
@@ -481,19 +473,4 @@ def size_ceiling_check(mu: float, lam: float, eps_value: float,
         raise ValueError("eps must be nonnegative")
     holds = (1.0 - mu - lam) > eps_value
     ceiling = input_size ** M if holds else None
-    return CountingVerdict(float(eps_value), holds, ceiling)
-
-
-def counting_check(mu: float, lam: float, M: int, W: Channel,
-                   p_grid) -> CountingVerdict:
-    """Counting argument with eps estimated over a grid of input laws.
-
-    eps(M, W) is estimated as the largest brute-force minimum over the
-    supplied grid, so the verdict is an estimate, not a certified floor:
-    on identity_channel(2) at M = 2, [uniform(2)] gives eps 0, (1/4, 3/4) 0.5.
-    """
-    p_grid = list(p_grid)
-    if not p_grid:
-        raise ValueError("p_grid must be non-empty")
-    eps = max(brute_force_min(M, W, q).eps_min for q in p_grid)
-    return size_ceiling_check(mu, lam, eps, W.input_size, M)
+    return CountingVerdict(holds, ceiling)

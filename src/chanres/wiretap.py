@@ -48,7 +48,6 @@ class WiretapCode:
 
     codewords: np.ndarray          # (M, L) input indices
     decoder: np.ndarray            # per-output message, -1 for erasure
-    decoder_kind: str
 
     def __post_init__(self):
         cw = _indices(self.codewords, "codeword")
@@ -59,11 +58,14 @@ class WiretapCode:
         dec = _indices(self.decoder, "decoder entry", -1, M)
         if dec.ndim != 1:
             raise ValueError("decoder must map outputs to messages")
-        if self.decoder_kind not in DECODER_KINDS:
-            raise ValueError(f"unknown decoder kind {self.decoder_kind!r}")
         cw.flags.writeable = dec.flags.writeable = False
         object.__setattr__(self, "codewords", cw)
         object.__setattr__(self, "decoder", dec)
+
+
+def _check_decoder_kind(kind: str) -> None:
+    if kind not in DECODER_KINDS:
+        raise ValueError(f"unknown decoder kind {kind!r}")
 
 
 def _ml_decoder(codewords: np.ndarray, W_B: Channel) -> np.ndarray:
@@ -88,16 +90,17 @@ def sample_wiretap_code(p: Distribution, M: int, L: int, W_B: Channel,
                         seed: int, index: int = 0,
                         decoder_kind: str = "maximum_likelihood",
                         C_prime: float | None = None) -> WiretapCode:
-    """Draw the M x L codeword array i.i.d. from p on the (seed, index) stream."""
+    """Draw the M x L codeword array i.i.d. from p on the (seed, index)
+    stream, once the arguments pass their checks."""
     M, L = _integer(M, "M"), _integer(L, "L")
-    u = stream(seed, index).random((M, L))
-    cw = sample_indices(p.probs, u)
+    _check_decoder_kind(decoder_kind)
+    _check_inputs(W_B, p)
     if decoder_kind == "threshold":
         _check_positive(C_prime, "C_prime")
-        dec = _threshold_decoder(cw, W_B, p, C_prime)
-    else:
-        dec = _ml_decoder(cw, W_B)
-    return WiretapCode(cw, dec, decoder_kind)
+    cw = sample_indices(p.probs, stream(seed, index).random((M, L)))
+    if decoder_kind == "threshold":
+        return WiretapCode(cw, _threshold_decoder(cw, W_B, p, C_prime))
+    return WiretapCode(cw, _ml_decoder(cw, W_B))
 
 
 def _sequential_sum(terms: np.ndarray, start: float = 0.0) -> float:
@@ -117,19 +120,16 @@ class LeakageReport:
     I_E: float
     d_E: float
     decomposition_residual: float
-    pairwise_bound: float
 
 
 def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
                  p: Distribution) -> LeakageReport:
-    """Exact (eps_B, I_E, d_E) plus two internal consistency checks.
+    """Exact (eps_B, I_E, d_E) plus an internal consistency check.
 
     The divergence decomposition
         mean_m D(Q_m || Phi) + D(Phi || W_p) == mean_m D(Q_m || W_p)
     is an algebraic identity (Phi is the mean of the Q_m), so its
-    residual beyond 1e-9 signals numerical error and raises.  The
-    pairwise distance is also bounded by twice the mean distance to
-    W_p; the bound value is reported for inspection.
+    residual beyond 1e-9 signals numerical error and raises.
     """
     _check_inputs(W_B, p, code.codewords)
     _check_inputs(W_E, p)
@@ -171,11 +171,8 @@ def eval_wiretap(code: WiretapCode, W_B: Channel, W_E: Channel,
     else:
         residual = math.nan
 
-    pairwise_bound = 2.0 * float(np.mean(np.abs(q_e - wp_e).sum(axis=1)))
-
     return LeakageReport(eps_B=eps_b, I_E=i_e, d_E=d_e,
-                         decomposition_residual=residual,
-                         pairwise_bound=pairwise_bound)
+                         decomposition_residual=residual)
 
 
 @dataclass(frozen=True)
@@ -210,6 +207,7 @@ def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
     _check_positive(C, "C")
     if C_prime is not None:
         _check_positive(C_prime, "C_prime")
+    _check_inputs(W_B, p)
     _check_inputs(W_E, p)
     s_star, neg = _gallager_max(W_B, p, math.log(M) + math.log(L))
     error_gallager = 3.0 * math.exp(-neg)
@@ -264,6 +262,7 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
     smallest, and the first of those on ties.
     """
     max_retries = _integer(max_retries, "max_retries")
+    _check_decoder_kind(decoder_kind)
     bounds = wiretap_bounds(W_B, W_E, p, M, L, C, C_prime)
     targets = (bounds.error_threshold if decoder_kind == "threshold"
                else bounds.error_gallager,

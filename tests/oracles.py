@@ -269,6 +269,14 @@ def _pairwise_loop(q_e):
     return total / (M * (M - 1))
 
 
+def pairwise_bound_oracle(code, W_E, p):
+    """Twice the mean distance of Eve's message mixtures to W_p, which
+    bounds their mean pairwise distance d_E by the triangle inequality."""
+    q_e = W_E.rows[code.codewords].mean(axis=1)
+    wp_e = output_distribution(W_E, p).probs
+    return 2.0 * float(np.mean([np.abs(q - wp_e).sum() for q in q_e]))
+
+
 def _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime):
     """The fields of `wiretap_bounds`, each formula written out for the
     wiretap code alone, with one scalar phi call per grid point."""

@@ -173,8 +173,7 @@ def test_criterion_08_wiretap_end_to_end():
     W_B = identity_channel(4)
     W_E = constant_channel([0.5, 0.5], 4)
     p4 = uniform(4)
-    code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]),
-                       "maximum_likelihood")
+    code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]))
     report = eval_wiretap(code, W_B, W_E, p4)
     assert report.eps_B == 0.0
     assert report.I_E == 0.0

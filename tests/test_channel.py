@@ -21,7 +21,6 @@ from chanres import (
     constant_channel,
     dispersion_J,
     divergence_tail_check,
-    expectation_bounds,
     identity_channel,
     kl_divergence,
     load_channel,
@@ -36,8 +35,6 @@ from chanres import (
     save_distribution,
     sample_wiretap_code,
     save_id_code,
-    secrecy_rate,
-    spectrum_cdf,
     tail_pair,
     uniform,
     variational_distance,
@@ -374,31 +371,14 @@ def test_writers_share_one_layout(tmp_path, save, load, value, doc):
     assert back.read_text(encoding="utf-8") == text
 
 
-@pytest.mark.parametrize("call", [
-    lambda W, p: mutual_information(p, W),
-    lambda W, p: dispersion_J(p, W),
-    lambda W, p: spectrum_cdf(p, W, 0.1, n=2),
-    lambda W, p: expectation_bounds(p, W, 4, 2.0),
-    lambda W, p: secrecy_rate(W, W, p),
-], ids=["mutual_information", "dispersion_J", "spectrum_cdf",
-        "expectation_bounds", "secrecy_rate"])
-def test_law_of_the_wrong_size_is_named(call):
-    # the size check runs before p(x) W_x(y) is formed, so numpy's
-    # broadcast error never reaches the caller
-    with pytest.raises(ValueError, match="distribution size 3 does not "
-                                         "match input size 2"):
-        call(bsc(0.1), uniform(3))
-
-
 # one index rule for the four code types: each builder takes three
 # entries and returns what the code stores of them
 _CODE_TYPES = {
     "resolvability": lambda e: ResolvabilityCode(tuple(e)).codewords,
     "wiretap_codewords": lambda e: WiretapCode(
-        [[v] for v in e], [0, 1, -1],
-        "maximum_likelihood").codewords.ravel().tolist(),
+        [[v] for v in e], [0, 1, -1]).codewords.ravel().tolist(),
     "wiretap_decoder": lambda e: WiretapCode(
-        [[0], [1], [2]], list(e), "maximum_likelihood").decoder.tolist(),
+        [[0], [1], [2]], list(e)).decoder.tolist(),
     "id_code": lambda e: IdCode(tuple(e), ((0,), (1, 2)), 2.0).codewords,
     "set_family": lambda e: sorted(
         SetFamily((frozenset(e),), 1.5).subsets[0]),

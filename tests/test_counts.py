@@ -4,23 +4,36 @@ iteration count, budget cap, seed and stream index passes
 code entry in the count rule's words; and the one text of the law-size
 rule."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import chanres
 from chanres import (
     EnumerationBudget,
     bsc,
     constant_channel,
+    dispersion_J,
+    exponent_sweep,
+    exponents,
     identity_channel,
+    mutual_information,
+    output_distribution,
     phi,
     point_mass,
     psi,
     product,
     product_dist,
+    secrecy_capacity_lb,
+    secrecy_rate,
     spectrum_cdf,
+    tail_pair,
+    taylor_compare,
     uniform,
+    wiretap,
+    wiretap_exponents,
 )
 from chanres.identification import (
     AdParams,
@@ -30,6 +43,7 @@ from chanres.identification import (
     assemble_id_code,
     build_set_family,
     eval_id_code,
+    id_error_bounds,
     select_codewords,
     size_ceiling_check,
 )
@@ -185,15 +199,14 @@ _INDEX_BOUNDS = {
     "eval_code": (lambda v: eval_code(
         ResolvabilityCode((0, v)), _ID3, _U3), 3, "codeword"),
     "eval_wiretap": (lambda v: eval_wiretap(WiretapCode(
-        [[0], [v]], [0, 1, -1], "maximum_likelihood"), _ID3, _ID3, _U3),
-        3, "codeword"),
+        [[0], [v]], [0, 1, -1]), _ID3, _ID3, _U3), 3, "codeword"),
     "assemble_id_code": (lambda v: assemble_id_code(
         (0, v), SetFamily((frozenset({0}),), 0.5), _ID3, _U3, 2.0),
         3, "codeword"),
     "eval_id_code": (lambda v: eval_id_code(
         IdCode((0, v), ((0,), (1,)), 2.0), _ID3, _U3), 3, "codeword"),
-    "decoder": (lambda v: WiretapCode(
-        [[0], [1]], [0, v], "maximum_likelihood"), 2, "decoder entry"),
+    "decoder": (lambda v: WiretapCode([[0], [1]], [0, v]), 2,
+                "decoder entry"),
     "subset_position": (lambda v: IdCode(
         (0, 1, 2, 3), ((0,), (v,)), 2.0), 4, "subset position"),
     "point_mass": (lambda v: point_mass(v, 5), 5, "index"),
@@ -245,8 +258,8 @@ def test_counts_are_stored_as_ints():
 # arrays, which keep them; each case reads back the sizes it was built with
 @pytest.mark.parametrize("read, sizes", [
     (lambda: len(ResolvabilityCode((0, 1, 1)).codewords), 3),
-    (lambda: WiretapCode(np.zeros((2, 3), dtype=int), [0, 1],
-                         "maximum_likelihood").codewords.shape, (2, 3)),
+    (lambda: WiretapCode(np.zeros((2, 3), dtype=int),
+                         [0, 1]).codewords.shape, (2, 3)),
     (lambda: [len(s) for s in SetFamily(
         (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})),
         1.5).subsets], [2, 2, 2]),
@@ -258,9 +271,8 @@ def test_every_code_type_reports_the_sizes_of_its_arrays(read, sizes):
 # an empty array fails the count rule in the words of the size it sets
 @pytest.mark.parametrize("build, name", [
     (lambda: ResolvabilityCode(()), "M"),
-    (lambda: WiretapCode(np.zeros((0, 2), dtype=int), [],
-                         "maximum_likelihood"), "M"),
-    (lambda: WiretapCode([[], []], [0], "maximum_likelihood"), "L"),
+    (lambda: WiretapCode(np.zeros((0, 2), dtype=int), []), "M"),
+    (lambda: WiretapCode([[], []], [0]), "L"),
     (lambda: SetFamily((frozenset(),), 1.5), "subset_size"),
 ], ids=["ResolvabilityCode", "WiretapCode-M", "WiretapCode-L", "SetFamily"])
 def test_an_empty_code_array_fails_the_count_rule(build, name):
@@ -272,9 +284,9 @@ def test_an_empty_code_array_fails_the_count_rule(build, name):
 @pytest.mark.parametrize("build, text", [
     (lambda: ResolvabilityCode((-1, 0)),
      "codeword must be a nonnegative integer, got -1"),
-    (lambda: WiretapCode([[-1], [0]], [0, 1], "maximum_likelihood"),
+    (lambda: WiretapCode([[-1], [0]], [0, 1]),
      "codeword must be a nonnegative integer, got -1"),
-    (lambda: WiretapCode([[0], [1]], [0, -2], "maximum_likelihood"),
+    (lambda: WiretapCode([[0], [1]], [0, -2]),
      "decoder entry must be an integer >= -1 below 2, got -2"),
     (lambda: SetFamily((frozenset({-1, 0}),), 1.5),
      "subset element must be a nonnegative integer, got -1"),
@@ -284,12 +296,98 @@ def test_negative_indices_are_refused_in_the_count_rule_words(build, text):
         build()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: psi(0.5, W, uniform(3)), lambda: phi(-0.2, W, uniform(3)),
-    lambda: assemble_id_code((0, 1), SetFamily((frozenset({0}),), 0.5),
-                             W, uniform(3), 2.0),
-], ids=["psi", "phi", "assemble_id_code"])
-def test_law_of_the_wrong_size_has_one_text(call):
-    with pytest.raises(ValueError, match="^distribution size 3 does not "
-                                         "match input size 2$"):
+_WIRETAP_CODE = WiretapCode([[0, 1], [1, 0]], [0, 1])
+_IN3 = constant_channel([0.5, 0.5], 3)     # a 3-input channel
+# every public function of a channel and a law (one row per decoder for
+# `sample_wiretap_code`), called with the law q on the 2-input W and W_E
+_LAW_CALLS = {
+    "output_distribution": lambda q: output_distribution(W, q),
+    "mutual_information": lambda q: mutual_information(q, W),
+    "dispersion_J": lambda q: dispersion_J(q, W),
+    "tail_pair": lambda q: tail_pair(q, W, 2.0),
+    "product_tail_pair": lambda q: product_tail_pair(q, W, 2.0, 2),
+    "spectrum_cdf": lambda q: spectrum_cdf(q, W, 0.1, n=2),
+    "psi": lambda q: psi(0.5, W, q),
+    "phi": lambda q: phi(-0.2, W, q),
+    "exponent_sweep": lambda q: exponent_sweep(W, [0.1], q),
+    "taylor_compare": lambda q: taylor_compare(0.1, W, q),
+    "expectation_bounds": lambda q: expectation_bounds(q, W, 4, 2.0),
+    "mc_expectation": lambda q: mc_expectation(q, W, 4, 2.0, trials=100,
+                                               seed=0),
+    "eval_code": lambda q: eval_code(ResolvabilityCode((0, 1)), W, q),
+    "brute_force_min": lambda q: brute_force_min(2, W, q),
+    "select_codewords": lambda q: select_codewords(
+        W, q, SelectionParams(family=AdParams(2, 0.1, 0.8), **_SELECT), 0),
+    "id_error_bounds": lambda q: id_error_bounds(
+        SelectionParams(family=AdParams(2, 0.1, 0.8), **_SELECT), q, W),
+    "assemble_id_code": lambda q: assemble_id_code(
+        (0, 1), SetFamily((frozenset({0}),), 0.5), W, q, 2.0),
+    "eval_id_code": lambda q: eval_id_code(IdCode((0, 1), ((0,), (1,)), 2.0),
+                                           W, q),
+    "sample_wiretap_code": lambda q: sample_wiretap_code(q, 4, 4, W, 0),
+    "sample_wiretap_code-threshold": lambda q: sample_wiretap_code(
+        q, 4, 4, W, 0, decoder_kind="threshold", C_prime=2.0),
+    "eval_wiretap": lambda q: eval_wiretap(_WIRETAP_CODE, W, W_E, q),
+    "wiretap_bounds": lambda q: wiretap_bounds(W, W_E, q, 2, 2, math.e, 4.0),
+    "construct_until_bounds": lambda q: construct_until_bounds(
+        q, W, W_E, 2, 2, math.e, 4.0, seed=0),
+    "wiretap_exponents": lambda q: wiretap_exponents(0.1, 0.1, W, W_E, q),
+    "secrecy_rate": lambda q: secrecy_rate(W, W_E, q),
+}
+
+
+def _law_rows():
+    """(call, law size, input size) rows: each call of _LAW_CALLS with a
+    3-letter and a 1-letter law, and each function of Bob's and Eve's
+    channels with one of them 3-input."""
+    for k, tag in ((3, ""), (1, "-short_law")):
+        for name, call in _LAW_CALLS.items():
+            yield pytest.param(lambda c=call, k=k: c(uniform(k)), k, 2,
+                               id=name + tag)
+    for side, B, E in (("eve", W, _IN3), ("bob", _IN3, W_E)):
+        for name, call in (
+                ("eval_wiretap", lambda B, E: eval_wiretap(
+                    _WIRETAP_CODE, B, E, P)),
+                ("wiretap_bounds", lambda B, E: wiretap_bounds(
+                    B, E, P, 2, 2, math.e, 4.0)),
+                ("construct_until_bounds", lambda B, E: (
+                    construct_until_bounds(P, B, E, 2, 2, math.e, 4.0,
+                                           seed=0))),
+                ("wiretap_exponents", lambda B, E: wiretap_exponents(
+                    0.1, 0.1, B, E, P)),
+                ("secrecy_rate", lambda B, E: secrecy_rate(B, E, P))):
+            yield pytest.param(lambda c=call, B=B, E=E: c(B, E), 2, 3,
+                               id=f"{name}-{side}")
+    # the law is sized by Bob's channel and meets Eve's
+    yield pytest.param(lambda: secrecy_capacity_lb(W, _IN3), 2, 3,
+                       id="secrecy_capacity_lb-eve")
+    yield pytest.param(lambda: secrecy_capacity_lb(_IN3, W_E), 3, 2,
+                       id="secrecy_capacity_lb-bob")
+
+
+@pytest.mark.parametrize("call, law_size, input_size", _law_rows())
+def test_law_of_the_wrong_size_has_one_text(call, law_size, input_size,
+                                            monkeypatch):
+    # the size check runs before any work: p(x) W_x(y) is not formed, so
+    # no broadcast error or silent broadcast of a 1-letter law reaches the
+    # caller, and no Gallager search runs
+    def search(*args):
+        raise AssertionError("Gallager search before the law-size check")
+
+    monkeypatch.setattr(exponents, "_gallager_max", search)
+    monkeypatch.setattr(wiretap, "_gallager_max", search)
+    with pytest.raises(ValueError, match=(
+            f"^distribution size {law_size} does not match "
+            f"input size {input_size}$")):
         call()
+
+
+def test_the_law_size_table_names_every_function_of_a_channel_and_a_law():
+    def takes(f, kind):
+        return any(kind in str(prm.annotation)
+                   for prm in inspect.signature(f).parameters.values())
+
+    public = {name for name in chanres.__all__
+              if inspect.isfunction(f := getattr(chanres, name))
+              and takes(f, "Channel") and takes(f, "Distribution")}
+    assert public == {name.split("-")[0] for name in _LAW_CALLS}

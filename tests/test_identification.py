@@ -37,6 +37,14 @@ from oracles import (CrowdedStream, build_reference, cap_attempts,
                      eval_reference, select_reference)
 
 
+def _screens(W, p, params, sel):
+    """(miss, union) of the picked words, from the screen the candidate
+    pass runs."""
+    level = identification._screen_bounds(params, p, W)[0]
+    miss, union = identification._screens(W, level, sel.codewords)
+    return tuple(miss.tolist()), tuple(union.tolist())
+
+
 def test_ad_params():
     params = AdParams(M=100, tau=0.1, kappa=0.8)
     assert params.subset_size == 10
@@ -138,20 +146,19 @@ def test_select_codewords_fixture():
     assert sel.codewords == (2, 6)
     assert sel.attempts == 1
     assert sel.miss_bound == 0.32090625
-    for v in sel.miss_values:
+    miss_values, union_values = _screens(W, p, params, sel)
+    for v in miss_values:
         assert math.isclose(v, 0.142625, rel_tol=1e-13)
         assert v <= sel.miss_bound
-    for v in sel.union_values:
+    for v in union_values:
         assert math.isclose(v, 0.045125000000000005, rel_tol=1e-13)
-        assert v <= sel.union_bound
-    assert sel.union_bound == 4.0 * 4.0 * 24 / 2.0
+        assert v <= 4.0 * 4.0 * 24 / 2.0
     assert math.isclose(sel.feasibility_lhs, 192.2139375, rel_tol=1e-12)
     assert not sel.feasible
 
     # recompute the screened masses directly from the matrices
     wp = p.probs @ W.rows
-    for x, miss, union in zip(sel.codewords, sel.miss_values,
-                              sel.union_values):
+    for x, miss, union in zip(sel.codewords, miss_values, union_values):
         level = W.rows[x] > params.C * wp
         assert math.isclose(1.0 - W.rows[x][level].sum(), miss, rel_tol=1e-12)
         others = [c for c in sel.codewords if c != x]
@@ -166,8 +173,7 @@ def test_select_codewords_deterministic():
     params = SelectionParams(1.5, 4.0, 1.5, 4.0, AdParams(2, 0.1, 0.8), 2.0)
     a = select_codewords(W, p, params, seed=1)
     b = select_codewords(W, p, params, seed=1)
-    assert a.codewords == b.codewords
-    assert a.miss_values == b.miss_values
+    assert a == b
 
 
 def test_select_infeasible():
@@ -431,9 +437,10 @@ def test_select_codewords_equals_candidate_loop():
         params = SelectionParams(2.0, 4.0, 2.0, 4.0, family, 2.0)
         sel = select_codewords(W, p, params, seed=trial, max_retries=20)
         ref, _ = select_reference(W, p, params, trial, max_retries=20)
-        assert (sel.codewords, sel.miss_values, sel.union_values,
+        miss_values, union_values = _screens(W, p, params, sel)
+        assert (sel.codewords, miss_values, union_values,
                 sel.attempts) == ref
-        nonzero_unions += any(v > 0.0 for v in sel.union_values)
+        nonzero_unions += any(v > 0.0 for v in union_values)
     assert nonzero_unions >= 3
     # near-identity channels at a high threshold: the union bound drops
     # below 1 and refuses a candidate drawn twice in one attempt
@@ -447,7 +454,7 @@ def test_select_codewords_equals_candidate_loop():
         params = SelectionParams(6.0, 1.25, 5.0, 1.5, family, 40.0)
         sel = select_codewords(W, p, params, seed=trial, max_retries=20)
         ref, refused = select_reference(W, p, params, trial, max_retries=20)
-        assert (sel.codewords, sel.miss_values, sel.union_values,
+        assert (sel.codewords, *_screens(W, p, params, sel),
                 sel.attempts) == ref
         union_refused += refused
     assert union_refused > 0
@@ -477,7 +484,6 @@ def test_selection_carries_the_id_error_bounds():
         union_bound = (params.alpha_prime * params.beta_prime
                        * params.m_prime / params.C)
         assert sel.miss_bound == params.alpha * params.beta * miss_avg
-        assert sel.union_bound == union_bound
         assert sel.lam_bound == params.family.kappa + union_bound
         assert id_error_bounds(params, p, W) == (sel.miss_bound, sel.lam_bound)
     assert checked >= 6

@@ -15,7 +15,6 @@ from chanres import (
     ResolvabilityCode,
     brute_force_min,
     bsc,
-    counting_check,
     eval_code,
     expectation_bounds,
     identity_channel,
@@ -207,28 +206,6 @@ def test_size_ceiling_check():
         size_ceiling_check(0.0, 0.0, -0.1, 2, 2)
     with pytest.raises(ValueError, match="^eps must be nonnegative$"):
         size_ceiling_check(0.1, 0.1, math.nan, 2, 3)
-
-
-def test_counting_check():
-    W = identity_channel(2)
-    v = counting_check(0.0, 0.0, 2, W, [uniform(2)])
-    assert v.eps_estimate == 0.0
-    assert v.hypothesis_holds and v.size_ceiling == 4
-    # a single codeword cannot match the uniform mixture, eps hits 1
-    v = counting_check(0.0, 0.0, 1, W, [uniform(2)])
-    assert v.eps_estimate == 1.0
-    assert not v.hypothesis_holds
-    # an estimate, not a certified floor: a grid without (1/4, 3/4)
-    # misses its eps 0.5, above 1 - mu - lam = 0.4
-    v = counting_check(0.3, 0.3, 2, W, [uniform(2)])
-    assert v.eps_estimate == 0.0
-    assert v.hypothesis_holds and v.size_ceiling == 4
-    v = counting_check(0.3, 0.3, 2, W,
-                       [uniform(2), Distribution([0.25, 0.75])])
-    assert v.eps_estimate == 0.5
-    assert not v.hypothesis_holds
-    with pytest.raises(ValueError):
-        counting_check(0.0, 0.0, 2, W, [])
 
 
 def test_mc_expectation_does_not_depend_on_the_budget():

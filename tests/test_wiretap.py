@@ -18,32 +18,24 @@ from chanres import (
     product,
     product_dist,
     sample_wiretap_code,
-    secrecy_capacity_lb,
-    secrecy_rate,
     uniform,
     wiretap_bounds,
-    wiretap_exponents,
 )
-from chanres import exponents, wiretap
-from oracles import _construct_reference
+from chanres import wiretap
+from oracles import _construct_reference, pairwise_bound_oracle
 
 
 def test_code_validation():
-    code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]),
-                       "maximum_likelihood")
+    code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]))
     assert code.codewords.shape == (2, 2)
     with pytest.raises(ValueError,
                        match="^codewords must form an M x L index array$"):
-        WiretapCode(np.array([0, 1]), np.array([0, 0]), "maximum_likelihood")
+        WiretapCode(np.array([0, 1]), np.array([0, 0]))
     with pytest.raises(ValueError):
-        WiretapCode(np.array([[0], [1]]), np.array([0, 2]),
-                    "maximum_likelihood")
-    with pytest.raises(ValueError):
-        WiretapCode(np.array([[0], [1]]), np.array([0, 1]), "viterbi")
+        WiretapCode(np.array([[0], [1]]), np.array([0, 2]))
     with pytest.raises(ValueError,
                        match="^decoder must map outputs to messages$"):
-        WiretapCode(np.array([[0], [1]]), np.array([[0, 1]]),
-                    "maximum_likelihood")
+        WiretapCode(np.array([[0], [1]]), np.array([[0, 1]]))
 
 
 def test_sample_determinism_and_shape():
@@ -65,10 +57,8 @@ def test_ml_decoder_and_tie_order():
     W = bsc(0.1)
     code = sample_wiretap_code(uniform(2), 2, 1, W, seed=0)
     # overwrite codewords is impossible (frozen), build directly
-    code = WiretapCode(np.array([[0], [1]]), code.decoder,
-                       "maximum_likelihood")
-    built = WiretapCode(np.array([[0], [1]]),
-                        np.array([0, 1]), "maximum_likelihood")
+    code = WiretapCode(np.array([[0], [1]]), code.decoder)
+    built = WiretapCode(np.array([[0], [1]]), np.array([0, 1]))
     report = eval_wiretap(built, W, W, uniform(2))
     assert math.isclose(report.eps_B, 0.1, rel_tol=1e-13)
     # equal likelihoods: the first (l, m) pair in scan order wins
@@ -78,8 +68,7 @@ def test_ml_decoder_and_tie_order():
     # a (l=0, m=1) claim precedes (l=1, m=0) in the flattened order
     W3 = identity_channel(3)
     tie = sample_wiretap_code(uniform(3), 2, 2, W3, seed=5)
-    tie = WiretapCode(np.array([[2, 1], [1, 0]]), tie.decoder,
-                      "maximum_likelihood")
+    tie = WiretapCode(np.array([[2, 1], [1, 0]]), tie.decoder)
     from chanres.wiretap import _ml_decoder
     dec = _ml_decoder(tie.codewords, W3)
     assert dec[1] == 1
@@ -90,8 +79,9 @@ def test_threshold_decoder():
     W, p = identity_channel(4), uniform(4)
     code = sample_wiretap_code(p, 2, 1, W, seed=1, decoder_kind="threshold",
                                C_prime=2.0)
-    assert code.decoder_kind == "threshold"
     from chanres.wiretap import _threshold_decoder
+    assert np.array_equal(code.decoder, _threshold_decoder(
+        code.codewords, W, p, 2.0))
     dec = _threshold_decoder(np.array([[0], [1]]), W, p, 2.0)
     assert dec.tolist() == [0, 1, -1, -1]
     # two claimants at one output erase it
@@ -101,8 +91,7 @@ def test_threshold_decoder():
 
 def test_eval_oracle_by_hand():
     W_B, W_E, p = bsc(0.1), bsc(0.3), uniform(2)
-    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1]),
-                       "maximum_likelihood")
+    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1]))
     report = eval_wiretap(code, W_B, W_E, p)
     # Bob: message 0 mixes both rows, message 1 sits on row 1
     assert math.isclose(report.eps_B, 0.3, rel_tol=1e-13)
@@ -114,19 +103,17 @@ def test_eval_oracle_by_hand():
     assert math.isclose(report.I_E, 0.5 * (kl0 + kl1), rel_tol=1e-12)
     assert math.isclose(report.d_E, 0.4, rel_tol=1e-13)
     assert report.decomposition_residual <= 1e-12
-    assert report.d_E <= report.pairwise_bound + 1e-12
+    assert report.d_E <= pairwise_bound_oracle(code, W_E, p) + 1e-12
     with pytest.raises(ValueError):
         eval_wiretap(code, W_B, identity_channel(3), p)
-    bad = WiretapCode(np.array([[5, 1], [1, 1]]), np.array([0, 1]),
-                      "maximum_likelihood")
+    bad = WiretapCode(np.array([[5, 1], [1, 1]]), np.array([0, 1]))
     with pytest.raises(ValueError):
         eval_wiretap(bad, W_B, W_E, p)
 
 
 def test_decoder_of_another_output_size_is_refused():
     # a decoder entry per output of Bob's channel, checked before indexing
-    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1, -1]),
-                       "maximum_likelihood")
+    code = WiretapCode(np.array([[0, 1], [1, 1]]), np.array([0, 1, -1]))
     with pytest.raises(ValueError,
                        match="^decoder has 3 entries, channel B has 2 outputs$"):
         eval_wiretap(code, bsc(0.1), bsc(0.3), uniform(2))
@@ -137,8 +124,7 @@ def test_eval_perfect_secrecy_zeroes():
     W_B = identity_channel(4)
     W_E = constant_channel([0.5, 0.5], 4)
     p = uniform(4)
-    code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]),
-                       "maximum_likelihood")
+    code = WiretapCode(np.array([[0, 1], [2, 3]]), np.array([0, 0, 1, 1]))
     report = eval_wiretap(code, W_B, W_E, p)
     assert report.eps_B == 0.0
     assert report.I_E == 0.0
@@ -148,8 +134,7 @@ def test_eval_perfect_secrecy_zeroes():
 def test_eval_full_exposure():
     # Eve sees the message perfectly: both leakage measures peak
     W = identity_channel(2)
-    code = WiretapCode(np.array([[0], [1]]), np.array([0, 1]),
-                       "maximum_likelihood")
+    code = WiretapCode(np.array([[0], [1]]), np.array([0, 1]))
     report = eval_wiretap(code, W, W, uniform(2))
     assert report.eps_B == 0.0
     assert math.isclose(report.I_E, math.log(2.0), rel_tol=1e-13)
@@ -160,8 +145,7 @@ def test_eval_disjoint_reference_support():
     # codeword mass outside p's support: the decomposition check is
     # skipped (nan) and the leakage numbers stay finite
     W = identity_channel(2)
-    code = WiretapCode(np.array([[1], [0]]), np.array([1, 0]),
-                       "maximum_likelihood")
+    code = WiretapCode(np.array([[1], [0]]), np.array([1, 0]))
     report = eval_wiretap(code, W, W, point_mass(0, 2))
     assert math.isnan(report.decomposition_residual)
     assert math.isfinite(report.I_E)
@@ -178,7 +162,7 @@ def test_decomposition_residual_random():
         code = sample_wiretap_code(p, 3, 2, W_B, seed=int(gen.integers(10 ** 6)))
         report = eval_wiretap(code, W_B, W_E, p)
         assert report.decomposition_residual <= 1e-9
-        assert report.d_E <= report.pairwise_bound + 1e-12
+        assert report.d_E <= pairwise_bound_oracle(code, W_E, p) + 1e-12
 
 
 def _normalize(rows):
@@ -321,7 +305,6 @@ def test_construct_exhaustion_matches_reference(seed, satisfied, codewords):
         assert got.code.codewords.tolist() == codewords
     assert np.array_equal(got.code.codewords, want.code.codewords)
     assert np.array_equal(got.code.decoder, want.code.decoder)
-    assert got.code.decoder_kind == want.code.decoder_kind
     assert got.report == want.report
     assert got.bounds == want.bounds
     assert dataclasses.astuple(got)[3:] == dataclasses.astuple(want)[3:]
@@ -359,28 +342,18 @@ def test_non_finite_threshold_rejected(C):
                             C_prime=C)
 
 
-# a 2-input Bob and a 3-input Eve: every entry point gives the one
-# law-size text, and none runs the Gallager search first
-_EVE3 = constant_channel([0.5, 0.5], 3)
-_SIZE_TEXT = "^distribution size 2 does not match input size 3$"
-
-
 @pytest.mark.parametrize("call", [
-    lambda: eval_wiretap(sample_wiretap_code(uniform(2), 2, 2, bsc(0.1), 0),
-                         bsc(0.1), _EVE3, uniform(2)),
-    lambda: wiretap_bounds(bsc(0.1), _EVE3, uniform(2), 2, 2, math.e, 4.0),
-    lambda: construct_until_bounds(uniform(2), bsc(0.1), _EVE3, 2, 2, math.e,
-                                   4.0, seed=0),
-    lambda: wiretap_exponents(0.1, 0.1, bsc(0.1), _EVE3, uniform(2)),
-    lambda: secrecy_rate(bsc(0.1), _EVE3, uniform(2)),
-    lambda: secrecy_capacity_lb(bsc(0.1), _EVE3),
-], ids=["eval_wiretap", "wiretap_bounds", "construct_until_bounds",
-        "wiretap_exponents", "secrecy_rate", "secrecy_capacity_lb"])
-def test_eve_of_another_input_size_has_the_law_size_text(call, monkeypatch):
-    def search(*args):
-        raise AssertionError("Gallager search before the law-size check")
+    lambda: construct_until_bounds(uniform(2), bsc(0.1), bsc(0.3), 2, 2,
+                                   math.e, 4.0, seed=0, decoder_kind="bogus"),
+    lambda: sample_wiretap_code(uniform(2), 2, 2, bsc(0.1), 0,
+                                decoder_kind="bogus"),
+], ids=["construct_until_bounds", "sample_wiretap_code"])
+def test_an_unknown_decoder_kind_is_refused_before_any_work(call,
+                                                            monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("work before the decoder-kind check")
 
-    monkeypatch.setattr(exponents, "_gallager_max", search)
-    monkeypatch.setattr(wiretap, "_gallager_max", search)
-    with pytest.raises(ValueError, match=_SIZE_TEXT):
+    for name in ("wiretap_bounds", "sample_wiretap_code", "stream"):
+        monkeypatch.setattr(wiretap, name, work)
+    with pytest.raises(ValueError, match="^unknown decoder kind 'bogus'$"):
         call()
