@@ -245,17 +245,36 @@ def _blocks(n: int, floats_each: int) -> list[slice]:
     return [slice(lo, lo + per) for lo in range(0, n, per)]
 
 
-def _word_rows(W: Channel, words) -> np.ndarray:
+def _prefix_table(W: Channel, n: int) -> tuple[int, np.ndarray]:
+    """(k, unnormalized rows of W^k), for the largest k <= n whose
+    (|X||Y|)^k floats fit in _BLOCK_FLOATS, and k = 1 if none does.
+
+    `_word_rows` starts each word's row from the table row of its first
+    k letters, in place of k product steps.
+    """
+    cells = W.input_size * W.output_size
+    if cells == 1:      # W is [[1.0]], and so is each of its powers
+        return n, W.rows
+    k = 1
+    while k < n and cells ** (k + 1) <= _BLOCK_FLOATS:
+        k += 1
+    return k, _kron_chain([W.rows] * k)
+
+
+def _word_rows(W: Channel, words, prefix=None) -> np.ndarray:
     """Rows of W^n for input words of shape (..., n), the first letter least significant.
 
     Equal with ``==`` to ``product(W, n).rows[index]``: the same
     products in the same order, and each row divided by its own sum as
-    `Channel` renormalizes the materialized product.
+    `Channel` renormalizes the materialized product.  `prefix` is a
+    `_prefix_table(W, m)` with m <= n; the default, (1, W.rows), gathers
+    the first letter alone.
     """
     words = np.asarray(words)
-    rows = W.rows[words[..., 0]]
-    for k in range(1, words.shape[-1]):
-        f = W.rows[words[..., k]]
+    k, table = prefix or (1, W.rows)
+    rows = table[words[..., :k] @ W.input_size ** np.arange(k)]
+    for j in range(k, words.shape[-1]):
+        f = W.rows[words[..., j]]
         rows = (f[..., :, None] * rows[..., None, :]).reshape(
             *rows.shape[:-1], -1)
     return rows / rows.sum(axis=-1, keepdims=True)

@@ -30,6 +30,7 @@ from .channel import (
     _kl,
     _kl_rows,
     _kron_chain,
+    _prefix_table,
     _word_rows,
     output_distribution,
 )
@@ -138,12 +139,17 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
 
     Codewords are sampled coordinate-wise from p, trial i using the
     (seed, i) stream, and only the W^n rows of the sampled words are
-    built.  Trials run in index order in blocks; the result is a pure
-    function of the arguments.  Returns three estimates: variational
-    distance against 2*delta + sqrt(delta_prime/M), divergence against
-    the corner-term bound eta(delta) + delta*log|Y^n| + delta_prime/M,
-    and the same divergence samples against the phi-based bound
-    minimized over a t grid.
+    built: each from the row of its first k letters in a table of W^k,
+    the largest k <= n whose table fits in _BLOCK_FLOATS, then n - k
+    product steps.  Trials run in index order in blocks whose rows, and
+    whose draws, take at most _BLOCK_FLOATS floats (one trial at least).
+    The table, like the blocks, is not charged to the budget, so a cap
+    below |X|^n |Y|^n states (10000 at n = 8 on a binary channel) still
+    runs.  The result is a pure function of the arguments.  Returns
+    three estimates: variational distance against 2*delta +
+    sqrt(delta_prime/M), divergence against the corner-term bound
+    eta(delta) + delta*log|Y^n| + delta_prime/M, and the same divergence
+    samples against the phi-based bound minimized over a t grid.
     """
     trials = _integer(trials, "trials", 100)
     L = W.output_size
@@ -154,17 +160,19 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
     budget.check(_integer(M, "M") * n, f"one trial's {M} words of {n} letters")
 
     wpn = _kron_chain([output_distribution(W, p).probs] * n)
+    prefix = _prefix_table(W, n)
 
     eps_s = np.empty(trials)
     div_s = np.empty(trials)
-    for blk in _blocks(trials, M * L ** n):
+    # a trial holds M rows of L^n floats and M*n draws and letters
+    for blk in _blocks(trials, M * max(L ** n, n)):
         words = sample_indices(p.probs,
                                uniforms(seed, range(trials)[blk], (M, n)))
         # sum each trial's rows in word order, as .mean(axis=0) does,
         # carrying the partial sum when a trial spans several blocks
         mix = None
         for part in _blocks(M, L ** n):
-            rows = _word_rows(W, words[:, part])
+            rows = _word_rows(W, words[:, part], prefix)
             if mix is not None:
                 rows = np.concatenate([mix[:, None], rows], axis=1)
             mix = rows.sum(axis=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channel import _integer
@@ -39,10 +41,12 @@ def uniforms(seed: int, indices, shape=()) -> np.ndarray:
     fresh = bits.state          # zero counter, empty buffer
     key = fresh["state"]["key"]
     out = np.empty((len(indices),) + shape)
-    for k, i in enumerate(idx):
+    # one flat row per index, a view of out (reshape(len, -1) fails on
+    # no indices), which each stream fills in place
+    for row, i in zip(out.reshape(len(out), math.prod(shape)), idx):
         key[1] = i
         bits.state = fresh
-        out[k] = gen.random(shape)
+        gen.random(out=row)
     return out
 
 

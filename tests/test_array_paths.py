@@ -64,6 +64,12 @@ def test_uniforms_equal_one_stream_per_index(seed, indices, shape):
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("indices", [[], range(0)])
+@pytest.mark.parametrize("shape", [(), (3,), (3, 2)])
+def test_uniforms_of_no_indices_are_empty(indices, shape):
+    assert uniforms(0, indices, shape).shape == (0,) + shape
+
+
 @pytest.mark.parametrize("seed, indices", [(-1, [0]), (0, [-1]),
                                            (3, [0, 1, -2])])
 def test_uniforms_rejects_negative_keys(seed, indices):

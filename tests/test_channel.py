@@ -39,7 +39,7 @@ from chanres import (
     uniform,
     variational_distance,
 )
-from chanres.channel import _laws, _word_rows
+from chanres.channel import _BLOCK_FLOATS, _laws, _prefix_table, _word_rows
 from corpus import dirichlet_law
 from oracles import binary_entropy
 
@@ -352,6 +352,25 @@ def test_word_rows_equal_materialized_product(rows):
         picked = gen.integers(K ** n, size=(3, 5))
         batch = picked[..., None] // K ** np.arange(n) % K
         assert np.all(_word_rows(W, batch) == dense[picked])
+        # each word started from the table row of its first k letters
+        for k in range(1, n + 1):
+            prefix = _prefix_table(W, k)
+            assert prefix[0] == k
+            assert np.all(_word_rows(W, words, prefix) == dense)
+            assert np.all(_word_rows(W, batch, prefix) == dense[picked])
+
+
+@pytest.mark.parametrize("W, n, k", [
+    (bsc(0.1), 4, 4),
+    (bsc(0.1), 8, 7),
+    (Channel(np.full((16, 16), 1 / 16)), 4, 1),
+    (constant_channel([1.0], 1), 10 ** 4, 10 ** 4),
+], ids=["2x2-n4", "2x2-n8", "16x16", "1x1"])
+def test_prefix_table_fits_one_block(W, n, k):
+    got, table = _prefix_table(W, n)
+    assert got == k
+    assert table.shape == (W.input_size ** k, W.output_size ** k)
+    assert table.size <= _BLOCK_FLOATS
 
 
 @pytest.mark.parametrize("save, load, value, doc", [

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chanres import (
     ResolvabilityCode,
     brute_force_min,
     bsc,
+    constant_channel,
     eval_code,
     expectation_bounds,
     identity_channel,
@@ -248,3 +250,18 @@ def test_mc_expectation_words_spanning_blocks():
     est = mc_expectation(p, W, M, math.e, trials=trials, seed=seed, n=n)[0]
     assert 3 ** n * M > channel._BLOCK_FLOATS
     assert est.mean == float(np.mean(eps))
+
+
+def test_mc_expectation_blocks_count_the_draws():
+    # one output letter: a trial's mixture is one float, but it draws
+    # M*n uniforms and letters; a block of all 100 trials would hold
+    # 12.8 MB of them
+    W, p = constant_channel([1.0], 16), uniform(16)
+    tracemalloc.start()
+    try:
+        est = mc_expectation(p, W, 16, 1.0, trials=100, seed=0, n=500)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.mean == 0.0
+    assert peak < 2 * 2 ** 20
