@@ -45,7 +45,6 @@ from .exponents import (
 )
 from .identification import (
     AdParams,
-    CountingVerdict,
     FamilyBuild,
     IdCode,
     IdMetrics,

@@ -261,17 +261,16 @@ def _prefix_table(W: Channel, n: int) -> tuple[int, np.ndarray]:
     return k, _kron_chain([W.rows] * k)
 
 
-def _word_rows(W: Channel, words, prefix=None) -> np.ndarray:
+def _word_rows(W: Channel, words, prefix) -> np.ndarray:
     """Rows of W^n for input words of shape (..., n), the first letter least significant.
 
     Equal with ``==`` to ``product(W, n).rows[index]``: the same
     products in the same order, and each row divided by its own sum as
     `Channel` renormalizes the materialized product.  `prefix` is a
-    `_prefix_table(W, m)` with m <= n; the default, (1, W.rows), gathers
-    the first letter alone.
+    `_prefix_table(W, m)` with m <= n.
     """
     words = np.asarray(words)
-    k, table = prefix or (1, W.rows)
+    k, table = prefix
     rows = table[words[..., :k] @ W.input_size ** np.arange(k)]
     for j in range(k, words.shape[-1]):
         f = W.rows[words[..., j]]

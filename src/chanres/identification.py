@@ -450,20 +450,13 @@ def load_id_code(path) -> IdCode:
         raise ValueError(f"id code file {path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class CountingVerdict:
-    """Outcome of the identification counting argument."""
-
-    hypothesis_holds: bool
-    size_ceiling: int | None
-
-
 def size_ceiling_check(mu: float, lam: float, eps_value: float,
-                       input_size: int, M: int) -> CountingVerdict:
+                       input_size: int, M: int) -> int | None:
     """Pure arithmetic form of the counting argument.
 
     When mu + lam + eps < 1, distinguishable message sets inject into
-    codeword multisets, so their number is capped by input_size ** M.
+    codeword multisets, so their number is capped by input_size ** M,
+    which is returned; otherwise the argument gives no ceiling (None).
     """
     input_size, M = _integer(input_size, "input_size"), _integer(M, "M")
     for name, v in (("mu", mu), ("lambda", lam)):
@@ -471,6 +464,4 @@ def size_ceiling_check(mu: float, lam: float, eps_value: float,
             raise ValueError(f"{name} must lie in [0, 1]")
     if not eps_value >= 0:
         raise ValueError("eps must be nonnegative")
-    holds = (1.0 - mu - lam) > eps_value
-    ceiling = input_size ** M if holds else None
-    return CountingVerdict(holds, ceiling)
+    return input_size ** M if (1.0 - mu - lam) > eps_value else None

@@ -62,9 +62,6 @@ class McEstimate:
     trials: int
     bound: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "trials", _integer(self.trials, "trials", 2))
-
 
 def sample_code(p: Distribution, M: int, seed: int) -> ResolvabilityCode:
     """Draw M codewords i.i.d. from p; draw j uses the (seed, j) stream."""
@@ -169,12 +166,13 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
         words = sample_indices(p.probs,
                                uniforms(seed, range(trials)[blk], (M, n)))
         # sum each trial's rows in word order, as .mean(axis=0) does,
-        # carrying the partial sum when a trial spans several blocks
+        # carrying the partial sum into the first row of the next part
+        # when a trial spans several blocks
         mix = None
         for part in _blocks(M, L ** n):
             rows = _word_rows(W, words[:, part], prefix)
             if mix is not None:
-                rows = np.concatenate([mix[:, None], rows], axis=1)
+                rows[:, 0] += mix
             mix = rows.sum(axis=1)
         mix /= M
         eps_s[blk] = np.abs(mix - wpn).sum(axis=1)

@@ -424,14 +424,20 @@ def test_set_family_error_names_the_loops_first_pair(
 
 @pytest.mark.parametrize("crowded", [False, True])
 def test_build_set_family_equals_the_subset_loop(monkeypatch, crowded):
-    # with SetFamily's overlap check in blocks of a few subsets
+    # with SetFamily's overlap check in its default blocks and in blocks of a
+    # few subsets; real parameters almost never reject a candidate,
+    # crowded draws make the overlap test refuse most of them
     if crowded:
         monkeypatch.setattr(identification, "stream", CrowdedStream)
-    monkeypatch.setattr(channel, "_BLOCK_FLOATS", 64)
     params = AdParams(M=100, tau=0.1, kappa=0.8)
-    for seed, max_attempts in ((0, 300), (1, 1000), (2, 40)):
-        cap_attempts(monkeypatch, max_attempts)
-        built = build_set_family(params, seed)
-        ref = build_reference(params, seed)
-        assert (built.family.subsets, built.attempts, built.complete) == ref
-        assert built.family.size > 1
+    for block_floats in (channel._BLOCK_FLOATS, 64):
+        monkeypatch.setattr(channel, "_BLOCK_FLOATS", block_floats)
+        for seed, max_attempts in ((0, 300), (1, 300), (1, 1000), (2, 40)):
+            cap_attempts(monkeypatch, max_attempts)
+            built = build_set_family(params, seed)
+            ref = build_reference(params, seed)
+            assert (built.family.subsets, built.attempts,
+                    built.complete) == ref
+            assert built.family.size > 1
+            if crowded:
+                assert built.attempts > built.family.size

@@ -48,7 +48,6 @@ from chanres.identification import (
     size_ceiling_check,
 )
 from chanres.resolvability import (
-    McEstimate,
     ResolvabilityCode,
     brute_force_min,
     eval_code,
@@ -108,7 +107,6 @@ ENTRY_POINTS = {
                        lambda v: uniforms(0, [0, v]).tolist(), 2),
     "sample_code-M": ("M", lambda v: sample_code(P, v, 0), 2),
     "sample_code-seed": ("seed", lambda v: sample_code(P, 4, v), 7),
-    "McEstimate": ("trials", lambda v: McEstimate(0.1, 0.0, v, 0.2), 2),
     "expectation_bounds": ("M", lambda v: expectation_bounds(P, W, v, 2.0),
                            2),
     "mc_expectation-trials": ("trials", lambda v: mc_expectation(
@@ -167,8 +165,7 @@ def test_integral_counts_give_the_int_results(entry):
 FLOORS = {"point_mass-index": 0, "stream-seed": 0, "stream-index": 0, "uniforms-seed": 0,
           "uniforms-index": 0, "sample_code-seed": 0, "mc_expectation-seed": 0,
           "build_set_family": 0, "sample_wiretap_code-seed": 0,
-          "construct_until_bounds-seed": 0, "McEstimate": 2,
-          "mc_expectation-trials": 100}
+          "construct_until_bounds-seed": 0, "mc_expectation-trials": 100}
 
 
 @pytest.mark.parametrize("key", ENTRY_POINTS)

@@ -33,8 +33,8 @@ from chanres import (
 )
 from chanres import identification
 from corpus import dirichlet_channel as random_channel, z_channel
-from oracles import (CrowdedStream, build_reference, cap_attempts,
-                     eval_reference, select_reference)
+from oracles import (build_reference, cap_attempts, eval_reference,
+                     select_reference)
 
 
 def _screens(W, p, params, sel):
@@ -411,19 +411,6 @@ def test_build_set_family_equals_pair_loop(monkeypatch, M, tau, kappa):
     assert not built.complete and built.attempts == 5
     assert (built.family.subsets, built.attempts, built.complete) \
         == build_reference(params, 0)
-
-
-def test_build_set_family_rejections_equal_pair_loop(monkeypatch):
-    # real parameters almost never reject a candidate; crowded draws
-    # make the overlap test refuse most of them
-    monkeypatch.setattr(identification, "stream", CrowdedStream)
-    params = AdParams(M=100, tau=0.1, kappa=0.8)
-    for seed, max_attempts in ((0, 300), (1, 300), (2, 40)):
-        cap_attempts(monkeypatch, max_attempts)
-        built = build_set_family(params, seed)
-        ref = build_reference(params, seed)
-        assert (built.family.subsets, built.attempts, built.complete) == ref
-        assert built.attempts > built.family.size > 1
 
 
 def test_select_codewords_equals_candidate_loop():

@@ -10,9 +10,7 @@ import pytest
 from chanres import (
     BudgetError,
     Channel,
-    Distribution,
     EnumerationBudget,
-    McEstimate,
     ResolvabilityCode,
     brute_force_min,
     bsc,
@@ -119,22 +117,6 @@ def test_mc_expectation_validation():
         mc_expectation(p, W, 4, 1.5, trials=50, seed=1)
     with pytest.raises(ValueError):
         mc_expectation(p, W, 0, 1.5, trials=100, seed=1)
-    with pytest.raises(ValueError):
-        McEstimate(mean=0.1, std_error=0.0, trials=1, bound=1.0)
-
-
-def test_mc_expectation_dense_and_streamed_paths_agree():
-    # a zero channel entry keeps the tail enumeration at 9 atoms while
-    # the dense product would need 16 states, so a cap of 9 forces the
-    # per-word path; the numbers must not depend on which path ran
-    W = Channel(np.array(Z_ROWS))
-    p = uniform(2)
-    kwargs = dict(trials=100, seed=7, n=2)
-    dense = mc_expectation(p, W, 3, 1.5, **kwargs)
-    lean = mc_expectation(p, W, 3, 1.5, budget=EnumerationBudget(9), **kwargs)
-    for a, b in zip(dense, lean):
-        assert a.mean == b.mean
-        assert a.std_error == b.std_error
 
 
 def test_mc_expectation_budget_error():
@@ -198,10 +180,8 @@ def test_brute_force_min():
 
 
 def test_size_ceiling_check():
-    v = size_ceiling_check(0.2, 0.2, 0.3, input_size=3, M=2)
-    assert v.hypothesis_holds and v.size_ceiling == 9
-    v = size_ceiling_check(0.2, 0.2, 0.7, input_size=3, M=2)
-    assert not v.hypothesis_holds and v.size_ceiling is None
+    assert size_ceiling_check(0.2, 0.2, 0.3, input_size=3, M=2) == 9
+    assert size_ceiling_check(0.2, 0.2, 0.7, input_size=3, M=2) is None
     with pytest.raises(ValueError):
         size_ceiling_check(1.2, 0.0, 0.1, 2, 2)
     with pytest.raises(ValueError):
@@ -210,15 +190,22 @@ def test_size_ceiling_check():
         size_ceiling_check(0.1, 0.1, math.nan, 2, 3)
 
 
-def test_mc_expectation_does_not_depend_on_the_budget():
-    # a cap of 10000 states is below the 2^16-state W^8, which must not
-    # change a single bit of the estimates
+@pytest.mark.parametrize("n, M, C, trials, seed, cap", [
+    # a zero channel entry keeps the tail enumeration at 9 atoms, below
+    # the 16 states of W^2
+    (2, 3, 1.5, 100, 7, 9),
+    # a cap of 10000 states is below the 2^16-state W^8
+    (8, 16, math.e, 300, 0, 10000),
+], ids=["n2", "n8"])
+def test_mc_expectation_does_not_depend_on_the_budget(n, M, C, trials, seed,
+                                                      cap):
+    # a cap below the states of W^n must not change a single bit of the
+    # estimates
     W = Channel(np.array(Z_ROWS))
     p = uniform(2)
-    kwargs = dict(trials=300, seed=0, n=8)
-    lean = mc_expectation(p, W, 16, math.e, budget=EnumerationBudget(10000),
-                          **kwargs)
-    full = mc_expectation(p, W, 16, math.e, **kwargs)
+    kwargs = dict(trials=trials, seed=seed, n=n)
+    lean = mc_expectation(p, W, M, C, budget=EnumerationBudget(cap), **kwargs)
+    full = mc_expectation(p, W, M, C, **kwargs)
     for a, b in zip(lean, full):
         assert a.mean == b.mean
         assert a.std_error == b.std_error
