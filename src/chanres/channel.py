@@ -253,8 +253,6 @@ def _prefix_table(W: Channel, n: int) -> tuple[int, np.ndarray]:
     k letters, in place of k product steps.
     """
     cells = W.input_size * W.output_size
-    if cells == 1:      # W is [[1.0]], and so is each of its powers
-        return n, W.rows
     k = 1
     while k < n and cells ** (k + 1) <= _BLOCK_FLOATS:
         k += 1

@@ -217,7 +217,8 @@ def run_idcode_build(args):
         selection = select_codewords(W, p, params, args.seed,
                                      max_retries=args.max_retries)
     except RetriesExhausted as exc:
-        sys.stdout.write(_dump({"satisfied": False, "attempts": exc.attempts,
+        sys.stdout.write(_dump({"satisfied": False,
+                                "attempts": args.max_retries,
                                 "reason": str(exc)}) + "\n")
         return
     build = build_set_family(

@@ -628,7 +628,6 @@ def secrecy_capacity_lb(W_B: Channel, W_E: Channel) -> tuple[float, Distribution
 class TaylorComparison:
     """Quadratic small-deviation approximations next to the exact bounds."""
 
-    Delta: float
     approx_psi: float
     approx_phi_half: float
     exact_psi_bound: float
@@ -666,6 +665,5 @@ def taylor_compare(R: float, W: Channel, p: Distribution) -> TaylorComparison:
         raise ValueError(f"quadratic approximation at R = {R!r} "
                          "is past the float range")
     vd_psi, _, vd_phi_half = _family_reports([R], W, p)[0]
-    return TaylorComparison(R - mutual_information(p, W),
-                            column[R, "vd_psi"], column[R, "vd_phi_half"],
+    return TaylorComparison(column[R, "vd_psi"], column[R, "vd_phi_half"],
                             vd_psi.bound_value, vd_phi_half.bound_value)

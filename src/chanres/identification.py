@@ -51,10 +51,6 @@ class InfeasibleParams(ValueError):
 class RetriesExhausted(RuntimeError):
     """No attempt within the retry cap produced a full code."""
 
-    def __init__(self, message, attempts):
-        super().__init__(message)
-        self.attempts = attempts
-
 
 @dataclass(frozen=True)
 class AdParams:
@@ -317,7 +313,7 @@ def select_codewords(W: Channel, p: Distribution, params: SelectionParams,
         )
     raise RetriesExhausted(
         f"no attempt out of {max_retries} yielded {params.family.M} distinct "
-        "codewords passing both screens", max_retries)
+        "codewords passing both screens")
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,7 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
     the largest k <= n whose table fits in _BLOCK_FLOATS, then n - k
     product steps.  Trials run in index order in blocks whose rows, and
     whose draws, take at most _BLOCK_FLOATS floats (one trial at least).
+    On a one-output channel both gaps are exactly 0, so nothing is drawn.
     The table, like the blocks, is not charged to the budget, so a cap
     below |X|^n |Y|^n states (10000 at n = 8 on a binary channel) still
     runs.  The result is a pure function of the arguments.  Returns
@@ -156,13 +157,16 @@ def mc_expectation(p: Distribution, W: Channel, M: int, C: float,
         p, W, M, C, n, budget)
     budget.check(_integer(M, "M") * n, f"one trial's {M} words of {n} letters")
 
-    wpn = _kron_chain([output_distribution(W, p).probs] * n)
-    prefix = _prefix_table(W, n)
-
-    eps_s = np.empty(trials)
-    div_s = np.empty(trials)
-    # a trial holds M rows of L^n floats and M*n draws and letters
-    for blk in _blocks(trials, M * max(L ** n, n)):
+    eps_s = np.zeros(trials)
+    div_s = np.zeros(trials)
+    if L == 1:  # every W^n row, so every mixture, is W_p^n = [1.0]
+        _integer(seed, "seed", 0, 2 ** 64)      # the check of `uniforms`
+        blocks = []
+    else:       # L^n >= n: a trial holds M rows of L^n floats, M*n draws
+        blocks = _blocks(trials, M * L ** n)
+        wpn = _kron_chain([output_distribution(W, p).probs] * n)
+        prefix = _prefix_table(W, n)
+    for blk in blocks:
         words = sample_indices(p.probs,
                                uniforms(seed, range(trials)[blk], (M, n)))
         # sum each trial's rows in word order, as .mean(axis=0) does,

@@ -91,7 +91,8 @@ def sample_wiretap_code(p: Distribution, M: int, L: int, W_B: Channel,
                         decoder_kind: str = "maximum_likelihood",
                         C_prime: float | None = None) -> WiretapCode:
     """Draw the M x L codeword array i.i.d. from p on the (seed, index)
-    stream, once the arguments pass their checks."""
+    stream, once the arguments pass their checks.  C_prime is the
+    threshold decoder's; the maximum-likelihood decoder ignores it."""
     M, L = _integer(M, "M"), _integer(L, "L")
     _check_decoder_kind(decoder_kind)
     _check_inputs(W_B, p)
@@ -189,36 +190,29 @@ class WiretapBounds:
 
 
 def wiretap_bounds(W_B: Channel, W_E: Channel, p: Distribution,
-                   M: int, L: int, C: float,
-                   C_prime: float | None) -> WiretapBounds:
+                   M: int, L: int, C: float, C_prime: float) -> WiretapBounds:
     """Expected-value guarantees for codes drawn i.i.d. from p.
 
     Each message's L words form a random code on Eve's channel, so the
     leakage bounds are the resolvability bounds of W_E at codebook size
     L (`resolvability._code_bounds`), tripled (sextupled for the
     pairwise distance), and the error bound is the random-coding bound
-    of W_B at rate log(M*L).  C_prime may be None when no
-    threshold-decoder guarantee is wanted; the threshold error bound is
-    then reported as inf.  M*L, and the threshold error bound, must fit
-    a float.
+    of W_B at rate log(M*L).  M*L, and the threshold error bound at
+    C_prime, must fit a float.
     """
     M, L = _integer(M, "M"), _integer(L, "L")
     _check_fits_float(M * L, "M*L")
     _check_positive(C, "C")
-    if C_prime is not None:
-        _check_positive(C_prime, "C_prime")
+    _check_positive(C_prime, "C_prime")
     _check_inputs(W_B, p)
     _check_inputs(W_E, p)
     s_star, neg = _gallager_max(W_B, p, math.log(M) + math.log(L))
     error_gallager = 3.0 * math.exp(-neg)
 
-    if C_prime is None:
-        error_threshold = math.inf
-    else:
-        miss_b = 1.0 - tail_pair(p, W_B, C_prime).delta
-        error_threshold = 3.0 * (miss_b + M * L / C_prime)
-        _check_fits_float(error_threshold, "the threshold error bound "
-                          "3*(miss + M*L/C_prime)")
+    miss_b = 1.0 - tail_pair(p, W_B, C_prime).delta
+    error_threshold = 3.0 * (miss_b + M * L / C_prime)
+    _check_fits_float(error_threshold, "the threshold error bound "
+                      "3*(miss + M*L/C_prime)")
 
     vd, leak_eta, leak_phi, t_star = _code_bounds(
         tail_pair(p, W_E, C), L, 1, W_E, p)
@@ -269,9 +263,8 @@ def construct_until_bounds(p: Distribution, W_B: Channel, W_E: Channel,
                min(bounds.leak_kl_eta, bounds.leak_kl_phi), bounds.secrecy_vd)
     best = None
     for attempt in range(max_retries):
-        code = sample_wiretap_code(
-            p, M, L, W_B, seed, index=attempt, decoder_kind=decoder_kind,
-            C_prime=C_prime if decoder_kind == "threshold" else None)
+        code = sample_wiretap_code(p, M, L, W_B, seed, index=attempt,
+                                   decoder_kind=decoder_kind, C_prime=C_prime)
         report = eval_wiretap(code, W_B, W_E, p)
         outcomes = (report.eps_B, report.I_E, report.d_E)
         flags = tuple(o <= t for o, t in zip(outcomes, targets))

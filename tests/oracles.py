@@ -286,11 +286,8 @@ def _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime):
         return -(s * log_ml + phi(s, W_B, p))
 
     s_star, neg = _scan_and_refine(lambda _, s: gallager(s), S_GRID)
-    if C_prime is None:
-        error_threshold = math.inf
-    else:
-        miss_b = 1.0 - tail_pair(p, W_B, C_prime).delta
-        error_threshold = 3.0 * (miss_b + M * L / C_prime)
+    miss_b = 1.0 - tail_pair(p, W_B, C_prime).delta
+    error_threshold = 3.0 * (miss_b + M * L / C_prime)
     tp_e = tail_pair(p, W_E, C)
     leak_eta = 3.0 * (eta(tp_e.delta)
                       + tp_e.delta * math.log(W_E.output_size)
@@ -342,9 +339,8 @@ def _construct_reference(p, W_B, W_E, M, L, C, C_prime, seed, max_retries,
     best = None
     best_key = None
     for attempt in range(max_retries):
-        code = sample_wiretap_code(
-            p, M, L, W_B, seed, index=attempt, decoder_kind=decoder_kind,
-            C_prime=C_prime if decoder_kind == "threshold" else None)
+        code = sample_wiretap_code(p, M, L, W_B, seed, index=attempt,
+                                   decoder_kind=decoder_kind, C_prime=C_prime)
         report = eval_wiretap(code, W_B, W_E, p)
         ok_eps = report.eps_B <= eps_target
         ok_leak = report.I_E <= leak_target

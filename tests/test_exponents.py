@@ -813,7 +813,6 @@ def test_taylor_compare():
     W, p = bsc(0.1), uniform(2)
     R = mutual_information(p, W) + 0.02
     cmp_ = taylor_compare(R, W, p)
-    assert math.isclose(cmp_.Delta, 0.02, rel_tol=1e-9)
     assert cmp_.approx_psi == 2.0 * cmp_.approx_phi_half
     assert cmp_.exact_psi_bound > 0.0
     assert cmp_.exact_phi_half_bound > 0.0

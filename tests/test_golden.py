@@ -13,17 +13,36 @@ only when an output change is intended:
     PYTHONPATH=src python tests/test_golden.py --record
 
 The benchmark also relies on names: every function that
-`perfbench/spans.py` traces (`TRACED`) must exist in its module.
+`perfbench/spans.py` traces (`TRACED`) must exist in its module, and
+every field its `HOOKS` read must exist on what the function returns.
 """
 
 import ast
 import importlib
+import inspect
 import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
+from chanres import (
+    AdParams,
+    IdCode,
+    SelectionParams,
+    build_set_family,
+    bsc,
+    construct_until_bounds,
+    eval_id_code,
+    identity_channel,
+    mc_expectation,
+    product,
+    product_dist,
+    product_tail_pair,
+    select_codewords,
+    uniform,
+)
 from chanres.cli import main
 from commands import INPUTS, argv_of, channel_file, write_inputs
 from corpus import ASYM_ROWS, Z_ROWS
@@ -167,22 +186,63 @@ def test_help_matches_golden(monkeypatch, capsys):
     assert got == golden
 
 
-def test_every_traced_name_exists():
-    # a traced benchmark run fails on a missing name; the table is read
-    # from the source, so perfbench need not be importable here
-    path = os.path.join(os.path.dirname(DATA), os.pardir, "perfbench",
-                        "spans.py")
-    with open(path, encoding="utf-8") as fh:
+# the benchmark's tables are read from its source, so perfbench need not
+# be importable here
+SPANS = os.path.join(os.path.dirname(DATA), os.pardir, "perfbench", "spans.py")
+
+
+def _spans_nodes(*names):
+    """The top-level assignments and functions of SPANS named `names`."""
+    with open(SPANS, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and ast.unparse(node.targets[0]) == "TRACED")
+    return [node for node in tree.body
+            if isinstance(node, ast.Assign)
+            and ast.unparse(node.targets[0]) in names
+            or isinstance(node, ast.FunctionDef) and node.name in names]
+
+
+def test_every_traced_name_exists():
+    # a traced benchmark run fails on a missing name
+    traced = ast.literal_eval(_spans_nodes("TRACED")[0].value)
     assert "exponents" in traced
     for layer, names in traced.items():
         module = importlib.import_module(f"chanres.{layer}")
         missing = [name for name in names
                    if not callable(getattr(module, name, None))]
         assert not missing, f"chanres.{layer} lacks {missing}"
+
+
+def test_every_hook_reads_what_the_traced_call_gives():
+    # a traced benchmark run fails when a result lacks a field that a
+    # hook counts from: each hook runs on a real call of its function
+    space = {"np": np}
+    exec(compile(ast.Module(_spans_nodes("_joint_pairs", "HOOKS"), []),
+                 SPANS, "exec"), space)
+    hooks = space["HOOKS"]
+    W3, p3 = product(bsc(0.05), 3), product_dist(uniform(2), 3)
+    family = AdParams(M=2, tau=0.1, kappa=0.8)
+    calls = [
+        ("channel.product", product, (bsc(0.1), 2)),
+        ("channel.product", product_dist, (uniform(2), 2)),
+        ("spectrum.product_tail_pair", product_tail_pair,
+         (uniform(2), bsc(0.1), 1.5, 2)),
+        ("resolvability.mc_expectation", mc_expectation,
+         (uniform(2), bsc(0.1), 4, 1.5, 100, 0)),
+        ("wiretap.construct_until_bounds", construct_until_bounds,
+         (uniform(2), bsc(0.05), bsc(0.3), 2, 2, math.e, 4.0, 0, 2)),
+        ("identification.select_codewords", select_codewords,
+         (W3, p3, SelectionParams(1.5, 4.0, 1.5, 4.0, family, 2.0), 1)),
+        ("identification.build_set_family", build_set_family,
+         (AdParams(M=7, tau=0.15, kappa=0.99), 3)),
+        ("identification.eval_id_code", eval_id_code,
+         (IdCode((2, 0, 1), ((0, 1), (2,)), 1.5), identity_channel(3),
+          uniform(3))),
+    ]
+    assert {name for name, _, _ in calls} == set(hooks)
+    for name, fn, args in calls:
+        bound = inspect.signature(fn).bind(*args).arguments
+        counts = hooks[name](bound, fn(*args))
+        assert all(type(v) is int for v in counts.values()), (name, counts)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

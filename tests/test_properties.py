@@ -247,7 +247,7 @@ def _fields_equal(report, expected):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(channel_and_law(), st.integers(2, 3), st.integers(1, 3),
        st.integers(1, 60), st.integers(1, 60), st.floats(-2.0, 3.0),
-       st.one_of(st.none(), st.floats(-2.0, 3.0)),
+       st.floats(-2.0, 3.0),
        st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.data())
 def test_wiretap_reuse_equals_spelled_out_formulas(law, Y_E, n, M, L, log_C,
                                                    log_C_prime, R, R_prime,
@@ -257,7 +257,7 @@ def test_wiretap_reuse_equals_spelled_out_formulas(law, Y_E, n, M, L, log_C,
                             for _ in range(W_B.input_size)]))
     W_B, W_E, p = product(W_B, n), product(W_E, n), product_dist(p, n)
     C = math.exp(log_C)
-    C_prime = None if log_C_prime is None else math.exp(log_C_prime)
+    C_prime = math.exp(log_C_prime)
     _fields_equal(wiretap_bounds(W_B, W_E, p, M, L, C, C_prime),
                   _spelled_out_wiretap_bounds(W_B, W_E, p, M, L, C, C_prime))
     _fields_equal(wiretap_exponents(R, R_prime, W_B, W_E, p),

@@ -1,6 +1,7 @@
 """Codebook sampling, exact gap evaluation, Monte Carlo vs bounds."""
 
 import math
+import re
 import threading
 import tracemalloc
 
@@ -26,7 +27,7 @@ from chanres import (
     size_ceiling_check,
     uniform,
 )
-from chanres import channel
+from chanres import channel, resolvability
 from chanres.channel import _kron_chain
 from chanres.exponents import phi
 from chanres.resolvability import PHI_T_GRID
@@ -252,3 +253,42 @@ def test_mc_expectation_blocks_count_the_draws():
         tracemalloc.stop()
     assert est.mean == 0.0
     assert peak < 2 * 2 ** 20
+
+
+def _no_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a code on a one-output channel")
+
+    for name in ("uniforms", "_prefix_table", "_kron_chain"):
+        monkeypatch.setattr(resolvability, name, refuse)
+
+
+def test_mc_expectation_one_output_is_exact_without_draws(monkeypatch):
+    # every mixture of a one-output channel is W_p^n = [1.0], so both
+    # gaps of every code are exactly 0
+    W, p = constant_channel([1.0], 16), uniform(16)
+    _, vd, kl_eta, kl_phi = expectation_bounds(p, W, 16, math.e, n=8000)
+    _no_draws(monkeypatch)
+    got = mc_expectation(p, W, 16, math.e, trials=100, seed=0, n=8000)
+    assert got == tuple(resolvability.McEstimate(0.0, 0.0, 100, bound)
+                        for bound in (vd, kl_eta, kl_phi))
+
+
+@pytest.mark.parametrize("trials, seed, cap, error, text", [
+    (100, -1, None, ValueError,
+     "seed must be a nonnegative integer below 2^64, got -1"),
+    (100, 2 ** 64, None, ValueError, "seed must be a nonnegative integer "
+     "below 2^64, got 18446744073709551616"),
+    (99, 0, None, ValueError, "trials must be an integer >= 100, got 99"),
+    (100, 0, 10 ** 5, BudgetError, "one trial's 16 words of 8000 letters "
+     "needs 128000 joint states, over the cap of 100000; rerun with "
+     "max_joint_states >= 128000"),
+], ids=["seed-1", "seed2^64", "trials99", "budget"])
+def test_mc_expectation_one_output_refusals(trials, seed, cap, error, text,
+                                            monkeypatch):
+    W, p = constant_channel([1.0], 16), uniform(16)
+    budget = channel.DEFAULT_BUDGET if cap is None else EnumerationBudget(cap)
+    _no_draws(monkeypatch)
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        mc_expectation(p, W, 16, math.e, trials=trials, seed=seed, n=8000,
+                       budget=budget)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import threading
 
 import numpy as np
@@ -176,23 +177,30 @@ def test_bounds_closed_forms():
     W_B = identity_channel(K)
     W_E = constant_channel([1.0], K)
     p = uniform(K)
-    b = wiretap_bounds(W_B, W_E, p, 2, 1, math.e, None)
+    b = wiretap_bounds(W_B, W_E, p, 2, 1, math.e, 4.0)
     assert math.isclose(b.error_gallager, 3.0 * 2.0 / K, rel_tol=1e-9)
-    assert b.error_threshold == math.inf
+    # ratio 16 > 4 on the diagonal: no miss mass, so 3 * M * L / C'
+    assert b.error_threshold == 1.5
     # constant Eve: delta = 0 and delta_prime = 1, so the corner bound
     # is 3/L and the distance bound is 6/sqrt(L)
     assert b.leak_kl_eta == 3.0
     assert math.isclose(b.leak_kl_phi, 6.0 * math.log(2.0), rel_tol=1e-12)
     assert b.secrecy_vd == 6.0
-    b4 = wiretap_bounds(W_B, W_E, p, 2, 4, math.e, None)
+    b4 = wiretap_bounds(W_B, W_E, p, 2, 4, math.e, 4.0)
     assert math.isclose(b4.leak_kl_eta, 3.0 / 4.0, rel_tol=1e-13)
     assert b4.secrecy_vd == 3.0
-    with pytest.raises(ValueError):
-        wiretap_bounds(W_B, W_E, p, 0, 1, math.e, None)
-    with pytest.raises(ValueError):
-        wiretap_bounds(W_B, W_E, p, 2, 1, 0.0, None)
-    with pytest.raises(ValueError):
-        wiretap_bounds(W_B, W_E, p, 2, 1, math.e, -1.0)
+
+
+@pytest.mark.parametrize("M, C, C_prime, text", [
+    (0, math.e, 4.0, "M must be an integer >= 1, got 0"),
+    (2, 0.0, 4.0, "C must be positive and finite, got 0.0"),
+    (2, math.e, -1.0, "C_prime must be positive and finite, got -1.0"),
+    (2, math.e, None, "C_prime must be positive and finite, got None"),
+], ids=["M", "C", "C_prime", "no_C_prime"])
+def test_wiretap_bounds_refusals(M, C, C_prime, text):
+    W_B, W_E = identity_channel(4), constant_channel([1.0], 4)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        wiretap_bounds(W_B, W_E, uniform(4), M, 1, C, C_prime)
 
 
 def test_threshold_error_bound_value():
@@ -211,7 +219,7 @@ def test_mean_error_within_expectation_bound():
     W_B = identity_channel(K)
     W_E = constant_channel([1.0], K)
     p = uniform(K)
-    b = wiretap_bounds(W_B, W_E, p, 2, 1, math.e, None)
+    b = wiretap_bounds(W_B, W_E, p, 2, 1, math.e, 4.0)
     samples = []
     for i in range(200):
         code = sample_wiretap_code(p, 2, 1, W_B, seed=900, index=i)
@@ -246,7 +254,7 @@ def test_construct_unsatisfied_collision():
     W_B = identity_channel(K)
     W_E = constant_channel([1.0], K)
     p = uniform(K)
-    res = construct_until_bounds(p, W_B, W_E, 2, 1, math.e, None, seed=14,
+    res = construct_until_bounds(p, W_B, W_E, 2, 1, math.e, 4.0, seed=14,
                                  max_retries=1)
     assert not res.satisfied
     assert res.flags == (False, True, True)
@@ -255,7 +263,7 @@ def test_construct_unsatisfied_collision():
     assert math.isclose(res.targets[0], 0.375, rel_tol=1e-12)
     assert res.attempts == 1
     # more retries recover: the second draw is collision free
-    res = construct_until_bounds(p, W_B, W_E, 2, 1, math.e, None, seed=14,
+    res = construct_until_bounds(p, W_B, W_E, 2, 1, math.e, 4.0, seed=14,
                                  max_retries=10)
     assert res.satisfied and res.attempts == 2
     assert res.report.eps_B == 0.0
@@ -265,7 +273,7 @@ def test_construct_unsatisfied_collision():
 def test_construct_needs_a_retry(max_retries):
     W = bsc(0.1)
     with pytest.raises(ValueError, match="max_retries"):
-        construct_until_bounds(uniform(2), W, W, 2, 2, math.e, None, seed=0,
+        construct_until_bounds(uniform(2), W, W, 2, 2, math.e, 4.0, seed=0,
                                max_retries=max_retries)
 
 
@@ -275,7 +283,7 @@ def test_construct_attempt_callback():
     W_E = constant_channel([1.0], K)
     p = uniform(K)
     log = []
-    construct_until_bounds(p, W_B, W_E, 2, 1, math.e, None, seed=14,
+    construct_until_bounds(p, W_B, W_E, 2, 1, math.e, 4.0, seed=14,
                            max_retries=10,
                            on_attempt=lambda k, r, ok: log.append((k, ok)))
     assert log[0] == (0, (False, True, True))
@@ -293,7 +301,7 @@ def test_construct_attempt_callback():
 def test_construct_exhaustion_matches_reference(seed, satisfied, codewords):
     K = 16
     args = (uniform(K), identity_channel(K), constant_channel([1.0], K),
-            2, 1, math.e, None, seed, 3)
+            2, 1, math.e, 4.0, seed, 3)
     got_log, want_log = [], []
     got = construct_until_bounds(
         *args, on_attempt=lambda k, r, ok: got_log.append((k, r, ok)))
@@ -334,7 +342,7 @@ def test_construct_runs_without_threads(monkeypatch):
 def test_non_finite_threshold_rejected(C):
     W, p = bsc(0.1), uniform(2)
     with pytest.raises(ValueError, match="finite"):
-        wiretap_bounds(W, W, p, 2, 2, C, None)
+        wiretap_bounds(W, W, p, 2, 2, C, 4.0)
     with pytest.raises(ValueError, match="finite"):
         wiretap_bounds(W, W, p, 2, 2, math.e, C)
     with pytest.raises(ValueError, match="finite"):
